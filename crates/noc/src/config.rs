@@ -8,9 +8,18 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::ConfigError;
+use crate::router::arbiter::MAX_REQUESTERS;
 use crate::routing::RoutingKind;
 use crate::topology::{PortKind, TopologyGraph, TopologyKind};
 use crate::types::Bits;
+
+/// Most ports one router may have: switch allocation keeps a `u64` mask of
+/// input ports per output.
+pub const MAX_ROUTER_PORTS: usize = 64;
+
+/// Most input VCs (ports × VCs per port) one router may have: VC
+/// allocation keeps a `u128` mask of flat input-VC indices per output.
+pub const MAX_ROUTER_VCS: usize = MAX_REQUESTERS;
 
 /// Buffer organization of one router.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -171,8 +180,9 @@ impl NetworkConfig {
     ///
     /// # Errors
     /// Returns the first [`ConfigError`] found: count mismatches, zero
-    /// widths/depths/VCs, non-multiple link widths, or too few VCs for the
-    /// dateline/escape classes the routing needs.
+    /// widths/depths/VCs, non-multiple link widths, too few VCs for the
+    /// dateline/escape classes the routing needs, or a router wider than
+    /// the allocators' masks ([`MAX_ROUTER_PORTS`], [`MAX_ROUTER_VCS`]).
     pub fn validate(&self, graph: &TopologyGraph) -> Result<(), ConfigError> {
         if self.routers.len() != graph.num_routers() {
             return Err(ConfigError::RouterCountMismatch {
@@ -194,6 +204,21 @@ impl NetworkConfig {
             }
             if rc.buffer_depth == 0 {
                 return Err(ConfigError::ZeroBufferDepth { router: i });
+            }
+            let ports = graph.routers()[i].ports.len();
+            if ports > MAX_ROUTER_PORTS {
+                return Err(ConfigError::TooManyPorts {
+                    router: i,
+                    ports,
+                    max: MAX_ROUTER_PORTS,
+                });
+            }
+            if ports * rc.vcs_per_port > MAX_ROUTER_VCS {
+                return Err(ConfigError::TooManyInputVcs {
+                    router: i,
+                    vcs: ports * rc.vcs_per_port,
+                    max: MAX_ROUTER_VCS,
+                });
             }
             if matches!(self.topology, TopologyKind::Torus { .. }) && rc.vcs_per_port < 2 {
                 return Err(ConfigError::TorusNeedsTwoVcs { router: i });
@@ -468,6 +493,51 @@ mod tests {
             cfg.validate(&g),
             Err(ConfigError::BadLinkWidth { .. })
         ));
+    }
+
+    #[test]
+    fn validate_rejects_routers_wider_than_the_allocator_masks() {
+        // 64 routers in a row: 63 row links + 2 local ports = 65 ports.
+        let cfg = NetworkConfig::homogeneous(
+            TopologyKind::FlattenedButterfly {
+                width: 64,
+                height: 1,
+                concentration: 2,
+            },
+            RouterCfg {
+                vcs_per_port: 1,
+                buffer_depth: 5,
+            },
+            Bits(192),
+            2.2,
+        );
+        assert!(matches!(
+            cfg.validate(&cfg.build_graph()),
+            Err(ConfigError::TooManyPorts {
+                ports: 65,
+                max: 64,
+                ..
+            })
+        ));
+
+        // An interior mesh router has 5 ports; 5 × 26 = 130 input VCs.
+        let mut cfg = NetworkConfig::paper_baseline();
+        cfg.routers[9].vcs_per_port = 26;
+        let err = cfg.validate(&cfg.build_graph()).unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::TooManyInputVcs {
+                router: 9,
+                vcs: 130,
+                max: 128,
+            }
+        );
+        assert!(err.to_string().contains("130 input VCs"));
+
+        // Exactly at the limit is fine: 4 × 32 on a corner router.
+        let mut cfg = NetworkConfig::paper_baseline();
+        cfg.routers[0].vcs_per_port = 32;
+        assert!(cfg.validate(&cfg.build_graph()).is_ok());
     }
 
     #[test]

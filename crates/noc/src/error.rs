@@ -93,6 +93,27 @@ pub enum ConfigError {
         /// Routers in the topology.
         routers: usize,
     },
+    /// A router has more ports than switch allocation's per-output input
+    /// port mask holds ([`crate::config::MAX_ROUTER_PORTS`]).
+    TooManyPorts {
+        /// The offending router index.
+        router: usize,
+        /// Its port count.
+        ports: usize,
+        /// The largest supported port count.
+        max: usize,
+    },
+    /// A router has more input VCs (ports × VCs per port) than VC
+    /// allocation's per-output requester mask holds
+    /// ([`crate::config::MAX_ROUTER_VCS`]).
+    TooManyInputVcs {
+        /// The offending router index.
+        router: usize,
+        /// Its input VC count.
+        vcs: usize,
+        /// The largest supported input VC count.
+        max: usize,
+    },
     /// A [`crate::config::NetworkConfigBuilder::router`] override names a
     /// router the topology does not have.
     RouterIndexOutOfRange {
@@ -160,6 +181,14 @@ impl fmt::Display for ConfigError {
             ConfigError::FaultRouterOutOfRange { router, routers } => write!(
                 f,
                 "fault plan names router {router} but the topology has {routers} routers"
+            ),
+            ConfigError::TooManyPorts { router, ports, max } => write!(
+                f,
+                "router {router} has {ports} ports; the allocators support at most {max}"
+            ),
+            ConfigError::TooManyInputVcs { router, vcs, max } => write!(
+                f,
+                "router {router} has {vcs} input VCs (ports x VCs per port); the allocators support at most {max}"
             ),
             ConfigError::RouterIndexOutOfRange { router, routers } => write!(
                 f,

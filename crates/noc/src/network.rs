@@ -225,6 +225,59 @@ struct NodeState {
 /// Maximum event-schedule horizon (flit arrivals at +2 are the farthest).
 const WHEEL: usize = 3;
 
+/// `AllocScratch::sa_out` entry of an input VC that cannot send this cycle.
+const NO_OUT: u8 = u8::MAX;
+
+/// A port's stage-1 switch-allocation nomination.
+#[derive(Clone, Copy, Debug, Default)]
+struct Nomination {
+    /// The nominated input VC.
+    vc: usize,
+    /// The VC can also supply its next same-packet flit (wide output).
+    pair: bool,
+    /// Another VC of the port eligible for the same wide output.
+    alt: Option<usize>,
+}
+
+/// Input ports that have sent one / two flits through the switch this
+/// cycle (a port's split datapath supplies at most two).
+#[derive(Clone, Copy, Debug, Default)]
+struct PortSends {
+    once: u64,
+    twice: u64,
+}
+
+impl PortSends {
+    fn send(&mut self, p: usize) {
+        let bit = 1u64 << p;
+        self.twice |= self.once & bit;
+        self.once |= bit;
+    }
+}
+
+/// Bitmask allocation state of the router being visited, reused across
+/// visits so the allocators allocate nothing. Flat input-VC index is
+/// `port * vcs_per_port + vc`; [`NetworkConfig::validate`] bounds it below
+/// 128 and ports below 64, so the masks always fit.
+#[derive(Debug, Default)]
+struct AllocScratch {
+    /// VA, per output: flat input VCs whose ungranted head flit bids for
+    /// a downstream VC there.
+    va_req: Vec<u128>,
+    /// SA, per flat input VC: the output its front flit can take this
+    /// cycle, or [`NO_OUT`].
+    sa_out: Vec<u8>,
+    /// SA, per output: input ports holding a VC eligible for it.
+    sa_reach: Vec<u64>,
+    /// SA, per output: input ports whose stage-1 nominee targets it.
+    sa_nom: Vec<u64>,
+    /// SA, per input port: its stage-1 nomination (valid where `sa_nom`
+    /// has the port's bit).
+    nominee: Vec<Nomination>,
+    /// SA winners of the output being committed.
+    winners: Vec<(PortId, VcId)>,
+}
+
 /// The simulated network.
 pub struct Network {
     cfg: NetworkConfig,
@@ -257,12 +310,8 @@ pub struct Network {
     /// serialized, rebuilt from buffer occupancy on checkpoint restore.
     sched: Scheduler,
     // Scratch buffers reused across cycles to avoid per-cycle allocation.
-    scratch_winners: Vec<(PortId, VcId)>,
     scratch_events: Vec<Event>,
-    scratch_primary: Vec<Option<(usize, PortId)>>,
-    scratch_pair: Vec<bool>,
-    scratch_alt: Vec<Option<usize>>,
-    scratch_port_sent: Vec<u8>,
+    alloc: AllocScratch,
     /// Spare wheel-slot storage so the per-cycle `mem::take` of the due
     /// slot does not discard its capacity.
     wheel_spare: Vec<Event>,
@@ -387,12 +436,8 @@ impl Network {
             epochs: None,
             profiler: None,
             sched,
-            scratch_winners: Vec::with_capacity(4),
             scratch_events: Vec::with_capacity(4),
-            scratch_primary: Vec::new(),
-            scratch_pair: Vec::new(),
-            scratch_alt: Vec::new(),
-            scratch_port_sent: Vec::new(),
+            alloc: AllocScratch::default(),
             wheel_spare: Vec::new(),
         })
     }
@@ -2124,9 +2169,10 @@ impl Network {
             let node = &mut self.nodes[n];
             let vccount = node.vcs.len();
             let (lo, hi) = class.range(vccount);
-            let pick = node.rr_vc.grant(vccount, |v| {
-                (lo..hi).contains(&v) && node.vcs[v].owner.is_none() && node.vcs[v].credits > 0
-            });
+            let free = (lo..hi)
+                .filter(|&v| node.vcs[v].owner.is_none() && node.vcs[v].credits > 0)
+                .fold(0u128, |m, v| m | 1 << v);
+            let pick = node.rr_vc.grant_mask(vccount, free);
             if let Some(v) = pick {
                 let packet = node.queue.pop_front().expect("non-empty");
                 node.vcs[v].owner = Some((PortId(0), VcId(0))); // occupied marker
@@ -2240,16 +2286,16 @@ impl Network {
         // --- Route computation & escape diversion -----------------------
         let nports = self.routers[r].inputs.len();
         let nout = self.routers[r].outputs.len();
+        // Each VC's final RC state sets its bit in the requester mask of
+        // the output it bids for; VA below reads only those masks.
+        let mut va_req = std::mem::take(&mut self.alloc.va_req);
+        va_req.clear();
+        va_req.resize(nout, 0);
         // Active-set refinement: skip whole input ports with no buffered
-        // flits (nothing to route or age), and record exactly which output
-        // ports have a VC-allocation requester so the VA phase below only
-        // runs the arbiters that can grant. With the mask disabled (`!0`,
-        // reference mode or >64 ports) every output is scanned as before;
-        // scanning an output with no requester is a no-op either way.
-        let gate = self.sched.mode() == EngineMode::ActiveSet && nout <= 64;
-        let mut va_req: u64 = if gate { 0 } else { !0 };
+        // flits (nothing to route, age or allocate).
+        let skip_idle = self.sched.mode() == EngineMode::ActiveSet;
         for p in 0..nports {
-            if gate && self.routers[r].port_occ[p] == 0 {
+            if skip_idle && self.routers[r].port_occ[p] == 0 {
                 continue;
             }
             for v in 0..vcs_per_port {
@@ -2357,10 +2403,9 @@ impl Network {
                 }
                 // Final requester state for the VA phase: an ungranted head
                 // with a computed route bids for its route's output port.
-                if gate && vc.out_vc.is_none() && vc.fifo.front().is_some_and(|f| f.kind.is_head())
-                {
+                if vc.out_vc.is_none() && vc.fifo.front().is_some_and(|f| f.kind.is_head()) {
                     if let Some(rt) = vc.route {
-                        va_req |= 1u64 << rt.port.index();
+                        va_req[rt.port.index()] |= 1u128 << (p * vcs_per_port + v);
                     }
                 }
             }
@@ -2368,14 +2413,14 @@ impl Network {
 
         // --- VC allocation ----------------------------------------------
         // Separable output-side allocation: each output port grants free
-        // downstream VCs to requesting heads in round-robin order.
+        // downstream VCs to requesting heads in round-robin order. A grant
+        // changes only the granted VC and one downstream VC's owner, so
+        // the other requesters' bits stay exact through the loop.
         let t = self.prof_lap(t, Stage::RouteCompute);
-        for o in 0..nout {
-            if va_req & (1u64 << (o & 63)) == 0 {
-                continue; // no requester recorded for this output
-            }
-            if self.routers[r].outputs[o].vcs.is_empty() {
-                continue; // sink: no VA needed
+        let flat = nports * vcs_per_port;
+        for (o, mut req) in va_req.iter().copied().enumerate() {
+            if req == 0 || self.routers[r].outputs[o].vcs.is_empty() {
+                continue; // no requester, or a sink (no VA needed)
             }
             // Dead links take no new wormholes (granted packets drain).
             if let OutputTarget::Channel { link, .. } = self.routers[r].outputs[o].target {
@@ -2387,28 +2432,12 @@ impl Network {
                     continue;
                 }
             }
-            let flat = nports * vcs_per_port;
-            debug_assert!(flat <= 128, "flat input-VC index must fit the skip mask");
-            // Requesters whose VC class had no free VC this cycle: skipped
-            // (not granted, pointer not advanced) so that requesters of
-            // other classes behind them are still served.
-            let mut skipped = 0u128;
-            loop {
-                // Find next requester (head with route to `o`, no grant).
-                let req = {
-                    let router = &self.routers[r];
-                    router.outputs[o].va_arb.peek(flat, |i| {
-                        if skipped & (1u128 << i) != 0 {
-                            return false;
-                        }
-                        let (p, v) = (i / vcs_per_port, i % vcs_per_port);
-                        let vc = &router.inputs[p][v];
-                        vc.out_vc.is_none()
-                            && vc.route.is_some_and(|rt| rt.port.index() == o)
-                            && vc.fifo.front().is_some_and(|f| f.kind.is_head())
-                    })
-                };
-                let Some(i) = req else { break };
+            while let Some(i) = self.routers[r].outputs[o].va_arb.peek_mask(flat, req) {
+                // Served or passed over: either way `i` bids no more this
+                // cycle. A requester whose class has no free VC is passed
+                // over (pointer not advanced) so that requesters of other
+                // classes behind it are still served.
+                req &= !(1u128 << i);
                 let (p, v) = (i / vcs_per_port, i % vcs_per_port);
                 let class = self.routers[r].inputs[p][v]
                     .route
@@ -2417,10 +2446,7 @@ impl Network {
                 let down_vcs = self.routers[r].outputs[o].vcs.len();
                 let (lo, hi) = class.range(down_vcs);
                 let free = (lo..hi).find(|&dv| self.routers[r].outputs[o].vcs[dv].owner.is_none());
-                let Some(dv) = free else {
-                    skipped |= 1u128 << i;
-                    continue;
-                };
+                let Some(dv) = free else { continue };
                 {
                     let router = &mut self.routers[r];
                     router.outputs[o].vcs[dv].owner = Some((PortId(p), VcId(v)));
@@ -2448,6 +2474,7 @@ impl Network {
                 }
             }
         }
+        self.alloc.va_req = va_req;
         let _ = self.prof_lap(t, Stage::VcAlloc);
     }
 
@@ -2497,141 +2524,118 @@ impl Network {
         let nports = self.routers[r].inputs.len();
         let nout = self.routers[r].outputs.len();
         let vcs_per_port = self.cfg.routers[r].vcs_per_port;
-        let gate = self.sched.mode() == EngineMode::ActiveSet && nout <= 64;
+        let skip_idle = self.sched.mode() == EngineMode::ActiveSet;
+        let mut s = std::mem::take(&mut self.alloc);
+        s.sa_out.clear();
+        s.sa_out.resize(nports * vcs_per_port, NO_OUT);
+        s.sa_reach.clear();
+        s.sa_reach.resize(nout, 0);
+        s.sa_nom.clear();
+        s.sa_nom.resize(nout, 0);
+        s.nominee.clear();
+        s.nominee.resize(nports, Nomination::default());
 
-        // Stage 1: one nomination per input port (plus a possible pair).
-        // primary[p] = (vc, out_port); pair[p] = true when the nominated VC
-        // can also supply its next same-packet flit. The vectors are
-        // crate-level scratch (taken/returned) so the hot loop allocates
-        // nothing; `nominated` records which outputs received a nomination
-        // so stage 2 can skip outputs that cannot have a winner.
-        let mut primary = std::mem::take(&mut self.scratch_primary);
-        let mut pair = std::mem::take(&mut self.scratch_pair);
-        let mut alt = std::mem::take(&mut self.scratch_alt);
-        primary.clear();
-        primary.resize(nports, None);
-        pair.clear();
-        pair.resize(nports, false);
-        alt.clear();
-        alt.resize(nports, None);
-        let mut nominated_outs: u64 = if gate { 0 } else { !0 };
+        // Eligibility table, taken once at SA start. A commit at output `o`
+        // pops only VCs routed to `o` (releasing them on a tail) and spends
+        // only the credits of `o`'s downstream VCs, and each output commits
+        // once, so no commit changes what the table says about any output
+        // still to be visited: reading it later equals re-evaluating
+        // `sa_eligible` live.
+        //
+        // Stage 1: one nomination per input port (plus a possible pair or
+        // a second VC for the same wide output).
         for p in 0..nports {
-            if gate && self.routers[r].port_occ[p] == 0 {
+            if skip_idle && self.routers[r].port_occ[p] == 0 {
                 continue; // no buffered flit ⇒ no eligible VC at this port
             }
-            let nominated = self.routers[r].sa_stage1[p]
-                .peek(vcs_per_port, |v| self.sa_eligible(r, p, v).is_some());
-            if let Some(v) = nominated {
-                let out = self.sa_eligible(r, p, v).expect("eligible");
-                primary[p] = Some((v, out));
-                if gate {
-                    nominated_outs |= 1u64 << out.index();
+            let row = p * vcs_per_port;
+            let mut eligible = 0u128;
+            for v in 0..vcs_per_port {
+                if let Some(out) = self.sa_eligible(r, p, v) {
+                    s.sa_out[row + v] = out.index() as u8;
+                    s.sa_reach[out.index()] |= 1 << p;
+                    eligible |= 1 << v;
                 }
-                pair[p] = self.routers[r].outputs[out.index()].lanes > 1
-                    && self.sa_pair_eligible(r, p, v);
-                if self.routers[r].outputs[out.index()].lanes > 1 && !pair[p] {
-                    // Another VC of the same input port heading to the same
-                    // output (the paper's case (a)/(c) combining).
-                    alt[p] = (0..vcs_per_port)
-                        .find(|&v2| v2 != v && self.sa_eligible(r, p, v2) == Some(out));
-                }
-                if self.measuring {
-                    self.stats.routers[r].sa1_arbs += 1;
-                }
+            }
+            let Some(v) = self.routers[r].sa_stage1[p].peek_mask(vcs_per_port, eligible) else {
+                continue;
+            };
+            let out = s.sa_out[row + v];
+            s.sa_nom[usize::from(out)] |= 1 << p;
+            let wide = self.routers[r].outputs[usize::from(out)].lanes > 1;
+            let pair = wide && self.sa_pair_eligible(r, p, v);
+            // Another VC of the same input port heading to the same output
+            // (the paper's case (a)/(c) combining).
+            let alt = if wide && !pair {
+                (0..vcs_per_port).find(|&v2| v2 != v && s.sa_out[row + v2] == out)
+            } else {
+                None
+            };
+            s.nominee[p] = Nomination { vc: v, pair, alt };
+            if self.measuring {
+                self.stats.routers[r].sa1_arbs += 1;
             }
         }
 
         // Stage 2: per output port, primary + (for wide outputs) secondary.
-        // An input port's split datapath supplies at most two flits/cycle.
-        // Only stage-1 nominees can win the primary grant, so outputs
-        // without a nomination are skipped outright (granting there is a
-        // no-op: the arbiter pointer does not move without a winner).
-        let mut port_sent = std::mem::take(&mut self.scratch_port_sent);
-        port_sent.clear();
-        port_sent.resize(nports, 0);
-        let mut winners = std::mem::take(&mut self.scratch_winners);
+        let mut sent = PortSends::default();
         for o in 0..nout {
-            if nominated_outs & (1u64 << (o & 63)) == 0 {
-                continue;
-            }
-            winners.clear();
-            let w1 = self.routers[r].outputs[o].sa_primary.grant(nports, |p| {
-                port_sent[p] < 2 && primary[p].is_some_and(|(_, out)| out.index() == o)
-            });
+            let nominees = s.sa_nom[o] & !sent.twice;
+            let w1 = self.routers[r].outputs[o]
+                .sa_primary
+                .grant_mask(nports, u128::from(nominees));
             let Some(p1) = w1 else { continue };
-            let (v1, _) = primary[p1].expect("winner nominated");
+            let Nomination { vc: v1, pair, alt } = s.nominee[p1];
             self.routers[r].sa_stage1[p1].advance_past(v1, vcs_per_port);
-            winners.push((PortId(p1), VcId(v1)));
+            s.winners.clear();
+            s.winners.push((PortId(p1), VcId(v1)));
             if self.measuring {
                 self.stats.routers[r].sa2_arbs += 1;
             }
 
-            port_sent[p1] += 1;
-            let lanes_o = self.routers[r].outputs[o].lanes;
-            if lanes_o > 1 {
-                if pair[p1] && port_sent[p1] < 2 {
+            sent.send(p1);
+            if self.routers[r].outputs[o].lanes > 1 {
+                let p1_full = sent.twice & (1 << p1) != 0;
+                if pair && !p1_full {
                     // Same VC, next flit of the same packet (DSET pair).
-                    winners.push((PortId(p1), VcId(v1)));
-                    port_sent[p1] += 1;
-                } else if alt[p1].is_some() && port_sent[p1] < 2 {
-                    let v2 = alt[p1].expect("checked");
-                    winners.push((PortId(p1), VcId(v2)));
-                    port_sent[p1] += 1;
+                    s.winners.push((PortId(p1), VcId(v1)));
+                    sent.send(p1);
+                } else if let Some(v2) = alt.filter(|_| !p1_full) {
+                    s.winners.push((PortId(p1), VcId(v2)));
+                    sent.send(p1);
                 } else {
                     // Different input port (the paper's case (b)/(f)): the
-                    // second parallel p:1 arbiter scans every other port
-                    // for *any* eligible VC heading to this output, not
-                    // just the stage-1 nominee.
-                    let mut second: Option<(usize, usize)> = None;
-                    let grant = self.routers[r].outputs[o].sa_secondary.peek(nports, |p| {
-                        if p == p1 || port_sent[p] >= 2 {
-                            return false;
-                        }
-                        (0..vcs_per_port).any(|v| self.sa_eligible(r, p, v) == Some(PortId(o)))
-                    });
-                    if let Some(p2) = grant {
+                    // second parallel p:1 arbiter takes any other port with
+                    // *any* eligible VC heading to this output, not just
+                    // the stage-1 nominee.
+                    let others = s.sa_reach[o] & !(1 << p1) & !sent.twice;
+                    let w2 = self.routers[r].outputs[o]
+                        .sa_secondary
+                        .grant_mask(nports, u128::from(others));
+                    if let Some(p2) = w2 {
+                        let row = p2 * vcs_per_port;
                         let v2 = (0..vcs_per_port)
-                            .find(|&v| self.sa_eligible(r, p2, v) == Some(PortId(o)))
-                            .expect("eligibility just checked");
-                        self.routers[r].outputs[o]
-                            .sa_secondary
-                            .advance_past(p2, nports);
-                        if primary[p2].is_some_and(|(v, out)| v == v2 && out.index() == o) {
+                            .find(|&v| usize::from(s.sa_out[row + v]) == o)
+                            .expect("port reaches this output");
+                        if s.sa_nom[o] & (1 << p2) != 0 && s.nominee[p2].vc == v2 {
                             // Its stage-1 nomination is being consumed here.
                             self.routers[r].sa_stage1[p2].advance_past(v2, vcs_per_port);
-                            primary[p2] = None;
                         }
-                        second = Some((p2, v2));
-                    }
-                    if let Some((p2, v2)) = second {
-                        winners.push((PortId(p2), VcId(v2)));
-                        port_sent[p2] += 1;
+                        s.winners.push((PortId(p2), VcId(v2)));
+                        sent.send(p2);
                     }
                 }
-                if self.measuring && winners.len() == 2 {
+                if self.measuring && s.winners.len() == 2 {
                     self.stats.routers[r].sa2_arbs += 1;
                 }
             }
-            // The primary winner's nomination is consumed.
-            primary[p1] = None;
 
-            let count = winners.len();
-            // Lap only around non-empty commit batches: most outputs have
-            // no winner, and a clock read per idle output would swamp the
-            // quantity being measured.
-            if count > 0 {
-                t = self.prof_lap(t, Stage::SwitchAlloc);
-            }
-            // Indexing (not iterating) because commit_flit needs &mut self
-            // while `winners` stays borrowed otherwise.
-            #[allow(clippy::needless_range_loop)]
-            for k in 0..count {
-                let (wp, wv) = winners[k];
+            let count = s.winners.len();
+            t = self.prof_lap(t, Stage::SwitchAlloc);
+            for &(wp, wv) in &s.winners {
                 self.commit_flit(r, wp, wv, PortId(o));
             }
-            if count > 0 {
-                t = self.prof_lap(t, Stage::SwitchTraverse);
-            }
+            t = self.prof_lap(t, Stage::SwitchTraverse);
             // Link busy/dual accounting.
             if self.measuring {
                 if let OutputTarget::Channel { link, .. } = self.routers[r].outputs[o].target {
@@ -2643,11 +2647,7 @@ impl Network {
                 }
             }
         }
-        self.scratch_winners = winners;
-        self.scratch_primary = primary;
-        self.scratch_pair = pair;
-        self.scratch_alt = alt;
-        self.scratch_port_sent = port_sent;
+        self.alloc = s;
         let _ = self.prof_lap(t, Stage::SwitchAlloc);
     }
 

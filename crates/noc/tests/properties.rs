@@ -52,9 +52,10 @@ proptest! {
         let n = mask.len();
         let eligible: Vec<usize> =
             mask.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i).collect();
+        let requests = eligible.iter().fold(0u128, |m, &i| m | 1 << i);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..n {
-            let w = arb.grant(n, |i| mask[i]).expect("some requester");
+            let w = arb.grant_mask(n, requests).expect("some requester");
             prop_assert!(mask[w]);
             seen.insert(w);
         }
