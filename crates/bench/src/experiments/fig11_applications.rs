@@ -46,7 +46,11 @@ fn run_one(layout: &Layout, bench: Benchmark, seed: u64) -> RunResult {
     let mut sys = CmpSystem::new(cfg, vec![CoreParams::OUT_OF_ORDER; 64], mk());
     sys.prewarm(mk());
     sys.run(20_000_000);
-    assert!(sys.finished(), "{layout}/{bench}: system did not drain");
+    assert!(
+        sys.finished(),
+        "{layout}/{bench}: system {}",
+        sys.drain_report()
+    );
     let stats: &NetStats = sys.network().stats();
     let freq = net_cfg.frequency_ghz;
     let power = NetworkPower::paper_calibrated().evaluate(&net_cfg, &graph, stats);

@@ -92,7 +92,7 @@ fn run_app(c: &Config, bench: Benchmark) -> (f64, f64, f64) {
     // No prewarm: Fig. 13 studies memory traffic, so cold misses are the
     // signal here, not noise.
     sys.run(30_000_000);
-    assert!(sys.finished(), "{}/{bench} did not drain", c.name);
+    assert!(sys.finished(), "{}/{bench}: {}", c.name, sys.drain_report());
     let s = sys.stats();
     (
         s.mem_round_trip.mean(),

@@ -66,7 +66,7 @@ fn run_one(net_cfg: heteronoc::noc::NetworkConfig, active: &[usize], expedited: 
     let mut sys = CmpSystem::new(cfg, core_params(), traces(active));
     sys.prewarm(traces(active));
     sys.run(40_000_000);
-    assert!(sys.finished(), "asymmetric system did not drain");
+    assert!(sys.finished(), "asymmetric system: {}", sys.drain_report());
     sys.ipcs()
 }
 

@@ -1130,7 +1130,10 @@ fn cmd_cmp(a: &Args) -> Result<(), String> {
     sys.prewarm(mk());
     let cycles = sys.run(50_000_000);
     if !sys.finished() {
-        return Err("system did not drain within the cycle limit".into());
+        return Err(format!(
+            "system did not drain within the cycle limit: {}",
+            sys.drain_report()
+        ));
     }
     let ipcs = sys.ipcs();
     let ipc = ipcs.iter().sum::<f64>() / 64.0;

@@ -71,9 +71,13 @@ pub enum MemResult {
     Retry,
 }
 
+/// A reorder-window entry: complete at a known cycle, or waiting on an L1
+/// transaction.
 #[derive(Clone, Copy, Debug)]
-enum RobEntry {
+pub(crate) enum RobEntry {
+    /// Completes (or completed) at the given cycle.
     Done(Cycle),
+    /// Waits on the given L1 transaction.
     Waiting(TxnId),
 }
 
@@ -126,6 +130,11 @@ impl Core {
         self.trace_done && self.rob.is_empty() && self.pending_mem.is_none() && self.gap_left == 0
     }
 
+    /// The oldest uncommitted instruction, if any.
+    pub(crate) fn rob_head(&self) -> Option<RobEntry> {
+        self.rob.front().copied()
+    }
+
     /// IPC over the core's active lifetime (first to last commit).
     pub fn ipc(&self) -> f64 {
         match self.first_commit {
@@ -139,11 +148,13 @@ impl Core {
     /// Advances one core cycle. `issue_mem` is called for each memory
     /// operation the core issues this cycle (at most
     /// [`CoreParams::mem_per_cycle`]); `txn_done` reports whether an L1
-    /// transaction has resolved and at which cycle.
-    pub fn tick<FIss, FDone>(&mut self, now: Cycle, mut issue_mem: FIss, txn_done: FDone)
+    /// transaction has resolved and at which cycle. Once `txn_done` reports
+    /// a cycle `<= now` the instruction commits in the same call and its
+    /// transaction is never asked about again, so the caller may forget it.
+    pub fn tick<FIss, FDone>(&mut self, now: Cycle, mut issue_mem: FIss, mut txn_done: FDone)
     where
         FIss: FnMut(MemIssue) -> MemResult,
-        FDone: Fn(TxnId) -> Option<Cycle>,
+        FDone: FnMut(TxnId) -> Option<Cycle>,
     {
         // Commit in order.
         let mut committed = 0;
@@ -357,6 +368,41 @@ mod tests {
         assert!(core.finished());
         assert_eq!(core.committed(), 2);
         assert!(attempts >= 5, "retries plus two successes");
+    }
+
+    #[test]
+    fn resolved_txn_is_never_asked_again() {
+        // Load t misses as txn t; the L1 learns its completion cycle
+        // 10 + 3t only at cycle 3t, so `txn_done` answers None, then a
+        // future cycle, then a cycle <= now.
+        for params in [CoreParams::OUT_OF_ORDER, CoreParams::IN_ORDER] {
+            let recs = (0..20).map(|i| (1u32, i * 128)).collect();
+            let mut core = Core::new(params, trace(recs));
+            let mut next = 0;
+            let mut resolved = Vec::new();
+            let mut now = 0;
+            while !core.finished() && now < 1_000 {
+                core.tick(
+                    now,
+                    |_| {
+                        next += 1;
+                        MemResult::Pending(next - 1)
+                    },
+                    |t| {
+                        assert!(!resolved.contains(&t), "txn {t} asked again");
+                        let c = (now >= 3 * t).then_some(10 + 3 * t);
+                        if c.is_some_and(|c| c <= now) {
+                            resolved.push(t);
+                        }
+                        c
+                    },
+                );
+                now += 1;
+            }
+            assert!(core.finished());
+            assert_eq!(core.committed(), 40);
+            assert_eq!(resolved, (0..20).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -79,9 +79,9 @@ impl MemCtrl {
         }
     }
 
-    /// Returns the tokens whose service completes at or before `now`.
-    pub fn completed(&mut self, now: Cycle) -> Vec<u64> {
-        let mut done = Vec::new();
+    /// Appends to `done` the tokens whose service completes at or before
+    /// `now`, then starts queued requests in the freed slots.
+    pub fn completed(&mut self, now: Cycle, done: &mut Vec<u64>) {
         let mut i = 0;
         while i < self.active.len() {
             if self.active[i].0 <= now {
@@ -96,7 +96,6 @@ impl MemCtrl {
                 None => break,
             }
         }
-        done
     }
 
     /// Requests currently queued or in service.
@@ -152,6 +151,7 @@ pub fn run_closed_loop(
     let mut completed = 0u64;
     let warmup = measure / 4;
     let mut req_id = 0u64;
+    let mut done = Vec::new();
 
     while completed < warmup + measure && net.now() < 4_000_000 {
         let now = net.now();
@@ -175,7 +175,8 @@ pub fn run_closed_loop(
             if !is_mc[m] {
                 continue;
             }
-            for token in ctrl.completed(net.now()) {
+            ctrl.completed(net.now(), &mut done);
+            for token in done.drain(..) {
                 let node = (token >> 40) as usize;
                 let tag = token & ((1 << 40) - 1);
                 net.enqueue(NodeId(m), NodeId(node), DATA_BITS, PacketClass::Data, tag);
@@ -249,13 +250,17 @@ mod tests {
         mc.request(0, 2);
         mc.request(0, 3); // queued
         assert_eq!(mc.pending(), 3);
-        assert!(mc.completed(99).is_empty());
-        let mut done = mc.completed(100);
+        let mut done = Vec::new();
+        mc.completed(99, &mut done);
+        assert!(done.is_empty());
+        mc.completed(100, &mut done);
         done.sort_unstable();
         assert_eq!(done, vec![1, 2]);
-        // Token 3 started service at 100.
-        assert!(mc.completed(150).is_empty());
-        assert_eq!(mc.completed(200), vec![3]);
+        // Token 3 started service at 100; completions append.
+        mc.completed(150, &mut done);
+        assert_eq!(done.len(), 2);
+        mc.completed(200, &mut done);
+        assert_eq!(done, vec![1, 2, 3]);
         assert_eq!(mc.pending(), 0);
     }
 

@@ -17,7 +17,7 @@ use heteronoc_noc::types::NodeId;
 use heteronoc_traffic::trace::{MemOp, TraceSource};
 
 use crate::cache::Cache;
-use crate::core::{Core, CoreParams, Cycle, MemResult, TxnId};
+use crate::core::{Core, CoreParams, Cycle, MemResult, RobEntry, TxnId};
 use crate::memctrl::MemCtrl;
 use crate::metrics::Welford;
 use crate::msg::{Msg, MsgKind};
@@ -117,6 +117,9 @@ struct Mshr {
 struct L1 {
     cache: Cache<L1State>,
     mshrs: HashMap<u64, Mshr>,
+    /// Resolved transactions the core has not committed yet (txn ->
+    /// completion cycle). The core's commit removes them, so the map never
+    /// outgrows the reorder window.
     done: HashMap<TxnId, Cycle>,
     limit: usize,
     hits: u64,
@@ -200,14 +203,18 @@ pub struct CmpSystem {
     cores: Vec<Core>,
     l1s: Vec<L1>,
     banks: Vec<Bank>,
-    mcs: HashMap<usize, MemCtrl>,
-    expedited: Vec<bool>,
+    /// Controller nodes, sorted and deduplicated.
     mc_list: Vec<usize>,
+    /// One controller per `mc_list` entry, in the same order.
+    mcs: Vec<MemCtrl>,
+    expedited: Vec<bool>,
     now: Cycle,
     txn_counter: TxnId,
-    /// (requester, block) -> request generation cycle (for Fig. 13 legs).
-    req_start: HashMap<(u16, u64), Cycle>,
     stats: CmpStats,
+    /// Reused per tick: controller tokens completed this cycle.
+    mc_done: Vec<u64>,
+    /// Reused per tick: (core, block, store) misses issued this cycle.
+    issues: Vec<(usize, u64, bool)>,
 }
 
 impl std::fmt::Debug for CmpSystem {
@@ -255,11 +262,6 @@ impl CmpSystem {
                 inbox: VecDeque::new(),
             })
             .collect();
-        let mcs = cfg
-            .mc_nodes
-            .iter()
-            .map(|m| (m.index(), MemCtrl::new(mem.dram_latency, mem.mc_concurrent)))
-            .collect();
         let mut expedited = vec![false; n];
         for e in &cfg.expedited_nodes {
             expedited[e.index()] = true;
@@ -267,6 +269,10 @@ impl CmpSystem {
         let mut mc_list: Vec<usize> = cfg.mc_nodes.iter().map(|m| m.index()).collect();
         mc_list.sort_unstable();
         mc_list.dedup();
+        let mcs = mc_list
+            .iter()
+            .map(|_| MemCtrl::new(mem.dram_latency, mem.mc_concurrent))
+            .collect();
         let net_ratio = net.config().frequency_ghz / cfg.core_clock_ghz;
         let cores = core_params
             .into_iter()
@@ -282,13 +288,14 @@ impl CmpSystem {
             cores,
             l1s,
             banks,
-            mcs,
             mc_list,
+            mcs,
             expedited,
             now: 0,
             txn_counter: 0,
-            req_start: HashMap::new(),
             stats: CmpStats::default(),
+            mc_done: Vec::new(),
+            issues: Vec::new(),
         }
     }
 
@@ -330,6 +337,57 @@ impl CmpSystem {
                 .banks
                 .iter()
                 .all(|b| b.busy.is_empty() && b.inbox.is_empty())
+    }
+
+    /// Says why the run has not drained: every unfinished core with its
+    /// committed count, the reorder-window head it waits on and the MSHRs
+    /// it uses; every bank still holding busy or deferred blocks or delayed
+    /// messages; and the packets in flight. Meant for "did not drain"
+    /// messages.
+    pub fn drain_report(&self) -> String {
+        let mut lines = Vec::new();
+        for (c, core) in self.cores.iter().enumerate() {
+            if core.finished() {
+                continue;
+            }
+            let l1 = &self.l1s[c];
+            let head = match core.rob_head() {
+                Some(RobEntry::Waiting(t)) => match l1.done.get(&t) {
+                    Some(cyc) => format!("head txn {t} resolves at cycle {cyc}"),
+                    None => format!("head waits on txn {t}"),
+                },
+                Some(RobEntry::Done(cyc)) => format!("head completes at cycle {cyc}"),
+                None => "window empty".to_owned(),
+            };
+            lines.push(format!(
+                "core {c}: {} committed, {head}, {}/{} MSHRs",
+                core.committed(),
+                l1.mshrs.len(),
+                l1.limit
+            ));
+        }
+        for (b, bank) in self.banks.iter().enumerate() {
+            if !bank.busy.is_empty() || !bank.deferred.is_empty() || !bank.inbox.is_empty() {
+                lines.push(format!(
+                    "bank {b}: {} busy and {} deferred blocks, {} delayed messages",
+                    bank.busy.len(),
+                    bank.deferred.len(),
+                    bank.inbox.len()
+                ));
+            }
+        }
+        let in_flight = self.net.in_flight();
+        if in_flight > 0 {
+            lines.push(format!("{in_flight} packets in flight"));
+        }
+        if lines.is_empty() {
+            return format!("drained at cycle {}", self.now);
+        }
+        format!(
+            "not drained at cycle {}:\n  {}",
+            self.now,
+            lines.join("\n  ")
+        )
     }
 
     /// Functionally pre-warms the caches and directory by replaying
@@ -424,10 +482,15 @@ impl CmpSystem {
         key * self.banks.len() as u64 + bank as u64
     }
 
+    /// Index into `mc_list`/`mcs` of the controller serving `block`.
+    /// Deterministic: low-order block bits select the controller from the
+    /// sorted node list (§6).
+    fn mc_slot(&self, block: u64) -> usize {
+        (block % self.mc_list.len() as u64) as usize
+    }
+
     fn mc_of(&self, block: u64) -> usize {
-        // Deterministic: low-order block bits select the controller from
-        // the sorted node list (§6).
-        self.mc_list[(block % self.mc_list.len() as u64) as usize]
+        self.mc_list[self.mc_slot(block)]
     }
 
     fn send(&mut self, src: usize, dst: usize, msg: Msg) {
@@ -465,10 +528,11 @@ impl CmpSystem {
         }
 
         // 2. Memory controllers complete DRAM accesses.
-        let mc_nodes: Vec<usize> = self.mc_list.clone();
-        for m in mc_nodes {
-            let done = self.mcs.get_mut(&m).expect("mc exists").completed(now);
-            for token in done {
+        let mut done = std::mem::take(&mut self.mc_done);
+        for i in 0..self.mcs.len() {
+            let m = self.mc_list[i];
+            self.mcs[i].completed(now, &mut done);
+            for token in done.drain(..) {
                 if token >> 63 == 1 {
                     continue; // completed write: no reply needed
                 }
@@ -482,6 +546,7 @@ impl CmpSystem {
                 );
             }
         }
+        self.mc_done = done;
 
         // 3. Banks process delayed messages.
         for b in 0..self.banks.len() {
@@ -496,8 +561,8 @@ impl CmpSystem {
             }
         }
 
-        // 4. Cores issue.
-        let mut all_issues: Vec<(usize, u64, bool)> = Vec::new();
+        // 4. Cores commit and issue.
+        let mut issues = std::mem::take(&mut self.issues);
         {
             let Self {
                 cores,
@@ -510,10 +575,9 @@ impl CmpSystem {
             let l1_latency = mem.l1_latency;
             for (c, core) in cores.iter_mut().enumerate() {
                 let l1 = &mut l1s[c];
-                // `done` is read by one closure while the other mutates the
-                // rest of the L1, so take it out for the duration.
-                let done_map = std::mem::take(&mut l1.done);
-                let mut issue_buf: Vec<(u64, bool)> = Vec::new();
+                // `done` is consumed by one closure while the other mutates
+                // the rest of the L1, so take it out for the duration.
+                let mut done_map = std::mem::take(&mut l1.done);
                 core.tick(
                     now,
                     |iss| {
@@ -521,32 +585,35 @@ impl CmpSystem {
                         let store = iss.record.op == MemOp::Store;
                         l1_issue(
                             l1,
+                            c,
                             block,
                             store,
                             now,
                             l1_latency,
                             txn_counter,
-                            &mut issue_buf,
+                            &mut issues,
                         )
                     },
-                    |t| done_map.get(&t).copied(),
+                    |t| {
+                        // A cycle <= now commits the instruction in this
+                        // call, which is the last time `t` is asked about.
+                        let cyc = *done_map.get(&t)?;
+                        if cyc <= now {
+                            done_map.remove(&t);
+                        }
+                        Some(cyc)
+                    },
                 );
                 l1.done = done_map;
-                // Garbage-collect resolved txns the core has consumed.
-                if l1.done.len() > 4 * 64 {
-                    l1.done.retain(|_, cyc| *cyc + 10_000 > now);
-                }
-                for (block, store) in issue_buf {
-                    all_issues.push((c, block, store));
-                }
             }
         }
-        for (c, block, store) in all_issues {
+        for &(c, block, store) in &issues {
             let home = self.home_of(block);
             let kind = if store { MsgKind::GetM } else { MsgKind::GetS };
-            self.req_start.insert((c as u16, block), now);
             self.send(c, home, Msg::new(kind, block, c));
         }
+        issues.clear();
+        self.issues = issues;
 
         self.now += 1;
     }
@@ -568,27 +635,28 @@ impl CmpSystem {
                 let ready = self.now + self.mem.bank_latency;
                 self.banks[dst].inbox.push_back((ready, msg));
             }
-            // Memory-controller messages.
+            // Memory-controller messages reach `mc_of(block)`, the
+            // controller in slot `mc_slot(block)`.
             MsgKind::MemRead => {
                 self.stats.mem_reads += 1;
-                if let Some(start) = self.req_start.get(&(msg.requester, msg.block)) {
-                    let leg = self.now - start;
+                // The requester's MSHR lives from the miss's issue until its
+                // fill, and the fill cannot precede this read.
+                let requester = &self.l1s[msg.requester as usize];
+                if let Some(mshr) = requester.mshrs.get(&msg.block) {
+                    let leg = self.now - mshr.start;
                     self.stats.mem_request_leg.add(leg as f64);
                 }
                 let token = ((src as u64) << 47) | msg.block;
-                self.mcs
-                    .get_mut(&dst)
-                    .expect("MemRead sent to a controller node")
-                    .request(self.now, token);
+                let slot = self.mc_slot(msg.block);
+                self.mcs[slot].request(self.now, token);
             }
             MsgKind::MemWrite => {
                 // Fire-and-forget writeback: consumes DRAM bandwidth. The
                 // top token bit marks writes so no reply is generated.
                 self.stats.mem_writes += 1;
                 let token = (1u64 << 63) | msg.block;
-                if let Some(mc) = self.mcs.get_mut(&dst) {
-                    mc.request(self.now, token);
-                }
+                let slot = self.mc_slot(msg.block);
+                self.mcs[slot].request(self.now, token);
             }
         }
     }
@@ -625,7 +693,6 @@ impl CmpSystem {
                 self.stats.mem_round_trip.add(latency as f64);
             }
         }
-        self.req_start.remove(&(node as u16, msg.block));
         if let Some((vblock, vstate)) = evict {
             if vstate == L1State::M {
                 let home = self.home_of(vblock);
@@ -1024,16 +1091,18 @@ fn set_l1_warm(l1: &mut L1, block: u64, state: L1State) {
 }
 
 /// L1 access logic, free function so the core closure can borrow it
-/// without capturing the whole system.
+/// without capturing the whole system. A new miss is appended to `out` as
+/// `(node, block, store)`.
 #[allow(clippy::too_many_arguments)]
 fn l1_issue(
     l1: &mut L1,
+    node: usize,
     block: u64,
     store: bool,
     now: Cycle,
     l1_latency: Cycle,
     txn_counter: &mut TxnId,
-    out: &mut Vec<(u64, bool)>,
+    out: &mut Vec<(usize, u64, bool)>,
 ) -> MemResult {
     if let Some(state) = l1.cache.get_mut(block) {
         match (*state, store) {
@@ -1075,7 +1144,7 @@ fn l1_issue(
             start: now,
         },
     );
-    out.push((block, store));
+    out.push((node, block, store));
     MemResult::Pending(t)
 }
 
@@ -1124,13 +1193,81 @@ mod tests {
         TraceRecord { gap, op, addr }
     }
 
+    /// The run drained, and consuming completions on commit left no L1
+    /// bookkeeping behind.
+    fn assert_drained(sys: &CmpSystem) {
+        assert!(sys.finished(), "{}", sys.drain_report());
+        assert_eq!(
+            sys.drain_report(),
+            format!("drained at cycle {}", sys.now())
+        );
+        for (c, l1) in sys.l1s.iter().enumerate() {
+            assert!(
+                l1.done.is_empty(),
+                "core {c}: {} completions left",
+                l1.done.len()
+            );
+            assert!(
+                l1.mshrs.is_empty(),
+                "core {c}: {} MSHRs left",
+                l1.mshrs.len()
+            );
+        }
+    }
+
     fn run_single(records: Vec<TraceRecord>) -> (CmpSystem, Cycle) {
         let mut traces = empty_traces(16);
         traces[5] = trace_of(records);
         let mut sys = CmpSystem::new(cfg(), vec![CoreParams::OUT_OF_ORDER; 16], traces);
         let cycles = sys.run(500_000);
-        assert!(sys.finished(), "system must drain");
+        assert_drained(&sys);
         (sys, cycles)
+    }
+
+    #[test]
+    fn completion_older_than_any_bound_still_commits() {
+        // Core 5 resolves 300 L2 hits, then waits ~12 000 cycles on a DRAM
+        // miss while the L2 hit issued right behind it resolved long ago.
+        // That completion must survive until the core commits it.
+        let cfg = CmpConfig {
+            mem: MemParams {
+                dram_latency: 12_000,
+                ..cfg().mem
+            },
+            ..cfg()
+        };
+        let blocks: Vec<u64> = (0..301u64).map(|i| 0x20_0000 + i * 128).collect();
+        let mut warm = empty_traces(16);
+        warm[1] = trace_of(blocks.iter().map(|&a| rec(0, MemOp::Load, a)).collect());
+        let mut recs: Vec<TraceRecord> = blocks[..300]
+            .iter()
+            .map(|&a| rec(0, MemOp::Load, a))
+            .collect();
+        recs.push(rec(0, MemOp::Load, 0x80_0000)); // cold: DRAM
+        recs.push(rec(0, MemOp::Load, blocks[300]));
+        let mut traces = empty_traces(16);
+        traces[5] = trace_of(recs);
+        let mut sys = CmpSystem::new(cfg, vec![CoreParams::OUT_OF_ORDER; 16], traces);
+        sys.prewarm(warm);
+        sys.run(200_000);
+        assert_drained(&sys);
+        assert_eq!(sys.committed()[5], 302);
+        assert_eq!(sys.stats().mem_reads, 1, "only the cold block reaches DRAM");
+    }
+
+    #[test]
+    fn drain_report_names_the_waiting_core() {
+        let mut traces = empty_traces(16);
+        traces[5] = trace_of(vec![rec(0, MemOp::Load, 0x1000)]);
+        let mut sys = CmpSystem::new(cfg(), vec![CoreParams::OUT_OF_ORDER; 16], traces);
+        sys.run(20); // far short of the DRAM round trip
+        let report = sys.drain_report();
+        assert!(report.starts_with("not drained at cycle 20:"), "{report}");
+        assert!(
+            report.contains("core 5: 0 committed, head waits on txn 0, 1/16 MSHRs"),
+            "{report}"
+        );
+        assert!(!report.contains("core 4"), "{report}");
     }
 
     #[test]
@@ -1195,7 +1332,7 @@ mod tests {
         traces[9] = trace_of(vec![rec(200, MemOp::Load, 0x3000)]);
         let mut sys = CmpSystem::new(cfg(), vec![CoreParams::OUT_OF_ORDER; 16], traces);
         sys.run(500_000);
-        assert!(sys.finished());
+        assert_drained(&sys);
         assert_eq!(sys.committed()[1], 1);
         assert_eq!(sys.committed()[9], 201);
         // Only one memory fetch: the second GetS is served via the first
@@ -1215,7 +1352,7 @@ mod tests {
         traces[3] = trace_of(vec![rec(300, MemOp::Store, 0x4000)]);
         let mut sys = CmpSystem::new(cfg(), vec![CoreParams::OUT_OF_ORDER; 16], traces);
         sys.run(500_000);
-        assert!(sys.finished());
+        assert_drained(&sys);
         assert_eq!(sys.committed()[2], 802);
         assert_eq!(sys.committed()[3], 301);
         // Core 2's second load misses again (invalidated) and is served by
@@ -1243,11 +1380,8 @@ mod tests {
             traces[c] = trace_of(recs);
         }
         let mut sys = CmpSystem::new(cfg(), vec![CoreParams::OUT_OF_ORDER; 16], traces);
-        let cycles = sys.run(2_000_000);
-        assert!(
-            sys.finished(),
-            "coherence hot block must drain, now={cycles}"
-        );
+        sys.run(2_000_000);
+        assert_drained(&sys);
         for c in 0..16 {
             assert_eq!(sys.committed()[c], 20 * 6);
         }
