@@ -44,7 +44,7 @@ use crate::metrics::{EpochRecorder, EpochSample};
 use crate::packet::{Flit, Packet, PacketClass};
 use crate::profile::{maybe_now, ProfileReport, Stage, StageProfiler};
 use crate::router::arbiter::RrArbiter;
-use crate::router::{InputVc, OutputPort, OutputTarget, OutputVc, RouterState};
+use crate::router::{OutputPort, OutputTarget, OutputVc, RouterState};
 use crate::routing::{RouteChoice, RoutingKind, VcClass};
 use crate::sched::{EngineMode, RouterActivity, SchedReport, Scheduler, WakeReason};
 use crate::stats::{NetStats, PacketRecord};
@@ -274,8 +274,6 @@ struct AllocScratch {
     /// SA, per input port: its stage-1 nomination (valid where `sa_nom`
     /// has the port's bit).
     nominee: Vec<Nomination>,
-    /// SA winners of the output being committed.
-    winners: Vec<(PortId, VcId)>,
 }
 
 /// The simulated network.
@@ -285,6 +283,9 @@ pub struct Network {
     link_lanes: Vec<usize>,
     link_wide: Vec<bool>,
     routers: Vec<RouterState>,
+    /// Who feeds each input port (`upstream[router][port]`): where a flit
+    /// leaving that port's buffer returns its credit.
+    upstream: Vec<Vec<Upstream>>,
     nodes: Vec<NodeState>,
     now: Cycle,
     wheel: [Vec<Event>; WHEEL],
@@ -331,15 +332,9 @@ impl Network {
         let link_wide: Vec<bool> = link_lanes.iter().map(|&l| l > 1).collect();
 
         let mut routers = Vec::with_capacity(graph.num_routers());
-        let mut slots = Vec::with_capacity(graph.num_routers());
         for (r, rd) in graph.routers().iter().enumerate() {
             let rc = cfg.routers[r];
             let local_lanes = lanes(cfg.local_width(r), cfg.flit_width);
-            let inputs: Vec<Vec<InputVc>> = rd
-                .ports
-                .iter()
-                .map(|_| (0..rc.vcs_per_port).map(|_| InputVc::default()).collect())
-                .collect();
             let outputs: Vec<OutputPort> = rd
                 .ports
                 .iter()
@@ -376,19 +371,24 @@ impl Network {
                     }
                 })
                 .collect();
-            let capacity = (rd.ports.len() * rc.vcs_per_port * rc.buffer_depth) as u32;
-            slots.push(capacity);
-            routers.push(RouterState {
-                inputs,
-                outputs,
-                sa_stage1: rd.ports.iter().map(|_| RrArbiter::new()).collect(),
-                occupancy: 0,
-                port_occ: vec![0; rd.ports.len()],
-                capacity,
-                busy_vcs: 0,
-                total_vcs: (rd.ports.len() * rc.vcs_per_port) as u32,
-            });
+            routers.push(RouterState::new(outputs, rc.vcs_per_port, rc.buffer_depth));
         }
+        let upstream = graph
+            .routers()
+            .iter()
+            .map(|rd| {
+                rd.ports
+                    .iter()
+                    .map(|port| match port.kind {
+                        PortKind::Local { node } => Upstream::Node(node),
+                        PortKind::Link { into, .. } => {
+                            let l = graph.links()[into.index()];
+                            Upstream::Router(l.src, l.src_port)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
 
         let nodes: Vec<NodeState> = graph
             .nodes()
@@ -413,7 +413,8 @@ impl Network {
             })
             .collect();
 
-        let vc_counts: Vec<u32> = routers.iter().map(|r| r.total_vcs).collect();
+        let slots: Vec<u32> = routers.iter().map(|r| r.capacity).collect();
+        let vc_counts: Vec<u32> = routers.iter().map(|r| r.inputs.len() as u32).collect();
         let stats = NetStats::new(graph.num_routers(), graph.num_links(), slots, vc_counts);
         let sched = Scheduler::new(routers.len());
         Ok(Self {
@@ -422,6 +423,7 @@ impl Network {
             link_lanes,
             link_wide,
             routers,
+            upstream,
             nodes,
             now: 0,
             wheel: [Vec::new(), Vec::new(), Vec::new()],
@@ -619,11 +621,7 @@ impl Network {
     /// Panics if `every` is zero.
     pub(crate) fn enable_epochs(&mut self, every: Cycle) {
         let caps = self.routers.iter().map(|r| u64::from(r.capacity)).collect();
-        let vcs = self
-            .routers
-            .iter()
-            .map(|r| u64::from(r.total_vcs))
-            .collect();
+        let vcs = self.routers.iter().map(|r| r.inputs.len() as u64).collect();
         let lanes = self.link_lanes.iter().map(|&l| l as u64).collect();
         self.epochs = Some(Box::new(EpochRecorder::new(every, caps, vcs, lanes)));
     }
@@ -798,13 +796,11 @@ impl Network {
     pub fn install_routing(&mut self, routing: RoutingKind) {
         self.cfg.routing = routing;
         for router in &mut self.routers {
-            for port in &mut router.inputs {
-                for vc in port {
-                    if vc.route.is_some() && vc.out_vc.is_none() {
-                        vc.route = None;
-                        vc.in_escape_grant = false;
-                        vc.head_wait = 0;
-                    }
+            for vc in &mut router.inputs {
+                if vc.route.is_some() && vc.out_vc.is_none() {
+                    vc.route = None;
+                    vc.in_escape_grant = false;
+                    vc.head_wait = 0;
                 }
             }
         }
@@ -813,8 +809,8 @@ impl Network {
             // Only VCs whose head flit is still at the front can change
             // their mind; mid-absorb packets must finish draining.
             fs.absorbing.retain(|&(r, p, v)| {
-                let front = routers[r.index()].inputs[p.index()][v.index()].fifo.front();
-                !front.is_some_and(|f| f.kind.is_head())
+                let router = &routers[r.index()];
+                router.head_front() & (1 << router.flat(p, v)) == 0
             });
         }
     }
@@ -824,7 +820,7 @@ impl Network {
     /// progress, and where is it stuck?").
     pub fn diagnostics(&self) -> Diagnostics {
         let queued: usize = self.nodes.iter().map(|n| n.queue.len()).sum();
-        let occupancy: u32 = self.routers.iter().map(|r| r.occupancy).sum();
+        let occupancy: u32 = self.routers.iter().map(RouterState::occupancy).sum();
         let oldest_packet_age = self
             .in_flight
             .values()
@@ -835,7 +831,7 @@ impl Network {
         let max_head_wait = self
             .routers
             .iter()
-            .flat_map(|r| r.inputs.iter().flatten())
+            .flat_map(|r| &r.inputs)
             .map(|vc| vc.head_wait)
             .max()
             .unwrap_or(0);
@@ -873,16 +869,15 @@ impl Network {
             .collect();
         let mut blocked: Vec<BlockedChannel> = Vec::new();
         for (r, router) in self.routers.iter().enumerate() {
-            for (p, port) in router.inputs.iter().enumerate() {
-                for (v, vc) in port.iter().enumerate() {
-                    if vc.head_wait > 0 && !vc.fifo.is_empty() {
-                        blocked.push(BlockedChannel {
-                            router: RouterId(r),
-                            port: PortId(p),
-                            vc: VcId(v),
-                            head_wait: vc.head_wait,
-                        });
-                    }
+            for (i, vc) in router.inputs.iter().enumerate() {
+                if vc.head_wait > 0 && !vc.fifo().is_empty() {
+                    let (port, vc_id) = router.port_vc(i);
+                    blocked.push(BlockedChannel {
+                        router: RouterId(r),
+                        port,
+                        vc: vc_id,
+                        head_wait: vc.head_wait,
+                    });
                 }
             }
         }
@@ -898,11 +893,10 @@ impl Network {
 
     fn locate_packet(&self, id: PacketId, src: NodeId) -> String {
         for (r, router) in self.routers.iter().enumerate() {
-            for (p, port) in router.inputs.iter().enumerate() {
-                for (v, vc) in port.iter().enumerate() {
-                    if vc.fifo.iter().any(|f| f.packet == id) {
-                        return format!("r{r}.p{p}.v{v}");
-                    }
+            for (i, vc) in router.inputs.iter().enumerate() {
+                if vc.fifo().iter().any(|f| f.packet == id) {
+                    let (p, v) = router.port_vc(i);
+                    return format!("r{r}.p{}.v{}", p.index(), v.index());
                 }
             }
         }
@@ -1017,7 +1011,9 @@ impl Network {
     /// ascending index order, so the visit sequence is the exact
     /// subsequence of the reference walk and every skipped router is a
     /// no-op. Under [`EngineMode::PollAll`] every live router is walked.
-    /// Both modes produce byte-identical state, statistics and traces.
+    /// Within a visit both modes touch only the VCs and outputs that hold
+    /// work (see `rc_and_va` and `switch_alloc`). Both modes produce
+    /// byte-identical state, statistics and traces.
     pub fn step(&mut self) {
         let t = self.prof_start();
         if self.faults.is_some() {
@@ -1055,19 +1051,19 @@ impl Network {
                 // nothing to route, allocate or traverse — skipping them
                 // keeps low-load cycles proportional to traffic.
                 for &r in &list {
-                    if self.routers[r].occupancy > 0 && !self.router_dead(r) {
+                    if self.routers[r].occupancy() > 0 && !self.router_dead(r) {
                         visits += 1;
                         self.rc_and_va(r);
                     }
                 }
                 for &r in &list {
-                    if self.routers[r].occupancy > 0 && !self.router_dead(r) {
+                    if self.routers[r].occupancy() > 0 && !self.router_dead(r) {
                         self.switch_alloc(r);
                     }
                 }
             }
             EngineMode::PollAll => {
-                // Reference walk: every router, port and VC, every cycle.
+                // Reference walk: every router, every cycle.
                 for r in 0..total {
                     if !self.router_dead(r) {
                         visits += 1;
@@ -1089,7 +1085,7 @@ impl Network {
             let routers = &self.routers;
             let sched = &mut self.sched;
             list.retain(|&r| {
-                if routers[r].occupancy > 0 {
+                if routers[r].occupancy() > 0 {
                     true
                 } else {
                     sched.sleep(r);
@@ -1103,8 +1099,8 @@ impl Network {
         if self.measuring {
             self.stats.cycles += 1;
             for (i, r) in self.routers.iter().enumerate() {
-                self.stats.buffer_occ_integral[i] += u64::from(r.occupancy);
-                self.stats.vc_busy_integral[i] += u64::from(r.busy_vcs);
+                self.stats.buffer_occ_integral[i] += u64::from(r.occupancy());
+                self.stats.vc_busy_integral[i] += u64::from(r.busy_vcs());
             }
         }
         if self.epochs.is_some() {
@@ -1112,7 +1108,7 @@ impl Network {
             let routers = &self.routers;
             if let Some(ep) = self.epochs.as_deref_mut() {
                 for (i, r) in routers.iter().enumerate() {
-                    ep.accumulate_router(i, u64::from(r.occupancy), u64::from(r.busy_vcs));
+                    ep.accumulate_router(i, u64::from(r.occupancy()), u64::from(r.busy_vcs()));
                 }
                 ep.maybe_close(now);
             }
@@ -1130,7 +1126,7 @@ impl Network {
                 router,
                 port,
                 vc,
-                mut flit,
+                flit,
             } => {
                 // A flit of an abandoned packet arriving at a live router is
                 // squashed on arrival: counted as absorbed, its buffer slot
@@ -1139,45 +1135,13 @@ impl Network {
                 // `FlitArrive` only carries node-injected flits —
                 // router-to-router traffic travels as `LinkArrive`.
                 if !self.router_dead(router.index()) && self.is_zombie(flit.packet) {
-                    let up = match self.graph.router(router).ports[port.index()].kind {
-                        PortKind::Local { node } => Upstream::Node(node),
-                        PortKind::Link { into, .. } => {
-                            let l = self.graph.links()[into.index()];
-                            Upstream::Router(l.src, l.src_port)
-                        }
-                    };
+                    let up = self.upstream[router.index()][port.index()];
                     let fs = self.faults.as_mut().expect("zombies imply fault mode");
                     *fs.absorbed.entry(flit.packet).or_insert(0) += 1;
                     self.schedule(1, Event::Credit { up, vc });
                     return;
                 }
-                flit.buffered = self.now;
-                let r = &mut self.routers[router.index()];
-                if r.inputs[port.index()][vc.index()].fifo.is_empty() {
-                    r.busy_vcs += 1;
-                }
-                r.inputs[port.index()][vc.index()].fifo.push_back(flit);
-                r.occupancy += 1;
-                r.port_occ[port.index()] += 1;
-                debug_assert!(
-                    r.inputs[port.index()][vc.index()].fifo.len()
-                        <= self.cfg.routers[router.index()].buffer_depth,
-                    "buffer overflow at {router} {port} {vc}: credit protocol violated"
-                );
-                self.sched.wake(router.index(), WakeReason::FlitArrive);
-                if self.measuring {
-                    self.stats.routers[router.index()].buffer_writes += 1;
-                }
-                if self.tracer.is_some() {
-                    self.emit(TraceEvent::BufferWrite {
-                        cycle: self.now,
-                        router,
-                        port,
-                        vc,
-                        packet: flit.packet,
-                        seq: flit.seq,
-                    });
-                }
+                self.buffer_write(router, port, vc, flit, WakeReason::FlitArrive);
             }
             Event::Credit { up, vc } => match up {
                 Upstream::Router(r, p) => {
@@ -1199,6 +1163,40 @@ impl Network {
             } => self.link_arrive(link, seq, corrupted, router, port, vc, flit),
             Event::Ack { link, seq } => self.link_ack(link, seq),
             Event::Nack { link, seq } => self.link_nack(link, seq),
+        }
+    }
+
+    /// Stage-1 buffer write: `flit` enters input VC `(port, vc)` of
+    /// `router`, which wakes for `reason`.
+    fn buffer_write(
+        &mut self,
+        router: RouterId,
+        port: PortId,
+        vc: VcId,
+        mut flit: Flit,
+        reason: WakeReason,
+    ) {
+        flit.buffered = self.now;
+        let r = &mut self.routers[router.index()];
+        let i = r.flat(port, vc);
+        r.push(i, flit);
+        debug_assert!(
+            r.inputs[i].fifo().len() <= self.cfg.routers[router.index()].buffer_depth,
+            "buffer overflow at {router} {port} {vc}: credit protocol violated"
+        );
+        self.sched.wake(router.index(), reason);
+        if self.measuring {
+            self.stats.routers[router.index()].buffer_writes += 1;
+        }
+        if self.tracer.is_some() {
+            self.emit(TraceEvent::BufferWrite {
+                cycle: self.now,
+                router,
+                port,
+                vc,
+                packet: flit.packet,
+                seq: flit.seq,
+            });
         }
     }
 
@@ -1249,7 +1247,7 @@ impl Network {
         router: RouterId,
         port: PortId,
         vc: VcId,
-        mut flit: Flit,
+        flit: Flit,
     ) {
         enum Verdict {
             Drop,
@@ -1297,45 +1295,13 @@ impl Network {
                 // (ack sent, sequence consumed) but the flit is counted as
                 // absorbed and its reserved buffer slot credited back.
                 if squash {
-                    let l = self.graph.links()[link.index()];
+                    let up = self.upstream[router.index()][port.index()];
                     let fs = self.faults.as_mut().expect("fault event without faults");
                     *fs.absorbed.entry(flit.packet).or_insert(0) += 1;
-                    self.schedule(
-                        1,
-                        Event::Credit {
-                            up: Upstream::Router(l.src, l.src_port),
-                            vc,
-                        },
-                    );
+                    self.schedule(1, Event::Credit { up, vc });
                     return;
                 }
-                flit.buffered = self.now;
-                let r = &mut self.routers[router.index()];
-                if r.inputs[port.index()][vc.index()].fifo.is_empty() {
-                    r.busy_vcs += 1;
-                }
-                r.inputs[port.index()][vc.index()].fifo.push_back(flit);
-                r.occupancy += 1;
-                r.port_occ[port.index()] += 1;
-                debug_assert!(
-                    r.inputs[port.index()][vc.index()].fifo.len()
-                        <= self.cfg.routers[router.index()].buffer_depth,
-                    "buffer overflow at {router} {port} {vc}: credit protocol violated"
-                );
-                self.sched.wake(router.index(), WakeReason::LinkArrive);
-                if self.measuring {
-                    self.stats.routers[router.index()].buffer_writes += 1;
-                }
-                if self.tracer.is_some() {
-                    self.emit(TraceEvent::BufferWrite {
-                        cycle: self.now,
-                        router,
-                        port,
-                        vc,
-                        packet: flit.packet,
-                        seq: flit.seq,
-                    });
-                }
+                self.buffer_write(router, port, vc, flit, WakeReason::LinkArrive);
             }
         }
     }
@@ -1711,26 +1677,22 @@ impl Network {
     /// their grant and drain.
     fn rescind_routes_to(&mut self, router: RouterId, out_port: PortId) {
         let r = router.index();
-        let nports = self.routers[r].inputs.len();
-        let nvcs = self.cfg.routers[r].vcs_per_port;
-        for p in 0..nports {
-            for v in 0..nvcs {
-                let rescind = {
-                    let vc = &self.routers[r].inputs[p][v];
-                    vc.sent_on_grant == 0 && vc.route.is_some_and(|rt| rt.port == out_port)
-                };
-                if !rescind {
-                    continue;
-                }
-                if let Some(ovc) = self.routers[r].inputs[p][v].out_vc {
-                    self.routers[r].outputs[out_port.index()].vcs[ovc.index()].owner = None;
-                }
-                let vc = &mut self.routers[r].inputs[p][v];
-                vc.route = None;
-                vc.out_vc = None;
-                vc.in_escape_grant = false;
-                vc.head_wait = 0;
+        for i in 0..self.routers[r].inputs.len() {
+            let rescind = {
+                let vc = &self.routers[r].inputs[i];
+                vc.sent_on_grant == 0 && vc.route.is_some_and(|rt| rt.port == out_port)
+            };
+            if !rescind {
+                continue;
             }
+            if let Some(ovc) = self.routers[r].inputs[i].out_vc {
+                self.routers[r].outputs[out_port.index()].vcs[ovc.index()].owner = None;
+            }
+            let vc = &mut self.routers[r].inputs[i];
+            vc.route = None;
+            vc.out_vc = None;
+            vc.in_escape_grant = false;
+            vc.head_wait = 0;
         }
     }
 
@@ -1781,10 +1743,8 @@ impl Network {
         //    pending retry timeouts go stale: the receiver is gone, and the
         //    link layer must not count to retry exhaustion on its behalf.
         let mut frozen: Vec<PacketId> = Vec::new();
-        for inputs in &self.routers[router.index()].inputs {
-            for vc in inputs {
-                frozen.extend(vc.fifo.iter().map(|f| f.packet));
-            }
+        for vc in &self.routers[router.index()].inputs {
+            frozen.extend(vc.fifo().iter().map(|f| f.packet));
         }
         {
             let fs = self.faults.as_mut().expect("fault mode");
@@ -1833,63 +1793,43 @@ impl Network {
             if self.router_dead(ri) {
                 continue;
             }
-            let nports = self.routers[ri].inputs.len();
-            let nvcs = self.cfg.routers[ri].vcs_per_port;
-            for p in 0..nports {
-                let up = match self.graph.router(RouterId(ri)).ports[p].kind {
-                    PortKind::Local { node } => Upstream::Node(node),
-                    PortKind::Link { into, .. } => {
-                        let l = self.graph.links()[into.index()];
-                        Upstream::Router(l.src, l.src_port)
+            for i in 0..self.routers[ri].inputs.len() {
+                let (p, v) = self.routers[ri].port_vc(i);
+                let mut scrubbed: Vec<PacketId> = Vec::new();
+                self.routers[ri].retain(i, |f| {
+                    if zombies.contains(&f.packet) {
+                        scrubbed.push(f.packet);
+                        false
+                    } else {
+                        true
                     }
-                };
-                for v in 0..nvcs {
-                    let mut scrubbed: Vec<PacketId> = Vec::new();
-                    {
-                        let fifo = &mut self.routers[ri].inputs[p][v].fifo;
-                        fifo.retain(|f| {
-                            if zombies.contains(&f.packet) {
-                                scrubbed.push(f.packet);
-                                false
-                            } else {
-                                true
-                            }
-                        });
+                });
+                if !scrubbed.is_empty() {
+                    let up = self.upstream[ri][p.index()];
+                    for _ in 0..scrubbed.len() {
+                        self.schedule(1, Event::Credit { up, vc: v });
                     }
-                    if !scrubbed.is_empty() {
-                        let removed = scrubbed.len() as u32;
-                        self.routers[ri].occupancy -= removed;
-                        self.routers[ri].port_occ[p] -= removed;
-                        if self.routers[ri].inputs[p][v].fifo.is_empty() {
-                            self.routers[ri].busy_vcs -= 1;
-                        }
-                        for _ in 0..removed {
-                            self.schedule(1, Event::Credit { up, vc: VcId(v) });
-                        }
-                        let fs = self.faults.as_mut().expect("fault mode");
-                        for pid in scrubbed {
-                            *fs.absorbed.entry(pid).or_insert(0) += 1;
+                    let fs = self.faults.as_mut().expect("fault mode");
+                    for pid in scrubbed {
+                        *fs.absorbed.entry(pid).or_insert(0) += 1;
+                    }
+                }
+                let holder = self.routers[ri].inputs[i].holder;
+                if holder.is_some_and(|h| zombies.contains(&h)) {
+                    let (route, out_vc) = {
+                        let vc = &self.routers[ri].inputs[i];
+                        (vc.route, vc.out_vc)
+                    };
+                    if let (Some(rt), Some(ov)) = (route, out_vc) {
+                        let op = rt.port.index();
+                        let ovcs = &mut self.routers[ri].outputs[op].vcs;
+                        if !ovcs.is_empty() && ovcs[ov.index()].owner == Some((p, v)) {
+                            ovcs[ov.index()].owner = None;
                         }
                     }
-                    let holder = self.routers[ri].inputs[p][v].holder;
-                    if holder.is_some_and(|h| zombies.contains(&h)) {
-                        let (route, out_vc) = {
-                            let vc = &self.routers[ri].inputs[p][v];
-                            (vc.route, vc.out_vc)
-                        };
-                        if let (Some(rt), Some(ov)) = (route, out_vc) {
-                            let op = rt.port.index();
-                            let ovcs = &mut self.routers[ri].outputs[op].vcs;
-                            if !ovcs.is_empty()
-                                && ovcs[ov.index()].owner == Some((PortId(p), VcId(v)))
-                            {
-                                ovcs[ov.index()].owner = None;
-                            }
-                        }
-                        let fs = self.faults.as_mut().expect("fault mode");
-                        fs.absorbing.remove(&(RouterId(ri), PortId(p), VcId(v)));
-                        self.routers[ri].inputs[p][v].release();
-                    }
+                    let fs = self.faults.as_mut().expect("fault mode");
+                    fs.absorbing.remove(&(RouterId(ri), p, v));
+                    self.routers[ri].inputs[i].release();
                 }
             }
         }
@@ -1935,27 +1875,11 @@ impl Network {
         };
         for (router, port, vc) in entries {
             let r = router.index();
+            let i = self.routers[r].flat(port, vc);
+            let up = self.upstream[r][port.index()];
             // An empty FIFO mid-absorb means the rest of the packet is still
             // in flight; it will be consumed on a later cycle.
-            while let Some(flit) = self.routers[r].inputs[port.index()][vc.index()]
-                .fifo
-                .pop_front()
-            {
-                self.routers[r].occupancy -= 1;
-                self.routers[r].port_occ[port.index()] -= 1;
-                if self.routers[r].inputs[port.index()][vc.index()]
-                    .fifo
-                    .is_empty()
-                {
-                    self.routers[r].busy_vcs -= 1;
-                }
-                let up = match self.graph.router(router).ports[port.index()].kind {
-                    PortKind::Local { node } => Upstream::Node(node),
-                    PortKind::Link { into, .. } => {
-                        let l = self.graph.links()[into.index()];
-                        Upstream::Router(l.src, l.src_port)
-                    }
-                };
+            while let Some(flit) = self.routers[r].pop(i) {
                 self.schedule(1, Event::Credit { up, vc });
                 let fs = self.faults.as_mut().expect("fault mode");
                 *fs.absorbed.entry(flit.packet).or_insert(0) += 1;
@@ -1965,7 +1889,7 @@ impl Network {
                     if self.is_zombie(flit.packet) {
                         let fs = self.faults.as_mut().expect("fault mode");
                         fs.absorbing.remove(&(router, port, vc));
-                        self.routers[r].inputs[port.index()][vc.index()].release();
+                        self.routers[r].inputs[i].release();
                         break;
                     }
                     let (packet, received, total) = {
@@ -2011,7 +1935,7 @@ impl Network {
                         reason,
                         recoverable,
                     });
-                    self.routers[r].inputs[port.index()][vc.index()].release();
+                    self.routers[r].inputs[i].release();
                     break;
                 }
             }
@@ -2276,7 +2200,18 @@ impl Network {
         self.scratch_events = events;
     }
 
+    /// Route computation, escape diversion and VC allocation at router `r`.
+    ///
+    /// Only a VC with a head flit at its front has work here (a body or
+    /// tail front travels on its packet's route and grant), so the walk
+    /// visits exactly the set bits of the head-front mask, ascending — the
+    /// order of a nested port/VC loop. Nothing here edits a FIFO, so the
+    /// mask cannot change during the walk.
     fn rc_and_va(&mut self, r: usize) {
+        let mut heads = self.routers[r].head_front();
+        if heads == 0 {
+            return;
+        }
         let t = self.prof_start();
         let router_id = RouterId(r);
         let vcs_per_port = self.cfg.routers[r].vcs_per_port;
@@ -2284,129 +2219,113 @@ impl Network {
         let escape_timeout = self.cfg.escape_timeout;
 
         // --- Route computation & escape diversion -----------------------
-        let nports = self.routers[r].inputs.len();
         let nout = self.routers[r].outputs.len();
         // Each VC's final RC state sets its bit in the requester mask of
         // the output it bids for; VA below reads only those masks.
         let mut va_req = std::mem::take(&mut self.alloc.va_req);
         va_req.clear();
         va_req.resize(nout, 0);
-        // Active-set refinement: skip whole input ports with no buffered
-        // flits (nothing to route, age or allocate).
-        let skip_idle = self.sched.mode() == EngineMode::ActiveSet;
-        for p in 0..nports {
-            if skip_idle && self.routers[r].port_occ[p] == 0 {
-                continue;
-            }
-            for v in 0..vcs_per_port {
-                let (pkt, is_head, src, dst, class, has_route, _has_grant, sent, wait) = {
-                    let vc = &self.routers[r].inputs[p][v];
-                    match vc.fifo.front() {
-                        Some(f) if f.kind.is_head() || vc.route.is_some() => (
-                            f.packet,
-                            f.kind.is_head(),
-                            f.src,
-                            f.dst,
-                            f.class,
-                            vc.route.is_some(),
-                            vc.out_vc.is_some(),
-                            vc.sent_on_grant,
-                            vc.head_wait,
-                        ),
-                        _ => continue,
-                    }
-                };
-                if !is_head && has_route {
-                    continue; // body/tail in progress
-                }
-                let expedited = class == PacketClass::Expedited;
-                let in_escape = reserves_escape && v == vcs_per_port - 1;
-                if !has_route {
-                    match self.cfg.routing.route(
-                        &self.graph,
-                        router_id,
-                        src,
-                        dst,
-                        expedited,
-                        in_escape,
-                    ) {
-                        Some(rc) => {
-                            let vc = &mut self.routers[r].inputs[p][v];
-                            vc.route = Some(rc);
-                            vc.holder = Some(pkt);
-                        }
-                        None => {
-                            let at = self.graph.attachment(dst);
-                            if at.router != router_id {
-                                // `None` away from the destination means the
-                                // routing table has no surviving path: mark
-                                // the VC for absorption (route stays `None`,
-                                // so allocation ignores it).
-                                debug_assert!(
-                                    self.faults.is_some(),
-                                    "unroutable packet without fault layer"
-                                );
-                                if let Some(fs) = self.faults.as_mut() {
-                                    fs.absorbing.insert((router_id, PortId(p), VcId(v)));
-                                }
-                                self.routers[r].inputs[p][v].holder = Some(pkt);
-                                continue;
-                            }
-                            // At destination router: eject through the local
-                            // port of dst. No downstream VC needed.
-                            let vc = &mut self.routers[r].inputs[p][v];
-                            vc.route = Some(RouteChoice {
-                                port: at.port,
-                                class: VcClass::Any,
-                            });
-                            vc.out_vc = Some(VcId(0)); // sink: dummy grant
-                            vc.holder = Some(pkt);
-                        }
-                    }
-                } else if expedited
-                    && !in_escape
-                    && reserves_escape
-                    && wait > escape_timeout
-                    && sent == 0
+        while heads != 0 {
+            let i = heads.trailing_zeros() as usize;
+            heads &= heads - 1;
+            let (p, v) = (i / vcs_per_port, i % vcs_per_port);
+            let (pkt, src, dst, class, has_route, sent, wait) = {
+                let vc = &self.routers[r].inputs[i];
+                let f = vc.fifo().front().expect("head-front VC holds a flit");
+                (
+                    f.packet,
+                    f.src,
+                    f.dst,
+                    f.class,
+                    vc.route.is_some(),
+                    vc.sent_on_grant,
+                    vc.head_wait,
+                )
+            };
+            let expedited = class == PacketClass::Expedited;
+            let in_escape = reserves_escape && v == vcs_per_port - 1;
+            if !has_route {
+                match self
+                    .cfg
+                    .routing
+                    .route(&self.graph, router_id, src, dst, expedited, in_escape)
                 {
-                    // Divert a stuck expedited head to the escape network.
-                    if let Some(esc) =
-                        self.cfg
-                            .routing
-                            .escape_route(&self.graph, router_id, src, dst)
-                    {
-                        // Rescind any unused normal grant.
-                        let old = {
-                            let vc = &self.routers[r].inputs[p][v];
-                            vc.route.map(|rt| (rt.port, vc.out_vc))
-                        };
-                        if let Some((old_port, Some(old_vc))) = old {
-                            if !matches!(
-                                self.routers[r].outputs[old_port.index()].target,
-                                OutputTarget::Sink { .. }
-                            ) {
-                                self.routers[r].outputs[old_port.index()].vcs[old_vc.index()]
-                                    .owner = None;
+                    Some(rc) => {
+                        let vc = &mut self.routers[r].inputs[i];
+                        vc.route = Some(rc);
+                        vc.holder = Some(pkt);
+                    }
+                    None => {
+                        let at = self.graph.attachment(dst);
+                        if at.router != router_id {
+                            // `None` away from the destination means the
+                            // routing table has no surviving path: mark
+                            // the VC for absorption (route stays `None`,
+                            // so allocation ignores it).
+                            debug_assert!(
+                                self.faults.is_some(),
+                                "unroutable packet without fault layer"
+                            );
+                            if let Some(fs) = self.faults.as_mut() {
+                                fs.absorbing.insert((router_id, PortId(p), VcId(v)));
                             }
+                            self.routers[r].inputs[i].holder = Some(pkt);
+                            continue;
                         }
-                        let vc = &mut self.routers[r].inputs[p][v];
-                        vc.route = Some(esc);
-                        vc.out_vc = None;
-                        vc.in_escape_grant = true;
-                        vc.head_wait = 0;
+                        // At destination router: eject through the local
+                        // port of dst. No downstream VC needed.
+                        let vc = &mut self.routers[r].inputs[i];
+                        vc.route = Some(RouteChoice {
+                            port: at.port,
+                            class: VcClass::Any,
+                        });
+                        vc.out_vc = Some(VcId(0)); // sink: dummy grant
+                        vc.holder = Some(pkt);
                     }
                 }
-                // Age heads that have not moved yet.
-                let vc = &mut self.routers[r].inputs[p][v];
-                if vc.fifo.front().is_some_and(|f| f.kind.is_head()) && vc.sent_on_grant == 0 {
-                    vc.head_wait = vc.head_wait.saturating_add(1);
-                }
-                // Final requester state for the VA phase: an ungranted head
-                // with a computed route bids for its route's output port.
-                if vc.out_vc.is_none() && vc.fifo.front().is_some_and(|f| f.kind.is_head()) {
-                    if let Some(rt) = vc.route {
-                        va_req[rt.port.index()] |= 1u128 << (p * vcs_per_port + v);
+            } else if expedited
+                && !in_escape
+                && reserves_escape
+                && wait > escape_timeout
+                && sent == 0
+            {
+                // Divert a stuck expedited head to the escape network.
+                if let Some(esc) = self
+                    .cfg
+                    .routing
+                    .escape_route(&self.graph, router_id, src, dst)
+                {
+                    // Rescind any unused normal grant.
+                    let old = {
+                        let vc = &self.routers[r].inputs[i];
+                        vc.route.map(|rt| (rt.port, vc.out_vc))
+                    };
+                    if let Some((old_port, Some(old_vc))) = old {
+                        if !matches!(
+                            self.routers[r].outputs[old_port.index()].target,
+                            OutputTarget::Sink { .. }
+                        ) {
+                            self.routers[r].outputs[old_port.index()].vcs[old_vc.index()].owner =
+                                None;
+                        }
                     }
+                    let vc = &mut self.routers[r].inputs[i];
+                    vc.route = Some(esc);
+                    vc.out_vc = None;
+                    vc.in_escape_grant = true;
+                    vc.head_wait = 0;
+                }
+            }
+            // Age heads that have not moved yet.
+            let vc = &mut self.routers[r].inputs[i];
+            if vc.sent_on_grant == 0 {
+                vc.head_wait = vc.head_wait.saturating_add(1);
+            }
+            // Final requester state for the VA phase: an ungranted head
+            // with a computed route bids for its route's output port.
+            if vc.out_vc.is_none() {
+                if let Some(rt) = vc.route {
+                    va_req[rt.port.index()] |= 1u128 << i;
                 }
             }
         }
@@ -2417,7 +2336,7 @@ impl Network {
         // changes only the granted VC and one downstream VC's owner, so
         // the other requesters' bits stay exact through the loop.
         let t = self.prof_lap(t, Stage::RouteCompute);
-        let flat = nports * vcs_per_port;
+        let flat = self.routers[r].inputs.len();
         for (o, mut req) in va_req.iter().copied().enumerate() {
             if req == 0 || self.routers[r].outputs[o].vcs.is_empty() {
                 continue; // no requester, or a sink (no VA needed)
@@ -2438,8 +2357,7 @@ impl Network {
                 // over (pointer not advanced) so that requesters of other
                 // classes behind it are still served.
                 req &= !(1u128 << i);
-                let (p, v) = (i / vcs_per_port, i % vcs_per_port);
-                let class = self.routers[r].inputs[p][v]
+                let class = self.routers[r].inputs[i]
                     .route
                     .expect("requester has route")
                     .class;
@@ -2447,26 +2365,27 @@ impl Network {
                 let (lo, hi) = class.range(down_vcs);
                 let free = (lo..hi).find(|&dv| self.routers[r].outputs[o].vcs[dv].owner.is_none());
                 let Some(dv) = free else { continue };
+                let (p, v) = self.routers[r].port_vc(i);
                 {
                     let router = &mut self.routers[r];
-                    router.outputs[o].vcs[dv].owner = Some((PortId(p), VcId(v)));
-                    router.inputs[p][v].out_vc = Some(VcId(dv));
+                    router.outputs[o].vcs[dv].owner = Some((p, v));
+                    router.inputs[i].out_vc = Some(VcId(dv));
                     router.outputs[o].va_arb.advance_past(i, flat);
                 }
                 if self.measuring {
                     self.stats.routers[r].va_grants += 1;
                 }
                 if self.tracer.is_some() {
-                    let packet = self.routers[r].inputs[p][v]
-                        .fifo
+                    let packet = self.routers[r].inputs[i]
+                        .fifo()
                         .front()
                         .expect("requester has a head flit")
                         .packet;
                     self.emit(TraceEvent::VcAlloc {
                         cycle: self.now,
                         router: router_id,
-                        in_port: PortId(p),
-                        in_vc: VcId(v),
+                        in_port: p,
+                        in_vc: v,
                         out_port: PortId(o),
                         out_vc: VcId(dv),
                         packet,
@@ -2478,62 +2397,33 @@ impl Network {
         let _ = self.prof_lap(t, Stage::VcAlloc);
     }
 
-    /// True when input VC `(p, v)` of router `r` can send its front flit.
-    fn sa_eligible(&self, r: usize, p: usize, v: usize) -> Option<PortId> {
-        let vc = &self.routers[r].inputs[p][v];
-        let f = vc.fifo.front()?;
-        if f.buffered >= self.now {
-            return None; // still in stage 1
-        }
-        let route = vc.route?;
-        let ovc = vc.out_vc?;
-        let out = &self.routers[r].outputs[route.port.index()];
-        match out.target {
-            OutputTarget::Sink { .. } => Some(route.port),
-            OutputTarget::Channel { .. } => {
-                if out.vcs[ovc.index()].credits >= 1 {
-                    Some(route.port)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Whether `(p, v)` can supply a *second* flit this cycle (same-packet
-    /// back-to-back pair over a wide link; needs two credits).
-    fn sa_pair_eligible(&self, r: usize, p: usize, v: usize) -> bool {
-        let vc = &self.routers[r].inputs[p][v];
-        let (Some(f0), Some(f1)) = (vc.fifo.front(), vc.fifo.get(1)) else {
-            return false;
-        };
-        if f0.kind.is_tail() || f1.packet != f0.packet || f1.buffered >= self.now {
-            return false;
-        }
-        let Some(route) = vc.route else { return false };
-        let Some(ovc) = vc.out_vc else { return false };
-        let out = &self.routers[r].outputs[route.port.index()];
-        match out.target {
-            OutputTarget::Sink { .. } => true,
-            OutputTarget::Channel { .. } => out.vcs[ovc.index()].credits >= 2,
-        }
-    }
-
+    /// Two-phase switch allocation and traversal at router `r`.
+    ///
+    /// Stage 1 inspects only VCs holding a flit (an empty VC is never
+    /// eligible), and stage 2 only outputs that got a stage-1 nomination
+    /// (an output without one never grants, and its secondary arbiter runs
+    /// only after a primary grant). Both walk set bits in ascending order,
+    /// the order of full port/VC and output loops, so arbitration is
+    /// unchanged.
     fn switch_alloc(&mut self, r: usize) {
         let mut t = self.prof_start();
-        let nports = self.routers[r].inputs.len();
-        let nout = self.routers[r].outputs.len();
+        let now = self.now;
+        let measuring = self.measuring;
         let vcs_per_port = self.cfg.routers[r].vcs_per_port;
-        let skip_idle = self.sched.mode() == EngineMode::ActiveSet;
-        let mut s = std::mem::take(&mut self.alloc);
+        let router = &mut self.routers[r];
+        // Input and output ports pair up, so one count sizes both.
+        let nports = router.outputs.len();
+        let s = &mut self.alloc;
         s.sa_out.clear();
-        s.sa_out.resize(nports * vcs_per_port, NO_OUT);
+        s.sa_out.resize(router.inputs.len(), NO_OUT);
         s.sa_reach.clear();
-        s.sa_reach.resize(nout, 0);
+        s.sa_reach.resize(nports, 0);
         s.sa_nom.clear();
-        s.sa_nom.resize(nout, 0);
+        s.sa_nom.resize(nports, 0);
         s.nominee.clear();
         s.nominee.resize(nports, Nomination::default());
+        // Outputs holding at least one stage-1 nominee.
+        let mut nominated = 0u64;
 
         // Eligibility table, taken once at SA start. A commit at output `o`
         // pops only VCs routed to `o` (releasing them on a tail) and spends
@@ -2544,95 +2434,111 @@ impl Network {
         //
         // Stage 1: one nomination per input port (plus a possible pair or
         // a second VC for the same wide output).
+        let nonempty = router.nonempty();
         for p in 0..nports {
-            if skip_idle && self.routers[r].port_occ[p] == 0 {
-                continue; // no buffered flit ⇒ no eligible VC at this port
+            let mut occupied = router.port_bits(nonempty, p);
+            if occupied == 0 {
+                continue;
             }
             let row = p * vcs_per_port;
             let mut eligible = 0u128;
-            for v in 0..vcs_per_port {
-                if let Some(out) = self.sa_eligible(r, p, v) {
+            while occupied != 0 {
+                let v = occupied.trailing_zeros() as usize;
+                occupied &= occupied - 1;
+                if let Some(out) = router.sa_eligible(row + v, now) {
                     s.sa_out[row + v] = out.index() as u8;
                     s.sa_reach[out.index()] |= 1 << p;
                     eligible |= 1 << v;
                 }
             }
-            let Some(v) = self.routers[r].sa_stage1[p].peek_mask(vcs_per_port, eligible) else {
+            let Some(v) = router.sa_stage1[p].peek_mask(vcs_per_port, eligible) else {
                 continue;
             };
-            let out = s.sa_out[row + v];
-            s.sa_nom[usize::from(out)] |= 1 << p;
-            let wide = self.routers[r].outputs[usize::from(out)].lanes > 1;
-            let pair = wide && self.sa_pair_eligible(r, p, v);
+            let out = usize::from(s.sa_out[row + v]);
+            s.sa_nom[out] |= 1 << p;
+            nominated |= 1 << out;
+            let wide = router.outputs[out].lanes > 1;
+            let pair = wide && router.sa_pair_eligible(row + v, now);
             // Another VC of the same input port heading to the same output
             // (the paper's case (a)/(c) combining).
             let alt = if wide && !pair {
-                (0..vcs_per_port).find(|&v2| v2 != v && s.sa_out[row + v2] == out)
+                (0..vcs_per_port).find(|&v2| v2 != v && usize::from(s.sa_out[row + v2]) == out)
             } else {
                 None
             };
             s.nominee[p] = Nomination { vc: v, pair, alt };
-            if self.measuring {
+            if measuring {
                 self.stats.routers[r].sa1_arbs += 1;
             }
         }
 
         // Stage 2: per output port, primary + (for wide outputs) secondary.
         let mut sent = PortSends::default();
-        for o in 0..nout {
-            let nominees = s.sa_nom[o] & !sent.twice;
-            let w1 = self.routers[r].outputs[o]
-                .sa_primary
-                .grant_mask(nports, u128::from(nominees));
-            let Some(p1) = w1 else { continue };
-            let Nomination { vc: v1, pair, alt } = s.nominee[p1];
-            self.routers[r].sa_stage1[p1].advance_past(v1, vcs_per_port);
-            s.winners.clear();
-            s.winners.push((PortId(p1), VcId(v1)));
-            if self.measuring {
-                self.stats.routers[r].sa2_arbs += 1;
-            }
-
-            sent.send(p1);
-            if self.routers[r].outputs[o].lanes > 1 {
-                let p1_full = sent.twice & (1 << p1) != 0;
-                if pair && !p1_full {
-                    // Same VC, next flit of the same packet (DSET pair).
-                    s.winners.push((PortId(p1), VcId(v1)));
-                    sent.send(p1);
-                } else if let Some(v2) = alt.filter(|_| !p1_full) {
-                    s.winners.push((PortId(p1), VcId(v2)));
-                    sent.send(p1);
-                } else {
-                    // Different input port (the paper's case (b)/(f)): the
-                    // second parallel p:1 arbiter takes any other port with
-                    // *any* eligible VC heading to this output, not just
-                    // the stage-1 nominee.
-                    let others = s.sa_reach[o] & !(1 << p1) & !sent.twice;
-                    let w2 = self.routers[r].outputs[o]
-                        .sa_secondary
-                        .grant_mask(nports, u128::from(others));
-                    if let Some(p2) = w2 {
-                        let row = p2 * vcs_per_port;
-                        let v2 = (0..vcs_per_port)
-                            .find(|&v| usize::from(s.sa_out[row + v]) == o)
-                            .expect("port reaches this output");
-                        if s.sa_nom[o] & (1 << p2) != 0 && s.nominee[p2].vc == v2 {
-                            // Its stage-1 nomination is being consumed here.
-                            self.routers[r].sa_stage1[p2].advance_past(v2, vcs_per_port);
-                        }
-                        s.winners.push((PortId(p2), VcId(v2)));
-                        sent.send(p2);
-                    }
-                }
-                if self.measuring && s.winners.len() == 2 {
+        while nominated != 0 {
+            let o = nominated.trailing_zeros() as usize;
+            nominated &= nominated - 1;
+            // The winners are copied out so the commits below may take
+            // `&mut self` while the scratch stays in place.
+            let (winners, count) = {
+                let router = &mut self.routers[r];
+                let s = &self.alloc;
+                let nominees = s.sa_nom[o] & !sent.twice;
+                let w1 = router.outputs[o]
+                    .sa_primary
+                    .grant_mask(nports, u128::from(nominees));
+                let Some(p1) = w1 else { continue };
+                let Nomination { vc: v1, pair, alt } = s.nominee[p1];
+                router.sa_stage1[p1].advance_past(v1, vcs_per_port);
+                let mut winners = [(PortId(p1), VcId(v1)); 2];
+                let mut count = 1;
+                if measuring {
                     self.stats.routers[r].sa2_arbs += 1;
                 }
-            }
 
-            let count = s.winners.len();
+                sent.send(p1);
+                if router.outputs[o].lanes > 1 {
+                    let p1_full = sent.twice & (1 << p1) != 0;
+                    if pair && !p1_full {
+                        // Same VC, next flit of the same packet (DSET pair).
+                        winners[1] = (PortId(p1), VcId(v1));
+                        count = 2;
+                        sent.send(p1);
+                    } else if let Some(v2) = alt.filter(|_| !p1_full) {
+                        winners[1] = (PortId(p1), VcId(v2));
+                        count = 2;
+                        sent.send(p1);
+                    } else {
+                        // Different input port (the paper's case (b)/(f)): the
+                        // second parallel p:1 arbiter takes any other port with
+                        // *any* eligible VC heading to this output, not just
+                        // the stage-1 nominee.
+                        let others = s.sa_reach[o] & !(1 << p1) & !sent.twice;
+                        let w2 = router.outputs[o]
+                            .sa_secondary
+                            .grant_mask(nports, u128::from(others));
+                        if let Some(p2) = w2 {
+                            let row = p2 * vcs_per_port;
+                            let v2 = (0..vcs_per_port)
+                                .find(|&v| usize::from(s.sa_out[row + v]) == o)
+                                .expect("port reaches this output");
+                            if s.sa_nom[o] & (1 << p2) != 0 && s.nominee[p2].vc == v2 {
+                                // Its stage-1 nomination is being consumed here.
+                                router.sa_stage1[p2].advance_past(v2, vcs_per_port);
+                            }
+                            winners[1] = (PortId(p2), VcId(v2));
+                            count = 2;
+                            sent.send(p2);
+                        }
+                    }
+                    if measuring && count == 2 {
+                        self.stats.routers[r].sa2_arbs += 1;
+                    }
+                }
+                (winners, count)
+            };
+
             t = self.prof_lap(t, Stage::SwitchAlloc);
-            for &(wp, wv) in &s.winners {
+            for &(wp, wv) in &winners[..count] {
                 self.commit_flit(r, wp, wv, PortId(o));
             }
             t = self.prof_lap(t, Stage::SwitchTraverse);
@@ -2647,7 +2553,6 @@ impl Network {
                 }
             }
         }
-        self.alloc = s;
         let _ = self.prof_lap(t, Stage::SwitchAlloc);
     }
 
@@ -2655,9 +2560,10 @@ impl Network {
     /// switch traversal now, link traversal next cycle, downstream buffer
     /// write (or retirement) at `now + 2`; credit upstream at `now + 1`.
     fn commit_flit(&mut self, r: usize, p: PortId, v: VcId, o: PortId) {
-        let (flit, out_vc, is_tail, emptied) = {
-            let vc = &mut self.routers[r].inputs[p.index()][v.index()];
-            let flit = vc.fifo.pop_front().expect("winner has a flit");
+        let i = self.routers[r].flat(p, v);
+        let flit = self.routers[r].pop(i).expect("winner has a flit");
+        let (out_vc, is_tail) = {
+            let vc = &mut self.routers[r].inputs[i];
             let out_vc = vc.out_vc.expect("winner has a grant");
             vc.sent_on_grant += 1;
             vc.head_wait = 0;
@@ -2665,13 +2571,8 @@ impl Network {
             if is_tail {
                 vc.release();
             }
-            (flit, out_vc, is_tail, vc.fifo.is_empty())
+            (out_vc, is_tail)
         };
-        self.routers[r].occupancy -= 1;
-        self.routers[r].port_occ[p.index()] -= 1;
-        if emptied {
-            self.routers[r].busy_vcs -= 1;
-        }
         if self.measuring {
             let ev = &mut self.stats.routers[r];
             ev.buffer_reads += 1;
@@ -2698,13 +2599,7 @@ impl Network {
         }
 
         // Credit to whoever feeds input port `p`.
-        let up = match self.graph.router(RouterId(r)).ports[p.index()].kind {
-            PortKind::Local { node } => Upstream::Node(node),
-            PortKind::Link { into, .. } => {
-                let l = self.graph.links()[into.index()];
-                Upstream::Router(l.src, l.src_port)
-            }
-        };
+        let up = self.upstream[r][p.index()];
         self.schedule(1, Event::Credit { up, vc: v });
 
         match self.routers[r].outputs[o.index()].target {
@@ -2858,13 +2753,12 @@ mod tests {
         run_until_drained(&mut net, 5_000);
         // After draining, every router must be empty.
         for r in &net.routers {
-            assert_eq!(r.occupancy, 0);
-            for port in &r.inputs {
-                for vc in port {
-                    assert!(vc.fifo.is_empty());
-                    assert!(vc.route.is_none());
-                    assert!(vc.out_vc.is_none());
-                }
+            assert_eq!(r.occupancy(), 0);
+            assert_eq!((r.nonempty(), r.head_front()), (0, 0));
+            for vc in &r.inputs {
+                assert!(vc.fifo().is_empty());
+                assert!(vc.route.is_none());
+                assert!(vc.out_vc.is_none());
             }
             // All output VCs released and credits restored.
             for out in &r.outputs {
@@ -3240,7 +3134,7 @@ mod tests {
         assert!(net.drain_delivered().is_empty());
         // Absorption must have restored every credit.
         for r in &net.routers {
-            assert_eq!(r.occupancy, 0);
+            assert_eq!(r.occupancy(), 0);
         }
     }
 

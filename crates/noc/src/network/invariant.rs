@@ -106,17 +106,17 @@ pub enum InvariantViolation {
         /// The incremental counter's value.
         cached: u32,
     },
-    /// A router's per-input-port occupancy counter (the active-set
-    /// engine's allocation-phase gate) drifted from that port's FIFOs.
-    PortOccupancyDrift {
+    /// A bit of a router's VC masks (the allocation phases' work lists)
+    /// disagrees with its FIFO: the non-empty bit with whether the VC
+    /// holds a flit, or the head-front bit with whether its front flit is
+    /// a head.
+    VcMaskDrift {
         /// The drifting router.
         router: RouterId,
-        /// The input port whose counter drifted.
+        /// Input port of the VC.
         port: PortId,
-        /// Flits actually present in the port's FIFOs.
-        counted: u32,
-        /// The incremental counter's value.
-        cached: u32,
+        /// The VC index.
+        vc: VcId,
     },
     /// A router holds buffered flits but reports itself quiescent: the
     /// active-set engine would never visit it again and the flits would
@@ -195,15 +195,9 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "{router}: occupancy counter says {cached}, buffers hold {counted}"
             ),
-            InvariantViolation::PortOccupancyDrift {
-                router,
-                port,
-                counted,
-                cached,
-            } => write!(
+            InvariantViolation::VcMaskDrift { router, port, vc } => write!(
                 f,
-                "{router}.{port}: port-occupancy counter says {cached}, \
-                 FIFOs hold {counted}"
+                "{router}.{port}.{vc}: VC mask bits disagree with the FIFO"
             ),
             InvariantViolation::AsleepWithFlits { router, occupancy } => write!(
                 f,
@@ -220,7 +214,7 @@ impl Network {
     /// Checks every engine invariant against the current cycle's state:
     /// buffer bounds, per-VC FIFO order, exact credit conservation on every
     /// router-to-router and node-to-router channel, per-router occupancy
-    /// counters, and exact per-packet flit conservation.
+    /// counters and VC masks, and exact per-packet flit conservation.
     ///
     /// Intended to run between [`Network::step`] calls (the
     /// `sim::StrictInvariants` observer does this every cycle); the cost is
@@ -288,67 +282,69 @@ impl Network {
             }
         }
 
-        // Buffer bounds, FIFO order and occupancy counters.
+        // Buffer bounds, FIFO order, occupancy counters and VC masks.
         for (r, router) in self.routers.iter().enumerate() {
             let depth = self.cfg.routers[r].buffer_depth;
             let mut counted = 0u32;
-            for (p, port) in router.inputs.iter().enumerate() {
-                let mut port_counted = 0u32;
-                for (v, ivc) in port.iter().enumerate() {
-                    if ivc.fifo.len() > depth {
-                        return Err(InvariantViolation::BufferOverflow {
-                            router: RouterId(r),
-                            port: PortId(p),
-                            vc: VcId(v),
-                            len: ivc.fifo.len(),
-                            depth,
-                        });
-                    }
-                    counted += ivc.fifo.len() as u32;
-                    port_counted += ivc.fifo.len() as u32;
-                    let mut last: HashMap<PacketId, u32> = HashMap::new();
-                    for flit in &ivc.fifo {
-                        *seen.entry(flit.packet).or_insert(0) += 1;
-                        if let Some(&prev) = last.get(&flit.packet) {
-                            if flit.seq <= prev {
-                                return Err(InvariantViolation::FifoOrder {
-                                    router: RouterId(r),
-                                    port: PortId(p),
-                                    vc: VcId(v),
-                                    packet: flit.packet,
-                                    prev_seq: prev,
-                                    seq: flit.seq,
-                                });
-                            }
-                        }
-                        last.insert(flit.packet, flit.seq);
-                    }
-                }
-                if port_counted != router.port_occ[p] {
-                    return Err(InvariantViolation::PortOccupancyDrift {
+            for (i, ivc) in router.inputs.iter().enumerate() {
+                let (port, vc) = router.port_vc(i);
+                let fifo = ivc.fifo();
+                if fifo.len() > depth {
+                    return Err(InvariantViolation::BufferOverflow {
                         router: RouterId(r),
-                        port: PortId(p),
-                        counted: port_counted,
-                        cached: router.port_occ[p],
+                        port,
+                        vc,
+                        len: fifo.len(),
+                        depth,
                     });
                 }
+                counted += fifo.len() as u32;
+                let bit = 1u128 << i;
+                let nonempty = router.nonempty() & bit != 0;
+                let head_front = router.head_front() & bit != 0;
+                if nonempty == fifo.is_empty()
+                    || head_front != fifo.front().is_some_and(|f| f.kind.is_head())
+                {
+                    return Err(InvariantViolation::VcMaskDrift {
+                        router: RouterId(r),
+                        port,
+                        vc,
+                    });
+                }
+                let mut last: HashMap<PacketId, u32> = HashMap::new();
+                for flit in fifo {
+                    *seen.entry(flit.packet).or_insert(0) += 1;
+                    if let Some(&prev) = last.get(&flit.packet) {
+                        if flit.seq <= prev {
+                            return Err(InvariantViolation::FifoOrder {
+                                router: RouterId(r),
+                                port,
+                                vc,
+                                packet: flit.packet,
+                                prev_seq: prev,
+                                seq: flit.seq,
+                            });
+                        }
+                    }
+                    last.insert(flit.packet, flit.seq);
+                }
             }
-            if counted != router.occupancy {
+            if counted != router.occupancy() {
                 return Err(InvariantViolation::OccupancyDrift {
                     router: RouterId(r),
                     counted,
-                    cached: router.occupancy,
+                    cached: router.occupancy(),
                 });
             }
             // Wake-set coverage: every occupied router must be awake (in
             // either engine mode — the set is maintained in both so modes
             // stay switchable mid-run).
-            if router.occupancy > 0
+            if router.occupancy() > 0
                 && self.sched.activity(r) == crate::sched::RouterActivity::Quiescent
             {
                 return Err(InvariantViolation::AsleepWithFlits {
                     router: RouterId(r),
-                    occupancy: router.occupancy,
+                    occupancy: router.occupancy(),
                 });
             }
         }
@@ -405,10 +401,9 @@ impl Network {
                     continue;
                 };
                 let depth = self.cfg.routers[dst.index()].buffer_depth as u32;
+                let down = &self.routers[dst.index()];
                 for (v, ovc) in out.vcs.iter().enumerate() {
-                    let buffered = self.routers[dst.index()].inputs[dst_port.index()][v]
-                        .fifo
-                        .len() as u32;
+                    let buffered = down.inputs[down.flat(dst_port, VcId(v))].fifo().len() as u32;
                     // Fault mode replaces wheel arrivals with the link's
                     // in-transit count: a flit holds its downstream slot
                     // from the credit decrement until it is accepted, no
@@ -441,10 +436,9 @@ impl Network {
         // The same conservation on node-to-router injection channels.
         for (n, node) in self.nodes.iter().enumerate() {
             let depth = self.cfg.routers[node.router.index()].buffer_depth as u32;
+            let router = &self.routers[node.router.index()];
             for (v, nvc) in node.vcs.iter().enumerate() {
-                let buffered = self.routers[node.router.index()].inputs[node.port.index()][v]
-                    .fifo
-                    .len() as u32;
+                let buffered = router.inputs[router.flat(node.port, VcId(v))].fifo().len() as u32;
                 let accounted = nvc.credits
                     + node_credits.get(&(n, v)).copied().unwrap_or(0)
                     + arrivals
@@ -559,9 +553,7 @@ mod tests {
             birth: 0,
         };
         let flit = Flit::fragment(&ghost, Bits(192), 0).remove(0);
-        net.routers[0].inputs[0][0].fifo.push_back(flit);
-        net.routers[0].occupancy += 1;
-        net.routers[0].port_occ[0] += 1;
+        net.routers[0].push(0, flit);
         net.sched.wake(0, crate::sched::WakeReason::FlitArrive);
         assert!(matches!(
             net.check_invariants(),
@@ -572,7 +564,8 @@ mod tests {
     #[test]
     fn occupancy_drift_is_detected() {
         let mut net = fresh();
-        net.routers[5].occupancy += 1;
+        let rt = &mut net.routers[5];
+        rt.set_derived(rt.occupancy() + 1, rt.nonempty(), rt.head_front());
         assert!(matches!(
             net.check_invariants(),
             Err(InvariantViolation::OccupancyDrift { .. })
@@ -580,13 +573,40 @@ mod tests {
     }
 
     #[test]
-    fn port_occupancy_drift_is_detected() {
+    fn vc_mask_drift_is_detected() {
+        // A non-empty bit over an empty FIFO.
         let mut net = fresh();
-        net.routers[5].port_occ[2] += 1;
-        assert!(matches!(
+        let rt = &mut net.routers[5];
+        let i = rt.flat(PortId(2), VcId(1));
+        rt.set_derived(rt.occupancy(), rt.nonempty() ^ (1 << i), rt.head_front());
+        assert_eq!(
             net.check_invariants(),
-            Err(InvariantViolation::PortOccupancyDrift { .. })
-        ));
+            Err(InvariantViolation::VcMaskDrift {
+                router: RouterId(5),
+                port: PortId(2),
+                vc: VcId(1),
+            })
+        );
+        // A missing head-front bit over a buffered head flit.
+        let mut net = fresh();
+        load(&mut net, 40);
+        let r = net
+            .routers
+            .iter()
+            .position(|rt| rt.head_front() != 0)
+            .expect("a 40-cycle loaded run leaves a head flit buffered");
+        let rt = &mut net.routers[r];
+        let i = rt.head_front().trailing_zeros() as usize;
+        rt.set_derived(rt.occupancy(), rt.nonempty(), rt.head_front() ^ (1 << i));
+        let (port, vc) = net.routers[r].port_vc(i);
+        assert_eq!(
+            net.check_invariants(),
+            Err(InvariantViolation::VcMaskDrift {
+                router: RouterId(r),
+                port,
+                vc,
+            })
+        );
     }
 
     #[test]
@@ -596,7 +616,7 @@ mod tests {
         let r = net
             .routers
             .iter()
-            .position(|rt| rt.occupancy > 0)
+            .position(|rt| rt.occupancy() > 0)
             .expect("a 40-cycle loaded run leaves flits buffered");
         net.sched.sleep(r);
         let list = net.sched.begin_cycle();
@@ -615,15 +635,13 @@ mod tests {
         // Find a buffered flit and queue a copy behind it: breaks FIFO
         // order (same seq) and flit conservation at once.
         let found = net.routers.iter().enumerate().find_map(|(r, rt)| {
-            rt.inputs.iter().enumerate().find_map(|(p, port)| {
-                port.iter()
-                    .enumerate()
-                    .find_map(|(v, ivc)| ivc.fifo.front().copied().map(|f| (r, p, v, f)))
-            })
+            rt.inputs
+                .iter()
+                .enumerate()
+                .find_map(|(i, ivc)| ivc.fifo().front().copied().map(|f| (r, i, f)))
         });
-        let (r, p, v, f) = found.expect("a 40-cycle loaded run leaves flits buffered");
-        net.routers[r].inputs[p][v].fifo.push_back(f);
-        net.routers[r].occupancy += 1;
+        let (r, i, f) = found.expect("a 40-cycle loaded run leaves flits buffered");
+        net.routers[r].push(i, f);
         assert!(matches!(
             net.check_invariants(),
             Err(InvariantViolation::FifoOrder { .. })

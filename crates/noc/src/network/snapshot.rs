@@ -33,6 +33,7 @@ use crate::fault::{
 use crate::metrics::EpochRecorder;
 use crate::packet::{Flit, FlitKind, Packet, PacketClass};
 use crate::router::arbiter::RrArbiter;
+use crate::router::InputVc;
 use crate::routing::{RouteChoice, RouteTable, RoutingKind, VcClass};
 use crate::stats::{
     LatencyAgg, LatencyDist, LatencyHistogram, LatencyPctls, LinkEvents, PacketRecord, Pctls,
@@ -908,19 +909,17 @@ impl Network {
         e.sec(SEC_ROUTERS);
         e.usize(self.routers.len());
         for r in &self.routers {
-            for port in &r.inputs {
-                for vc in port {
-                    e.usize(vc.fifo.len());
-                    for f in &vc.fifo {
-                        enc_flit(e, f);
-                    }
-                    enc_route(e, &vc.route);
-                    enc_opt_usize(e, vc.out_vc.map(VcId::index));
-                    e.bool(vc.in_escape_grant);
-                    e.u32(vc.sent_on_grant);
-                    e.u32(vc.head_wait);
-                    enc_opt_usize(e, vc.holder.map(PacketId::index));
+            for vc in &r.inputs {
+                e.usize(vc.fifo().len());
+                for f in vc.fifo() {
+                    enc_flit(e, f);
                 }
+                enc_route(e, &vc.route);
+                enc_opt_usize(e, vc.out_vc.map(VcId::index));
+                e.bool(vc.in_escape_grant);
+                e.u32(vc.sent_on_grant);
+                e.u32(vc.head_wait);
+                enc_opt_usize(e, vc.holder.map(PacketId::index));
             }
             for out in &r.outputs {
                 e.usize(out.vcs.len());
@@ -942,8 +941,8 @@ impl Network {
             for a in &r.sa_stage1 {
                 enc_arb(e, a);
             }
-            e.u32(r.occupancy);
-            e.u32(r.busy_vcs);
+            e.u32(r.occupancy());
+            e.u32(r.busy_vcs());
         }
 
         e.sec(SEC_NODES);
@@ -1119,22 +1118,24 @@ impl Network {
         if nr != self.routers.len() {
             return Err(CheckpointError::Malformed("router count"));
         }
-        for r in &mut self.routers {
-            for port in &mut r.inputs {
-                for vc in port {
-                    let nf = d.len(8)?;
-                    let mut fifo = VecDeque::with_capacity(nf);
-                    for _ in 0..nf {
-                        fifo.push_back(dec_flit(d)?);
-                    }
-                    vc.fifo = fifo;
-                    vc.route = dec_route(d)?;
-                    vc.out_vc = dec_opt_usize(d)?.map(VcId);
-                    vc.in_escape_grant = d.bool()?;
-                    vc.sent_on_grant = d.u32()?;
-                    vc.head_wait = d.u32()?;
-                    vc.holder = dec_opt_usize(d)?.map(PacketId);
+        for (r, rc) in self.routers.iter_mut().zip(&self.cfg.routers) {
+            // Flits go in through `push`, so the occupancy counter and the
+            // VC masks are derived from the decoded FIFOs, never read.
+            for i in 0..r.inputs.len() {
+                let nf = d.len(8)?;
+                if nf > rc.buffer_depth {
+                    return Err(CheckpointError::Malformed("fifo depth"));
                 }
+                for _ in 0..nf {
+                    r.push(i, dec_flit(d)?);
+                }
+                let vc = &mut r.inputs[i];
+                vc.route = dec_route(d)?;
+                vc.out_vc = dec_opt_usize(d)?.map(VcId);
+                vc.in_escape_grant = d.bool()?;
+                vc.sent_on_grant = d.u32()?;
+                vc.head_wait = d.u32()?;
+                vc.holder = dec_opt_usize(d)?.map(PacketId);
             }
             for out in &mut r.outputs {
                 let nv = d.len(1)?;
@@ -1156,8 +1157,13 @@ impl Network {
             for a in &mut r.sa_stage1 {
                 *a = dec_arb(d)?;
             }
-            r.occupancy = d.u32()?;
-            r.busy_vcs = d.u32()?;
+            // The stored counters only cross-check the FIFOs: a restore that
+            // trusted a stale occupancy could leave a router asleep over
+            // its flits.
+            let (occupancy, busy_vcs) = (d.u32()?, d.u32()?);
+            if (occupancy, busy_vcs) != (r.occupancy(), r.busy_vcs()) {
+                return Err(CheckpointError::Malformed("router occupancy"));
+            }
         }
 
         d.sec(SEC_NODES, "nodes")?;
@@ -1307,11 +1313,7 @@ impl Network {
                 return Err(CheckpointError::Malformed("epoch length"));
             }
             let caps = self.routers.iter().map(|r| u64::from(r.capacity)).collect();
-            let vcs = self
-                .routers
-                .iter()
-                .map(|r| u64::from(r.total_vcs))
-                .collect();
+            let vcs = self.routers.iter().map(|r| r.inputs.len() as u64).collect();
             let lanes = self.link_lanes.iter().map(|&l| l as u64).collect();
             let mut rec = EpochRecorder::new(every, caps, vcs, lanes);
             rec.epoch_start = d.u64()?;
@@ -1376,18 +1378,12 @@ impl Network {
             None
         };
 
-        // Rebuild derived scheduler state. Neither the per-port occupancy
-        // counters nor the wake set are serialized — both are functions of
-        // the decoded buffers — which keeps the checkpoint byte format
-        // independent of the engine mode.
-        for router in &mut self.routers {
-            let inputs = &router.inputs;
-            for (p, occ) in router.port_occ.iter_mut().enumerate() {
-                *occ = inputs[p].iter().map(|vc| vc.fifo.len() as u32).sum();
-            }
-        }
+        // Rebuild derived scheduler state. Neither the VC masks (derived
+        // above as the FIFOs were decoded) nor the wake set are serialized
+        // — both are functions of the decoded buffers — which keeps the
+        // checkpoint byte format independent of the engine mode.
         let routers = &self.routers;
-        self.sched.rebuild(|r| routers[r].occupancy > 0);
+        self.sched.rebuild(|r| routers[r].occupancy() > 0);
 
         Ok(())
     }
@@ -1452,48 +1448,47 @@ impl Network {
         );
 
         for (ri, (a, b)) in self.routers.iter().zip(&other.routers).enumerate() {
-            for (pi, (pa, pb)) in a.inputs.iter().zip(&b.inputs).enumerate() {
-                for (vi, (va, vb)) in pa.iter().zip(pb).enumerate() {
-                    let loc = format!("r{ri}.p{pi}.v{vi}");
-                    let fifo = |vc: &super::InputVc| {
-                        vc.fifo
-                            .iter()
-                            .map(|f| format!("{}#{}", f.packet, f.seq))
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    };
-                    push(loc.clone(), "fifo", fifo(va), fifo(vb));
-                    push(
-                        loc.clone(),
-                        "route",
-                        format!("{:?}", va.route),
-                        format!("{:?}", vb.route),
-                    );
-                    push(
-                        loc.clone(),
-                        "out_vc",
-                        format!("{:?}", va.out_vc),
-                        format!("{:?}", vb.out_vc),
-                    );
-                    push(
-                        loc.clone(),
-                        "holder",
-                        format!("{:?}", va.holder),
-                        format!("{:?}", vb.holder),
-                    );
-                    push(
-                        loc.clone(),
-                        "head_wait",
-                        va.head_wait.to_string(),
-                        vb.head_wait.to_string(),
-                    );
-                    push(
-                        loc,
-                        "sent_on_grant",
-                        va.sent_on_grant.to_string(),
-                        vb.sent_on_grant.to_string(),
-                    );
-                }
+            for (i, (va, vb)) in a.inputs.iter().zip(&b.inputs).enumerate() {
+                let (p, v) = a.port_vc(i);
+                let loc = format!("r{ri}.p{}.v{}", p.index(), v.index());
+                let fifo = |vc: &InputVc| {
+                    vc.fifo()
+                        .iter()
+                        .map(|f| format!("{}#{}", f.packet, f.seq))
+                        .collect::<Vec<_>>()
+                        .join(",")
+                };
+                push(loc.clone(), "fifo", fifo(va), fifo(vb));
+                push(
+                    loc.clone(),
+                    "route",
+                    format!("{:?}", va.route),
+                    format!("{:?}", vb.route),
+                );
+                push(
+                    loc.clone(),
+                    "out_vc",
+                    format!("{:?}", va.out_vc),
+                    format!("{:?}", vb.out_vc),
+                );
+                push(
+                    loc.clone(),
+                    "holder",
+                    format!("{:?}", va.holder),
+                    format!("{:?}", vb.holder),
+                );
+                push(
+                    loc.clone(),
+                    "head_wait",
+                    va.head_wait.to_string(),
+                    vb.head_wait.to_string(),
+                );
+                push(
+                    loc,
+                    "sent_on_grant",
+                    va.sent_on_grant.to_string(),
+                    vb.sent_on_grant.to_string(),
+                );
             }
             for (pi, (oa, ob)) in a.outputs.iter().zip(&b.outputs).enumerate() {
                 for (vi, (va, vb)) in oa.vcs.iter().zip(&ob.vcs).enumerate() {
@@ -1528,8 +1523,8 @@ impl Network {
             push(
                 format!("r{ri}"),
                 "occupancy",
-                a.occupancy.to_string(),
-                b.occupancy.to_string(),
+                a.occupancy().to_string(),
+                b.occupancy().to_string(),
             );
         }
 
@@ -1645,6 +1640,58 @@ mod tests {
         fresh.decode_state(&mut d).unwrap();
         assert!(d.is_done(), "decoder must consume the whole stream");
         fresh
+    }
+
+    /// Encodes `net` and decodes it into a fresh network, expecting the
+    /// restore to fail.
+    fn restore_error(net: &Network) -> CheckpointError {
+        let mut e = Enc::new();
+        net.encode_state(&mut e);
+        let bytes = e.into_bytes();
+        let mut fresh = Network::new(mesh4()).unwrap();
+        fresh
+            .decode_state(&mut Dec::new(&bytes))
+            .expect_err("restore must reject the stream")
+    }
+
+    #[test]
+    fn restore_rejects_an_occupancy_that_disagrees_with_the_fifos() {
+        let mut net = stepped(5);
+        let rt = net
+            .routers
+            .iter_mut()
+            .find(|rt| rt.occupancy() > 0)
+            .expect("flits are buffered mid-flight");
+        rt.set_derived(rt.occupancy() + 1, rt.nonempty(), rt.head_front());
+        let err = restore_error(&net);
+        assert!(
+            matches!(err, CheckpointError::Malformed("router occupancy")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_fifo_deeper_than_the_buffer() {
+        let mut net = stepped(5);
+        let (r, i, f) = net
+            .routers
+            .iter()
+            .enumerate()
+            .find_map(|(r, rt)| {
+                rt.inputs
+                    .iter()
+                    .enumerate()
+                    .find_map(|(i, vc)| vc.fifo().front().map(|&f| (r, i, f)))
+            })
+            .expect("flits are buffered mid-flight");
+        while net.routers[r].inputs[i].fifo().len() <= net.cfg.routers[r].buffer_depth {
+            net.routers[r].push(i, f);
+        }
+        let err = restore_error(&net);
+        assert!(
+            matches!(err, CheckpointError::Malformed("fifo depth")),
+            "{err:?}"
+        );
     }
 
     #[test]

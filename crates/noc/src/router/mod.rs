@@ -26,8 +26,10 @@ use arbiter::RrArbiter;
 /// State of one input virtual channel.
 #[derive(Clone, Debug, Default)]
 pub struct InputVc {
-    /// Buffered flits, front = oldest.
-    pub fifo: VecDeque<Flit>,
+    /// Buffered flits, front = oldest. Edited only through the
+    /// [`RouterState`] FIFO methods, which keep the router's occupancy and
+    /// VC masks in step with it.
+    fifo: VecDeque<Flit>,
     /// Routing decision for the packet currently occupying the VC
     /// (`None` until route computation for the head at the FIFO front).
     pub route: Option<RouteChoice>,
@@ -50,6 +52,11 @@ pub struct InputVc {
 }
 
 impl InputVc {
+    /// Buffered flits, front = oldest.
+    pub(crate) fn fifo(&self) -> &VecDeque<Flit> {
+        &self.fifo
+    }
+
     /// Resets allocation state after the tail flit leaves.
     pub fn release(&mut self) {
         self.route = None;
@@ -109,88 +116,267 @@ pub struct OutputPort {
 }
 
 /// Complete per-router simulation state.
+///
+/// Input VCs sit in one flat table indexed `port * vcs_per_port + vc`, the
+/// index VC allocation arbitrates over. Two `u128` masks over that index
+/// (bit `i` for `inputs[i]`) say which VCs hold a flit and which have a
+/// head flit at the front; together with `occupancy` they are derived from
+/// the FIFOs and kept in step by the FIFO methods (`push`, `pop`,
+/// `retain`), the only way to edit a FIFO.
+/// [`crate::config::NetworkConfig::validate`] keeps the flat index below
+/// 128.
 #[derive(Clone, Debug)]
 pub struct RouterState {
-    /// Input VC buffers: `inputs[port][vc]`.
-    pub inputs: Vec<Vec<InputVc>>,
+    /// Input VCs, flat: VC `v` of input port `p` is
+    /// `inputs[p * vcs_per_port + v]`.
+    pub inputs: Vec<InputVc>,
     /// Output port state, parallel to the topology port list.
     pub outputs: Vec<OutputPort>,
     /// Stage-1 (v:1 per input port) arbiters.
     pub sa_stage1: Vec<RrArbiter>,
-    /// Occupied flit slots across all input VCs (kept incrementally for
-    /// O(1) utilization sampling).
-    pub occupancy: u32,
-    /// Occupied flit slots per input port (`port_occ[p]`), maintained at
-    /// the same points as `occupancy`. Lets the allocation phases skip
-    /// whole empty ports; derived state, rebuilt on checkpoint restore.
-    pub port_occ: Vec<u32>,
     /// Total flit slots across all input VCs.
     pub capacity: u32,
-    /// Input VCs currently holding at least one flit (incremental).
-    pub busy_vcs: u32,
-    /// Total input VCs.
-    pub total_vcs: u32,
+    /// VCs per input port (the stride of the flat index).
+    vcs_per_port: usize,
+    /// Occupied flit slots across all input VCs.
+    occupancy: u32,
+    /// Flat input VCs holding at least one flit.
+    nonempty: u128,
+    /// Flat input VCs whose front flit is a head.
+    head_front: u128,
 }
 
 impl RouterState {
-    /// Front flit of input VC `(port, vc)`, if any.
-    pub fn front(&self, port: PortId, vc: VcId) -> Option<&Flit> {
-        self.inputs[port.index()][vc.index()].fifo.front()
+    /// An empty router: one input port per output port, each with
+    /// `vcs_per_port` VCs of `buffer_depth` flits.
+    pub(crate) fn new(outputs: Vec<OutputPort>, vcs_per_port: usize, buffer_depth: usize) -> Self {
+        let ports = outputs.len();
+        Self {
+            inputs: vec![InputVc::default(); ports * vcs_per_port],
+            sa_stage1: vec![RrArbiter::new(); ports],
+            outputs,
+            capacity: (ports * vcs_per_port * buffer_depth) as u32,
+            vcs_per_port,
+            occupancy: 0,
+            nonempty: 0,
+            head_front: 0,
+        }
     }
 
-    /// True when the front flit of `(port, vc)` is switch-eligible at `now`
-    /// (it finished the stage-1 cycle: buffered strictly before `now`).
-    pub fn front_ready(&self, port: PortId, vc: VcId, now: Cycle) -> bool {
-        self.front(port, vc).is_some_and(|f| f.buffered < now)
+    /// Flat index of VC `vc` at input port `port`.
+    pub(crate) fn flat(&self, port: PortId, vc: VcId) -> usize {
+        port.index() * self.vcs_per_port + vc.index()
     }
-}
 
-/// A switch-allocation winner: one flit crossing the crossbar this cycle.
-#[derive(Clone, Copy, Debug)]
-pub struct SaWinner {
-    /// Input port of the crossing flit.
-    pub in_port: PortId,
-    /// Input VC of the crossing flit.
-    pub in_vc: VcId,
-    /// Output port crossed to.
-    pub out_port: PortId,
+    /// Input port and VC of flat index `i`.
+    pub(crate) fn port_vc(&self, i: usize) -> (PortId, VcId) {
+        (PortId(i / self.vcs_per_port), VcId(i % self.vcs_per_port))
+    }
+
+    /// Occupied flit slots across all input VCs.
+    pub(crate) fn occupancy(&self) -> u32 {
+        self.occupancy
+    }
+
+    /// Input VCs holding at least one flit.
+    pub(crate) fn busy_vcs(&self) -> u32 {
+        self.nonempty.count_ones()
+    }
+
+    /// Flat input VCs holding at least one flit.
+    pub(crate) fn nonempty(&self) -> u128 {
+        self.nonempty
+    }
+
+    /// Flat input VCs whose front flit is a head.
+    pub(crate) fn head_front(&self) -> u128 {
+        self.head_front
+    }
+
+    /// The bits of input port `port` in the flat mask `mask`, shifted down
+    /// so VC `v` is bit `v`.
+    pub(crate) fn port_bits(&self, mask: u128, port: usize) -> u128 {
+        // A single-port router may have 128 VCs, so the row mask is built
+        // without a 128-bit shift.
+        (mask >> (port * self.vcs_per_port)) & (u128::MAX >> (128 - self.vcs_per_port))
+    }
+
+    /// Appends `flit` to input VC `i`.
+    pub(crate) fn push(&mut self, i: usize, flit: Flit) {
+        self.inputs[i].fifo.push_back(flit);
+        self.occupancy += 1;
+        if self.inputs[i].fifo.len() == 1 {
+            self.sync(i);
+        }
+    }
+
+    /// Removes and returns the front flit of input VC `i`.
+    pub(crate) fn pop(&mut self, i: usize) -> Option<Flit> {
+        let flit = self.inputs[i].fifo.pop_front()?;
+        self.occupancy -= 1;
+        self.sync(i);
+        Some(flit)
+    }
+
+    /// Keeps only the flits of input VC `i` for which `keep` holds.
+    pub(crate) fn retain(&mut self, i: usize, keep: impl FnMut(&Flit) -> bool) {
+        let before = self.inputs[i].fifo.len();
+        self.inputs[i].fifo.retain(keep);
+        self.occupancy -= (before - self.inputs[i].fifo.len()) as u32;
+        self.sync(i);
+    }
+
+    /// Re-derives both mask bits of input VC `i` from its FIFO front.
+    fn sync(&mut self, i: usize) {
+        let bit = 1u128 << i;
+        let front = self.inputs[i].fifo.front();
+        if front.is_some() {
+            self.nonempty |= bit;
+        } else {
+            self.nonempty &= !bit;
+        }
+        if front.is_some_and(|f| f.kind.is_head()) {
+            self.head_front |= bit;
+        } else {
+            self.head_front &= !bit;
+        }
+    }
+
+    /// Output port the front flit of input VC `i` can cross to at `now`:
+    /// it finished its stage-1 cycle (buffered strictly before `now`),
+    /// holds a route and a downstream VC, and that VC has a credit (a sink
+    /// always accepts).
+    pub(crate) fn sa_eligible(&self, i: usize, now: Cycle) -> Option<PortId> {
+        let vc = &self.inputs[i];
+        let f = vc.fifo.front()?;
+        if f.buffered >= now {
+            return None; // still in stage 1
+        }
+        let route = vc.route?;
+        let ovc = vc.out_vc?;
+        let out = &self.outputs[route.port.index()];
+        match out.target {
+            OutputTarget::Sink { .. } => Some(route.port),
+            OutputTarget::Channel { .. } => {
+                (out.vcs[ovc.index()].credits >= 1).then_some(route.port)
+            }
+        }
+    }
+
+    /// Whether input VC `i` can supply a *second* flit at `now`
+    /// (same-packet back-to-back pair over a wide link; needs two credits).
+    pub(crate) fn sa_pair_eligible(&self, i: usize, now: Cycle) -> bool {
+        let vc = &self.inputs[i];
+        let (Some(f0), Some(f1)) = (vc.fifo.front(), vc.fifo.get(1)) else {
+            return false;
+        };
+        if f0.kind.is_tail() || f1.packet != f0.packet || f1.buffered >= now {
+            return false;
+        }
+        let Some(route) = vc.route else { return false };
+        let Some(ovc) = vc.out_vc else { return false };
+        let out = &self.outputs[route.port.index()];
+        match out.target {
+            OutputTarget::Sink { .. } => true,
+            OutputTarget::Channel { .. } => out.vcs[ovc.index()].credits >= 2,
+        }
+    }
+
+    /// Overwrites the occupancy counter and both VC masks without touching
+    /// the FIFOs, so tests can plant the drift that the invariant checker
+    /// and checkpoint restore must catch.
+    #[cfg(test)]
+    pub(crate) fn set_derived(&mut self, occupancy: u32, nonempty: u128, head_front: u128) {
+        self.occupancy = occupancy;
+        self.nonempty = nonempty;
+        self.head_front = head_front;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::{FlitKind, PacketClass};
-    use crate::types::{NodeId, PacketId};
 
-    fn flit(buffered: Cycle) -> Flit {
+    fn flit(kind: FlitKind) -> Flit {
         Flit {
             packet: PacketId(0),
-            kind: FlitKind::HeadTail,
+            kind,
             seq: 0,
             total: 1,
             src: NodeId(0),
             dst: NodeId(1),
             class: PacketClass::Data,
             inject: 0,
-            buffered,
+            buffered: 0,
         }
     }
 
-    #[test]
-    fn front_ready_respects_pipeline_stage() {
-        let mut r = RouterState {
-            inputs: vec![vec![InputVc::default()]],
-            outputs: Vec::new(),
-            sa_stage1: vec![RrArbiter::new()],
-            occupancy: 0,
-            port_occ: vec![0],
-            capacity: 5,
-            busy_vcs: 0,
-            total_vcs: 1,
+    fn router(ports: usize, vcs_per_port: usize) -> RouterState {
+        let sink = OutputPort {
+            target: OutputTarget::Sink { node: NodeId(0) },
+            lanes: 1,
+            vcs: Vec::new(),
+            va_arb: RrArbiter::new(),
+            sa_primary: RrArbiter::new(),
+            sa_secondary: RrArbiter::new(),
         };
-        r.inputs[0][0].fifo.push_back(flit(5));
-        assert!(!r.front_ready(PortId(0), VcId(0), 5));
-        assert!(r.front_ready(PortId(0), VcId(0), 6));
+        RouterState::new(vec![sink; ports], vcs_per_port, 4)
+    }
+
+    #[test]
+    fn fifo_edits_keep_occupancy_and_masks_in_step() {
+        let mut r = router(3, 4);
+        let i = r.flat(PortId(1), VcId(2));
+        assert_eq!(i, 6);
+        assert_eq!(r.port_vc(i), (PortId(1), VcId(2)));
+        r.push(i, flit(FlitKind::Head));
+        r.push(i, flit(FlitKind::Body));
+        r.push(i, flit(FlitKind::Tail));
+        assert_eq!((r.occupancy(), r.busy_vcs()), (3, 1));
+        assert_eq!((r.nonempty(), r.head_front()), (1 << i, 1 << i));
+        assert_eq!(r.port_bits(r.nonempty(), 1), 1 << 2);
+        assert_eq!(r.port_bits(r.nonempty(), 0), 0);
+        assert!(r.pop(i).is_some_and(|f| f.kind == FlitKind::Head));
+        assert_eq!((r.nonempty(), r.head_front()), (1 << i, 0));
+        r.retain(i, |f| f.kind != FlitKind::Body);
+        assert_eq!(r.occupancy(), 1);
+        assert_eq!((r.nonempty(), r.head_front()), (1 << i, 0));
+        r.push(i, flit(FlitKind::HeadTail));
+        assert!(r.pop(i).is_some_and(|f| f.kind == FlitKind::Tail));
+        assert_eq!((r.nonempty(), r.head_front()), (1 << i, 1 << i));
+        assert!(r.pop(i).is_some());
+        assert!(r.pop(i).is_none());
+        assert_eq!((r.occupancy(), r.nonempty(), r.head_front()), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_single_port_with_128_vcs_uses_every_mask_bit() {
+        let mut r = router(1, 128);
+        r.push(127, flit(FlitKind::HeadTail));
+        r.push(0, flit(FlitKind::Body));
+        assert_eq!(r.port_bits(r.nonempty(), 0), (1 << 127) | 1);
+        assert_eq!(r.port_bits(r.head_front(), 0), 1 << 127);
+        assert_eq!(r.busy_vcs(), 2);
+    }
+
+    #[test]
+    fn sa_eligible_respects_pipeline_stage() {
+        let mut r = router(1, 1);
+        r.push(
+            0,
+            Flit {
+                buffered: 5,
+                ..flit(FlitKind::HeadTail)
+            },
+        );
+        r.inputs[0].route = Some(RouteChoice {
+            port: PortId(0),
+            class: crate::routing::VcClass::Any,
+        });
+        r.inputs[0].out_vc = Some(VcId(0));
+        assert_eq!(r.sa_eligible(0, 5), None);
+        assert_eq!(r.sa_eligible(0, 6), Some(PortId(0)));
     }
 
     #[test]

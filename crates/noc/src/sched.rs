@@ -43,6 +43,11 @@
 //! the statistics integrals keep accumulating their occupancy, but the
 //! allocation phases skip them — exactly as the reference engine does.
 //!
+//! This layer decides only *which routers* a cycle visits. Inside a
+//! visited router both engine modes touch only the input VCs and outputs
+//! that hold work, read off the router's VC masks, so VC-level skipping is
+//! the same exact no-op argument in either mode.
+//!
 //! ## Determinism argument
 //!
 //! The reference engine ([`EngineMode::PollAll`]) visits routers in
@@ -64,10 +69,11 @@ pub enum EngineMode {
     /// globally-quiet gaps (the default).
     #[default]
     ActiveSet,
-    /// Reference mode: poll every router, port and VC every cycle, with no
-    /// quiet-gap fast-forwarding. Byte-identical to [`EngineMode::ActiveSet`]
-    /// (proven by the equivalence suites) and the baseline the active-set
-    /// speedup is measured against.
+    /// Reference mode: poll every router every cycle, with no quiet-gap
+    /// fast-forwarding (within a router it walks the same VC masks as
+    /// [`EngineMode::ActiveSet`]). Byte-identical to
+    /// [`EngineMode::ActiveSet`] (proven by the equivalence suites) and the
+    /// baseline the active-set speedup is measured against.
     PollAll,
 }
 
