@@ -10,8 +10,7 @@
 //!    halve narrow-link packet capacity relative to 192b links.
 //! 2. **Clock tax**: the worst-case 2.07 GHz network clock (§3.4).
 //! 3. **VC asymmetry**: stripping edge routers to 2 VCs costs more than
-//!    6-VC centre routers gain (run `cargo bench -p heteronoc-bench` for
-//!    the router-level sensitivity).
+//!    6-VC centre routers gain.
 //!
 //! Each variant removes one tax from Diagonal+BL and re-measures UR latency
 //! at a moderate load; a "no-tax" variant (192b flits everywhere, wide

@@ -3,13 +3,18 @@
 //! the peripheral small routers carry traffic they were stripped to
 //! de-provision: HeteroNoC saturates earlier than the baseline (+7% average
 //! latency, -9.5% throughput in the paper) and Center+BL beats Diagonal+BL.
+//!
+//! Runs on the sweep engine, like Fig. 7: the 7 layouts × 10 rates grid is
+//! sharded across worker threads and memoized in `results/cache/`.
 
+use crate::sweep::{run_sweep, PointMetrics, Sweep, SweepOptions, TrafficSpec};
 use crate::{
-    mean_unsaturated_latency_ns, mean_unsaturated_power_w, pct_gain, pct_reduction,
-    saturation_throughput, sweep_layout, zero_load_latency_ns, Report,
+    default_params, mean_unsaturated_latency_ns, mean_unsaturated_power_w, pct_gain, pct_reduction,
+    saturation_throughput, zero_load_latency_ns, Report,
 };
-use heteronoc::traffic::NearestNeighbor;
-use heteronoc::Layout;
+use heteronoc::{mesh_config, Layout};
+
+const SEED: u64 = 0xF1609;
 
 pub fn run() {
     let mut rep = Report::new("fig09_nn_traffic");
@@ -18,13 +23,28 @@ pub fn run() {
     let rates: Vec<f64> = (1..=10).map(|i| 0.0125 * i as f64).collect();
 
     let layouts = Layout::all_seven();
-    let mut results = Vec::new();
-    for layout in &layouts {
-        let pts = sweep_layout(layout, &rates, 0xF1609, || {
-            Box::new(NearestNeighbor::new(8, 8))
-        });
-        results.push((layout.name().to_owned(), pts));
-    }
+    let configs: Vec<(String, _)> = layouts
+        .iter()
+        .map(|l| (l.name().to_owned(), mesh_config(l)))
+        .collect();
+    let sweep = Sweep::grid(
+        "fig09_nn_traffic",
+        &configs,
+        &[TrafficSpec::NearestNeighbor {
+            width: 8,
+            height: 8,
+        }],
+        &[SEED],
+        &rates,
+        default_params,
+    );
+    let outcome = run_sweep(&sweep, &SweepOptions::default()).expect("fig09 sweep");
+    // Grid order is layout-major: one chunk of `rates` per layout.
+    let results: Vec<(String, &[PointMetrics])> = layouts
+        .iter()
+        .zip(outcome.points.chunks(rates.len()))
+        .map(|(l, pts)| (l.name().to_owned(), pts))
+        .collect();
 
     rep.line("");
     rep.line("## (a) Load-latency curves [ns]");
@@ -37,7 +57,7 @@ pub fn run() {
         let mut row = format!("{rate:<10.4}");
         for (_, pts) in &results {
             let p = &pts[i];
-            if p.saturated {
+            if p.saturated || p.error.is_some() {
                 row.push_str(&format!("{:>12}", "sat"));
             } else {
                 row.push_str(&format!("{:>12.2}", p.latency_ns));
@@ -46,7 +66,7 @@ pub fn run() {
         rep.line(row);
     }
 
-    let base = &results[0].1;
+    let base = results[0].1;
     let base_thr = saturation_throughput(base);
     let base_lat = mean_unsaturated_latency_ns(base);
     let base_zl = zero_load_latency_ns(base);
@@ -73,7 +93,7 @@ pub fn run() {
     rep.line("and Center+BL performs better than Diagonal+BL under NN.");
 
     let lat = |name: &str| {
-        mean_unsaturated_latency_ns(&results.iter().find(|(n, _)| n == name).unwrap().1)
+        mean_unsaturated_latency_ns(results.iter().find(|(n, _)| n == name).unwrap().1)
     };
     rep.line(format!(
         "measured: Center+BL {:.2} ns vs Diagonal+BL {:.2} ns ({})",

@@ -23,12 +23,10 @@ use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use heteronoc::noc::network::Network;
-use heteronoc::noc::sim::{InjectionProcess, SimParams, SimRun, Traffic};
-use heteronoc::noc::stats::NetStats;
+use heteronoc::noc::sim::{InjectionProcess, SimParams};
 use heteronoc::noc::types::Rate;
-use heteronoc::power::NetworkPower;
-use heteronoc::{mesh_config, Layout};
+
+use crate::sweep::PointMetrics;
 
 /// True when `HETERONOC_FULL=1`: run paper-scale measurement batches.
 pub fn full_scale() -> bool {
@@ -60,117 +58,40 @@ pub fn default_params(rate: f64, seed: u64) -> SimParams {
     }
 }
 
-/// A point with the four summary measurements the paper's figure helpers
-/// need. Implemented by both the legacy [`LoadPoint`] and the sweep
-/// engine's [`sweep::PointMetrics`], so the saturation/zero-load helpers
-/// below work over either.
-pub trait Measured {
-    /// Mean packet latency in nanoseconds.
-    fn latency_ns(&self) -> f64;
-    /// Accepted throughput in packets/node/cycle.
-    fn throughput(&self) -> f64;
-    /// Network power in watts.
-    fn power_w(&self) -> f64;
-    /// Whether the point saturated (or otherwise failed to measure).
-    fn saturated(&self) -> bool;
-}
-
-/// One measured load point of a sweep.
-#[derive(Clone, Debug)]
-pub struct LoadPoint {
-    /// Offered load in packets/node/cycle.
-    pub rate: f64,
-    /// Mean packet latency in nanoseconds.
-    pub latency_ns: f64,
-    /// Accepted throughput in packets/node/cycle.
-    pub throughput: f64,
-    /// Network power in watts (activity-based).
-    pub power_w: f64,
-    /// Whether the run saturated.
-    pub saturated: bool,
-    /// Raw statistics.
-    pub stats: NetStats,
-}
-
-/// Sweeps `layout` across `rates` with fresh traffic from `traffic_fn`.
-pub fn sweep_layout<F>(
-    layout: &Layout,
-    rates: &[f64],
-    seed: u64,
-    mut traffic_fn: F,
-) -> Vec<LoadPoint>
-where
-    F: FnMut() -> Box<dyn Traffic>,
-{
-    let power = NetworkPower::paper_calibrated();
-    rates
-        .iter()
-        .map(|&rate| {
-            let cfg = mesh_config(layout);
-            let graph = cfg.build_graph();
-            let net = Network::new(cfg.clone()).expect("layout config is valid");
-            let mut traffic = traffic_fn();
-            let out = SimRun::new(net, default_params(rate, seed))
-                .traffic(traffic.as_mut())
-                .run()
-                .expect("simulation run");
-            let power_w = power.evaluate(&cfg, &graph, &out.stats).total_w();
-            LoadPoint {
-                rate,
-                latency_ns: out.latency_ns(),
-                throughput: out.stats.throughput_ppc(graph.num_nodes()),
-                power_w,
-                saturated: out.saturated,
-                stats: out.stats,
-            }
-        })
-        .collect()
-}
-
-impl Measured for LoadPoint {
-    fn latency_ns(&self) -> f64 {
-        self.latency_ns
-    }
-    fn throughput(&self) -> f64 {
-        self.throughput
-    }
-    fn power_w(&self) -> f64 {
-        self.power_w
-    }
-    fn saturated(&self) -> bool {
-        self.saturated
-    }
+/// Whether a point measured nothing usable: it saturated or failed.
+fn unmeasured(p: &PointMetrics) -> bool {
+    p.saturated || p.error.is_some()
 }
 
 /// Zero-load latency estimate: the latency of the lowest load point.
-pub fn zero_load_latency_ns<M: Measured>(points: &[M]) -> f64 {
+pub fn zero_load_latency_ns(points: &[PointMetrics]) -> f64 {
     points
         .iter()
-        .filter(|p| !p.saturated())
-        .map(Measured::latency_ns)
+        .filter(|p| !unmeasured(p))
+        .map(|p| p.latency_ns)
         .fold(f64::INFINITY, f64::min)
 }
 
 /// Saturation throughput: the highest accepted throughput among points whose
 /// latency stays below `3x` the zero-load latency (a standard operational
 /// definition of the saturation point).
-pub fn saturation_throughput<M: Measured>(points: &[M]) -> f64 {
+pub fn saturation_throughput(points: &[PointMetrics]) -> f64 {
     let zl = zero_load_latency_ns(points);
     points
         .iter()
-        .filter(|p| !p.saturated() && p.latency_ns() <= 3.0 * zl)
-        .map(Measured::throughput)
+        .filter(|p| !unmeasured(p) && p.latency_ns <= 3.0 * zl)
+        .map(|p| p.throughput)
         .fold(0.0, f64::max)
 }
 
 /// Mean latency over the unsaturated region (the "average latency" the
 /// paper summarizes per configuration in Figs. 7b/9b).
-pub fn mean_unsaturated_latency_ns<M: Measured>(points: &[M]) -> f64 {
+pub fn mean_unsaturated_latency_ns(points: &[PointMetrics]) -> f64 {
     let zl = zero_load_latency_ns(points);
     let sel: Vec<f64> = points
         .iter()
-        .filter(|p| !p.saturated() && p.latency_ns() <= 3.0 * zl)
-        .map(Measured::latency_ns)
+        .filter(|p| !unmeasured(p) && p.latency_ns <= 3.0 * zl)
+        .map(|p| p.latency_ns)
         .collect();
     if sel.is_empty() {
         f64::NAN
@@ -180,12 +101,12 @@ pub fn mean_unsaturated_latency_ns<M: Measured>(points: &[M]) -> f64 {
 }
 
 /// Mean power over the unsaturated region.
-pub fn mean_unsaturated_power_w<M: Measured>(points: &[M]) -> f64 {
+pub fn mean_unsaturated_power_w(points: &[PointMetrics]) -> f64 {
     let zl = zero_load_latency_ns(points);
     let sel: Vec<f64> = points
         .iter()
-        .filter(|p| !p.saturated() && p.latency_ns() <= 3.0 * zl)
-        .map(Measured::power_w)
+        .filter(|p| !unmeasured(p) && p.latency_ns <= 3.0 * zl)
+        .map(|p| p.power_w)
         .collect();
     if sel.is_empty() {
         f64::NAN
@@ -280,7 +201,6 @@ pub fn results_dir() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heteronoc::noc::sim::UniformRandom;
 
     #[test]
     fn pct_helpers() {
@@ -290,22 +210,36 @@ mod tests {
 
     #[test]
     fn sweep_produces_points() {
-        let pts = sweep_layout(&Layout::Baseline, &[0.004], 1, || Box::new(UniformRandom));
+        use crate::sweep::{run_point, Sweep, TrafficSpec};
+        use heteronoc::{mesh_config, Layout};
+
+        let configs = [("Baseline".to_owned(), mesh_config(&Layout::Baseline))];
+        let sweep = Sweep::grid(
+            "smoke",
+            &configs,
+            &[TrafficSpec::Uniform],
+            &[1],
+            &[0.004],
+            default_params,
+        );
         // Quick smoke test only (full sweeps run in the binaries).
-        assert_eq!(pts.len(), 1);
-        assert!(pts[0].latency_ns > 0.0);
-        assert!(pts[0].power_w > 0.0);
+        assert_eq!(sweep.points.len(), 1);
+        let p = run_point(&sweep.points[0]);
+        assert!(p.error.is_none(), "{:?}", p.error);
+        assert!(p.latency_ns > 0.0);
+        assert!(p.power_w > 0.0);
     }
 
     #[test]
     fn saturation_metrics_on_synthetic_points() {
-        let mk = |rate: f64, lat: f64, thr: f64, sat: bool| LoadPoint {
+        let mk = |rate: f64, lat: f64, thr: f64, sat: bool| PointMetrics {
             rate,
             latency_ns: lat,
             throughput: thr,
             power_w: 10.0,
             saturated: sat,
-            stats: NetStats::default(),
+            error: None,
+            ..PointMetrics::failed(String::new(), String::new())
         };
         let pts = vec![
             mk(0.01, 10.0, 0.01, false),

@@ -51,7 +51,7 @@ use heteronoc_verify::{lint_config, run_with_degradation, Injection, LintOptions
 
 use crate::cache::{content_key, ResultCache, SCHEMA_VERSION};
 use crate::json::Json;
-use crate::{results_dir, Measured};
+use crate::results_dir;
 
 /// A traffic pattern as *data*, so sweep points can be hashed for the
 /// result cache and instantiated independently inside worker threads.
@@ -256,7 +256,7 @@ pub struct PointMetrics {
 }
 
 impl PointMetrics {
-    fn failed(label: String, error: String) -> PointMetrics {
+    pub(crate) fn failed(label: String, error: String) -> PointMetrics {
         PointMetrics {
             label,
             rate: f64::NAN,
@@ -396,21 +396,6 @@ fn sched_from_json(v: &Json) -> Option<SchedReport> {
         }
     }
     Some(s)
-}
-
-impl Measured for PointMetrics {
-    fn latency_ns(&self) -> f64 {
-        self.latency_ns
-    }
-    fn throughput(&self) -> f64 {
-        self.throughput
-    }
-    fn power_w(&self) -> f64 {
-        self.power_w
-    }
-    fn saturated(&self) -> bool {
-        self.saturated || self.error.is_some()
-    }
 }
 
 fn int(v: u64) -> Json {

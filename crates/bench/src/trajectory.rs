@@ -11,8 +11,10 @@
 //! deliberately engineered and must not silently lose:
 //!
 //! * **Scheduler engine** — active-set vs poll-all wall time at three
-//!   injection rates, plus a near-idle mesh where quiet-gap
-//!   fast-forwarding dominates (speedups are `Higher`-is-better);
+//!   injection rates, a near-idle mesh, and a quiet mesh (rate 0) that
+//!   quiet-gap fast-forwarding covers without visiting a router
+//!   (speedups are `Higher`-is-better; both engines must reach the same
+//!   outcome);
 //! * **Checkpoint round-trip** — capture, serialize to disk, reload and
 //!   resume a mid-run checkpoint;
 //! * **Sweep cache hit path** — re-running an already-cached sweep must
@@ -35,8 +37,9 @@ use crate::json::{self, Json};
 use crate::sweep::{run_sweep, PointKind, PointSpec, Sweep, SweepOptions, TrafficSpec};
 
 /// Version of the `BENCH_*.json` record layout. Bump on any change to the
-/// schema *or* to the pinned suite (renamed/re-scaled entries make
-/// cross-version comparisons meaningless).
+/// schema or when an existing entry is renamed or re-scaled (that makes
+/// cross-version comparisons meaningless); new entries need no bump, since
+/// [`compare`] reports one-sided entries without failing.
 pub const BENCH_SCHEMA: u32 = 1;
 
 /// Default relative regression threshold for [`compare`]: 15%.
@@ -258,19 +261,69 @@ fn min_secs(reps: u32, mut f: impl FnMut()) -> f64 {
     best
 }
 
-fn timed_run(cfg: &NetworkConfig, params: SimParams, mode: EngineMode, reps: u32) -> f64 {
-    min_secs(reps, || {
+/// Min-of-`reps` wall time of one pinned run, with the
+/// `(cycles, packets_retired)` it reached.
+fn timed_run(
+    cfg: &NetworkConfig,
+    params: SimParams,
+    mode: EngineMode,
+    reps: u32,
+) -> (f64, (u64, u64)) {
+    let mut reached = (0, 0);
+    let secs = min_secs(reps, || {
         let net = Network::new(cfg.clone()).expect("pinned config is valid");
         let out = SimRun::new(net, params)
             .engine(mode)
             .run()
             .expect("pinned suite run");
-        assert!(out.stats.packets_retired > 0, "suite run retired nothing");
-    })
+        reached = (out.cycles, out.stats.packets_retired);
+    });
+    (secs, reached)
 }
 
-fn rate_label(rate: f64) -> String {
-    format!("r{rate}")
+/// Times `params` under both engines and records
+/// `{group}.active_set{tag}.secs`, `{group}.poll_all{tag}.secs` and
+/// `{group}.speedup{tag}`. The engines do byte-identical work, so they
+/// must reach the same `(cycles, packets_retired)`, which is returned.
+fn engine_pair(
+    entries: &mut Vec<BenchEntry>,
+    group: &str,
+    tag: &str,
+    cfg: &NetworkConfig,
+    params: SimParams,
+    reps: u32,
+) -> (u64, u64) {
+    let (active, reached) = timed_run(cfg, params, EngineMode::ActiveSet, reps);
+    let (poll, poll_reached) = timed_run(cfg, params, EngineMode::PollAll, reps);
+    assert_eq!(reached, poll_reached, "{group}{tag}: engines disagree");
+    for (name, value, unit, better) in [
+        (
+            format!("{group}.active_set{tag}.secs"),
+            active,
+            "secs",
+            Better::Lower,
+        ),
+        (
+            format!("{group}.poll_all{tag}.secs"),
+            poll,
+            "secs",
+            Better::Lower,
+        ),
+        (
+            format!("{group}.speedup{tag}"),
+            poll / active.max(1e-9),
+            "ratio",
+            Better::Higher,
+        ),
+    ] {
+        entries.push(BenchEntry {
+            name,
+            value,
+            unit: unit.to_owned(),
+            better,
+        });
+    }
+    reached
 }
 
 /// Runs the pinned micro-suite and returns the record (not yet written).
@@ -294,27 +347,15 @@ pub fn run_suite(quick: bool) -> BenchRecord {
     // loads. Both modes do byte-identical work; only wall time differs.
     for rate in RATES {
         let params = suite_params(rate, measure);
-        let active = timed_run(&cfg, params, EngineMode::ActiveSet, reps);
-        let poll = timed_run(&cfg, params, EngineMode::PollAll, reps);
-        let r = rate_label(rate);
-        entries.push(BenchEntry {
-            name: format!("engine.active_set.{r}.secs"),
-            value: active,
-            unit: "secs".to_owned(),
-            better: Better::Lower,
-        });
-        entries.push(BenchEntry {
-            name: format!("engine.poll_all.{r}.secs"),
-            value: poll,
-            unit: "secs".to_owned(),
-            better: Better::Lower,
-        });
-        entries.push(BenchEntry {
-            name: format!("engine.speedup.{r}"),
-            value: poll / active.max(1e-9),
-            unit: "ratio".to_owned(),
-            better: Better::Higher,
-        });
+        let (_, retired) = engine_pair(
+            &mut entries,
+            "engine",
+            &format!(".r{rate}"),
+            &cfg,
+            params,
+            reps,
+        );
+        assert!(retired > 0, "suite run retired nothing");
     }
 
     // Near-idle mesh: long stretches of quiet cycles, where active-set's
@@ -328,26 +369,25 @@ pub fn run_suite(quick: bool) -> BenchRecord {
         process: InjectionProcess::Bernoulli,
         watchdog: None,
     };
-    let active = timed_run(&cfg, idle, EngineMode::ActiveSet, reps);
-    let poll = timed_run(&cfg, idle, EngineMode::PollAll, reps);
-    entries.push(BenchEntry {
-        name: "idle.active_set.secs".to_owned(),
-        value: active,
-        unit: "secs".to_owned(),
-        better: Better::Lower,
-    });
-    entries.push(BenchEntry {
-        name: "idle.poll_all.secs".to_owned(),
-        value: poll,
-        unit: "secs".to_owned(),
-        better: Better::Lower,
-    });
-    entries.push(BenchEntry {
-        name: "idle.speedup".to_owned(),
-        value: poll / active.max(1e-9),
-        unit: "ratio".to_owned(),
-        better: Better::Higher,
-    });
+    let (_, retired) = engine_pair(&mut entries, "idle", "", &cfg, idle, reps);
+    assert!(retired > 0, "suite run retired nothing");
+
+    // Quiet mesh: rate 0 never completes its one-packet batch, so both
+    // engines cover the whole horizon; active-set fast-forwards it,
+    // poll-all walks every cycle. Nothing retires, so check the horizon
+    // was reached instead.
+    let horizon = if quick { 100_000 } else { 500_000 };
+    let quiet = SimParams {
+        injection_rate: Rate::ZERO,
+        warmup_packets: 1,
+        measure_packets: 1,
+        max_cycles: horizon,
+        seed: SEED,
+        process: InjectionProcess::Bernoulli,
+        watchdog: None,
+    };
+    let (cycles, _) = engine_pair(&mut entries, "quiet", "", &cfg, quiet, reps);
+    assert_eq!(cycles, horizon, "quiet run stopped short of its horizon");
 
     // Checkpoint round-trip: run to a boundary, capture, save, reload,
     // resume, advance. Measures the serialization path end to end.
@@ -690,6 +730,7 @@ mod tests {
             "engine.active_set.r0.01.secs",
             "engine.speedup.r0.05",
             "idle.speedup",
+            "quiet.speedup",
             "checkpoint.roundtrip.secs",
             "cache.hit_scan.secs",
         ] {

@@ -174,6 +174,8 @@ fn second_run_is_fully_cached() {
     for (a, b) in first.points.iter().zip(&second.points) {
         assert!(!a.cached);
         assert!(b.cached);
+        assert!(a.latency_ns > 0.0, "{}: latency {}", a.label, a.latency_ns);
+        assert!(a.power_w > 0.0, "{}: power {}", a.label, a.power_w);
         assert_eq!(a.label, b.label, "labels are re-applied on cache hits");
         assert_eq!(a.latency_ns, b.latency_ns);
         assert_eq!(a.throughput, b.throughput);

@@ -108,7 +108,8 @@ COMMANDS
                --epochs N           also print an epoch table every N cycles
                --profile            print per-pipeline-stage wall-time table
                --check <file>       validate a JSONL trace instead of simulating
-               --overhead           run traced and untraced, report wall times
+               --overhead           run untraced and observed (JSONL trace plus
+                                    --epochs/--profile), report wall times
   report     render epoch time-series from a sweep's results JSON, or the
              reliability curves of a campaign manifest
                --name <name>        reads results/<name>.json, falling back to
@@ -688,16 +689,27 @@ fn cmd_trace(a: &Args) -> Result<(), String> {
     let seed = a.get_or("seed", 42u64)?;
     let p = params(rate, packets, seed);
     let cfg = mesh_config(&layout);
+    let epoch_every: u64 = a.get_or("epochs", 0u64)?;
+    if a.get("epochs").is_some() && epoch_every == 0 {
+        return Err("--epochs must be positive".into());
+    }
+    let profile = a.flag("profile");
 
     if a.flag("overhead") {
-        // Same run twice: observability off, then fully on. The paired wall
-        // times quantify the tracing tax; the identical stats demonstrate
-        // the zero-perturbation property.
-        let run_once = |traced: bool| -> Result<(f64, u64, u64), String> {
+        // Same run twice: observability off, then on (a JSONL trace plus
+        // any `--epochs`/`--profile`). The paired wall times quantify the
+        // observability tax; the identical stats demonstrate the
+        // zero-perturbation property.
+        let run_once = |observed: bool| -> Result<(f64, u64, u64), String> {
             let net = Network::new(cfg.clone()).map_err(|e| e.to_string())?;
             let mut run = SimRun::new(net, p);
-            if traced {
-                run = run.trace(Box::new(JsonlSink::new(std::io::sink())));
+            if observed {
+                run = run
+                    .trace(Box::new(JsonlSink::new(std::io::sink())))
+                    .profile(profile);
+                if epoch_every > 0 {
+                    run = run.epochs(epoch_every);
+                }
             }
             let start = std::time::Instant::now();
             let out = run.run().map_err(|e| e.to_string())?;
@@ -715,18 +727,21 @@ fn cmd_trace(a: &Args) -> Result<(), String> {
                  vs {on_pkts} pkts/{on_cycles} cyc traced"
             ));
         }
+        let mut observed = String::from("traced");
+        if epoch_every > 0 {
+            observed.push_str("+epochs");
+        }
+        if profile {
+            observed.push_str("+profile");
+        }
         println!(
-            "overhead: untraced {off:.3}s · traced {on:.3}s · ratio {:.2} · identical results ({on_pkts} packets, {on_cycles} cycles)",
+            "overhead: untraced {off:.3}s · {observed} {on:.3}s · ratio {:.2} · identical results ({on_pkts} packets, {on_cycles} cycles)",
             on / off.max(1e-9)
         );
         return Ok(());
     }
 
     let jsonl_path = a.get("out").unwrap_or("results/trace.jsonl").to_owned();
-    let epoch_every: u64 = a.get_or("epochs", 0u64)?;
-    if a.get("epochs").is_some() && epoch_every == 0 {
-        return Err("--epochs must be positive".into());
-    }
 
     if let Some(parent) = std::path::Path::new(&jsonl_path).parent() {
         if !parent.as_os_str().is_empty() {
@@ -770,10 +785,7 @@ fn cmd_trace(a: &Args) -> Result<(), String> {
     if epoch_every > 0 {
         run = run.epochs(epoch_every);
     }
-    if a.flag("profile") {
-        run = run.profile(true);
-    }
-    let out = run.run().map_err(|e| e.to_string())?;
+    let out = run.profile(profile).run().map_err(|e| e.to_string())?;
 
     println!(
         "layout {} · rate {rate} · {} packets · {} cycles · latency {:.2} ns",

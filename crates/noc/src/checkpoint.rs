@@ -48,8 +48,9 @@ use crate::types::Cycle;
 pub const MAGIC: [u8; 8] = *b"HNCKPT01";
 
 /// Bump when the body layout changes; old files then fail with
-/// [`CheckpointError::BadVersion`] instead of decoding garbage.
-pub const SCHEMA_VERSION: u32 = 1;
+/// [`CheckpointError::BadVersion`] instead of decoding garbage. v2 stores
+/// each latency histogram as its bucket prefix plus its sum.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Fixed header size in bytes (see the module-level format table).
 pub const HEADER_LEN: usize = 48;

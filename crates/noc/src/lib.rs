@@ -85,6 +85,5 @@ pub use packet::{Flit, Packet, PacketClass};
 pub use profile::{ProfileReport, Stage, StageProfiler};
 pub use replay::{DivergenceReport, ReplayDriver, Trajectory};
 pub use sched::{EngineMode, RouterActivity, SchedReport, WakeReason};
-pub use telemetry::latency_log_hist;
 pub use trace::{ChromeTraceSink, JsonlSink, SharedBuffer, TraceEvent, TraceSink};
 pub use types::{Bits, Coord, Cycle, NodeId, PacketId, PortId, Rate, RouterId, VcId};

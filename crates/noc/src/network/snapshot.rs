@@ -24,6 +24,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
+use heteronoc_obs::LogHistogram;
 use rand::rngs::StdRng;
 
 use crate::checkpoint::{fnv1a64, CheckpointError, Dec, Enc};
@@ -36,8 +37,7 @@ use crate::router::arbiter::RrArbiter;
 use crate::router::InputVc;
 use crate::routing::{RouteChoice, RouteTable, RoutingKind, VcClass};
 use crate::stats::{
-    LatencyAgg, LatencyDist, LatencyHistogram, LatencyPctls, LinkEvents, PacketRecord, Pctls,
-    RouterEvents,
+    LatencyAgg, LatencyDist, LatencyPctls, LinkEvents, PacketRecord, Pctls, RouterEvents,
 };
 use crate::types::{Bits, LinkId, NodeId, PacketId, PortId, RouterId, VcId};
 
@@ -220,15 +220,22 @@ fn dec_opt_usize(d: &mut Dec) -> Result<Option<usize>, CheckpointError> {
     Ok(if d.bool()? { Some(d.usize()?) } else { None })
 }
 
-fn enc_hist(e: &mut Enc, h: &LatencyHistogram) {
-    e.u64s(h.buckets());
-    e.u64(h.count());
+/// A histogram is stored as its buckets up to the last non-zero one, then
+/// its sum; the count is derived from the buckets on decode.
+fn enc_hist(e: &mut Enc, h: &LogHistogram) {
+    let used = h
+        .buckets()
+        .iter()
+        .rposition(|&b| b > 0)
+        .map_or(0, |i| i + 1);
+    e.u64s(&h.buckets()[..used]);
+    e.u64(h.sum());
 }
 
-fn dec_hist(d: &mut Dec) -> Result<LatencyHistogram, CheckpointError> {
+fn dec_hist(d: &mut Dec) -> Result<LogHistogram, CheckpointError> {
     let buckets = d.u64s()?;
-    let count = d.u64()?;
-    Ok(LatencyHistogram::from_parts(buckets, count))
+    let sum = d.u64()?;
+    LogHistogram::from_parts(&buckets, sum).ok_or(CheckpointError::Malformed("histogram buckets"))
 }
 
 fn enc_dist(e: &mut Enc, dist: &LatencyDist) {
@@ -1690,6 +1697,26 @@ mod tests {
         let err = restore_error(&net);
         assert!(
             matches!(err, CheckpointError::Malformed("fifo depth")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn histogram_roundtrips_and_more_than_64_buckets_is_malformed() {
+        let mut h = LogHistogram::new();
+        for v in [0u64, 1, 7, 7, 300] {
+            h.record(v);
+        }
+        let mut e = Enc::new();
+        enc_hist(&mut e, &h);
+        e.u64s(&[1; 65]);
+        e.u64(65);
+        let bytes = e.into_bytes();
+        let mut d = Dec::new(&bytes);
+        assert_eq!(dec_hist(&mut d).unwrap(), h);
+        let err = dec_hist(&mut d).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Malformed("histogram buckets")),
             "{err:?}"
         );
     }

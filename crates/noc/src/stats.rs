@@ -3,6 +3,7 @@
 //! (Figs. 1-2), flit-combining rates (§3.3) and the event counts that drive
 //! the power model.
 
+use heteronoc_obs::LogHistogram;
 use serde::{Deserialize, Serialize};
 
 use crate::packet::PacketClass;
@@ -128,70 +129,7 @@ impl LatencyAgg {
     }
 }
 
-/// Power-of-two-bucketed latency histogram (bucket `i` holds latencies in
-/// `[2^i, 2^(i+1))`, bucket 0 holds 0 and 1), used for jitter/predictability
-/// analysis (the paper's Fig. 13b variance discussion).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LatencyHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-}
-
-impl LatencyHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rebuilds a histogram from bucket counts captured via
-    /// [`LatencyHistogram::buckets`] (checkpoint restore).
-    pub(crate) fn from_parts(buckets: Vec<u64>, count: u64) -> Self {
-        Self { buckets, count }
-    }
-
-    /// Records one latency sample (in cycles).
-    pub fn add(&mut self, cycles: u64) {
-        let b = (64 - cycles.max(1).leading_zeros()) as usize - 1;
-        if self.buckets.len() <= b {
-            self.buckets.resize(b + 1, 0);
-        }
-        self.buckets[b] += 1;
-        self.count += 1;
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Bucket counts (`buckets()[i]` covers `[2^i, 2^(i+1))`).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Upper bound of the bucket containing the `p`-quantile (`0 < p <= 1`),
-    /// a conservative percentile estimate.
-    ///
-    /// # Panics
-    /// Panics if `p` is not in `(0, 1]`.
-    pub fn quantile_upper_bound(&self, p: f64) -> u64 {
-        assert!(p > 0.0 && p <= 1.0, "quantile must be in (0, 1]");
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (p * self.count as f64).ceil() as u64;
-        let mut acc = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return (2u64 << i) - 1;
-            }
-        }
-        (2u64 << self.buckets.len()) - 1
-    }
-}
-
-/// Conservative p50/p95/p99 upper bounds read off a [`LatencyHistogram`]
+/// Conservative p50/p95/p99 upper bounds read off a [`LogHistogram`]
 /// (all zero when the histogram is empty).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Pctls {
@@ -205,7 +143,7 @@ pub struct Pctls {
 
 impl Pctls {
     /// Reads the three percentiles off `h`.
-    pub fn of(h: &LatencyHistogram) -> Self {
+    pub fn of(h: &LogHistogram) -> Self {
         Self {
             p50: h.quantile_upper_bound(0.50),
             p95: h.quantile_upper_bound(0.95),
@@ -216,27 +154,27 @@ impl Pctls {
 
 /// Histograms of the paper's full latency decomposition (Fig. 8a): total,
 /// queuing, blocking, and transfer components each get their own
-/// [`LatencyHistogram`], so percentiles are available per component — not
+/// [`LogHistogram`], so percentiles are available per component — not
 /// just the means [`LatencyAgg`] exposes.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyDist {
     /// Total latency (queue entry to tail ejection).
-    pub total: LatencyHistogram,
+    pub total: LogHistogram,
     /// Source-queuing component.
-    pub queuing: LatencyHistogram,
+    pub queuing: LogHistogram,
     /// Blocking (contention) component.
-    pub blocking: LatencyHistogram,
+    pub blocking: LogHistogram,
     /// Contention-free transfer component.
-    pub transfer: LatencyHistogram,
+    pub transfer: LogHistogram,
 }
 
 impl LatencyDist {
     /// Accumulates one completed packet's decomposition.
     pub fn add(&mut self, rec: &PacketRecord) {
-        self.total.add(rec.total());
-        self.queuing.add(rec.queuing());
-        self.blocking.add(rec.blocking());
-        self.transfer.add(rec.network() - rec.blocking());
+        self.total.record(rec.total());
+        self.queuing.record(rec.queuing());
+        self.blocking.record(rec.blocking());
+        self.transfer.record(rec.network() - rec.blocking());
     }
 
     /// Packets accumulated.
@@ -471,32 +409,6 @@ mod tests {
         assert_eq!(s.buffer_utilization(0), 0.0);
         assert_eq!(s.link_utilization(0, 1), 0.0);
         assert_eq!(s.throughput_ppc(4), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = LatencyHistogram::new();
-        for v in [1u64, 2, 3, 7, 8, 100] {
-            h.add(v);
-        }
-        assert_eq!(h.count(), 6);
-        // Buckets: [1], [2,3], [.], [7], [8..15] ... 100 in [64,128).
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[1], 2);
-        assert_eq!(h.buckets()[2], 1);
-        assert_eq!(h.buckets()[3], 1);
-        assert_eq!(h.buckets()[6], 1);
-        // Median upper bound: 3rd sample lands in bucket 1 -> 3.
-        assert_eq!(h.quantile_upper_bound(0.5), 3);
-        assert_eq!(h.quantile_upper_bound(1.0), 127);
-        assert_eq!(LatencyHistogram::new().quantile_upper_bound(0.9), 0);
-    }
-
-    #[test]
-    fn histogram_zero_sample_goes_to_first_bucket() {
-        let mut h = LatencyHistogram::new();
-        h.add(0);
-        assert_eq!(h.buckets()[0], 1);
     }
 
     #[test]

@@ -17,26 +17,14 @@
 //! the source structs and draws no randomness — the registry is
 //! observational only and cannot perturb simulation determinism.
 
-use heteronoc_obs::{Instrument, LogHistogram, Registry};
+use heteronoc_obs::{Instrument, Registry};
 
 use crate::fault::{FaultCounters, RecoveryCounters};
 use crate::network::Network;
 use crate::profile::{ProfileReport, STAGES};
 use crate::sched::SchedReport;
 use crate::sim::SimOutcome;
-use crate::stats::{LatencyHistogram, NetStats};
-
-/// Converts an engine-side [`LatencyHistogram`] into an obs
-/// [`LogHistogram`]. Bucket indices coincide (both bucket by the highest
-/// set bit), so counts transfer exactly; the sum is reconstructed from
-/// bucket lower edges and is therefore a lower bound, not exact.
-pub fn latency_log_hist(h: &LatencyHistogram) -> LogHistogram {
-    let mut out = LogHistogram::new();
-    for (i, &c) in h.buckets().iter().enumerate() {
-        out.record_n(1u64 << i.min(63), c);
-    }
-    out
-}
+use crate::stats::NetStats;
 
 impl Instrument for SchedReport {
     fn export(&self, reg: &mut Registry, prefix: &str) {
@@ -123,7 +111,7 @@ impl Instrument for NetStats {
             ("blocking", &self.latency_dist.blocking),
             ("transfer", &self.latency_dist.transfer),
         ] {
-            reg.merge_hist(&format!("{prefix}.latency.{name}"), &latency_log_hist(h));
+            reg.merge_hist(&format!("{prefix}.latency.{name}"), h);
         }
     }
 }
@@ -165,22 +153,8 @@ impl Network {
 mod tests {
     use super::*;
     use crate::config::NetworkConfig;
-
-    #[test]
-    fn latency_hist_conversion_preserves_counts_and_quantiles() {
-        let mut h = LatencyHistogram::new();
-        for v in [1u64, 3, 9, 9, 40, 300] {
-            h.add(v);
-        }
-        let log = latency_log_hist(&h);
-        assert_eq!(log.count(), h.count());
-        assert_eq!(
-            log.quantile_upper_bound(0.5),
-            h.quantile_upper_bound(0.5),
-            "same bucket layout must give identical quantile bounds"
-        );
-        assert_eq!(log.quantile_upper_bound(0.99), h.quantile_upper_bound(0.99));
-    }
+    use crate::sim::{InjectionProcess, SimParams, Stepper, UniformRandom};
+    use crate::types::Rate;
 
     #[test]
     fn sched_report_exports_every_field() {
@@ -213,5 +187,31 @@ mod tests {
         assert!(reg.get("noc.sched.cycles").is_some());
         assert!(reg.get("noc.fault.retransmissions").is_some());
         assert!(reg.get("noc.stats.latency.total").is_some());
+    }
+
+    #[test]
+    fn exported_total_latency_histogram_is_exact() {
+        let params = SimParams {
+            injection_rate: Rate::new(0.02),
+            warmup_packets: 50,
+            measure_packets: 500,
+            max_cycles: 200_000,
+            seed: 7,
+            process: InjectionProcess::Bernoulli,
+            watchdog: None,
+        };
+        let net = Network::new(NetworkConfig::paper_baseline()).unwrap();
+        let mut run = Stepper::fresh(net, params, Box::new(UniformRandom));
+        run.run_to(params.max_cycles).unwrap();
+        let stats = run.network().stats();
+        assert!(stats.packets_retired > 0);
+        let mut reg = Registry::new();
+        run.network().export_telemetry(&mut reg);
+        let total = reg.hist("noc.stats.latency.total").unwrap();
+        assert_eq!(total.count(), stats.packets_retired);
+        // The exact sum, not one rebuilt from bucket lower edges. Only the
+        // total is checked: a histogram counts a zero-cycle queuing
+        // sample as 1.
+        assert_eq!(total.sum(), stats.latency.total);
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! [`LogHistogram`] buckets samples by the position of their highest set
 //! bit: bucket `i` covers the value range `[2^i, 2^(i+1) - 1]` (bucket 0
-//! holds 1, bucket 1 holds 2–3, and so on — zero samples clamp to 1). This
-//! mirrors the latency histogram the stats pipeline has always used, keeps
-//! `record` branch-free and allocation-free (a single `leading_zeros` plus
-//! an array increment), and makes merging shards *exact*: bucket counts
+//! holds 1, bucket 1 holds 2–3, and so on — zero samples clamp to 1). It is
+//! the one histogram type of the workspace: the engine's latency
+//! statistics record into it directly. The layout keeps `record`
+//! branch-free and allocation-free (a single `leading_zeros` plus an
+//! array increment), and makes merging shards *exact*: bucket counts
 //! simply add, so a histogram built from `N` sweep shards is bit-identical
 //! to one built single-threaded.
 //!
@@ -60,6 +61,18 @@ impl LogHistogram {
             count: 0,
             sum: 0,
         }
+    }
+
+    /// Rebuilds a histogram from a prefix of its bucket counts and its
+    /// sum (the checkpoint encoding); the count is derived from the
+    /// buckets. `None` when there are more than [`BUCKETS`] buckets or
+    /// their total overflows `u64`.
+    pub fn from_parts(buckets: &[u64], sum: u64) -> Option<Self> {
+        let mut h = Self::new();
+        h.buckets.get_mut(..buckets.len())?.copy_from_slice(buckets);
+        h.count = buckets.iter().try_fold(0u64, |n, &b| n.checked_add(b))?;
+        h.sum = sum;
+        Some(h)
     }
 
     /// Record one sample. Zero clamps to 1 (bucket 0).
@@ -238,6 +251,22 @@ mod tests {
         assert_eq!(a, b);
         a.record_n(99, 0);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn from_parts_derives_the_count_and_rejects_bad_input() {
+        let mut h = LogHistogram::new();
+        for v in [1u64, 3, 9, 9, 300] {
+            h.record(v);
+        }
+        let last = h.buckets().iter().rposition(|&b| b > 0).unwrap();
+        assert_eq!(
+            LogHistogram::from_parts(&h.buckets()[..=last], h.sum()),
+            Some(h)
+        );
+        assert_eq!(LogHistogram::from_parts(&[], 0), Some(LogHistogram::new()));
+        assert_eq!(LogHistogram::from_parts(&[0; BUCKETS + 1], 0), None);
+        assert_eq!(LogHistogram::from_parts(&[u64::MAX, 1], 0), None);
     }
 
     #[test]
