@@ -10,11 +10,11 @@
 //! The suite covers the three paths whose performance the project has
 //! deliberately engineered and must not silently lose:
 //!
-//! * **Scheduler engine** — active-set vs poll-all wall time at three
-//!   injection rates, a near-idle mesh, and a quiet mesh (rate 0) that
-//!   quiet-gap fast-forwarding covers without visiting a router
-//!   (speedups are `Higher`-is-better; both engines must reach the same
-//!   outcome);
+//! * **Engine** — open-loop wall time at three injection rates and on a
+//!   near-idle mesh, and a quiet mesh (rate 0) that the quiet-gap fast
+//!   path covers without visiting a router, gated against the same
+//!   horizon walked one cycle at a time (`quiet.speedup`,
+//!   `Higher`-is-better);
 //! * **Checkpoint round-trip** — capture, serialize to disk, reload and
 //!   resume a mid-run checkpoint;
 //! * **Sweep cache hit path** — re-running an already-cached sweep must
@@ -29,7 +29,6 @@ use std::time::Instant;
 
 use heteronoc::noc::config::NetworkConfig;
 use heteronoc::noc::network::Network;
-use heteronoc::noc::sched::EngineMode;
 use heteronoc::noc::sim::{InjectionProcess, SimParams, SimRun, Stepper, UniformRandom};
 use heteronoc::noc::types::Rate;
 
@@ -40,7 +39,7 @@ use crate::sweep::{run_sweep, PointKind, PointSpec, Sweep, SweepOptions, Traffic
 /// schema or when an existing entry is renamed or re-scaled (that makes
 /// cross-version comparisons meaningless); new entries need no bump, since
 /// [`compare`] reports one-sided entries without failing.
-pub const BENCH_SCHEMA: u32 = 1;
+pub const BENCH_SCHEMA: u32 = 2;
 
 /// Default relative regression threshold for [`compare`]: 15%.
 pub const DEFAULT_THRESHOLD: f64 = 0.15;
@@ -80,7 +79,7 @@ impl Better {
 /// One measurement of the pinned suite.
 #[derive(Clone, Debug)]
 pub struct BenchEntry {
-    /// Dotted-path metric name, e.g. `engine.active_set.r0.03.secs`.
+    /// Dotted-path metric name, e.g. `open.r0.03.secs`.
     pub name: String,
     /// Measured value.
     pub value: f64,
@@ -231,7 +230,7 @@ pub fn git_short_sha() -> String {
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
-/// Pinned injection rates of the engine comparison (packets/node/cycle).
+/// Pinned injection rates of the open-loop timings (packets/node/cycle).
 const RATES: [f64; 3] = [0.01, 0.03, 0.05];
 
 /// Fixed seed: the suite measures wall time of *identical* work.
@@ -263,67 +262,14 @@ fn min_secs(reps: u32, mut f: impl FnMut()) -> f64 {
 
 /// Min-of-`reps` wall time of one pinned run, with the
 /// `(cycles, packets_retired)` it reached.
-fn timed_run(
-    cfg: &NetworkConfig,
-    params: SimParams,
-    mode: EngineMode,
-    reps: u32,
-) -> (f64, (u64, u64)) {
+fn timed_run(cfg: &NetworkConfig, params: SimParams, reps: u32) -> (f64, (u64, u64)) {
     let mut reached = (0, 0);
     let secs = min_secs(reps, || {
         let net = Network::new(cfg.clone()).expect("pinned config is valid");
-        let out = SimRun::new(net, params)
-            .engine(mode)
-            .run()
-            .expect("pinned suite run");
+        let out = SimRun::new(net, params).run().expect("pinned suite run");
         reached = (out.cycles, out.stats.packets_retired);
     });
     (secs, reached)
-}
-
-/// Times `params` under both engines and records
-/// `{group}.active_set{tag}.secs`, `{group}.poll_all{tag}.secs` and
-/// `{group}.speedup{tag}`. The engines do byte-identical work, so they
-/// must reach the same `(cycles, packets_retired)`, which is returned.
-fn engine_pair(
-    entries: &mut Vec<BenchEntry>,
-    group: &str,
-    tag: &str,
-    cfg: &NetworkConfig,
-    params: SimParams,
-    reps: u32,
-) -> (u64, u64) {
-    let (active, reached) = timed_run(cfg, params, EngineMode::ActiveSet, reps);
-    let (poll, poll_reached) = timed_run(cfg, params, EngineMode::PollAll, reps);
-    assert_eq!(reached, poll_reached, "{group}{tag}: engines disagree");
-    for (name, value, unit, better) in [
-        (
-            format!("{group}.active_set{tag}.secs"),
-            active,
-            "secs",
-            Better::Lower,
-        ),
-        (
-            format!("{group}.poll_all{tag}.secs"),
-            poll,
-            "secs",
-            Better::Lower,
-        ),
-        (
-            format!("{group}.speedup{tag}"),
-            poll / active.max(1e-9),
-            "ratio",
-            Better::Higher,
-        ),
-    ] {
-        entries.push(BenchEntry {
-            name,
-            value,
-            unit: unit.to_owned(),
-            better,
-        });
-    }
-    reached
 }
 
 /// Runs the pinned micro-suite and returns the record (not yet written).
@@ -334,32 +280,34 @@ pub fn run_suite(quick: bool) -> BenchRecord {
     let reps: u32 = 2;
     let cfg = NetworkConfig::paper_baseline();
     let mut entries = Vec::new();
-    let info = |name: &str, value: f64, unit: &str| BenchEntry {
+    let entry = |name: &str, value: f64, unit: &str, better: Better| BenchEntry {
         name: name.to_owned(),
         value,
         unit: unit.to_owned(),
-        better: Better::Info,
+        better,
     };
-    entries.push(info("meta.measure_packets", measure as f64, "count"));
-    entries.push(info("meta.reps", f64::from(reps), "count"));
+    entries.push(entry(
+        "meta.measure_packets",
+        measure as f64,
+        "count",
+        Better::Info,
+    ));
+    entries.push(entry("meta.reps", f64::from(reps), "count", Better::Info));
 
-    // Engine comparison: active-set vs the poll-all reference at three
-    // loads. Both modes do byte-identical work; only wall time differs.
+    // Open-loop engine cost at three loads.
     for rate in RATES {
-        let params = suite_params(rate, measure);
-        let (_, retired) = engine_pair(
-            &mut entries,
-            "engine",
-            &format!(".r{rate}"),
-            &cfg,
-            params,
-            reps,
-        );
+        let (secs, (_, retired)) = timed_run(&cfg, suite_params(rate, measure), reps);
         assert!(retired > 0, "suite run retired nothing");
+        entries.push(entry(
+            &format!("open.r{rate}.secs"),
+            secs,
+            "secs",
+            Better::Lower,
+        ));
     }
 
-    // Near-idle mesh: long stretches of quiet cycles, where active-set's
-    // quiet-gap fast-forwarding should dominate poll-all.
+    // Near-idle mesh: long stretches of quiet cycles, each advanced by
+    // the idle fast path.
     let idle = SimParams {
         injection_rate: Rate::new(0.0005),
         warmup_packets: 10,
@@ -369,13 +317,15 @@ pub fn run_suite(quick: bool) -> BenchRecord {
         process: InjectionProcess::Bernoulli,
         watchdog: None,
     };
-    let (_, retired) = engine_pair(&mut entries, "idle", "", &cfg, idle, reps);
+    let (secs, (_, retired)) = timed_run(&cfg, idle, reps);
     assert!(retired > 0, "suite run retired nothing");
+    entries.push(entry("idle.secs", secs, "secs", Better::Lower));
 
-    // Quiet mesh: rate 0 never completes its one-packet batch, so both
-    // engines cover the whole horizon; active-set fast-forwards it,
-    // poll-all walks every cycle. Nothing retires, so check the horizon
-    // was reached instead.
+    // Quiet mesh: rate 0 never completes its one-packet batch, so the run
+    // covers the whole horizon, in quiet-gap jumps. The reference walks
+    // the same horizon one cycle at a time (`Stepper::run_to(now + 1)`
+    // never jumps). Nothing retires, so check the horizon was reached
+    // instead.
     let horizon = if quick { 100_000 } else { 500_000 };
     let quiet = SimParams {
         injection_rate: Rate::ZERO,
@@ -386,8 +336,23 @@ pub fn run_suite(quick: bool) -> BenchRecord {
         process: InjectionProcess::Bernoulli,
         watchdog: None,
     };
-    let (cycles, _) = engine_pair(&mut entries, "quiet", "", &cfg, quiet, reps);
+    let (jumped, (cycles, _)) = timed_run(&cfg, quiet, reps);
     assert_eq!(cycles, horizon, "quiet run stopped short of its horizon");
+    let walked = min_secs(reps, || {
+        let net = Network::new(cfg.clone()).expect("pinned config is valid");
+        let mut stepper = Stepper::fresh(net, quiet, Box::new(UniformRandom));
+        while stepper.now() < horizon {
+            stepper.run_to(stepper.now() + 1).expect("walked quiet run");
+        }
+    });
+    entries.push(entry("quiet.secs", jumped, "secs", Better::Lower));
+    entries.push(entry("quiet.walked.secs", walked, "secs", Better::Lower));
+    entries.push(entry(
+        "quiet.speedup",
+        walked / jumped.max(1e-9),
+        "ratio",
+        Better::Higher,
+    ));
 
     // Checkpoint round-trip: run to a boundary, capture, save, reload,
     // resume, advance. Measures the serialization path end to end.
@@ -406,12 +371,12 @@ pub fn run_suite(quick: bool) -> BenchRecord {
             Stepper::resumed(net, params, Box::new(UniformRandom), &ckpt).expect("resume");
         resumed.run_to(1_000).expect("resumed run");
     });
-    entries.push(BenchEntry {
-        name: "checkpoint.roundtrip.secs".to_owned(),
-        value: secs,
-        unit: "secs".to_owned(),
-        better: Better::Lower,
-    });
+    entries.push(entry(
+        "checkpoint.roundtrip.secs",
+        secs,
+        "secs",
+        Better::Lower,
+    ));
 
     // Sweep cache hit path: the first run populates a scratch cache, the
     // timed second run must resolve every point from it.
@@ -435,12 +400,7 @@ pub fn run_suite(quick: bool) -> BenchRecord {
             "re-run must be a pure cache scan"
         );
     });
-    entries.push(BenchEntry {
-        name: "cache.hit_scan.secs".to_owned(),
-        value: secs,
-        unit: "secs".to_owned(),
-        better: Better::Lower,
-    });
+    entries.push(entry("cache.hit_scan.secs", secs, "secs", Better::Lower));
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 
     BenchRecord {
@@ -727,9 +687,10 @@ mod tests {
         assert!(record.quick);
         // Every engineered path is represented and gated.
         for name in [
-            "engine.active_set.r0.01.secs",
-            "engine.speedup.r0.05",
-            "idle.speedup",
+            "open.r0.01.secs",
+            "open.r0.05.secs",
+            "idle.secs",
+            "quiet.walked.secs",
             "quiet.speedup",
             "checkpoint.roundtrip.secs",
             "cache.hit_scan.secs",

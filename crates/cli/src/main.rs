@@ -67,13 +67,9 @@ COMMANDS
                                     truncated to the checkpointed cursor and
                                     continued byte-identically
                --profile            print the per-stage wall-time table plus
-                                    active-set scheduler statistics (cycles
-                                    skipped, router visits avoided, wake-set
-                                    size histogram)
-               --no-activity-tracking
-                                    drive the walk-everything reference engine
-                                    instead of the active-set scheduler
-                                    (byte-identical results, slower)
+                                    scheduler statistics (cycles skipped,
+                                    router visits avoided, wake-set size
+                                    histogram)
                --progress <sink>    stream live JSONL progress snapshots to a
                                     file, '-' (stdout) or fd:N; observational
                                     only — results stay byte-identical
@@ -193,8 +189,8 @@ COMMANDS
                <file>               the progress stream to tail
                --once               render the latest snapshot(s) once and exit
                --interval-ms N      refresh interval (default 500)
-  bench      perf-trajectory harness: runs a pinned micro-suite (active-set
-             vs poll-all engines, near-idle fast-forwarding, checkpoint
+  bench      perf-trajectory harness: runs a pinned micro-suite (open-loop
+             runs at three loads, near-idle and quiet meshes, checkpoint
              round-trip, sweep cache hits) and writes a schema-versioned
              record to results/bench/BENCH_<git-sha>.json
                --quick              reduced scale for CI (quick records only
@@ -499,9 +495,6 @@ fn cmd_run(a: &Args) -> Result<(), String> {
         .traffic(traffic.as_mut())
         .checkpoint_every(&ckpt_path, every)
         .shutdown_flag(flag);
-    if a.flag("no-activity-tracking") {
-        run = run.engine(heteronoc::noc::sched::EngineMode::PollAll);
-    }
     if a.flag("profile") {
         run = run.profile(true);
     }

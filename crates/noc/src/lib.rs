@@ -39,8 +39,8 @@
 //!   escape VCs;
 //! * [`config`] — per-router/per-link heterogeneous configuration;
 //! * [`network`] — the cycle-accurate engine;
-//! * [`sched`] — the active-set scheduler (wake sets, engine modes,
-//!   quiet-gap fast-forwarding);
+//! * [`sched`] — scheduler counters (router visits, wakes, quiet-gap
+//!   fast-path cycles);
 //! * [`sim`] — the open-loop synthetic-traffic driver;
 //! * [`stats`] — latency decomposition, utilizations, power-model events;
 //! * [`trace`] — flit-level event tracing (JSONL / Chrome `trace_event`);
@@ -84,6 +84,6 @@ pub use network::{BlockedChannel, Delivered, Diagnostics, Network, StallReport, 
 pub use packet::{Flit, Packet, PacketClass};
 pub use profile::{ProfileReport, Stage, StageProfiler};
 pub use replay::{DivergenceReport, ReplayDriver, Trajectory};
-pub use sched::{EngineMode, RouterActivity, SchedReport, WakeReason};
+pub use sched::{SchedReport, WakeReason};
 pub use trace::{ChromeTraceSink, JsonlSink, SharedBuffer, TraceEvent, TraceSink};
 pub use types::{Bits, Coord, Cycle, NodeId, PacketId, PortId, Rate, RouterId, VcId};

@@ -46,7 +46,7 @@ use crate::profile::{maybe_now, ProfileReport, Stage, StageProfiler};
 use crate::router::arbiter::RrArbiter;
 use crate::router::{OutputPort, OutputTarget, OutputVc, RouterState};
 use crate::routing::{RouteChoice, RoutingKind, VcClass};
-use crate::sched::{EngineMode, RouterActivity, SchedReport, Scheduler, WakeReason};
+use crate::sched::{SchedReport, WakeReason};
 use crate::stats::{NetStats, PacketRecord};
 use crate::topology::{PortKind, TopologyGraph};
 use crate::trace::{FaultUnit, TraceEvent, TraceSink};
@@ -306,10 +306,9 @@ pub struct Network {
     /// Per-stage wall-time profiler; `None` means [`std::time::Instant`]
     /// is never consulted on the hot path.
     profiler: Option<Box<StageProfiler>>,
-    /// The active-set scheduler (see [`crate::sched`]): wake-set
-    /// membership, engine mode, and skip counters. Derived state — never
-    /// serialized, rebuilt from buffer occupancy on checkpoint restore.
-    sched: Scheduler,
+    /// Scheduler counters (see [`crate::sched`]): observability only,
+    /// never serialized.
+    sched: SchedReport,
     // Scratch buffers reused across cycles to avoid per-cycle allocation.
     scratch_events: Vec<Event>,
     alloc: AllocScratch,
@@ -416,7 +415,6 @@ impl Network {
         let slots: Vec<u32> = routers.iter().map(|r| r.capacity).collect();
         let vc_counts: Vec<u32> = routers.iter().map(|r| r.inputs.len() as u32).collect();
         let stats = NetStats::new(graph.num_routers(), graph.num_links(), slots, vc_counts);
-        let sched = Scheduler::new(routers.len());
         Ok(Self {
             cfg,
             graph,
@@ -437,7 +435,7 @@ impl Network {
             tracer: None,
             epochs: None,
             profiler: None,
-            sched,
+            sched: SchedReport::default(),
             scratch_events: Vec::with_capacity(4),
             alloc: AllocScratch::default(),
             wheel_spare: Vec::new(),
@@ -505,41 +503,21 @@ impl Network {
         self.record_packets = on;
     }
 
-    /// Selects how [`Network::step`] walks the network (see
-    /// [`EngineMode`]). Both modes are byte-identical in every observable
-    /// output; [`EngineMode::PollAll`] exists as the reference the
-    /// active-set engine is verified (and benchmarked) against.
-    pub fn set_engine_mode(&mut self, mode: EngineMode) {
-        self.sched.set_mode(mode);
-    }
-
-    /// The engine mode currently in effect.
-    pub fn engine_mode(&self) -> EngineMode {
-        self.sched.mode()
-    }
-
-    /// Active-set scheduler statistics accumulated so far (cycles skipped,
-    /// router visits avoided, wake-set size histogram). Available without
+    /// Scheduler statistics accumulated so far (cycles skipped, router
+    /// visits avoided, wake-set size histogram). Available without
     /// enabling profiling; also embedded in [`ProfileReport::sched`].
     pub fn sched_report(&self) -> SchedReport {
-        self.sched.report()
+        self.sched
     }
 
     /// True when the network can make no progress on its own: no fault
-    /// layer (whose far-event timers could fire), no scheduled events in
-    /// the wheel, no awake router, and every source node idle. A quiescent
-    /// fault-free network necessarily has nothing in flight, so stepping
-    /// it runs the whole pipeline to no effect — the basis for the
-    /// active-set engine's quiet-gap fast-forwarding.
+    /// layer (whose far-event timers could fire), no packet in flight and
+    /// no event in the wheel. A packet is in flight from enqueue to
+    /// retirement, so with none every source is idle and every router
+    /// empty, and stepping the network runs the whole pipeline to no
+    /// effect — the basis for the quiet-gap fast path.
     pub fn quiescent(&self) -> bool {
-        self.faults.is_none()
-            && self.sched.wake_set_empty()
-            && self.wheel.iter().all(Vec::is_empty)
-            && self
-                .nodes
-                .iter()
-                .all(|n| n.sending.is_none() && n.queue.is_empty())
-            && self.in_flight.is_empty()
+        self.faults.is_none() && self.in_flight.is_empty() && self.wheel.iter().all(Vec::is_empty)
     }
 
     /// Advances one globally-quiet cycle without running the pipeline.
@@ -560,15 +538,6 @@ impl Network {
         }
         self.sched.note_idle_cycle(self.routers.len());
         self.now += 1;
-    }
-
-    /// A router's self-reported activity state: [`RouterActivity::Active`]
-    /// while it holds buffered flits (it is in the scheduler's wake set),
-    /// [`RouterActivity::Quiescent`] otherwise. This is the query that
-    /// replaced polling: the active-set engine derives it from wake
-    /// notifications instead of inspecting every buffer every cycle.
-    pub fn router_activity(&self, router: RouterId) -> RouterActivity {
-        self.sched.activity(router.index())
     }
 
     /// True when a bulk quiet-gap jump would be observationally identical
@@ -653,7 +622,7 @@ impl Network {
     pub(crate) fn take_profile(&mut self) -> Option<ProfileReport> {
         self.profiler.take().map(|p| {
             let mut report = p.report();
-            report.sched = self.sched.report();
+            report.sched = self.sched;
             report
         })
     }
@@ -1005,15 +974,10 @@ impl Network {
 
     /// Advances the simulation by one cycle.
     ///
-    /// Under [`EngineMode::ActiveSet`] (the default) the allocation phases
-    /// visit only the scheduler's wake set — routers that reported
-    /// [`crate::sched::RouterActivity::Active`] via a flit arrival — in
-    /// ascending index order, so the visit sequence is the exact
-    /// subsequence of the reference walk and every skipped router is a
-    /// no-op. Under [`EngineMode::PollAll`] every live router is walked.
-    /// Within a visit both modes touch only the VCs and outputs that hold
-    /// work (see `rc_and_va` and `switch_alloc`). Both modes produce
-    /// byte-identical state, statistics and traces.
+    /// The allocation phases visit routers in ascending index order and
+    /// skip those that hold no flit (see [`crate::sched`] for why that is
+    /// a no-op). Within a visit they touch only the VCs and outputs that
+    /// hold work (see `rc_and_va` and `switch_alloc`).
     pub fn step(&mut self) {
         let t = self.prof_start();
         if self.faults.is_some() {
@@ -1038,62 +1002,23 @@ impl Network {
             self.node_inject(n);
         }
         let _ = self.prof_lap(t, Stage::Inject);
-        // All wake points (flit deliveries) for this cycle have fired;
-        // take the wake set. Dead routers are frozen entirely (fail-stop):
-        // they stay in the set (their occupancy never drains) but are
-        // skipped by both modes.
-        let list = self.sched.begin_cycle();
+        // Every flit of this cycle has been written. Empty routers have
+        // nothing to route, allocate or traverse, and dead routers are
+        // frozen (fail-stop), so the walk skips both.
         let total = self.routers.len();
         let mut visits = 0usize;
-        match self.sched.mode() {
-            EngineMode::ActiveSet => {
-                // Routers outside the wake set hold no flits and have
-                // nothing to route, allocate or traverse — skipping them
-                // keeps low-load cycles proportional to traffic.
-                for &r in &list {
-                    if self.routers[r].occupancy() > 0 && !self.router_dead(r) {
-                        visits += 1;
-                        self.rc_and_va(r);
-                    }
-                }
-                for &r in &list {
-                    if self.routers[r].occupancy() > 0 && !self.router_dead(r) {
-                        self.switch_alloc(r);
-                    }
-                }
+        for r in 0..total {
+            if self.routers[r].occupancy() > 0 && !self.router_dead(r) {
+                visits += 1;
+                self.rc_and_va(r);
             }
-            EngineMode::PollAll => {
-                // Reference walk: every router, every cycle.
-                for r in 0..total {
-                    if !self.router_dead(r) {
-                        visits += 1;
-                        self.rc_and_va(r);
-                    }
-                }
-                for r in 0..total {
-                    if !self.router_dead(r) {
-                        self.switch_alloc(r);
-                    }
-                }
+        }
+        for r in 0..total {
+            if self.routers[r].occupancy() > 0 && !self.router_dead(r) {
+                self.switch_alloc(r);
             }
         }
         self.sched.note_full_cycle(visits, total);
-        // Routers whose buffers drained this cycle go back to sleep; the
-        // rest stay for the next cycle (membership mirrors occupancy).
-        {
-            let mut list = list;
-            let routers = &self.routers;
-            let sched = &mut self.sched;
-            list.retain(|&r| {
-                if routers[r].occupancy() > 0 {
-                    true
-                } else {
-                    sched.sleep(r);
-                    false
-                }
-            });
-            sched.end_cycle(list);
-        }
         // rc_and_va / switch_alloc charge RC/VA/SA/ST internally.
         let t = self.prof_start();
         if self.measuring {
@@ -1167,7 +1092,7 @@ impl Network {
     }
 
     /// Stage-1 buffer write: `flit` enters input VC `(port, vc)` of
-    /// `router`, which wakes for `reason`.
+    /// `router`, which wakes for `reason` if it was empty.
     fn buffer_write(
         &mut self,
         router: RouterId,
@@ -1178,13 +1103,15 @@ impl Network {
     ) {
         flit.buffered = self.now;
         let r = &mut self.routers[router.index()];
+        if r.occupancy() == 0 {
+            self.sched.note_wake(reason);
+        }
         let i = r.flat(port, vc);
         r.push(i, flit);
         debug_assert!(
             r.inputs[i].fifo().len() <= self.cfg.routers[router.index()].buffer_depth,
             "buffer overflow at {router} {port} {vc}: credit protocol violated"
         );
-        self.sched.wake(router.index(), reason);
         if self.measuring {
             self.stats.routers[router.index()].buffer_writes += 1;
         }

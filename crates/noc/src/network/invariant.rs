@@ -118,15 +118,6 @@ pub enum InvariantViolation {
         /// The VC index.
         vc: VcId,
     },
-    /// A router holds buffered flits but reports itself quiescent: the
-    /// active-set engine would never visit it again and the flits would
-    /// wedge. The wake set must always cover every occupied router.
-    AsleepWithFlits {
-        /// The wrongly-sleeping router.
-        router: RouterId,
-        /// Its (non-zero) buffer occupancy.
-        occupancy: u32,
-    },
 }
 
 impl fmt::Display for InvariantViolation {
@@ -198,11 +189,6 @@ impl fmt::Display for InvariantViolation {
             InvariantViolation::VcMaskDrift { router, port, vc } => write!(
                 f,
                 "{router}.{port}.{vc}: VC mask bits disagree with the FIFO"
-            ),
-            InvariantViolation::AsleepWithFlits { router, occupancy } => write!(
-                f,
-                "{router} holds {occupancy} buffered flits but is not in \
-                 the scheduler's wake set"
             ),
         }
     }
@@ -334,17 +320,6 @@ impl Network {
                     router: RouterId(r),
                     counted,
                     cached: router.occupancy(),
-                });
-            }
-            // Wake-set coverage: every occupied router must be awake (in
-            // either engine mode — the set is maintained in both so modes
-            // stay switchable mid-run).
-            if router.occupancy() > 0
-                && self.sched.activity(r) == crate::sched::RouterActivity::Quiescent
-            {
-                return Err(InvariantViolation::AsleepWithFlits {
-                    router: RouterId(r),
-                    occupancy: router.occupancy(),
                 });
             }
         }
@@ -554,7 +529,6 @@ mod tests {
         };
         let flit = Flit::fragment(&ghost, Bits(192), 0).remove(0);
         net.routers[0].push(0, flit);
-        net.sched.wake(0, crate::sched::WakeReason::FlitArrive);
         assert!(matches!(
             net.check_invariants(),
             Err(InvariantViolation::OrphanFlit { .. })
@@ -607,25 +581,6 @@ mod tests {
                 vc,
             })
         );
-    }
-
-    #[test]
-    fn asleep_router_with_buffered_flits_is_detected() {
-        let mut net = fresh();
-        load(&mut net, 40);
-        let r = net
-            .routers
-            .iter()
-            .position(|rt| rt.occupancy() > 0)
-            .expect("a 40-cycle loaded run leaves flits buffered");
-        net.sched.sleep(r);
-        let list = net.sched.begin_cycle();
-        net.sched
-            .end_cycle(list.into_iter().filter(|&x| x != r).collect());
-        assert!(matches!(
-            net.check_invariants(),
-            Err(InvariantViolation::AsleepWithFlits { .. })
-        ));
     }
 
     #[test]

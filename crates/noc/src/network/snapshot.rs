@@ -36,6 +36,7 @@ use crate::packet::{Flit, FlitKind, Packet, PacketClass};
 use crate::router::arbiter::RrArbiter;
 use crate::router::InputVc;
 use crate::routing::{RouteChoice, RouteTable, RoutingKind, VcClass};
+use crate::sched::WakeReason;
 use crate::stats::{
     LatencyAgg, LatencyDist, LatencyPctls, LinkEvents, PacketRecord, Pctls, RouterEvents,
 };
@@ -1385,12 +1386,13 @@ impl Network {
             None
         };
 
-        // Rebuild derived scheduler state. Neither the VC masks (derived
-        // above as the FIFOs were decoded) nor the wake set are serialized
-        // — both are functions of the decoded buffers — which keeps the
-        // checkpoint byte format independent of the engine mode.
-        let routers = &self.routers;
-        self.sched.rebuild(|r| routers[r].occupancy() > 0);
+        // The restore refilled every router that held flits at the
+        // checkpoint: count each as woken.
+        for router in &self.routers {
+            if router.occupancy() > 0 {
+                self.sched.note_wake(WakeReason::Restore);
+            }
+        }
 
         Ok(())
     }

@@ -147,12 +147,12 @@ impl StageProfiler {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProfileReport {
     /// `step` calls (simulated cycles) profiled, including cycles advanced
-    /// by the active-set engine's quiet-gap fast paths.
+    /// by the quiet-gap fast paths.
     pub steps: u64,
     /// Accumulated wall nanoseconds per stage, indexed like [`STAGES`].
     pub stage_nanos: [u64; STAGES.len()],
-    /// Active-set scheduler counters for the profiled span (cycles
-    /// skipped, router visits avoided, wake-set size histogram).
+    /// Scheduler counters for the profiled span (cycles skipped, router
+    /// visits avoided, wake-set size histogram).
     pub sched: SchedReport,
 }
 

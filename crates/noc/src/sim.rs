@@ -20,7 +20,7 @@ use crate::metrics::EpochSample;
 use crate::network::{Network, StallReport};
 use crate::packet::PacketClass;
 use crate::profile::ProfileReport;
-use crate::sched::{EngineMode, SchedReport};
+use crate::sched::SchedReport;
 use crate::stats::NetStats;
 use crate::trace::TraceSink;
 use crate::types::{Bits, Cycle, NodeId, Rate};
@@ -251,9 +251,9 @@ pub struct SimOutcome {
     /// Per-stage wall-time breakdown (`None` unless [`SimRun::profile`]
     /// enabled it).
     pub profile: Option<ProfileReport>,
-    /// Scheduler engine counters for the whole run (always collected —
-    /// they are observability-only and cost a handful of increments per
-    /// cycle). Deterministic given the engine mode.
+    /// Scheduler counters for the whole run (always collected — they are
+    /// observability-only and cost a handful of increments per cycle).
+    /// Deterministic per run.
     pub sched: SchedReport,
 }
 
@@ -311,7 +311,6 @@ fn pareto(rng: &mut StdRng, alpha: f64) -> u64 {
 pub struct SimRun<'a> {
     net: Network,
     params: SimParams,
-    engine: EngineMode,
     traffic: Option<&'a mut dyn Traffic>,
     trace: Option<Box<dyn TraceSink>>,
     epoch_every: Option<Cycle>,
@@ -328,7 +327,6 @@ impl std::fmt::Debug for SimRun<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimRun")
             .field("params", &self.params)
-            .field("engine", &self.engine)
             .field("traffic", &self.traffic.is_some())
             .field("trace", &self.trace.is_some())
             .field("epoch_every", &self.epoch_every)
@@ -349,7 +347,6 @@ impl<'a> SimRun<'a> {
         Self {
             net,
             params,
-            engine: EngineMode::default(),
             traffic: None,
             trace: None,
             epoch_every: None,
@@ -368,18 +365,6 @@ impl<'a> SimRun<'a> {
     #[must_use]
     pub fn traffic(mut self, traffic: &'a mut dyn Traffic) -> Self {
         self.traffic = Some(traffic);
-        self
-    }
-
-    /// Selects the stepping engine (see [`EngineMode`]). The default,
-    /// [`EngineMode::ActiveSet`], walks only routers that can make
-    /// progress and fast-forwards across globally-quiet gaps;
-    /// [`EngineMode::PollAll`] is the walk-everything reference mode.
-    /// Both produce byte-identical results — the mode only changes how
-    /// much work each simulated cycle costs on the host.
-    #[must_use]
-    pub fn engine(mut self, mode: EngineMode) -> Self {
-        self.engine = mode;
         self
     }
 
@@ -493,7 +478,6 @@ impl<'a> SimRun<'a> {
         let SimRun {
             mut net,
             params,
-            engine,
             traffic,
             trace,
             epoch_every,
@@ -524,7 +508,6 @@ impl<'a> SimRun<'a> {
                 "progress interval must be non-zero".into(),
             ));
         }
-        net.set_engine_mode(engine);
         if let Some(sink) = trace {
             net.set_trace_sink(sink);
         }
@@ -628,8 +611,8 @@ impl SimCore {
     /// (measurement batch retired, or saturation bail-out).
     ///
     /// The cycle itself is a thin dispatch into the engine: normally one
-    /// [`Network::step`], but under [`EngineMode::ActiveSet`] a globally
-    /// quiescent network takes the idle fast path instead — a single
+    /// [`Network::step`], but a globally quiescent network takes the idle
+    /// fast path instead — a single
     /// bookkeeping cycle ([`Network::idle_step`]), or a bulk jump
     /// ([`Network::skip_quiet`]) when nothing observable distinguishes
     /// the intermediate cycles. `boundary` is the first cycle the caller
@@ -675,8 +658,8 @@ impl SimCore {
         // A quiescent network (no queued or in-flight packets, no pending
         // events, no fault machinery) cannot change state this cycle:
         // enqueues above are already visible through `quiescent()`, so the
-        // active-set engine may replace the full walk with bookkeeping.
-        if self.net.engine_mode() == EngineMode::ActiveSet && self.net.quiescent() {
+        // full walk may be replaced with bookkeeping.
+        if self.net.quiescent() {
             let now = self.net.now();
             // The post-cycle warmup/measure checks below read counters a
             // quiet gap cannot change (`delivered_total`, retired packets),
@@ -1193,23 +1176,7 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    // --- engine modes & quiet-gap fast-forward ---------------------------
-
-    #[test]
-    fn poll_all_reference_engine_is_byte_identical() {
-        let fingerprint = |mode| {
-            let net = Network::new(NetworkConfig::paper_baseline()).unwrap();
-            let out = SimRun::new(net, quick_params(0.02))
-                .engine(mode)
-                .run()
-                .unwrap();
-            (out.stats, out.cycles, out.saturated)
-        };
-        assert_eq!(
-            fingerprint(EngineMode::ActiveSet),
-            fingerprint(EngineMode::PollAll)
-        );
-    }
+    // --- quiet-gap fast-forward ------------------------------------------
 
     #[test]
     fn config_errors_are_deferred_to_run() {

@@ -54,33 +54,6 @@ fn diagonal_bl_fingerprint_unchanged() {
     assert_eq!(got, (2002, 65373, 1051, 1833));
 }
 
-/// The walk-everything reference engine must reproduce the exact pinned
-/// fingerprints of the (default) active-set engine: the scheduler is a pure
-/// scheduling optimization, never a behavioral one.
-#[test]
-fn reference_engine_reproduces_golden_fingerprints() {
-    use heteronoc_noc::sched::EngineMode;
-
-    for (layout, want) in [
-        (Layout::Baseline, (2000, 57748, 626, 1825)),
-        (Layout::DiagonalBL, (2002, 65373, 1051, 1833)),
-    ] {
-        let net = Network::new(mesh_config(&layout)).unwrap();
-        let out = SimRun::new(net, pin_params())
-            .engine(EngineMode::PollAll)
-            .run()
-            .expect("simulation run");
-        assert!(!out.saturated);
-        let got = (
-            out.stats.packets_retired,
-            out.stats.latency.total,
-            out.stats.latency.queuing,
-            out.cycles,
-        );
-        assert_eq!(got, want, "poll-all fingerprint drifted for {layout:?}");
-    }
-}
-
 /// The observability layer (tracing + epoch metrics + self-profiling) must
 /// be a pure observer: with every hook enabled, the pinned fingerprint is
 /// bit-identical to the plain run above.
@@ -117,12 +90,11 @@ fn full_observability_keeps_the_golden_fingerprint() {
 // dateline VC classes, routers with more than 5 ports (concentrated mesh
 // and flattened butterfly, both on 2-lane links so the wide-output
 // secondary arbiter runs), and table routing with a reserved escape VC and
-// expedited-head diversion. Each is checked under both engines.
+// expedited-head diversion.
 
 use heteronoc::mesh_config_with_table;
 use heteronoc_noc::config::{NetworkConfig, RouterCfg};
 use heteronoc_noc::packet::PacketClass;
-use heteronoc_noc::sched::EngineMode;
 use heteronoc_noc::sim::{Traffic, UniformRandom};
 use heteronoc_noc::topology::TopologyKind;
 use heteronoc_noc::types::{Bits, NodeId, RouterId};
@@ -132,35 +104,6 @@ use rand::rngs::StdRng;
 /// grants, dual-flit link cycles).
 type AllocFingerprint = (u64, u64, u64, u64, u64, u64, u64);
 
-fn alloc_fingerprint(
-    cfg: NetworkConfig,
-    rate: f64,
-    traffic: &mut dyn Traffic,
-    mode: EngineMode,
-) -> AllocFingerprint {
-    let net = Network::new(cfg).expect("valid config");
-    let params = SimParams {
-        injection_rate: Rate::new(rate),
-        ..pin_params()
-    };
-    let out = SimRun::new(net, params)
-        .traffic(traffic)
-        .engine(mode)
-        .run()
-        .expect("simulation run");
-    assert!(!out.saturated);
-    let s = &out.stats;
-    (
-        s.packets_retired,
-        s.latency.total,
-        s.latency.queuing,
-        out.cycles,
-        s.routers.iter().map(|r| r.xbar_flits).sum(),
-        s.routers.iter().map(|r| r.va_grants).sum(),
-        s.links.iter().map(|l| l.dual_cycles).sum(),
-    )
-}
-
 fn assert_pinned(
     name: &str,
     cfg: NetworkConfig,
@@ -168,11 +111,28 @@ fn assert_pinned(
     traffic: impl Fn() -> Box<dyn Traffic>,
     want: AllocFingerprint,
 ) {
-    for mode in [EngineMode::ActiveSet, EngineMode::PollAll] {
-        let got = alloc_fingerprint(cfg.clone(), rate, traffic().as_mut(), mode);
-        println!("{name} fingerprint under {mode:?}: {got:?}");
-        assert_eq!(got, want, "{name} fingerprint drifted under {mode:?}");
-    }
+    let net = Network::new(cfg).expect("valid config");
+    let params = SimParams {
+        injection_rate: Rate::new(rate),
+        ..pin_params()
+    };
+    let out = SimRun::new(net, params)
+        .traffic(traffic().as_mut())
+        .run()
+        .expect("simulation run");
+    assert!(!out.saturated);
+    let s = &out.stats;
+    let got: AllocFingerprint = (
+        s.packets_retired,
+        s.latency.total,
+        s.latency.queuing,
+        out.cycles,
+        s.routers.iter().map(|r| r.xbar_flits).sum(),
+        s.routers.iter().map(|r| r.va_grants).sum(),
+        s.links.iter().map(|l| l.dual_cycles).sum(),
+    );
+    println!("{name} fingerprint: {got:?}");
+    assert_eq!(got, want, "{name} fingerprint drifted");
 }
 
 /// Every link and local port two flits wide.

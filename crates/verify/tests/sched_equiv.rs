@@ -1,13 +1,12 @@
-//! Active-set scheduler equivalence: the wake-set engine must be a pure
-//! scheduling optimization.
+//! Resume equivalence over random configurations.
 //!
-//! For random (layout × traffic × seed × injection rate × fault plan)
-//! configurations, a run under the default [`EngineMode::ActiveSet`] engine
-//! and one under the walk-everything [`EngineMode::PollAll`] reference must
-//! produce identical statistics fingerprints, byte-identical JSONL traces,
-//! and byte-identical periodic checkpoints — and a checkpoint written by one
-//! engine must resume correctly under the *other* (wake sets and port
-//! occupancy are derived state, rebuilt on restore, never serialized).
+//! For random (layout × traffic × seed × injection rate × bit-error rate ×
+//! checkpoint interval) draws, a traced run that writes periodic
+//! checkpoints is resumed from its last checkpoint. The resumed run must
+//! reach the uninterrupted run's statistics fingerprint, and its trace
+//! must continue the uninterrupted trace byte for byte from the
+//! checkpoint's cursor. Nothing the router walk skips is serialized: VC
+//! masks and scheduler counters are rebuilt or restarted on restore.
 
 use std::fs;
 use std::path::PathBuf;
@@ -17,8 +16,9 @@ use proptest::prelude::*;
 use heteronoc::noc::checkpoint::Checkpoint;
 use heteronoc::noc::fault::FaultPlan;
 use heteronoc::noc::network::Network;
-use heteronoc::noc::sched::EngineMode;
-use heteronoc::noc::sim::{InjectionProcess, SimOutcome, SimParams, SimRun, Traffic};
+use heteronoc::noc::sim::{
+    checkpoint_trace_cursor, InjectionProcess, SimOutcome, SimParams, SimRun, Traffic,
+};
 use heteronoc::noc::trace::{JsonlSink, SharedBuffer};
 use heteronoc::noc::types::Rate;
 use heteronoc::traffic::{BitComplement, Tornado, Transpose, UniformRandom};
@@ -54,10 +54,10 @@ fn fingerprint(out: &SimOutcome) -> (u64, u64, u64, u64, u64, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Active-set vs poll-all: identical stats, identical trace bytes,
-    /// byte-identical periodic checkpoints, and cross-engine resume.
+    /// Resuming from the last periodic checkpoint reproduces the
+    /// uninterrupted run's statistics and the rest of its trace.
     #[test]
-    fn active_set_engine_is_equivalent_to_poll_all(
+    fn resumed_run_matches_the_uninterrupted_one(
         layout_idx in 0usize..7,
         traffic_idx in 0usize..4,
         seed in 1u64..10_000,
@@ -82,98 +82,41 @@ proptest! {
         let dir = scratch(&format!(
             "{layout_idx}_{traffic_idx}_{seed}_{rate_idx}_{ber_idx}_{every}"
         ));
+        let ckpt_path = dir.join("run.ckpt");
 
-        // One traced + checkpointed run per engine mode.
-        let run_with = |mode: EngineMode, ckpt: &PathBuf| -> (SimOutcome, Vec<u8>) {
-            let buf = SharedBuffer::new();
+        // The uninterrupted run, traced, leaves its last periodic
+        // checkpoint behind.
+        let full = SharedBuffer::new();
+        let mut traffic = traffic_by_index(traffic_idx);
+        let uninterrupted = SimRun::new(mk_net(), params)
+            .traffic(traffic.as_mut())
+            .trace(Box::new(JsonlSink::new(full.clone())))
+            .checkpoint_every(&ckpt_path, every)
+            .run()
+            .expect("simulation run");
+
+        // A run that finished by its first boundary wrote no checkpoint.
+        if uninterrupted.cycles > every {
+            let ckpt = Checkpoint::load(&ckpt_path).expect("load checkpoint");
+            prop_assert!(ckpt.cycle >= every && ckpt.cycle < uninterrupted.cycles);
+            let cursor = checkpoint_trace_cursor(&ckpt)
+                .expect("run checkpoint")
+                .expect("traced run");
+            let rest = SharedBuffer::new();
             let mut traffic = traffic_by_index(traffic_idx);
-            let out = SimRun::new(mk_net(), params)
-                .engine(mode)
+            let resumed = SimRun::new(mk_net(), params)
                 .traffic(traffic.as_mut())
-                .trace(Box::new(JsonlSink::new(buf.clone())))
-                .checkpoint_every(ckpt, every)
+                .trace(Box::new(JsonlSink::resumed(rest.clone(), cursor)))
+                .resume_from(ckpt)
                 .run()
-                .expect("simulation run");
-            (out, buf.contents())
-        };
-        let active_ckpt = dir.join("active.ckpt");
-        let pollall_ckpt = dir.join("pollall.ckpt");
-        let (active, active_trace) = run_with(EngineMode::ActiveSet, &active_ckpt);
-        let (pollall, pollall_trace) = run_with(EngineMode::PollAll, &pollall_ckpt);
-
-        prop_assert_eq!(fingerprint(&active), fingerprint(&pollall),
-            "active-set stats diverged from the poll-all reference");
-        prop_assert_eq!(&active_trace, &pollall_trace,
-            "active-set JSONL trace diverged from the poll-all reference");
-
-        // The last periodic checkpoint (if the run lived long enough to
-        // write one) must be byte-identical: wake sets and port occupancy
-        // are derived, not serialized.
-        if active.cycles >= every {
-            let a = fs::read(&active_ckpt).expect("read active checkpoint");
-            let b = fs::read(&pollall_ckpt).expect("read poll-all checkpoint");
-            prop_assert_eq!(a, b, "checkpoint bytes differ between engines");
-
-            // Cross-engine resume: restore the active-set engine's
-            // checkpoint under the poll-all reference (and vice versa);
-            // both must land on the uninterrupted outcome.
-            for (path, mode) in [
-                (&active_ckpt, EngineMode::PollAll),
-                (&pollall_ckpt, EngineMode::ActiveSet),
-            ] {
-                let ckpt = Checkpoint::load(path).expect("load checkpoint");
-                let mut traffic = traffic_by_index(traffic_idx);
-                let resumed = SimRun::new(mk_net(), params)
-                    .engine(mode)
-                    .traffic(traffic.as_mut())
-                    .resume_from(ckpt)
-                    .run()
-                    .expect("resumed run");
-                prop_assert_eq!(fingerprint(&resumed), fingerprint(&active),
-                    "cross-engine resume under {:?} diverged", mode);
-            }
+                .expect("resumed run");
+            prop_assert_eq!(fingerprint(&resumed), fingerprint(&uninterrupted),
+                "resumed run diverged from the uninterrupted one");
+            let full = full.contents();
+            prop_assert!(full[cursor as usize..] == rest.contents()[..],
+                "resumed trace does not continue the uninterrupted one");
         }
 
         fs::remove_dir_all(&dir).ok();
     }
-}
-
-/// A deterministic (non-proptest) smoke of the same property at the pinned
-/// golden operating point, with self-profiling enabled so the scheduler
-/// report is exercised alongside: the active-set engine must skip work
-/// (fewer router visits than the polled-equivalent) while changing nothing.
-#[test]
-fn active_set_skips_work_without_changing_results() {
-    let params = SimParams {
-        injection_rate: Rate::new(0.02),
-        warmup_packets: 200,
-        measure_packets: 2_000,
-        max_cycles: 500_000,
-        seed: 0xFA01,
-        process: InjectionProcess::Bernoulli,
-        ..SimParams::default()
-    };
-    let run = |mode: EngineMode| {
-        let net = Network::new(mesh_config(&Layout::Baseline)).unwrap();
-        SimRun::new(net, params)
-            .engine(mode)
-            .profile(true)
-            .run()
-            .expect("simulation run")
-    };
-    let active = run(EngineMode::ActiveSet);
-    let pollall = run(EngineMode::PollAll);
-    assert_eq!(fingerprint(&active), fingerprint(&pollall));
-
-    let sched = active.profile.expect("profile recorded").sched;
-    assert_eq!(sched.cycles, active.cycles);
-    assert!(
-        sched.router_visits_skipped > 0,
-        "active-set engine at rate 0.02 should skip some router visits"
-    );
-    let reference = pollall.profile.expect("profile recorded").sched;
-    assert_eq!(
-        reference.router_visits_skipped, 0,
-        "poll-all reference must visit every router every cycle"
-    );
 }
