@@ -31,6 +31,8 @@ use crate::json::{self, Json};
 /// old cache entries then miss instead of deserializing garbage.
 /// v3: sweep points carry `attempts`; campaign points share the cache.
 /// v4: open-loop points carry per-point scheduler counters (`sched`).
+/// (The `Cmp`/`ClosedLoop` point kinds and their `system` member needed no
+/// bump: their canonical descriptions are new, so no older entry matches.)
 pub const SCHEMA_VERSION: u32 = 4;
 
 /// 64-bit FNV-1a over `bytes`, from `offset` (lets us derive two

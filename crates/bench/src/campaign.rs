@@ -34,19 +34,15 @@ use std::time::Instant;
 
 use heteronoc::noc::config::NetworkConfig;
 use heteronoc::noc::fault::{FaultKind, FaultPlan, HardFault, RecoveryPolicy};
-use heteronoc::noc::types::{Bits, Cycle, LinkId, NodeId};
+use heteronoc::noc::types::{Cycle, LinkId};
 use heteronoc_obs::{ProgressSink, Registry, Snapshot};
-use heteronoc_verify::{run_with_degradation, DegradedRunReport, Injection};
+use heteronoc_verify::{run_with_degradation, DegradedRunReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cache::{content_key, ResultCache, SCHEMA_VERSION};
 use crate::json::{self, Json};
-use crate::sweep::parallel_map_until;
-
-/// Packet payload used by every campaign injection (matches the sweep's
-/// degradation points, so results are comparable).
-const PACKET_BITS: Bits = Bits(512);
+use crate::sweep::{all_pairs_injections, int, panic_message, parallel_map_until};
 
 /// A Monte Carlo reliability-campaign description: the full grid of
 /// (layout × kill count × sample) points is a pure function of this spec.
@@ -235,37 +231,13 @@ pub fn run_campaign_point(point: &CampaignPoint) -> Json {
     match r {
         Ok(Ok(report)) => point_metrics(&report),
         Ok(Err(e)) => error_metrics(&e),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic".to_owned());
-            error_metrics(&format!("panicked: {msg}"))
-        }
+        Err(payload) => error_metrics(&panic_message(payload.as_ref())),
     }
 }
 
 fn execute_point(point: &CampaignPoint) -> Result<DegradedRunReport, String> {
     let nodes = point.config.build_graph().nodes().len();
-    let mut injections = Vec::new();
-    let mut k: Cycle = 0;
-    for _ in 0..point.bursts {
-        for s in 0..nodes {
-            for d in 0..nodes {
-                if s == d {
-                    continue;
-                }
-                injections.push(Injection {
-                    cycle: k * point.spacing,
-                    src: NodeId(s),
-                    dst: NodeId(d),
-                    size: PACKET_BITS,
-                });
-                k += 1;
-            }
-        }
-    }
+    let injections = all_pairs_injections(nodes, point.bursts, point.spacing);
     run_with_degradation(
         point.config.clone(),
         point.plan.clone(),
@@ -273,10 +245,6 @@ fn execute_point(point: &CampaignPoint) -> Result<DegradedRunReport, String> {
         point.stall_limit,
     )
     .map_err(|e| e.to_string())
-}
-
-fn int(v: u64) -> Json {
-    i64::try_from(v).map_or(Json::Num(v as f64), Json::Int)
 }
 
 fn point_metrics(r: &DegradedRunReport) -> Json {
@@ -809,6 +777,7 @@ mod tests {
     use super::*;
     use heteronoc::noc::config::RouterCfg;
     use heteronoc::noc::topology::TopologyKind;
+    use heteronoc::noc::types::Bits;
 
     fn mesh3() -> NetworkConfig {
         NetworkConfig::homogeneous(

@@ -4,14 +4,14 @@
 //! topologies. The paper finds the torus benefit ~44% smaller on average:
 //! torus wrap-around paths bypass the centrally-provisioned big routers.
 //!
-//! The workload × layout × topology grid runs on the sweep engine as
-//! closed-loop CMP points: the four system simulations behind each table
-//! row execute in parallel and are memoized in `results/cache/`.
+//! The workload × layout × topology grid runs on the sweep engine as CMP
+//! points: the four system simulations behind each table row execute in
+//! parallel and are memoized in `results/cache/`.
 
-use crate::sweep::{run_sweep, PointKind, PointSpec, Sweep, SweepOptions};
+use crate::experiments::{cmp_benchmarks, run_grid};
+use crate::sweep::{CmpSpec, PointKind, PointSpec, Sweep};
 use crate::{full_scale, pct_reduction, Report};
 use heteronoc::noc::topology::TopologyKind;
-use heteronoc::traffic::workloads::Benchmark;
 use heteronoc::{network_config, Layout};
 
 const SEED: u64 = 0xF1610;
@@ -21,22 +21,6 @@ fn trace_len() -> u64 {
         15_000
     } else {
         1_000
-    }
-}
-
-/// Full scale covers all ten benchmarks; quick mode a representative five
-/// (two commercial, three PARSEC spanning the sharing/locality range).
-fn benchmarks() -> Vec<Benchmark> {
-    if full_scale() {
-        Benchmark::ALL.to_vec()
-    } else {
-        vec![
-            Benchmark::Sap,
-            Benchmark::SpecJbb,
-            Benchmark::Vips,
-            Benchmark::Canneal,
-            Benchmark::StreamCluster,
-        ]
     }
 }
 
@@ -56,9 +40,9 @@ pub fn run() {
         width: 8,
         height: 8,
     };
-    let benches = benchmarks();
+    let benches = cmp_benchmarks();
 
-    // Four closed-loop points per workload: (mesh, torus) × (base, het),
+    // Four CMP points per workload: (mesh, torus) × (base, het),
     // in that order — the extraction below relies on it.
     let cells = [
         ("mesh", mesh, Layout::Baseline),
@@ -72,16 +56,11 @@ pub fn run() {
             sweep.push(PointSpec {
                 label: format!("{bench}|{topo_name}|{}", layout.name()),
                 config: network_config(layout, *topo),
-                kind: PointKind::CmpWorkload {
-                    benchmark: bench,
-                    refs_per_core: trace_len(),
-                    seed: SEED,
-                    max_cycles: 20_000_000,
-                },
+                kind: PointKind::Cmp(CmpSpec::uniform(bench, trace_len(), SEED, 20_000_000)),
             });
         }
     }
-    let outcome = run_sweep(&sweep, &SweepOptions::default()).expect("fig10 sweep");
+    let outcome = run_grid(&sweep);
     outcome.write_json().expect("write fig10 json");
     rep.line(format!(
         "# sweep: {} system runs ({} simulated, {} cached), {:.2}s wall on {} worker(s)",
@@ -97,14 +76,6 @@ pub fn run() {
     let mut mesh_sum = 0.0;
     let mut torus_sum = 0.0;
     for (bench, row) in benches.iter().zip(outcome.points.chunks(cells.len())) {
-        for p in row {
-            assert!(
-                p.error.is_none(),
-                "{}: {}",
-                p.label,
-                p.error.as_deref().unwrap_or("")
-            );
-        }
         let m = pct_reduction(row[0].latency_ns, row[1].latency_ns);
         let t = pct_reduction(row[2].latency_ns, row[3].latency_ns);
         mesh_sum += m;

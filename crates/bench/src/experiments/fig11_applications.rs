@@ -4,64 +4,23 @@
 //! Fig. 11 (a) network latency reduction per layout, (b) latency breakdown,
 //! (c) network power reduction, (d) power breakdown. Fig. 12: IPC
 //! improvement for (a) commercial and (b) PARSEC workloads. Both figures
-//! come from the same simulations, so this binary writes
+//! come from the same simulations, so this experiment writes
 //! `results/fig11_applications.txt` and `results/fig12_ipc.txt`.
+//!
+//! The 10 workloads × 7 layouts grid runs on the sweep engine as CMP
+//! points, in parallel and memoized in `results/cache/`.
 
+use crate::experiments::{run_grid, system};
+use crate::sweep::{CmpSpec, PointKind, PointMetrics, PointSpec, Sweep};
 use crate::{full_scale, pct_gain, pct_reduction, Report};
-use heteronoc::noc::stats::NetStats;
-use heteronoc::power::{NetworkPower, PowerBreakdown};
-use heteronoc::traffic::workloads::{Benchmark, SyntheticWorkload};
-use heteronoc::traffic::TraceSource;
+use heteronoc::traffic::workloads::Benchmark;
 use heteronoc::{mesh_config, Layout};
-use heteronoc_cmp::{CmpConfig, CmpSystem, CoreParams};
-
-struct RunResult {
-    latency_ns: f64,
-    breakdown: (f64, f64, f64), // queuing, blocking, transfer (cycles)
-    power_w: f64,
-    power_parts: PowerBreakdown,
-    ipc: f64,
-}
 
 fn trace_len() -> u64 {
     if full_scale() {
         20_000
     } else {
         2_500
-    }
-}
-
-fn run_one(layout: &Layout, bench: Benchmark, seed: u64) -> RunResult {
-    let net_cfg = mesh_config(layout);
-    let graph = net_cfg.build_graph();
-    let cfg = CmpConfig::paper_defaults(net_cfg.clone());
-    let mk = || -> Vec<Box<dyn TraceSource + Send>> {
-        (0..64)
-            .map(|t| {
-                Box::new(SyntheticWorkload::new(bench, t, seed, trace_len()))
-                    as Box<dyn TraceSource + Send>
-            })
-            .collect()
-    };
-    let mut sys = CmpSystem::new(cfg, vec![CoreParams::OUT_OF_ORDER; 64], mk());
-    sys.prewarm(mk());
-    sys.run(20_000_000);
-    assert!(
-        sys.finished(),
-        "{layout}/{bench}: system {}",
-        sys.drain_report()
-    );
-    let stats: &NetStats = sys.network().stats();
-    let freq = net_cfg.frequency_ghz;
-    let power = NetworkPower::paper_calibrated().evaluate(&net_cfg, &graph, stats);
-    let (q, b, t) = stats.latency.mean_breakdown();
-    let ipcs = sys.ipcs();
-    RunResult {
-        latency_ns: stats.mean_latency_ns(freq),
-        breakdown: (q, b, t),
-        power_w: power.total_w(),
-        power_parts: power.breakdown,
-        ipc: ipcs.iter().sum::<f64>() / ipcs.len() as f64,
     }
 }
 
@@ -74,16 +33,19 @@ pub fn run() {
     rep.line("# Figure 11 — application latency & power on the 64-tile CMP");
     rep.line(format!("# {} memory references per core", trace_len()));
 
-    // results[b][l]
-    let mut results: Vec<Vec<RunResult>> = Vec::new();
-    for bench in &benches {
-        let mut row = Vec::new();
+    let mut sweep = Sweep::new("fig11_applications");
+    for &bench in &benches {
         for layout in &layouts {
-            row.push(run_one(layout, *bench, 0xAB));
+            sweep.push(PointSpec {
+                label: format!("{bench}|{}", layout.name()),
+                config: mesh_config(layout),
+                kind: PointKind::Cmp(CmpSpec::uniform(bench, trace_len(), 0xAB, 20_000_000)),
+            });
         }
-        eprintln!("done: {bench}");
-        results.push(row);
     }
+    let outcome = run_grid(&sweep);
+    // results[b][l]
+    let results: Vec<&[PointMetrics]> = outcome.points.chunks(layouts.len()).collect();
 
     rep.line("");
     rep.line("## (a) Network latency reduction over baseline [%]");
@@ -108,12 +70,12 @@ pub fn run() {
     rep.line("## (b) Latency breakdown [% of baseline total: queuing/blocking/transfer]");
     for (bi, bench) in benches.iter().enumerate() {
         let base_total: f64 = {
-            let (q, b, t) = results[bi][0].breakdown;
+            let (q, b, t) = system(&results[bi][0]).latency_breakdown;
             q + b + t
         };
         let mut row = format!("{:<10}", bench.to_string());
         for li in 0..layouts.len() {
-            let (q, b, t) = results[bi][li].breakdown;
+            let (q, b, t) = system(&results[bi][li]).latency_breakdown;
             row.push_str(&format!(
                 "  {:>4.0}/{:<4.0}/{:<4.0}",
                 100.0 * q / base_total,
@@ -142,11 +104,11 @@ pub fn run() {
     rep.line("");
     rep.line("## (d) Power breakdown [% of baseline: links/xbar/arb/buffers]");
     for (bi, bench) in benches.iter().enumerate() {
-        let base = results[bi][0].power_parts.total();
+        let base = system(&results[bi][0]).power.total();
         let mut row = format!("{:<10}", bench.to_string());
         for li in [0usize, 4, 6] {
             // Baseline, Center+BL, Diagonal+BL (as in the paper's Fig 11d).
-            let p = &results[bi][li].power_parts;
+            let p = &system(&results[bi][li]).power;
             row.push_str(&format!(
                 "  {:>3.0}/{:<3.0}/{:<3.0}/{:<3.0}",
                 100.0 * p.links / base,
@@ -169,10 +131,10 @@ pub fn run() {
         let mut means = vec![0.0f64; layouts.len()];
         for bench in set {
             let bi = benches.iter().position(|b| b == bench).unwrap();
-            let base = results[bi][0].ipc;
+            let base = results[bi][0].mean_ipc;
             let mut row = format!("{:<10}", bench.to_string());
             for li in 1..layouts.len() {
-                let g = pct_gain(base, results[bi][li].ipc);
+                let g = pct_gain(base, results[bi][li].mean_ipc);
                 means[li] += g / set.len() as f64;
                 row.push_str(&format!("{:>12.1}%", g));
             }
@@ -187,15 +149,15 @@ pub fn run() {
     }
 
     // Summary.
-    let avg = |li: usize, f: &dyn Fn(&RunResult) -> f64| -> f64 {
+    let avg = |li: usize, f: &dyn Fn(&PointMetrics) -> f64| -> f64 {
         results.iter().map(|r| f(&r[li])).sum::<f64>() / results.len() as f64
     };
     let base_lat = avg(0, &|r| r.latency_ns);
     let dbl_lat = avg(6, &|r| r.latency_ns);
     let base_pow = avg(0, &|r| r.power_w);
     let dbl_pow = avg(6, &|r| r.power_w);
-    let base_ipc = avg(0, &|r| r.ipc);
-    let dbl_ipc = avg(6, &|r| r.ipc);
+    let base_ipc = avg(0, &|r| r.mean_ipc);
+    let dbl_ipc = avg(6, &|r| r.mean_ipc);
     rep.line("");
     rep.line(format!(
         "## Summary (Diagonal+BL vs baseline): latency reduction {:+.1}% (paper +18.5%), power reduction {:+.1}% (paper +22%), IPC gain {:+.1}% (paper +10-12%)",

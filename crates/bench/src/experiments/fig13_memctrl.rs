@@ -10,14 +10,12 @@
 //! closed-loop UR mode and the ten application workloads; (b) request
 //! latency vs its variability.
 
+use crate::experiments::{cmp_benchmarks, run_grid, system};
+use crate::sweep::{CmpSpec, PointKind, PointSpec, Sweep};
 use crate::{full_scale, pct_reduction, Report};
 use heteronoc::noc::types::NodeId;
-use heteronoc::traffic::workloads::{Benchmark, SyntheticWorkload};
-use heteronoc::traffic::TraceSource;
 use heteronoc::{mesh_config, Layout};
-use heteronoc_cmp::{
-    corners4, diagonal16, diamond16, run_closed_loop, CmpConfig, CmpSystem, CoreParams, MemParams,
-};
+use heteronoc_cmp::{corners4, diagonal16, diamond16};
 
 struct Config {
     name: &'static str,
@@ -58,49 +56,6 @@ fn trace_len() -> u64 {
     }
 }
 
-/// Full scale covers all ten benchmarks; quick mode a representative five.
-fn benchmarks() -> Vec<Benchmark> {
-    if full_scale() {
-        Benchmark::ALL.to_vec()
-    } else {
-        vec![
-            Benchmark::Sap,
-            Benchmark::SpecJbb,
-            Benchmark::Vips,
-            Benchmark::Canneal,
-            Benchmark::StreamCluster,
-        ]
-    }
-}
-
-/// Application run: returns (round-trip mean, request-leg mean, request-leg
-/// coefficient of variation), in core cycles.
-fn run_app(c: &Config, bench: Benchmark) -> (f64, f64, f64) {
-    let net_cfg = mesh_config(&c.layout);
-    let mut cfg = CmpConfig::paper_defaults(net_cfg);
-    cfg.mc_nodes = c.mcs.clone();
-    cfg.mem = MemParams::default();
-    let mk = || -> Vec<Box<dyn TraceSource + Send>> {
-        (0..64)
-            .map(|t| {
-                Box::new(SyntheticWorkload::new(bench, t, 0xF1613, trace_len()))
-                    as Box<dyn TraceSource + Send>
-            })
-            .collect()
-    };
-    let mut sys = CmpSystem::new(cfg, vec![CoreParams::OUT_OF_ORDER; 64], mk());
-    // No prewarm: Fig. 13 studies memory traffic, so cold misses are the
-    // signal here, not noise.
-    sys.run(30_000_000);
-    assert!(sys.finished(), "{}/{bench}: {}", c.name, sys.drain_report());
-    let s = sys.stats();
-    (
-        s.mem_round_trip.mean(),
-        s.mem_request_leg.mean(),
-        s.mem_request_leg.cov(),
-    )
-}
-
 pub fn run() {
     let mut rep = Report::new("fig13_memctrl");
     rep.line("# Figure 13 — memory-controller placement co-evaluation");
@@ -113,20 +68,50 @@ pub fn run() {
         "{:<20}{:>14}{:>14}{:>12}",
         "config", "round trip", "request leg", "leg CoV"
     ));
+    let cs = configs();
+    let benches = cmp_benchmarks();
+    // The four closed-loop points first, then benchmark-major app points.
+    let mut sweep = Sweep::new("fig13_memctrl");
+    for c in &cs {
+        sweep.push(PointSpec {
+            label: format!("closed-loop|{}", c.name),
+            config: mesh_config(&c.layout),
+            kind: PointKind::ClosedLoop {
+                mcs: c.mcs.clone(),
+                measure,
+                seed: 0x13,
+            },
+        });
+    }
+    for &bench in &benches {
+        for c in &cs {
+            // No prewarm: Fig. 13 studies memory traffic, so cold misses
+            // are the signal here, not noise.
+            sweep.push(PointSpec {
+                label: format!("{bench}|{}", c.name),
+                config: mesh_config(&c.layout),
+                kind: PointKind::Cmp(CmpSpec {
+                    mcs: c.mcs.clone(),
+                    prewarm: false,
+                    ..CmpSpec::uniform(bench, trace_len(), 0xF1613, 30_000_000)
+                }),
+            });
+        }
+    }
+    let outcome = run_grid(&sweep);
+    let (ur_points, app_points) = outcome.points.split_at(cs.len());
+
     let mut ur_base = 0.0;
     let mut ur_rows = Vec::new();
-    for c in configs() {
-        let stats = run_closed_loop(mesh_config(&c.layout), &c.mcs, 16, 0, measure, 0x13);
-        let rt = stats.round_trip.mean();
+    for (c, p) in cs.iter().zip(ur_points) {
+        let s = system(p);
+        let rt = s.round_trip_mean;
         if c.name == "Baseline4corner" {
             ur_base = rt;
         }
         rep.line(format!(
             "{:<20}{:>11.1}cyc{:>11.1}cyc{:>12.3}",
-            c.name,
-            rt,
-            stats.request_leg.mean(),
-            stats.request_leg.cov()
+            c.name, rt, s.request_leg_mean, s.request_leg_cov
         ));
         ur_rows.push((c.name, rt));
     }
@@ -135,28 +120,25 @@ pub fn run() {
     rep.line("");
     rep.line("## (a) Request-response latency reduction over the 4-corner baseline [%]");
     let mut head = format!("{:<10}", "workload");
-    for c in configs().iter().skip(1) {
+    for c in cs.iter().skip(1) {
         head.push_str(&format!("{:>20}", c.name));
     }
     rep.line(head);
 
-    let cs = configs();
-    let benches = benchmarks();
+    // (bench, row of one point per configuration), benchmark-major.
+    let rows: Vec<_> = benches.iter().zip(app_points.chunks(cs.len())).collect();
     let mut sums = vec![0.0; cs.len()];
-    let mut fig_b: Vec<(String, &'static str, f64, f64)> = Vec::new();
-    for &bench in &benches {
+    for (bench, row_points) in &rows {
         let mut row = format!("{:<10}", bench.to_string());
-        let base = run_app(&cs[0], bench);
-        sums[0] += base.0;
-        fig_b.push((bench.to_string(), cs[0].name, base.1, base.2));
-        for (i, c) in cs.iter().enumerate().skip(1) {
-            let (rt, leg, cov) = run_app(c, bench);
+        let base = system(&row_points[0]).round_trip_mean;
+        for (i, p) in row_points.iter().enumerate() {
+            let rt = system(p).round_trip_mean;
             sums[i] += rt;
-            row.push_str(&format!("{:>+19.1}%", pct_reduction(base.0, rt)));
-            fig_b.push((bench.to_string(), c.name, leg, cov));
+            if i > 0 {
+                row.push_str(&format!("{:>+19.1}%", pct_reduction(base, rt)));
+            }
         }
         rep.line(row);
-        eprintln!("done: {bench}");
     }
     rep.line("");
     let n = benches.len() as f64;
@@ -182,11 +164,17 @@ pub fn run() {
         "{:<10}{:<20}{:>14}{:>10}",
         "workload", "config", "req latency", "CoV"
     ));
-    for (bench, cfg_name, leg, cov) in &fig_b {
-        rep.line(format!(
-            "{:<10}{:<20}{:>11.1}cyc{:>10.3}",
-            bench, cfg_name, leg, cov
-        ));
+    for (bench, row_points) in &rows {
+        for (c, p) in cs.iter().zip(*row_points) {
+            let s = system(p);
+            rep.line(format!(
+                "{:<10}{:<20}{:>11.1}cyc{:>10.3}",
+                bench.to_string(),
+                c.name,
+                s.request_leg_mean,
+                s.request_leg_cov
+            ));
+        }
     }
     rep.line("(paper: Diagonal_heteroNoC lowers both the mean and the spread: 0.66 -> 0.46)");
 }

@@ -1,9 +1,10 @@
 //! Shared experiment harness for the HeteroNoC reproduction.
 //!
-//! Each table/figure of the paper has a binary in `src/bin/` built on these
-//! utilities: load sweeps over network layouts, saturation detection, power
-//! evaluation and tabular output. Binaries print the figure's rows/series
-//! to stdout and mirror them into `results/<name>.txt`.
+//! Each table/figure of the paper is an experiment in [`experiments`]
+//! (run by `heteronoc experiment <id>`) built on these utilities: load
+//! sweeps over network layouts, saturation detection, power evaluation and
+//! tabular output. Experiments print the figure's rows/series to stdout
+//! and mirror them into `results/<name>.txt`.
 //!
 //! Runs default to a *quick* scale (fewer measured packets than the paper's
 //! 100k) so the whole suite finishes in minutes on one core; set
@@ -127,9 +128,9 @@ pub fn pct_gain(base: f64, new: f64) -> f64 {
 
 std::thread_local! {
     /// When set, [`Report::line`] appends here instead of printing — so
-    /// experiments running concurrently on worker threads (`run_all`)
-    /// produce contiguous per-experiment output blocks instead of
-    /// interleaved lines.
+    /// experiments running concurrently on worker threads
+    /// ([`experiments::run_blocks`]) produce contiguous per-experiment
+    /// output blocks instead of interleaved lines.
     static CAPTURE: std::cell::RefCell<Option<String>> = const { std::cell::RefCell::new(None) };
 }
 
@@ -238,8 +239,7 @@ mod tests {
             throughput: thr,
             power_w: 10.0,
             saturated: sat,
-            error: None,
-            ..PointMetrics::failed(String::new(), String::new())
+            ..PointMetrics::default()
         };
         let pts = vec![
             mk(0.01, 10.0, 0.01, false),

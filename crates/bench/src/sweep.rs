@@ -2,8 +2,9 @@
 //!
 //! A [`Sweep`] describes a grid of simulation points — each a full network
 //! configuration plus a [`PointKind`] saying *what* to run on it (an
-//! open-loop load point, a closed-loop CMP workload, or a
-//! fault-degradation campaign). [`run_sweep`] shards the points across a
+//! open-loop load point, a full CMP system, the closed-loop memory
+//! request/response study, or a fault-degradation campaign).
+//! [`run_sweep`] shards the points across a
 //! configurable worker pool (std threads + channels; the offline `compat/`
 //! situation rules out rayon) and reassembles results in grid order, so
 //! the output is byte-identical regardless of worker count:
@@ -39,13 +40,14 @@ use heteronoc::noc::network::Network;
 use heteronoc::noc::sched::SchedReport;
 use heteronoc::noc::sim::{params_hash, SimError, SimParams, SimRun, Traffic, UniformRandom};
 use heteronoc::noc::types::{Bits, Cycle, NodeId};
-use heteronoc::power::NetworkPower;
+use heteronoc::power::{NetworkPower, PowerBreakdown};
 use heteronoc::traffic::patterns::{
     BitComplement, BitReverse, Hotspot, NearestNeighbor, Shuffle, Tornado, Transpose,
 };
+use heteronoc::traffic::trace::VecTrace;
 use heteronoc::traffic::workloads::{Benchmark, SyntheticWorkload};
 use heteronoc::traffic::TraceSource;
-use heteronoc_cmp::{CmpConfig, CmpSystem, CoreParams};
+use heteronoc_cmp::{corners4, run_closed_loop, CmpConfig, CmpSystem, CoreParams};
 use heteronoc_obs::{ProgressSink, Registry, Snapshot};
 use heteronoc_verify::{lint_config, run_with_degradation, Injection, LintOptions};
 
@@ -147,16 +149,20 @@ pub enum PointKind {
         /// epoch into `results/<name>.json`.
         epochs: Option<Cycle>,
     },
-    /// Closed-loop CMP run: one synthetic workload on every tile.
-    CmpWorkload {
-        /// The workload.
-        benchmark: Benchmark,
-        /// Memory references per core.
-        refs_per_core: u64,
-        /// Trace RNG seed.
+    /// Full CMP system run (cores, caches, directory, memory controllers)
+    /// until every trace drains.
+    Cmp(CmpSpec),
+    /// The §6 closed-loop request/response study ([`run_closed_loop`]):
+    /// every non-controller node keeps 16 requests (its L1 MSHRs)
+    /// outstanding to uniformly chosen memory controllers, which reply
+    /// at once.
+    ClosedLoop {
+        /// Memory-controller nodes.
+        mcs: Vec<NodeId>,
+        /// Round trips measured (after a quarter as many warm up).
+        measure: u64,
+        /// Destination-choice RNG seed.
         seed: u64,
-        /// Cycle budget for the drain.
-        max_cycles: Cycle,
     },
     /// All-pairs fault-degradation campaign with CDG-verified rerouting.
     Degradation {
@@ -169,6 +175,46 @@ pub enum PointKind {
         /// Drain watchdog in cycles.
         stall_limit: Cycle,
     },
+}
+
+/// Everything that determines a CMP system run, indexed by node where
+/// per-core.
+#[derive(Clone, Debug)]
+pub struct CmpSpec {
+    /// Each core's application; `None` leaves the core idle.
+    pub workloads: Vec<Option<Benchmark>>,
+    /// Trace RNG seed.
+    pub seed: u64,
+    /// Memory references in each running core's trace.
+    pub refs: u64,
+    /// Each core's microarchitecture.
+    pub cores: Vec<CoreParams>,
+    /// Nodes whose traffic travels in the expedited class (§7 large cores).
+    pub expedited: Vec<NodeId>,
+    /// Memory-controller nodes.
+    pub mcs: Vec<NodeId>,
+    /// Functionally warm the caches with the same traces before timing.
+    pub prewarm: bool,
+    /// Core-cycle budget; a system not drained by then fails the point.
+    pub max_cycles: Cycle,
+}
+
+impl CmpSpec {
+    /// The paper's 64-tile CMP (Table 2: out-of-order cores, four corner
+    /// memory controllers, prewarmed caches) with `benchmark` on every
+    /// tile.
+    pub fn uniform(benchmark: Benchmark, refs: u64, seed: u64, max_cycles: Cycle) -> CmpSpec {
+        CmpSpec {
+            workloads: vec![Some(benchmark); 64],
+            seed,
+            refs,
+            cores: vec![CoreParams::OUT_OF_ORDER; 64],
+            expedited: Vec::new(),
+            mcs: corners4(8, 8),
+            prewarm: true,
+            max_cycles,
+        }
+    }
 }
 
 /// One point of a sweep: a network configuration plus what to run on it.
@@ -204,7 +250,7 @@ impl PointSpec {
 pub struct PointMetrics {
     /// Display label, copied from the spec.
     pub label: String,
-    /// Offered load in packets/node/cycle (NaN for closed-loop points).
+    /// Offered load in packets/node/cycle (NaN for the other kinds).
     pub rate: f64,
     /// Mean packet latency in nanoseconds.
     pub latency_ns: f64,
@@ -228,7 +274,7 @@ pub struct PointMetrics {
     pub flits_corrupted: u64,
     /// CDG-verified reroutes performed (degradation points only).
     pub reroutes: u64,
-    /// Mean per-core IPC (closed-loop points only; NaN otherwise).
+    /// Mean per-core IPC (CMP points only; NaN otherwise).
     pub mean_ipc: f64,
     /// True when this result was served from the cache, not simulated.
     pub cached: bool,
@@ -253,12 +299,103 @@ pub struct PointMetrics {
     pub wall_secs: f64,
     /// Why the point failed, if it did.
     pub error: Option<String>,
+    /// System-level results of CMP and closed-loop points; `None` for the
+    /// other kinds, whose JSON therefore has no `system` member.
+    pub system: Option<SystemMetrics>,
 }
 
-impl PointMetrics {
-    pub(crate) fn failed(label: String, error: String) -> PointMetrics {
+/// System-level results of a CMP or closed-loop point. What a closed-loop
+/// point does not measure (network latency split, power, IPCs, memory
+/// reads) is NaN, empty or zero.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SystemMetrics {
+    /// Mean packet latency split into queuing, blocking and transfer
+    /// cycles.
+    pub latency_breakdown: (f64, f64, f64),
+    /// Network power by component, in watts.
+    pub power: PowerBreakdown,
+    /// Per-core IPC, by node.
+    pub ipcs: Vec<f64>,
+    /// Reads served by the memory controllers.
+    pub mem_reads: u64,
+    /// Memory round trip (request to data back) mean, in core cycles for
+    /// CMP points and network cycles for closed-loop points.
+    pub round_trip_mean: f64,
+    /// Coefficient of variation of the round trip.
+    pub round_trip_cov: f64,
+    /// Request leg (request to arrival at the controller) mean.
+    pub request_leg_mean: f64,
+    /// Coefficient of variation of the request leg.
+    pub request_leg_cov: f64,
+}
+
+impl SystemMetrics {
+    /// The point's `system` member: `latency_breakdown` as [queuing,
+    /// blocking, transfer], `power` as [buffers, crossbar, arbiters,
+    /// links], `ipcs` by node, `mem_reads`, and `round_trip` and
+    /// `request_leg` as [mean, CoV].
+    fn to_json(&self) -> Json {
+        let (q, b, t) = self.latency_breakdown;
+        let p = &self.power;
+        let nums = |xs: &[f64]| Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect());
+        Json::obj(vec![
+            ("latency_breakdown", nums(&[q, b, t])),
+            ("power", nums(&[p.buffers, p.crossbar, p.arbiters, p.links])),
+            ("ipcs", nums(&self.ipcs)),
+            ("mem_reads", int(self.mem_reads)),
+            (
+                "round_trip",
+                nums(&[self.round_trip_mean, self.round_trip_cov]),
+            ),
+            (
+                "request_leg",
+                nums(&[self.request_leg_mean, self.request_leg_cov]),
+            ),
+        ])
+    }
+
+    /// Reads what [`SystemMetrics::to_json`] writes (`null` reads as NaN).
+    fn from_json(v: &Json) -> Option<SystemMetrics> {
+        let nums = |k: &str| -> Option<Vec<f64>> {
+            let xs = v.get(k)?.as_arr()?;
+            Some(xs.iter().map(|x| x.as_f64().unwrap_or(f64::NAN)).collect())
+        };
+        let [q, b, t] = nums("latency_breakdown")?[..] else {
+            return None;
+        };
+        let [buffers, crossbar, arbiters, links] = nums("power")?[..] else {
+            return None;
+        };
+        let [round_trip_mean, round_trip_cov] = nums("round_trip")?[..] else {
+            return None;
+        };
+        let [request_leg_mean, request_leg_cov] = nums("request_leg")?[..] else {
+            return None;
+        };
+        Some(SystemMetrics {
+            latency_breakdown: (q, b, t),
+            power: PowerBreakdown {
+                buffers,
+                crossbar,
+                arbiters,
+                links,
+            },
+            ipcs: nums("ipcs")?,
+            mem_reads: v.get("mem_reads")?.as_u64()?,
+            round_trip_mean,
+            round_trip_cov,
+            request_leg_mean,
+            request_leg_cov,
+        })
+    }
+}
+
+/// A point that measured nothing: NaN rates, latencies and power, zero
+/// counters, one attempt, no error.
+impl Default for PointMetrics {
+    fn default() -> PointMetrics {
         PointMetrics {
-            label,
+            label: String::new(),
             rate: f64::NAN,
             latency_ns: f64::NAN,
             latency_cycles: f64::NAN,
@@ -277,14 +414,25 @@ impl PointMetrics {
             epochs: None,
             sched: None,
             wall_secs: 0.0,
+            error: None,
+            system: None,
+        }
+    }
+}
+
+impl PointMetrics {
+    pub(crate) fn failed(label: String, error: String) -> PointMetrics {
+        PointMetrics {
+            label,
             error: Some(error),
+            ..PointMetrics::default()
         }
     }
 
     /// Serializes to the sweep-JSON schema. `cached` is included so the
     /// sweep JSON records which points were simulated this run.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
+        let mut members = vec![
             ("label", Json::Str(self.label.clone())),
             ("rate", Json::Num(self.rate)),
             ("latency_ns", Json::Num(self.latency_ns)),
@@ -313,7 +461,11 @@ impl PointMetrics {
                     None => Json::Null,
                 },
             ),
-        ])
+        ];
+        if let Some(system) = &self.system {
+            members.push(("system", system.to_json()));
+        }
+        Json::obj(members)
     }
 
     /// Deserializes from the sweep-JSON schema (used by the cache).
@@ -345,6 +497,7 @@ impl PointMetrics {
             sched: v.get("sched").and_then(sched_from_json),
             wall_secs: 0.0,
             error: v.get("error").and_then(Json::as_str).map(str::to_owned),
+            system: v.get("system").and_then(SystemMetrics::from_json),
         })
     }
 }
@@ -398,7 +551,7 @@ fn sched_from_json(v: &Json) -> Option<SchedReport> {
     Some(s)
 }
 
-fn int(v: u64) -> Json {
+pub(crate) fn int(v: u64) -> Json {
     i64::try_from(v).map_or(Json::Num(v as f64), Json::Int)
 }
 
@@ -939,7 +1092,7 @@ fn run_point_with(
     m
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("panicked: {s}")
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1011,7 +1164,6 @@ fn execute(
                 .evaluate(config, &graph, &out.stats)
                 .total_w();
             Ok(PointMetrics {
-                label: String::new(),
                 rate: params.injection_rate.get(),
                 latency_ns: out.latency_ns(),
                 latency_cycles: out.stats.latency.mean_total(),
@@ -1023,73 +1175,44 @@ fn execute(
                 dropped: out.dropped,
                 retransmissions: out.fault_counters.retransmissions,
                 flits_corrupted: out.fault_counters.flits_corrupted,
-                reroutes: 0,
-                mean_ipc: f64::NAN,
-                cached: false,
-                attempts: 1,
                 epochs: if out.epochs.is_empty() {
                     None
                 } else {
                     Some(epochs_to_json(&out.epochs))
                 },
                 sched: Some(out.sched),
-                wall_secs: 0.0,
-                error: None,
+                ..PointMetrics::default()
             })
         }
-        PointKind::CmpWorkload {
-            benchmark,
-            refs_per_core,
-            seed,
-            max_cycles,
-        } => {
-            let freq = config.frequency_ghz;
-            let graph = config.build_graph();
-            let nodes = graph.num_nodes();
-            let mk = || -> Vec<Box<dyn TraceSource + Send>> {
-                (0..nodes)
-                    .map(|t| {
-                        Box::new(SyntheticWorkload::new(*benchmark, t, *seed, *refs_per_core))
-                            as Box<dyn TraceSource + Send>
-                    })
-                    .collect()
-            };
-            let cmp_cfg = CmpConfig::paper_defaults(config.clone());
-            let mut sys = CmpSystem::new(cmp_cfg, vec![CoreParams::OUT_OF_ORDER; nodes], mk());
-            sys.prewarm(mk());
-            let cycles = sys.run(*max_cycles);
-            if !sys.finished() {
+        PointKind::Cmp(spec) => run_cmp(config, spec),
+        PointKind::ClosedLoop { mcs, measure, seed } => {
+            let s = run_closed_loop(config.clone(), mcs, 16, 0, *measure, *seed);
+            if s.completed < *measure {
                 return Err(format!(
-                    "{benchmark} did not drain within {max_cycles} cycles"
+                    "closed loop completed {} of {measure} round trips within {} cycles",
+                    s.completed, s.cycles
                 ));
             }
-            let ipcs = sys.ipcs();
-            let mean_ipc = ipcs.iter().sum::<f64>() / ipcs.len() as f64;
-            let stats = sys.network().stats();
-            let power_w = NetworkPower::paper_calibrated()
-                .evaluate(config, &graph, stats)
-                .total_w();
+            let nan = f64::NAN;
             Ok(PointMetrics {
-                label: String::new(),
-                rate: f64::NAN,
-                latency_ns: stats.mean_latency_ns(freq),
-                latency_cycles: stats.latency.mean_total(),
-                throughput: stats.throughput_ppc(nodes),
-                power_w,
-                saturated: false,
-                cycles,
-                delivered: stats.packets_retired,
-                dropped: 0,
-                retransmissions: 0,
-                flits_corrupted: 0,
-                reroutes: 0,
-                mean_ipc,
-                cached: false,
-                attempts: 1,
-                epochs: None,
-                sched: Some(sys.network().sched_report()),
-                wall_secs: 0.0,
-                error: None,
+                cycles: s.cycles,
+                delivered: s.completed,
+                system: Some(SystemMetrics {
+                    latency_breakdown: (nan, nan, nan),
+                    power: PowerBreakdown {
+                        buffers: nan,
+                        crossbar: nan,
+                        arbiters: nan,
+                        links: nan,
+                    },
+                    ipcs: Vec::new(),
+                    mem_reads: 0,
+                    round_trip_mean: s.round_trip.mean(),
+                    round_trip_cov: s.round_trip.cov(),
+                    request_leg_mean: s.request_leg.mean(),
+                    request_leg_cov: s.request_leg.cov(),
+                }),
+                ..PointMetrics::default()
             })
         }
         PointKind::Degradation {
@@ -1098,26 +1221,8 @@ fn execute(
             spacing,
             stall_limit,
         } => {
-            let graph = config.build_graph();
-            let nodes = graph.num_nodes();
-            let mut injections = Vec::new();
-            let mut k: Cycle = 0;
-            for _ in 0..*bursts {
-                for s in 0..nodes {
-                    for d in 0..nodes {
-                        if s == d {
-                            continue;
-                        }
-                        injections.push(Injection {
-                            cycle: k * spacing,
-                            src: NodeId(s),
-                            dst: NodeId(d),
-                            size: Bits(512),
-                        });
-                        k += 1;
-                    }
-                }
-            }
+            let nodes = config.build_graph().num_nodes();
+            let injections = all_pairs_injections(nodes, *bursts, *spacing);
             let r = run_with_degradation(config.clone(), plan.clone(), &injections, *stall_limit)
                 .map_err(|e| e.to_string())?;
             let (lat_sum, del_sum): (u64, u64) = r
@@ -1130,29 +1235,102 @@ fn execute(
                 lat_sum as f64 / del_sum as f64
             };
             Ok(PointMetrics {
-                label: String::new(),
-                rate: f64::NAN,
                 latency_ns: latency_cycles / config.frequency_ghz,
                 latency_cycles,
-                throughput: f64::NAN,
-                power_w: f64::NAN,
-                saturated: false,
                 cycles: r.finished_at,
                 delivered: r.delivered,
                 dropped: r.dropped.len() as u64,
                 retransmissions: r.counters.retransmissions,
                 flits_corrupted: r.counters.flits_corrupted,
                 reroutes: u64::from(r.reroutes),
-                mean_ipc: f64::NAN,
-                cached: false,
-                attempts: 1,
-                epochs: None,
-                sched: None,
-                wall_secs: 0.0,
-                error: None,
+                ..PointMetrics::default()
             })
         }
     }
+}
+
+/// Every ordered (source, destination) pair of `nodes`, `bursts` times
+/// over, one 512-bit packet every `spacing` cycles: the offered traffic of
+/// degradation and reliability-campaign points.
+pub(crate) fn all_pairs_injections(nodes: usize, bursts: u64, spacing: Cycle) -> Vec<Injection> {
+    let mut injections = Vec::new();
+    for _ in 0..bursts {
+        for s in 0..nodes {
+            for d in (0..nodes).filter(|&d| d != s) {
+                injections.push(Injection {
+                    cycle: injections.len() as Cycle * spacing,
+                    src: NodeId(s),
+                    dst: NodeId(d),
+                    size: Bits(512),
+                });
+            }
+        }
+    }
+    injections
+}
+
+/// Builds and runs the CMP system `spec` describes on `config`.
+fn run_cmp(config: &NetworkConfig, spec: &CmpSpec) -> Result<PointMetrics, String> {
+    let graph = config.build_graph();
+    let nodes = graph.num_nodes();
+    if spec.workloads.len() != nodes || spec.cores.len() != nodes {
+        return Err(format!(
+            "CMP spec has {} workloads and {} cores for a {nodes}-node network",
+            spec.workloads.len(),
+            spec.cores.len()
+        ));
+    }
+    let traces = || -> Vec<Box<dyn TraceSource + Send>> {
+        spec.workloads
+            .iter()
+            .enumerate()
+            .map(|(tile, w)| match *w {
+                Some(b) => Box::new(SyntheticWorkload::new(b, tile, spec.seed, spec.refs))
+                    as Box<dyn TraceSource + Send>,
+                None => Box::new(VecTrace::default()),
+            })
+            .collect()
+    };
+    let mut cmp_cfg = CmpConfig::paper_defaults(config.clone());
+    cmp_cfg.mc_nodes.clone_from(&spec.mcs);
+    cmp_cfg.expedited_nodes.clone_from(&spec.expedited);
+    let mut sys = CmpSystem::new(cmp_cfg, spec.cores.clone(), traces());
+    if spec.prewarm {
+        sys.prewarm(traces());
+    }
+    let cycles = sys.run(spec.max_cycles);
+    if !sys.finished() {
+        return Err(format!(
+            "CMP system did not drain within {} cycles: {}",
+            spec.max_cycles,
+            sys.drain_report()
+        ));
+    }
+    let ipcs = sys.ipcs();
+    let stats = sys.network().stats();
+    let power = NetworkPower::paper_calibrated().evaluate(config, &graph, stats);
+    let mem = sys.stats();
+    Ok(PointMetrics {
+        latency_ns: stats.mean_latency_ns(config.frequency_ghz),
+        latency_cycles: stats.latency.mean_total(),
+        throughput: stats.throughput_ppc(nodes),
+        power_w: power.total_w(),
+        cycles,
+        delivered: stats.packets_retired,
+        mean_ipc: ipcs.iter().sum::<f64>() / ipcs.len() as f64,
+        sched: Some(sys.network().sched_report()),
+        system: Some(SystemMetrics {
+            latency_breakdown: stats.latency.mean_breakdown(),
+            power: power.breakdown,
+            ipcs,
+            mem_reads: mem.mem_reads,
+            round_trip_mean: mem.mem_round_trip.mean(),
+            round_trip_cov: mem.mem_round_trip.cov(),
+            request_leg_mean: mem.mem_request_leg.mean(),
+            request_leg_cov: mem.mem_request_leg.cov(),
+        }),
+        ..PointMetrics::default()
+    })
 }
 
 /// Serializes an epoch time-series to the sweep-JSON schema: one object
@@ -1309,6 +1487,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use heteronoc::noc::types::Rate;
 
     #[test]
@@ -1562,6 +1741,7 @@ mod tests {
             }),
             wall_secs: 1.25,
             error: None,
+            system: None,
         };
         let j = m.to_json();
         let back = PointMetrics::from_json(&j).unwrap();
@@ -1575,18 +1755,51 @@ mod tests {
         assert_eq!(back.attempts, m.attempts);
         assert_eq!(back.wall_secs, 0.0);
         assert!(!j.pretty().contains("wall_secs"));
+        // Only CMP and closed-loop points carry a `system` member.
+        assert!(j.get("system").is_none());
+        assert!(back.system.is_none());
+
+        let system = SystemMetrics {
+            latency_breakdown: (1.5, 0.25, f64::NAN),
+            power: PowerBreakdown {
+                buffers: 1.0 / 3.0,
+                crossbar: 2.0,
+                arbiters: 0.1,
+                links: 7.125,
+            },
+            ipcs: vec![0.0, 0.1 + 0.2, 1e-300],
+            mem_reads: 5_110,
+            round_trip_mean: 612.75,
+            round_trip_cov: 0.46,
+            request_leg_mean: f64::NAN,
+            request_leg_cov: 0.0,
+        };
+        let m = PointMetrics {
+            system: Some(system.clone()),
+            ..m
+        };
+        let back = PointMetrics::from_json(&json::parse(&m.to_json().to_string()).unwrap())
+            .unwrap()
+            .system
+            .unwrap();
+        assert!(back.latency_breakdown.2.is_nan() && back.request_leg_mean.is_nan());
+        let strip = |s: &SystemMetrics| SystemMetrics {
+            latency_breakdown: (s.latency_breakdown.0, s.latency_breakdown.1, 0.0),
+            request_leg_mean: 0.0,
+            ..s.clone()
+        };
+        assert_eq!(
+            strip(&back),
+            strip(&system),
+            "finite values round-trip exactly"
+        );
     }
 
     fn trivial_spec() -> PointSpec {
         PointSpec {
             label: "retry-probe".into(),
             config: NetworkConfig::paper_baseline(),
-            kind: PointKind::CmpWorkload {
-                benchmark: Benchmark::Sap,
-                refs_per_core: 1,
-                seed: 1,
-                max_cycles: 10,
-            },
+            kind: PointKind::Cmp(CmpSpec::uniform(Benchmark::Sap, 1, 1, 10)),
         }
     }
 
@@ -1599,9 +1812,7 @@ mod tests {
             if calls.fetch_add(1, Ordering::SeqCst) == 0 {
                 panic!("transient poison");
             }
-            let mut ok = PointMetrics::failed(String::new(), String::new());
-            ok.error = None;
-            Ok(ok)
+            Ok(PointMetrics::default())
         });
         assert_eq!(calls.load(Ordering::SeqCst), 2);
         assert_eq!(m.attempts, 2);

@@ -6,6 +6,7 @@
 //! heteronoc audit
 //! heteronoc heatmap --rate 0.05
 //! heteronoc cmp     --layout baseline --workload sap --refs 1500
+//! heteronoc experiment fig11_applications
 //! heteronoc verify  --layout diagonal-bl --hubs 0,7,56,63
 //! ```
 
@@ -17,11 +18,7 @@ use std::process::ExitCode;
 use heteronoc::noc::network::Network;
 use heteronoc::noc::sim::{InjectionProcess, SimParams, SimRun, Traffic};
 use heteronoc::noc::types::Rate;
-use heteronoc::power::NetworkPower;
-use heteronoc::traffic::workloads::{Benchmark, SyntheticWorkload};
-use heteronoc::traffic::{
-    BitComplement, BitReverse, NearestNeighbor, Shuffle, Tornado, Transpose, UniformRandom,
-};
+use heteronoc::traffic::workloads::Benchmark;
 use heteronoc::{audit_mesh_layout, mesh_config, Layout};
 use heteronoc_bench::sweep::{default_jobs, run_sweep, Sweep, SweepOptions, TrafficSpec};
 
@@ -189,6 +186,11 @@ COMMANDS
                <file>               the progress stream to tail
                --once               render the latest snapshot(s) once and exit
                --interval-ms N      refresh interval (default 500)
+  experiment run a paper experiment by id (e.g. fig11_applications), or
+             'all' for the suite (one output block each; exits non-zero if
+             any fails); writes results/<id>.txt. HETERONOC_FULL=1 selects
+             paper scale, HETERONOC_JOBS=N caps workers, HETERONOC_NO_CACHE=1
+             ignores results/cache/
   bench      perf-trajectory harness: runs a pinned micro-suite (open-loop
              runs at three loads, near-idle and quiet meshes, checkpoint
              round-trip, sweep cache hits) and writes a schema-versioned
@@ -231,16 +233,7 @@ fn traffic_spec_by_name(name: &str) -> Result<TrafficSpec, String> {
 }
 
 fn pattern_by_name(name: &str) -> Result<Box<dyn Traffic>, String> {
-    Ok(match name {
-        "ur" | "uniform" => Box::new(UniformRandom),
-        "nn" | "nearest-neighbor" => Box::new(NearestNeighbor::new(8, 8)),
-        "transpose" => Box::new(Transpose::new(8)),
-        "bit-complement" => Box::new(BitComplement),
-        "bit-reverse" => Box::new(BitReverse),
-        "tornado" => Box::new(Tornado::new(8, 8)),
-        "shuffle" => Box::new(Shuffle),
-        other => return Err(format!("unknown pattern '{other}' (see --help)")),
-    })
+    traffic_spec_by_name(name).map(|spec| spec.instantiate())
 }
 
 fn workload_by_name(name: &str) -> Result<Benchmark, String> {
@@ -270,41 +263,6 @@ fn params(rate: f64, packets: u64, seed: u64) -> SimParams {
         process: InjectionProcess::Bernoulli,
         watchdog: Some(100_000),
     }
-}
-
-fn point(
-    layout: &Layout,
-    pattern: &str,
-    rate: f64,
-    packets: u64,
-    seed: u64,
-) -> Result<String, String> {
-    let cfg = mesh_config(layout);
-    let graph = cfg.build_graph();
-    let net = Network::new(cfg.clone()).map_err(|e| e.to_string())?;
-    let mut traffic = pattern_by_name(pattern)?;
-    let out = SimRun::new(net, params(rate, packets, seed))
-        .traffic(traffic.as_mut())
-        .run()
-        .expect("simulation run");
-    let power = NetworkPower::paper_calibrated()
-        .evaluate(&cfg, &graph, &out.stats)
-        .total_w();
-    Ok(if out.saturated {
-        format!(
-            "{rate:<8.4}{:>12}{:>14.4}{:>10.1} W",
-            "sat",
-            out.stats.throughput_ppc(64),
-            power
-        )
-    } else {
-        format!(
-            "{rate:<8.4}{:>9.2} ns{:>14.4}{:>10.1} W",
-            out.latency_ns(),
-            out.stats.throughput_ppc(64),
-            power
-        )
-    })
 }
 
 /// `heteronoc sweep`: a (layout × pattern × seed × rate) grid on the
@@ -1055,7 +1013,10 @@ fn cmd_bench(a: &Args) -> Result<(), String> {
 }
 
 fn cmd_compare(a: &Args) -> Result<(), String> {
+    use heteronoc_bench::sweep::{run_point, PointKind, PointSpec};
+
     let pattern = a.get("pattern").unwrap_or("ur").to_owned();
+    let traffic = traffic_spec_by_name(&pattern)?;
     let rate = a.get_or("rate", 0.03f64)?;
     let packets = a.get_or("packets", 5_000u64)?;
     let seed = a.get_or("seed", 42u64)?;
@@ -1065,9 +1026,30 @@ fn cmd_compare(a: &Args) -> Result<(), String> {
         "layout", "latency", "throughput", "power"
     );
     for layout in Layout::all_seven() {
-        let row = point(&layout, &pattern, rate, packets, seed)?;
-        // Drop the duplicated rate column for the comparison view.
-        println!("{:<14}{}", layout.name(), &row[8..]);
+        let m = run_point(&PointSpec {
+            label: String::new(),
+            config: mesh_config(&layout),
+            kind: PointKind::OpenLoop {
+                params: params(rate, packets, seed),
+                traffic: traffic.clone(),
+                faults: None,
+                epochs: None,
+            },
+        });
+        if let Some(e) = m.error {
+            return Err(e);
+        }
+        let latency = if m.saturated {
+            format!("{:>12}", "sat")
+        } else {
+            format!("{:>9.2} ns", m.latency_ns)
+        };
+        println!(
+            "{:<14}{latency}{:>14.4}{:>10.1} W",
+            layout.name(),
+            m.throughput,
+            m.power_w
+        );
     }
     Ok(())
 }
@@ -1112,50 +1094,33 @@ fn cmd_heatmap(a: &Args) -> Result<(), String> {
 }
 
 fn cmd_cmp(a: &Args) -> Result<(), String> {
-    use heteronoc::traffic::TraceSource;
-    use heteronoc_cmp::{CmpConfig, CmpSystem, CoreParams};
+    use heteronoc_bench::sweep::{run_point, CmpSpec, PointKind, PointSpec};
 
     let layout = layout_by_name(a.get("layout").unwrap_or("baseline"))?;
     let bench = workload_by_name(a.get("workload").unwrap_or("specjbb"))?;
     let refs = a.get_or("refs", 1_000u64)?;
     let seed = a.get_or("seed", 42u64)?;
-    let net_cfg = mesh_config(&layout);
-    let freq = net_cfg.frequency_ghz;
-    let graph = net_cfg.build_graph();
-    let cfg = CmpConfig::paper_defaults(net_cfg.clone());
-    let mk = || -> Vec<Box<dyn TraceSource + Send>> {
-        (0..64)
-            .map(|t| {
-                Box::new(SyntheticWorkload::new(bench, t, seed, refs))
-                    as Box<dyn TraceSource + Send>
-            })
-            .collect()
-    };
-    let mut sys = CmpSystem::new(cfg, vec![CoreParams::OUT_OF_ORDER; 64], mk());
-    sys.prewarm(mk());
-    let cycles = sys.run(50_000_000);
-    if !sys.finished() {
-        return Err(format!(
-            "system did not drain within the cycle limit: {}",
-            sys.drain_report()
-        ));
+    let m = run_point(&PointSpec {
+        label: String::new(),
+        config: mesh_config(&layout),
+        kind: PointKind::Cmp(CmpSpec::uniform(bench, refs, seed, 50_000_000)),
+    });
+    if let Some(e) = m.error {
+        return Err(e);
     }
-    let ipcs = sys.ipcs();
-    let ipc = ipcs.iter().sum::<f64>() / 64.0;
-    let stats = sys.network().stats();
-    let power = NetworkPower::paper_calibrated()
-        .evaluate(&net_cfg, &graph, stats)
-        .total_w();
     println!(
         "layout {} · workload {bench} · {refs} refs/core",
         layout.name()
     );
-    println!("  cycles            {cycles}");
-    println!("  mean IPC          {ipc:.3}");
-    println!("  network latency   {:.2} ns", stats.mean_latency_ns(freq));
-    println!("  network power     {power:.1} W");
-    println!("  packets           {}", stats.packets_retired);
-    println!("  memory reads      {}", sys.stats().mem_reads);
+    println!("  cycles            {}", m.cycles);
+    println!("  mean IPC          {:.3}", m.mean_ipc);
+    println!("  network latency   {:.2} ns", m.latency_ns);
+    println!("  network power     {:.1} W", m.power_w);
+    println!("  packets           {}", m.delivered);
+    println!(
+        "  memory reads      {}",
+        m.system.map_or(0, |s| s.mem_reads)
+    );
     Ok(())
 }
 
@@ -1757,6 +1722,37 @@ fn cmd_cache(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `heteronoc experiment <id>|all`: one paper experiment, its report
+/// printed line by line as it runs, or the whole suite sharded over the
+/// worker pool, each experiment's output printed as one block.
+fn cmd_experiment(a: &Args) -> Result<(), String> {
+    use heteronoc_bench::experiments::{run_blocks, ALL};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let ids: Vec<&str> = ALL.iter().map(|(name, _)| *name).collect();
+    let valid = format!("valid ids: all, {}", ids.join(", "));
+    let [id] = a.rest.as_slice() else {
+        return Err(format!("usage: heteronoc experiment <id>; {valid}"));
+    };
+    if id != "all" {
+        let Some(&(_, entry)) = ALL.iter().find(|(name, _)| name == id) else {
+            return Err(format!("unknown experiment '{id}'; {valid}"));
+        };
+        return catch_unwind(AssertUnwindSafe(entry)).map_err(|_| format!("{id} panicked"));
+    }
+    let jobs = default_jobs();
+    println!(
+        "running {} experiments on {jobs} worker thread(s)",
+        ALL.len()
+    );
+    let failed = run_blocks(ALL, jobs);
+    if !failed.is_empty() {
+        return Err(format!("failed experiments: {failed:?}"));
+    }
+    println!("all {} experiments completed; see results/", ALL.len());
+    Ok(())
+}
+
 fn run() -> Result<(), String> {
     let a = Args::parse(std::env::args().skip(1))?;
     if a.flag("help") || a.command.as_deref() == Some("help") {
@@ -1780,6 +1776,7 @@ fn run() -> Result<(), String> {
         Some("cache") => cmd_cache(&a),
         Some("top") => cmd_top(&a),
         Some("bench") => cmd_bench(&a),
+        Some("experiment") => cmd_experiment(&a),
         Some(other) => Err(format!("unknown command '{other}'\n\n{USAGE}")),
         None => {
             print!("{USAGE}");

@@ -617,9 +617,9 @@ impl SimCore {
     /// ([`Network::skip_quiet`]) when nothing observable distinguishes
     /// the intermediate cycles. `boundary` is the first cycle the caller
     /// needs control back at (next checkpoint boundary, `run_to` target
-    /// or `max_cycles`); a jump never crosses it. To keep resumed runs
-    /// byte-identical, a jump burns exactly the per-cycle Bernoulli RNG
-    /// draws the walked loop would have made.
+    /// or `max_cycles`); a jump never crosses it. A Bernoulli source at
+    /// rate zero makes no RNG draws, so the walked and jumped loops leave
+    /// the same RNG state.
     fn tick(
         &mut self,
         traffic: &mut dyn Traffic,
@@ -632,7 +632,9 @@ impl SimCore {
         #[allow(clippy::needless_range_loop)]
         for node in 0..n {
             let fire = match self.params.process {
-                InjectionProcess::Bernoulli => self.rng.random::<f64>() < self.on_prob,
+                InjectionProcess::Bernoulli => {
+                    self.on_prob > 0.0 && self.rng.random::<f64>() < self.on_prob
+                }
                 InjectionProcess::SelfSimilar {
                     alpha_on,
                     alpha_off,
@@ -679,14 +681,9 @@ impl SimCore {
                 && boundary > now + 1;
             if can_jump {
                 // Nothing observable happens until `boundary`: no node can
-                // ever fire (rate zero), and no epoch recorder or trace
-                // sink is watching. Burn the Bernoulli draws the walked
-                // loop would have made for the remaining cycles, then jump.
-                let delta = boundary - now;
-                for _ in 0..(delta - 1) * n as Cycle {
-                    let _ = self.rng.random::<f64>();
-                }
-                self.net.skip_quiet(delta);
+                // ever fire (rate zero, so no RNG draws either), and no
+                // epoch recorder or trace sink is watching.
+                self.net.skip_quiet(boundary - now);
             } else {
                 self.net.idle_step();
             }
@@ -965,9 +962,9 @@ fn drive(
         }
         // First cycle this loop needs control back at: the next periodic
         // checkpoint or progress boundary, or the hard cycle limit. A
-        // quiet-gap jump inside `tick` never crosses it (and burns the
-        // exact per-cycle RNG draws, so the boundary choice is invisible
-        // to the simulation itself).
+        // quiet-gap jump inside `tick` never crosses it (and the cycles it
+        // covers make no RNG draws, so the boundary choice is invisible to
+        // the simulation itself).
         let boundary = match &checkpoint {
             Some((_, every)) => (now - now % *every).saturating_add(*every),
             None => Cycle::MAX,

@@ -72,5 +72,5 @@ fn main() {
         println!("{name:<24}{large:>12.3}{small:>12.3}{cycles:>12}");
     }
     println!("\nTable routing steers large-core packets along the big diagonal routers");
-    println!("(paper Fig. 14); full metrics: cargo run -p heteronoc-bench --bin fig14_asymmetric");
+    println!("(paper Fig. 14); full metrics: heteronoc experiment fig14_asymmetric");
 }
