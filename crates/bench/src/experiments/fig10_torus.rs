@@ -56,7 +56,7 @@ pub fn run() {
             sweep.push(PointSpec {
                 label: format!("{bench}|{topo_name}|{}", layout.name()),
                 config: network_config(layout, *topo),
-                kind: PointKind::Cmp(CmpSpec::uniform(bench, trace_len(), SEED, 20_000_000)),
+                kind: PointKind::Cmp(CmpSpec::uniform(bench, trace_len(), SEED)),
             });
         }
     }

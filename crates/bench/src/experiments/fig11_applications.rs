@@ -39,7 +39,7 @@ pub fn run() {
             sweep.push(PointSpec {
                 label: format!("{bench}|{}", layout.name()),
                 config: mesh_config(layout),
-                kind: PointKind::Cmp(CmpSpec::uniform(bench, trace_len(), 0xAB, 20_000_000)),
+                kind: PointKind::Cmp(CmpSpec::uniform(bench, trace_len(), 0xAB)),
             });
         }
     }

@@ -93,7 +93,7 @@ pub fn run() {
                 kind: PointKind::Cmp(CmpSpec {
                     mcs: c.mcs.clone(),
                     prewarm: false,
-                    ..CmpSpec::uniform(bench, trace_len(), 0xF1613, 30_000_000)
+                    ..CmpSpec::uniform(bench, trace_len(), 0xF1613)
                 }),
             });
         }

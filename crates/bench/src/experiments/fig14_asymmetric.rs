@@ -34,7 +34,7 @@ fn trace_len() -> u64 {
 /// cores libquantum, small cores SPECjbb), large-core traffic expedited
 /// when `expedited`.
 fn point(label: &str, config: NetworkConfig, active: &[usize], expedited: bool) -> PointSpec {
-    let mut spec = CmpSpec::uniform(Benchmark::SpecJbb, trace_len(), 0xF1614, 40_000_000);
+    let mut spec = CmpSpec::uniform(Benchmark::SpecJbb, trace_len(), 0xF1614);
     for (i, (w, core)) in spec.workloads.iter_mut().zip(&mut spec.cores).enumerate() {
         let large = LARGE_NODES.contains(&i);
         *w = active.contains(&i).then_some(if large {

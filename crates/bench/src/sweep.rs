@@ -38,7 +38,7 @@ use heteronoc::noc::fault::FaultPlan;
 use heteronoc::noc::metrics::EpochSample;
 use heteronoc::noc::network::Network;
 use heteronoc::noc::sched::SchedReport;
-use heteronoc::noc::sim::{params_hash, SimError, SimParams, SimRun, Traffic, UniformRandom};
+use heteronoc::noc::sim::{params_hash, SimParams, SimRun, Traffic, UniformRandom};
 use heteronoc::noc::types::{Bits, Cycle, NodeId};
 use heteronoc::power::{NetworkPower, PowerBreakdown};
 use heteronoc::traffic::patterns::{
@@ -47,7 +47,7 @@ use heteronoc::traffic::patterns::{
 use heteronoc::traffic::trace::VecTrace;
 use heteronoc::traffic::workloads::{Benchmark, SyntheticWorkload};
 use heteronoc::traffic::TraceSource;
-use heteronoc_cmp::{corners4, run_closed_loop, CmpConfig, CmpSystem, CoreParams};
+use heteronoc_cmp::{corners4, ClosedLoop, CmpConfig, CmpSystem, CoreParams};
 use heteronoc_obs::{ProgressSink, Registry, Snapshot};
 use heteronoc_verify::{lint_config, run_with_degradation, Injection, LintOptions};
 
@@ -152,7 +152,7 @@ pub enum PointKind {
     /// Full CMP system run (cores, caches, directory, memory controllers)
     /// until every trace drains.
     Cmp(CmpSpec),
-    /// The §6 closed-loop request/response study ([`run_closed_loop`]):
+    /// The §6 closed-loop request/response study ([`ClosedLoop`]):
     /// every non-controller node keeps 16 requests (its L1 MSHRs)
     /// outstanding to uniformly chosen memory controllers, which reply
     /// at once.
@@ -195,15 +195,13 @@ pub struct CmpSpec {
     pub mcs: Vec<NodeId>,
     /// Functionally warm the caches with the same traces before timing.
     pub prewarm: bool,
-    /// Core-cycle budget; a system not drained by then fails the point.
-    pub max_cycles: Cycle,
 }
 
 impl CmpSpec {
     /// The paper's 64-tile CMP (Table 2: out-of-order cores, four corner
     /// memory controllers, prewarmed caches) with `benchmark` on every
     /// tile.
-    pub fn uniform(benchmark: Benchmark, refs: u64, seed: u64, max_cycles: Cycle) -> CmpSpec {
+    pub fn uniform(benchmark: Benchmark, refs: u64, seed: u64) -> CmpSpec {
         CmpSpec {
             workloads: vec![Some(benchmark); 64],
             seed,
@@ -212,7 +210,6 @@ impl CmpSpec {
             expedited: Vec::new(),
             mcs: corners4(8, 8),
             prewarm: true,
-            max_cycles,
         }
     }
 }
@@ -1143,19 +1140,7 @@ fn execute(
             if let Some(flag) = &ctx.shutdown {
                 run = run.shutdown_flag(Arc::clone(flag));
             }
-            let out = match run.run() {
-                Ok(out) => out,
-                Err(SimError::Interrupted { cycle, checkpoint }) => {
-                    return Err(match checkpoint {
-                        Some(p) => format!(
-                            "interrupted at cycle {cycle}; checkpoint saved to {}",
-                            p.display()
-                        ),
-                        None => format!("interrupted at cycle {cycle}"),
-                    });
-                }
-                Err(e) => return Err(e.to_string()),
-            };
+            let out = run.run().map_err(|e| e.to_string())?;
             // The point finished: its checkpoint (if any) is dead weight.
             if let Some(path) = ckpt_path {
                 let _ = std::fs::remove_file(path);
@@ -1184,15 +1169,11 @@ fn execute(
                 ..PointMetrics::default()
             })
         }
-        PointKind::Cmp(spec) => run_cmp(config, spec),
+        PointKind::Cmp(spec) => run_cmp(config, spec, ctx),
         PointKind::ClosedLoop { mcs, measure, seed } => {
-            let s = run_closed_loop(config.clone(), mcs, 16, 0, *measure, *seed);
-            if s.completed < *measure {
-                return Err(format!(
-                    "closed loop completed {} of {measure} round trips within {} cycles",
-                    s.completed, s.cycles
-                ));
-            }
+            let mut run = ClosedLoop::new(config.clone(), mcs, 16, 0, *measure, *seed);
+            run.run(ctx.shutdown.clone()).map_err(|e| e.to_string())?;
+            let s = run.stats();
             let nan = f64::NAN;
             Ok(PointMetrics {
                 cycles: s.cycles,
@@ -1252,7 +1233,7 @@ fn execute(
 /// Every ordered (source, destination) pair of `nodes`, `bursts` times
 /// over, one 512-bit packet every `spacing` cycles: the offered traffic of
 /// degradation and reliability-campaign points.
-pub(crate) fn all_pairs_injections(nodes: usize, bursts: u64, spacing: Cycle) -> Vec<Injection> {
+pub fn all_pairs_injections(nodes: usize, bursts: u64, spacing: Cycle) -> Vec<Injection> {
     let mut injections = Vec::new();
     for _ in 0..bursts {
         for s in 0..nodes {
@@ -1270,7 +1251,7 @@ pub(crate) fn all_pairs_injections(nodes: usize, bursts: u64, spacing: Cycle) ->
 }
 
 /// Builds and runs the CMP system `spec` describes on `config`.
-fn run_cmp(config: &NetworkConfig, spec: &CmpSpec) -> Result<PointMetrics, String> {
+fn run_cmp(config: &NetworkConfig, spec: &CmpSpec, ctx: &PointCtx) -> Result<PointMetrics, String> {
     let graph = config.build_graph();
     let nodes = graph.num_nodes();
     if spec.workloads.len() != nodes || spec.cores.len() != nodes {
@@ -1298,14 +1279,9 @@ fn run_cmp(config: &NetworkConfig, spec: &CmpSpec) -> Result<PointMetrics, Strin
     if spec.prewarm {
         sys.prewarm(traces());
     }
-    let cycles = sys.run(spec.max_cycles);
-    if !sys.finished() {
-        return Err(format!(
-            "CMP system did not drain within {} cycles: {}",
-            spec.max_cycles,
-            sys.drain_report()
-        ));
-    }
+    let cycles = sys
+        .try_run(Cycle::MAX, ctx.shutdown.clone())
+        .map_err(|e| format!("CMP system did not drain: {e}"))?;
     let ipcs = sys.ipcs();
     let stats = sys.network().stats();
     let power = NetworkPower::paper_calibrated().evaluate(config, &graph, stats);
@@ -1799,7 +1775,7 @@ mod tests {
         PointSpec {
             label: "retry-probe".into(),
             config: NetworkConfig::paper_baseline(),
-            kind: PointKind::Cmp(CmpSpec::uniform(Benchmark::Sap, 1, 1, 10)),
+            kind: PointKind::Cmp(CmpSpec::uniform(Benchmark::Sap, 1, 1)),
         }
     }
 

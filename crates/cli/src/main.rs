@@ -1103,7 +1103,7 @@ fn cmd_cmp(a: &Args) -> Result<(), String> {
     let m = run_point(&PointSpec {
         label: String::new(),
         config: mesh_config(&layout),
-        kind: PointKind::Cmp(CmpSpec::uniform(bench, refs, seed, 50_000_000)),
+        kind: PointKind::Cmp(CmpSpec::uniform(bench, refs, seed)),
     });
     if let Some(e) = m.error {
         return Err(e);
@@ -1417,8 +1417,9 @@ fn parse_at(flag: &str, v: &str) -> Result<(usize, u64), String> {
 /// burst, rerouting around hard faults with the deadlock proof in the loop.
 fn cmd_faults(a: &Args) -> Result<(), String> {
     use heteronoc::noc::fault::{DropReason, FaultKind, FaultPlan, HardFault};
-    use heteronoc::noc::types::{Bits, Cycle, LinkId, NodeId, RouterId};
-    use heteronoc_verify::{run_with_degradation, Injection};
+    use heteronoc::noc::types::{Cycle, LinkId, RouterId};
+    use heteronoc_bench::sweep::all_pairs_injections;
+    use heteronoc_verify::run_with_degradation;
 
     let layout = layout_by_name(a.get("layout").unwrap_or("diagonal-bl"))?;
     let mut plan = match a.get("plan") {
@@ -1458,25 +1459,7 @@ fn cmd_faults(a: &Args) -> Result<(), String> {
     let bursts = a.get_or("bursts", 1u64)?;
     let spacing: Cycle = a.get_or("spacing", 2u64)?;
     let stall_limit: Cycle = a.get_or("stall-limit", 100_000u64)?;
-    let nodes = graph.num_nodes();
-    let mut injections = Vec::new();
-    let mut k: Cycle = 0;
-    for _ in 0..bursts {
-        for s in 0..nodes {
-            for d in 0..nodes {
-                if s == d {
-                    continue;
-                }
-                injections.push(Injection {
-                    cycle: k * spacing,
-                    src: NodeId(s),
-                    dst: NodeId(d),
-                    size: Bits(512),
-                });
-                k += 1;
-            }
-        }
-    }
+    let injections = all_pairs_injections(graph.num_nodes(), bursts, spacing);
 
     println!(
         "layout {} · {} packets · ber {:e} · {} hard fault(s) · fault seed {}",

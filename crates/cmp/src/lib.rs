@@ -26,7 +26,7 @@ pub mod msg;
 pub mod system;
 
 pub use core::{Core, CoreParams};
-pub use memctrl::{corners4, diagonal16, diamond16, run_closed_loop, MemCtrl};
+pub use memctrl::{corners4, diagonal16, diamond16, run_closed_loop, ClosedLoop, MemCtrl};
 pub use metrics::{harmonic_speedup, weighted_speedup, Welford};
 pub use msg::{Msg, MsgKind};
 pub use system::{CmpConfig, CmpStats, CmpSystem, MemParams};

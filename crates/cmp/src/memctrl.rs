@@ -3,7 +3,9 @@
 //! model, and the closed-loop uniform-random request-response experiment of
 //! Fig. 13.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,6 +13,7 @@ use rand::{Rng, SeedableRng};
 use heteronoc_noc::config::NetworkConfig;
 use heteronoc_noc::network::Network;
 use heteronoc_noc::packet::PacketClass;
+use heteronoc_noc::sim::{drive, Clock, Hooks, SimError, Workload, WATCHDOG_CYCLES};
 use heteronoc_noc::types::{Cycle, NodeId};
 
 use crate::metrics::Welford;
@@ -105,7 +108,7 @@ impl MemCtrl {
 }
 
 /// Result of the closed-loop request-response experiment.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ClosedLoopStats {
     /// Round-trip latency (request generation to response ejection) in
     /// network cycles.
@@ -118,12 +121,12 @@ pub struct ClosedLoopStats {
     pub cycles: Cycle,
 }
 
-/// Runs the §6 closed-loop uniform-random experiment: every non-controller
-/// node keeps up to `mshrs` requests outstanding to uniformly chosen memory
-/// controllers; controllers reply with a cache-line data packet after
-/// `dram_latency` network cycles. Measures round-trip and request-leg
-/// latency over `measure` completed requests (after warming up with a
-/// quarter as many).
+/// Runs the §6 closed-loop uniform-random experiment ([`ClosedLoop`]) to
+/// completion. A run the watchdog stops short comes back with fewer than
+/// `measure` requests completed.
+///
+/// # Panics
+/// Panics if `cfg` is not a valid network configuration.
 pub fn run_closed_loop(
     cfg: NetworkConfig,
     mcs: &[NodeId],
@@ -132,81 +135,172 @@ pub fn run_closed_loop(
     measure: u64,
     seed: u64,
 ) -> ClosedLoopStats {
-    let mut net = Network::new(cfg).expect("valid network config");
-    let n = net.graph().num_nodes();
-    let is_mc: Vec<bool> = {
-        let mut v = vec![false; n];
-        for m in mcs {
-            v[m.index()] = true;
-        }
-        v
-    };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut outstanding = vec![0usize; n];
-    let mut birth: Vec<std::collections::HashMap<u64, Cycle>> =
-        vec![std::collections::HashMap::new(); n];
-    let mut ctrls: Vec<MemCtrl> = (0..n).map(|_| MemCtrl::new(dram_latency, 16)).collect();
-    let mut round_trip = Welford::new();
-    let mut request_leg = Welford::new();
-    let mut completed = 0u64;
-    let warmup = measure / 4;
-    let mut req_id = 0u64;
-    let mut done = Vec::new();
+    let mut run = ClosedLoop::new(cfg, mcs, mshrs, dram_latency, measure, seed);
+    let _stalled = run.run(None);
+    run.stats()
+}
 
-    while completed < warmup + measure && net.now() < 4_000_000 {
-        let now = net.now();
-        // Inject new requests greedily up to the MSHR limit.
-        for node in 0..n {
-            if is_mc[node] {
+/// The §6 closed-loop uniform-random experiment: every non-controller
+/// node keeps up to `mshrs` requests outstanding to uniformly chosen
+/// memory controllers; controllers reply with a cache-line data packet
+/// after `dram_latency` network cycles. Measures round-trip and
+/// request-leg latency over `measure` completed requests (after warming
+/// up with a quarter as many).
+///
+/// Per network cycle: inject, step, controller completions, deliveries.
+#[derive(Debug)]
+pub struct ClosedLoop {
+    net: Network,
+    clock: Clock,
+    mcs: Vec<NodeId>,
+    mshrs: usize,
+    rng: StdRng,
+    /// Each node's outstanding requests: tag -> issue cycle.
+    birth: Vec<HashMap<u64, Cycle>>,
+    /// The controller at each controller node.
+    ctrls: Vec<Option<MemCtrl>>,
+    /// The measurements, with `completed` counting the warm-up too.
+    stats: ClosedLoopStats,
+    warmup: u64,
+    measure: u64,
+    req_id: u64,
+    done: Vec<u64>,
+    delivered: bool,
+}
+
+impl ClosedLoop {
+    /// Sets the experiment up on a fresh network built from `cfg`.
+    ///
+    /// # Panics
+    /// Panics if `cfg` is not a valid network configuration.
+    pub fn new(
+        cfg: NetworkConfig,
+        mcs: &[NodeId],
+        mshrs: usize,
+        dram_latency: Cycle,
+        measure: u64,
+        seed: u64,
+    ) -> ClosedLoop {
+        let net = Network::new(cfg).expect("valid network config");
+        let n = net.graph().num_nodes();
+        let mut ctrls = vec![None; n];
+        for m in mcs {
+            ctrls[m.index()] = Some(MemCtrl::new(dram_latency, 16));
+        }
+        ClosedLoop {
+            net,
+            clock: Clock::new(1.0),
+            mcs: mcs.to_vec(),
+            mshrs,
+            rng: StdRng::seed_from_u64(seed),
+            birth: vec![HashMap::new(); n],
+            ctrls,
+            stats: ClosedLoopStats::default(),
+            warmup: measure / 4,
+            measure,
+            req_id: 0,
+            done: Vec::new(),
+            delivered: false,
+        }
+    }
+
+    /// Runs until `measure` requests complete after the warm-up.
+    ///
+    /// # Errors
+    /// [`SimError::Stalled`] when nothing is delivered for
+    /// [`WATCHDOG_CYCLES`] cycles; [`SimError::Interrupted`] once
+    /// `shutdown` is raised.
+    pub fn run(&mut self, shutdown: Option<Arc<AtomicBool>>) -> Result<(), SimError> {
+        let mut hooks = Hooks::new(Some(WATCHDOG_CYCLES));
+        hooks.shutdown = shutdown;
+        drive(self, hooks)
+    }
+
+    /// The measurements so far.
+    pub fn stats(&self) -> ClosedLoopStats {
+        ClosedLoopStats {
+            completed: self.stats.completed.saturating_sub(self.warmup),
+            cycles: self.net.now(),
+            ..self.stats.clone()
+        }
+    }
+}
+
+impl Workload for ClosedLoop {
+    fn net(&mut self) -> &mut Network {
+        &mut self.net
+    }
+
+    fn clock(&mut self) -> &mut Clock {
+        &mut self.clock
+    }
+
+    fn done(&self) -> bool {
+        self.stats.completed >= self.warmup + self.measure
+    }
+
+    /// New requests, greedily up to the MSHR limit.
+    fn inject(&mut self) {
+        let now = self.net.now();
+        for node in 0..self.ctrls.len() {
+            if self.ctrls[node].is_some() {
                 continue;
             }
-            while outstanding[node] < mshrs {
-                let mc = mcs[rng.random_range(0..mcs.len())];
-                let tag = req_id;
-                req_id += 1;
-                net.enqueue(NodeId(node), mc, CONTROL_BITS, PacketClass::Control, tag);
-                birth[node].insert(tag, now);
-                outstanding[node] += 1;
-            }
-        }
-        net.step();
-        // Controller completions -> responses.
-        for (m, ctrl) in ctrls.iter_mut().enumerate() {
-            if !is_mc[m] {
-                continue;
-            }
-            ctrl.completed(net.now(), &mut done);
-            for token in done.drain(..) {
-                let node = (token >> 40) as usize;
-                let tag = token & ((1 << 40) - 1);
-                net.enqueue(NodeId(m), NodeId(node), DATA_BITS, PacketClass::Data, tag);
-            }
-        }
-        for d in net.drain_delivered() {
-            let dst = d.packet.dst.index();
-            if is_mc[dst] {
-                // Request arrived at a controller.
-                let src = d.packet.src.index();
-                if completed >= warmup {
-                    request_leg.add((d.retire - d.packet.birth) as f64);
-                }
-                ctrls[dst].request(d.retire, ((src as u64) << 40) | d.packet.tag);
-            } else {
-                // Response back at the core.
-                let t0 = birth[dst].remove(&d.packet.tag).expect("known request");
-                outstanding[dst] -= 1;
-                if completed >= warmup {
-                    round_trip.add((d.retire - t0) as f64);
-                }
-                completed += 1;
+            while self.birth[node].len() < self.mshrs {
+                let mc = self.mcs[self.rng.random_range(0..self.mcs.len())];
+                let tag = self.req_id;
+                self.req_id += 1;
+                self.net
+                    .enqueue(NodeId(node), mc, CONTROL_BITS, PacketClass::Control, tag);
+                self.birth[node].insert(tag, now);
             }
         }
     }
-    ClosedLoopStats {
-        round_trip,
-        request_leg,
-        completed: completed.saturating_sub(warmup),
-        cycles: net.now(),
+
+    /// Controller completions become responses; then requests reach
+    /// their controllers and responses their cores.
+    fn deliver(&mut self) -> Result<(), SimError> {
+        let now = self.net.now();
+        for (m, ctrl) in self.ctrls.iter_mut().enumerate() {
+            let Some(ctrl) = ctrl else { continue };
+            ctrl.completed(now, &mut self.done);
+            for token in self.done.drain(..) {
+                let node = (token >> 40) as usize;
+                let tag = token & ((1 << 40) - 1);
+                self.net
+                    .enqueue(NodeId(m), NodeId(node), DATA_BITS, PacketClass::Data, tag);
+            }
+        }
+        let delivered = self.net.drain_delivered();
+        self.delivered = !delivered.is_empty();
+        for d in delivered {
+            let dst = d.packet.dst.index();
+            let measuring = self.stats.completed >= self.warmup;
+            if let Some(ctrl) = &mut self.ctrls[dst] {
+                let src = d.packet.src.index();
+                if measuring {
+                    self.stats
+                        .request_leg
+                        .add((d.retire - d.packet.birth) as f64);
+                }
+                ctrl.request(d.retire, ((src as u64) << 40) | d.packet.tag);
+            } else {
+                let t0 = self.birth[dst]
+                    .remove(&d.packet.tag)
+                    .expect("known request");
+                if measuring {
+                    self.stats.round_trip.add((d.retire - t0) as f64);
+                }
+                self.stats.completed += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Any delivery is progress: every request is answered, so a loop
+    /// that delivers nothing has wedged.
+    fn progressed(&mut self) -> bool {
+        self.delivered
     }
 }
 

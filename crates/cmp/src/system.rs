@@ -5,14 +5,19 @@
 //!
 //! Clock domains: cores, caches and DRAM run at the nominal core clock
 //! (2.2 GHz); the network runs at its own configured clock (2.2 GHz
-//! homogeneous, 2.07 GHz HeteroNoC) via a fractional-step accumulator.
+//! homogeneous, 2.07 GHz HeteroNoC). The system is a
+//! [`heteronoc_noc::sim::Workload`] whose cycle is the core cycle, and
+//! the driver's [`Clock`] accumulates the fractional network steps.
 //! All latencies reported by this module are in core cycles.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 use heteronoc_noc::config::NetworkConfig;
-use heteronoc_noc::network::Network;
+use heteronoc_noc::network::{Network, StallReport};
 use heteronoc_noc::packet::PacketClass;
+use heteronoc_noc::sim::{drive, Clock, Hooks, SimError, Workload, WATCHDOG_CYCLES};
 use heteronoc_noc::types::NodeId;
 use heteronoc_traffic::trace::{MemOp, TraceSource};
 
@@ -196,10 +201,8 @@ pub struct CmpStats {
 /// The simulated CMP.
 pub struct CmpSystem {
     mem: MemParams,
-    core_clock_ghz: f64,
     net: Network,
-    net_ratio: f64,
-    net_acc: f64,
+    clock: Clock,
     cores: Vec<Core>,
     l1s: Vec<L1>,
     banks: Vec<Bank>,
@@ -215,6 +218,8 @@ pub struct CmpSystem {
     mc_done: Vec<u64>,
     /// Reused per tick: (core, block, store) misses issued this cycle.
     issues: Vec<(usize, u64, bool)>,
+    /// Instructions committed when the watchdog last asked.
+    committed_seen: u64,
 }
 
 impl std::fmt::Debug for CmpSystem {
@@ -281,10 +286,8 @@ impl CmpSystem {
             .collect();
         Self {
             mem,
-            core_clock_ghz: cfg.core_clock_ghz,
             net,
-            net_ratio,
-            net_acc: 0.0,
+            clock: Clock::new(net_ratio),
             cores,
             l1s,
             banks,
@@ -296,6 +299,7 @@ impl CmpSystem {
             stats: CmpStats::default(),
             mc_done: Vec::new(),
             issues: Vec::new(),
+            committed_seen: 0,
         }
     }
 
@@ -324,11 +328,6 @@ impl CmpSystem {
         self.cores.iter().map(Core::committed).collect()
     }
 
-    /// Core clock in GHz.
-    pub fn core_clock_ghz(&self) -> f64 {
-        self.core_clock_ghz
-    }
-
     /// True when every core has drained its trace.
     pub fn finished(&self) -> bool {
         self.cores.iter().all(Core::finished)
@@ -345,6 +344,23 @@ impl CmpSystem {
     /// messages; and the packets in flight. Meant for "did not drain"
     /// messages.
     pub fn drain_report(&self) -> String {
+        let mut lines = self.stuck_parts();
+        let in_flight = self.net.in_flight();
+        if in_flight > 0 {
+            lines.push(format!("{in_flight} packets in flight"));
+        }
+        if lines.is_empty() {
+            return format!("drained at cycle {}", self.now);
+        }
+        format!(
+            "not drained at cycle {}:\n  {}",
+            self.now,
+            lines.join("\n  ")
+        )
+    }
+
+    /// One line per unfinished core and per bank with work left.
+    fn stuck_parts(&self) -> Vec<String> {
         let mut lines = Vec::new();
         for (c, core) in self.cores.iter().enumerate() {
             if core.finished() {
@@ -376,18 +392,7 @@ impl CmpSystem {
                 ));
             }
         }
-        let in_flight = self.net.in_flight();
-        if in_flight > 0 {
-            lines.push(format!("{in_flight} packets in flight"));
-        }
-        if lines.is_empty() {
-            return format!("drained at cycle {}", self.now);
-        }
-        format!(
-            "not drained at cycle {}:\n  {}",
-            self.now,
-            lines.join("\n  ")
-        )
+        lines
     }
 
     /// Functionally pre-warms the caches and directory by replaying
@@ -456,16 +461,36 @@ impl CmpSystem {
         }
     }
 
-    /// Runs until every trace drains or `max_cycles` elapse. Returns the
-    /// core cycles simulated. Network statistics are collected for the
-    /// whole run.
-    pub fn run(&mut self, max_cycles: Cycle) -> Cycle {
-        self.net.set_measuring(true);
-        while !self.finished() && self.now < max_cycles {
-            self.tick();
-        }
-        self.finalize_stats();
+    /// Runs until every trace drains, the core clock reaches `until`, or
+    /// no core commits an instruction for [`WATCHDOG_CYCLES`] cycles.
+    /// Returns the core cycle it stopped at. A stalled system is left
+    /// unfinished: [`CmpSystem::finished`] and [`CmpSystem::drain_report`]
+    /// say so, and [`CmpSystem::try_run`] returns the typed error. Network
+    /// statistics are collected for the whole run.
+    pub fn run(&mut self, until: Cycle) -> Cycle {
+        let _stalled = self.try_run(until, None);
         self.now
+    }
+
+    /// Runs until every trace drains or the core clock reaches `until`,
+    /// and returns the core cycle it stopped at.
+    ///
+    /// # Errors
+    /// [`SimError::Stalled`] when no core commits an instruction for
+    /// [`WATCHDOG_CYCLES`] cycles, its report naming the stuck cores and
+    /// banks; [`SimError::Interrupted`] once `shutdown` is raised.
+    pub fn try_run(
+        &mut self,
+        until: Cycle,
+        shutdown: Option<Arc<AtomicBool>>,
+    ) -> Result<Cycle, SimError> {
+        self.net.set_measuring(true);
+        let mut hooks = Hooks::new(Some(WATCHDOG_CYCLES));
+        hooks.until = until;
+        hooks.shutdown = shutdown;
+        let result = drive(self, hooks);
+        self.finalize_stats();
+        result.map(|()| self.now)
     }
 
     fn home_of(&self, block: u64) -> usize {
@@ -510,24 +535,12 @@ impl CmpSystem {
         );
     }
 
-    /// Advances one core cycle.
-    pub fn tick(&mut self) {
+    /// Ends a core cycle after its network steps: controllers, then
+    /// banks, then cores.
+    fn tick(&mut self) {
         let now = self.now;
 
-        // 1. Network advances at its own clock; deliveries processed after
-        //    every network step.
-        self.net_acc += self.net_ratio;
-        while self.net_acc >= 1.0 {
-            self.net_acc -= 1.0;
-            self.net.step();
-            let delivered = self.net.drain_delivered();
-            for d in delivered {
-                let msg = Msg::decode(d.packet.tag);
-                self.dispatch(d.packet.dst.index(), d.packet.src.index(), msg);
-            }
-        }
-
-        // 2. Memory controllers complete DRAM accesses.
+        // 1. Memory controllers complete DRAM accesses.
         let mut done = std::mem::take(&mut self.mc_done);
         for i in 0..self.mcs.len() {
             let m = self.mc_list[i];
@@ -548,7 +561,7 @@ impl CmpSystem {
         }
         self.mc_done = done;
 
-        // 3. Banks process delayed messages.
+        // 2. Banks process delayed messages.
         for b in 0..self.banks.len() {
             loop {
                 match self.banks[b].inbox.front() {
@@ -561,7 +574,7 @@ impl CmpSystem {
             }
         }
 
-        // 4. Cores commit and issue.
+        // 3. Cores commit and issue.
         let mut issues = std::mem::take(&mut self.issues);
         {
             let Self {
@@ -1079,6 +1092,51 @@ impl CmpSystem {
     }
 }
 
+/// Per core cycle: the network steps the clock ratio accumulates, each
+/// followed by dispatch, then the controllers, the banks and the cores.
+impl Workload for CmpSystem {
+    fn net(&mut self) -> &mut Network {
+        &mut self.net
+    }
+
+    fn clock(&mut self) -> &mut Clock {
+        &mut self.clock
+    }
+
+    fn now(&mut self) -> Cycle {
+        self.now
+    }
+
+    fn done(&self) -> bool {
+        self.finished()
+    }
+
+    fn deliver(&mut self) -> Result<(), SimError> {
+        for d in self.net.drain_delivered() {
+            let msg = Msg::decode(d.packet.tag);
+            self.dispatch(d.packet.dst.index(), d.packet.src.index(), msg);
+        }
+        Ok(())
+    }
+
+    /// A committed instruction is progress; an empty network is not, so a
+    /// core that wedges with nothing in flight still stalls.
+    fn progressed(&mut self) -> bool {
+        let committed = self.cores.iter().map(Core::committed).sum();
+        std::mem::replace(&mut self.committed_seen, committed) != committed
+    }
+
+    fn end_cycle(&mut self) {
+        self.tick();
+    }
+
+    fn stall_report(&mut self) -> StallReport {
+        let mut report = self.net.stall_report();
+        report.workload = self.stuck_parts();
+        report
+    }
+}
+
 /// Installs `block` in an L1 during functional warming (victims dropped
 /// silently; stale directory references recover through the protocol's
 /// absent-block probe handling).
@@ -1268,6 +1326,38 @@ mod tests {
             "{report}"
         );
         assert!(!report.contains("core 4"), "{report}");
+    }
+
+    #[test]
+    fn a_core_wedged_with_nothing_in_flight_stalls_naming_the_core() {
+        // Without MSHRs core 5's load never issues: the network stays
+        // empty, and only the commit-counting watchdog can end the run.
+        let cfg = CmpConfig {
+            mem: MemParams {
+                l1_mshrs: 0,
+                ..cfg().mem
+            },
+            ..cfg()
+        };
+        let mut traces = empty_traces(16);
+        traces[5] = trace_of(vec![rec(0, MemOp::Load, 0x1000)]);
+        let mut sys = CmpSystem::new(cfg, vec![CoreParams::OUT_OF_ORDER; 16], traces);
+        let err = sys.try_run(Cycle::MAX, None).unwrap_err();
+        let SimError::Stalled(report) = &err else {
+            panic!("expected a stall, got: {err}");
+        };
+        assert_eq!(
+            sys.now(),
+            WATCHDOG_CYCLES + 1,
+            "the first cycle past the window"
+        );
+        assert_eq!(report.in_flight, 0);
+        assert_eq!(
+            report.workload,
+            ["core 5: 0 committed, window empty, 0/0 MSHRs"],
+            "{err}"
+        );
+        assert!(err.to_string().contains("core 5: 0 committed"), "{err}");
     }
 
     #[test]

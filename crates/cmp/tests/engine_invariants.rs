@@ -1,10 +1,9 @@
 //! The network engine's runtime invariants under CMP traffic.
 //!
-//! `SimRun` checks them every cycle for open-loop traffic, but `CmpSystem`
-//! steps its network itself, so coherence traffic would otherwise never
-//! meet the checker. These runs call `Network::check_invariants` (compiled
-//! in by this crate's dev-dependency on `heteronoc-noc/verify`) after
-//! every tick until the system drains.
+//! This crate's dev-dependency on `heteronoc-noc/verify` compiles the
+//! checker in, and the driver then runs `Network::check_invariants` after
+//! every network step of a CMP run, panicking on the first violation.
+//! These runs carry coherence traffic through it until the system drains.
 
 use heteronoc::{mesh_config, Layout};
 use heteronoc_cmp::{corners4, CmpConfig, CmpSystem, CoreParams, MemParams};
@@ -15,19 +14,10 @@ use heteronoc_noc::types::{Bits, Cycle, NodeId, RouterId};
 use heteronoc_traffic::trace::{MemOp, TraceRecord, TraceSource, VecTrace};
 use heteronoc_traffic::workloads::{Benchmark, SyntheticWorkload};
 
-/// Ticks `sys` until it drains, checking the engine after every tick.
-fn drain_checked(mut sys: CmpSystem, max_cycles: Cycle) {
-    while !sys.finished() {
-        assert!(
-            sys.now() < max_cycles,
-            "did not drain: {}",
-            sys.drain_report()
-        );
-        sys.tick();
-        if let Err(e) = sys.network().check_invariants() {
-            panic!("core cycle {}: {e}", sys.now());
-        }
-    }
+/// Runs `sys` under the checker until it drains.
+fn drain_checked(mut sys: CmpSystem) {
+    sys.run(Cycle::MAX);
+    assert!(sys.finished(), "did not drain: {}", sys.drain_report());
 }
 
 #[test]
@@ -47,7 +37,7 @@ fn canneal_keeps_engine_invariants_on_baseline_and_diagonal_bl() {
             traces(),
         );
         sys.prewarm(traces());
-        drain_checked(sys, 5_000_000);
+        drain_checked(sys);
     }
 }
 
@@ -113,5 +103,5 @@ fn mixed_cores_with_expedited_table_routing_keep_engine_invariants() {
         })
         .collect();
     let traces = (0..16).map(|c| sharing_trace(c, 120)).collect();
-    drain_checked(CmpSystem::new(cfg, params, traces), 5_000_000);
+    drain_checked(CmpSystem::new(cfg, params, traces));
 }

@@ -41,7 +41,8 @@
 //! * [`network`] — the cycle-accurate engine;
 //! * [`sched`] — scheduler counters (router visits, wakes, quiet-gap
 //!   fast-path cycles);
-//! * [`sim`] — the open-loop synthetic-traffic driver;
+//! * [`sim`] — the one driver loop every workload runs on ([`sim::drive`]
+//!   over [`sim::Workload`]) and the open-loop synthetic-traffic workload;
 //! * [`stats`] — latency decomposition, utilizations, power-model events;
 //! * [`trace`] — flit-level event tracing (JSONL / Chrome `trace_event`);
 //! * [`metrics`] — epoch time-series sampling of the live network;

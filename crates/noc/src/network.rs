@@ -84,6 +84,10 @@ pub struct StallReport {
     pub stuck: Vec<StuckPacket>,
     /// Input VCs with the longest-waiting head flits (up to 8).
     pub blocked: Vec<BlockedChannel>,
+    /// What the stalled workload says about its own state, one line per
+    /// item (a CMP's stuck cores and busy banks); empty for open-loop
+    /// traffic.
+    pub workload: Vec<String>,
 }
 
 /// One stuck packet in a [`StallReport`].
@@ -134,6 +138,9 @@ impl std::fmt::Display for StallReport {
                 "  {}.{}.{} head blocked for {} cycles",
                 b.router, b.port, b.vc, b.head_wait
             )?;
+        }
+        for line in &self.workload {
+            writeln!(f, "  {line}")?;
         }
         Ok(())
     }
@@ -857,6 +864,7 @@ impl Network {
             in_flight: self.in_flight(),
             stuck,
             blocked,
+            workload: Vec::new(),
         }
     }
 

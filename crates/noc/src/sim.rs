@@ -1,9 +1,15 @@
-//! Open-loop synthetic-traffic simulation driver.
+//! The driver loop and the open-loop synthetic-traffic workload.
 //!
-//! Reproduces the paper's measurement methodology (§4): warm the network up
-//! with a fixed number of packets, then collect statistics for a measurement
-//! batch, reporting latency/throughput/utilization as a function of the
-//! offered load in packets/node/cycle.
+//! [`drive`] advances any [`Workload`] (open-loop traffic here; the CMP,
+//! the closed loop and the fault campaign in their own crates) and owns
+//! the clock ratio, the quiet-gap fast path, the invariant observer, the
+//! profiler, the shutdown flag, checkpoint and progress boundaries and the
+//! watchdog.
+//!
+//! [`SimRun`] reproduces the paper's measurement methodology (§4): warm
+//! the network up with a fixed number of packets, then collect statistics
+//! for a measurement batch, reporting latency/throughput/utilization as a
+//! function of the offered load in packets/node/cycle.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,13 +33,14 @@ use crate::types::{Bits, Cycle, NodeId, Rate};
 
 /// Per-cycle hook over the live network state (cargo feature `verify`).
 ///
-/// [`SimRun`] drives the default [`StrictInvariants`] observer; pass a
-/// custom implementation via [`SimRun::observer`] to record, sample or
-/// tolerate violations instead. With the feature disabled the simulation
-/// loop contains no observer call at all.
+/// [`drive`] runs the default [`StrictInvariants`] observer for every
+/// workload; pass a custom implementation via [`SimRun::observer`] to
+/// record, sample or tolerate violations of an open-loop run instead.
+/// With the feature disabled the driver loop contains no observer call at
+/// all.
 #[cfg(feature = "verify")]
 pub trait InvariantObserver {
-    /// Called after every [`Network::step`], before deliveries are drained.
+    /// Called after every network step, before deliveries are drained.
     fn after_cycle(&mut self, net: &Network);
 }
 
@@ -137,7 +144,7 @@ impl Default for SimParams {
             max_cycles: 2_000_000,
             seed: 0xC0FFEE,
             process: InjectionProcess::Bernoulli,
-            watchdog: Some(100_000),
+            watchdog: Some(WATCHDOG_CYCLES),
         }
     }
 }
@@ -314,10 +321,9 @@ pub struct SimRun<'a> {
     traffic: Option<&'a mut dyn Traffic>,
     trace: Option<Box<dyn TraceSink>>,
     epoch_every: Option<Cycle>,
-    profile: bool,
-    checkpoint: Option<(PathBuf, Cycle)>,
+    /// The profiler, checkpoint and shutdown hooks the builder sets.
+    hooks: Hooks,
     resume: Option<Checkpoint>,
-    shutdown: Option<Arc<AtomicBool>>,
     progress: Option<(ProgressSink, Cycle)>,
     #[cfg(feature = "verify")]
     observer: Option<&'a mut dyn InvariantObserver>,
@@ -330,8 +336,7 @@ impl std::fmt::Debug for SimRun<'_> {
             .field("traffic", &self.traffic.is_some())
             .field("trace", &self.trace.is_some())
             .field("epoch_every", &self.epoch_every)
-            .field("profile", &self.profile)
-            .field("checkpoint", &self.checkpoint)
+            .field("hooks", &self.hooks)
             .field("resume", &self.resume.as_ref().map(|c| c.cycle))
             .field("progress", &self.progress.as_ref().map(|(_, every)| *every))
             .finish_non_exhaustive()
@@ -344,16 +349,16 @@ impl<'a> SimRun<'a> {
     /// [`UniformRandom`] traffic and, with the `verify` feature, the
     /// panicking [`StrictInvariants`] observer.
     pub fn new(net: Network, params: SimParams) -> Self {
+        let mut hooks = Hooks::new(params.watchdog);
+        hooks.until = params.max_cycles;
         Self {
             net,
             params,
             traffic: None,
             trace: None,
             epoch_every: None,
-            profile: false,
-            checkpoint: None,
+            hooks,
             resume: None,
-            shutdown: None,
             progress: None,
             #[cfg(feature = "verify")]
             observer: None,
@@ -392,7 +397,7 @@ impl<'a> SimRun<'a> {
     /// [`SimOutcome::profile`].
     #[must_use]
     pub fn profile(mut self, on: bool) -> Self {
-        self.profile = on;
+        self.hooks.profile = on;
         self
     }
 
@@ -405,7 +410,7 @@ impl<'a> SimRun<'a> {
     /// [`SimRun::run`].
     #[must_use]
     pub fn checkpoint_every(mut self, path: impl Into<PathBuf>, every: Cycle) -> Self {
-        self.checkpoint = Some((path.into(), every));
+        self.hooks.checkpoint = Some((path.into(), every));
         self
     }
 
@@ -429,7 +434,7 @@ impl<'a> SimRun<'a> {
     /// configured) and the run returns [`SimError::Interrupted`].
     #[must_use]
     pub fn shutdown_flag(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.shutdown = Some(flag);
+        self.hooks.shutdown = Some(flag);
         self
     }
 
@@ -481,10 +486,8 @@ impl<'a> SimRun<'a> {
             traffic,
             trace,
             epoch_every,
-            profile,
-            checkpoint,
+            mut hooks,
             resume,
-            shutdown,
             progress,
             #[cfg(feature = "verify")]
             observer,
@@ -498,7 +501,7 @@ impl<'a> SimRun<'a> {
         if epoch_every == Some(0) {
             return Err(SimError::Config("epoch interval must be non-zero".into()));
         }
-        if let Some((_, 0)) = &checkpoint {
+        if let Some((_, 0)) = &hooks.checkpoint {
             return Err(SimError::Config(
                 "checkpoint interval must be non-zero".into(),
             ));
@@ -514,33 +517,271 @@ impl<'a> SimRun<'a> {
         if let Some(every) = epoch_every {
             net.enable_epochs(every);
         }
-        if profile {
-            net.enable_profiling();
-        }
         let mut default_traffic = UniformRandom;
         let traffic = traffic.unwrap_or(&mut default_traffic);
         let mut core = SimCore::new(net, params);
-        let resumed_at = match resume {
-            Some(ckpt) => {
-                core.restore(&ckpt, traffic)?;
-                Some(ckpt.cycle)
-            }
-            None => None,
+        hooks.progress = progress.map(|(sink, every)| ProgressState::new(sink, every));
+        if let Some(ckpt) = resume {
+            core.restore(&ckpt, traffic)?;
+            hooks.last_saved = Some(ckpt.cycle);
+        }
+        let mut run = OpenLoop {
+            core: &mut core,
+            traffic,
         };
-        let progress = progress.map(|(sink, every)| ProgressState::new(sink, every));
         #[cfg(feature = "verify")]
         {
             let mut strict = StrictInvariants;
-            let observer = observer.unwrap_or(&mut strict);
-            drive(
-                core, traffic, checkpoint, shutdown, resumed_at, progress, observer,
-            )
+            drive_observed(&mut run, hooks, observer.unwrap_or(&mut strict))?;
         }
         #[cfg(not(feature = "verify"))]
-        {
-            drive(core, traffic, checkpoint, shutdown, resumed_at, progress)
+        drive(&mut run, hooks)?;
+        Ok(core.finish())
+    }
+}
+
+/// The progress watchdog window of [`SimParams::default`], in workload
+/// cycles. CMP and closed-loop runs use it too.
+pub const WATCHDOG_CYCLES: Cycle = 100_000;
+
+/// A system [`drive`] advances: open-loop traffic, a CMP, a closed
+/// request/response loop or a fault campaign. The workload keeps its own
+/// traffic, its completion test and the order of its per-cycle work; the
+/// driver owns everything else (clock ratio, quiet-gap fast path,
+/// invariant observer, profiler, shutdown flag, checkpoint and progress
+/// boundaries, watchdog).
+///
+/// One workload cycle runs [`Workload::inject`], then as many network
+/// steps as the [`Clock`] ratio accumulates, each followed by
+/// [`Workload::deliver`], then the watchdog over
+/// [`Workload::progressed`], then [`Workload::end_cycle`].
+pub trait Workload {
+    /// The network the driver steps.
+    fn net(&mut self) -> &mut Network;
+    /// The driver's state for this workload (it outlives one
+    /// [`drive`] call).
+    fn clock(&mut self) -> &mut Clock;
+    /// The workload's cycle: network cycles unless it says otherwise (a
+    /// CMP counts core cycles).
+    fn now(&mut self) -> Cycle {
+        self.net().now()
+    }
+    /// True once the run is complete; checked before every cycle.
+    fn done(&self) -> bool;
+    /// Starts a cycle before its network steps: new traffic enters.
+    fn inject(&mut self) {}
+    /// Consumes what one network step delivered or dropped.
+    ///
+    /// # Errors
+    /// Whatever ends the run at this step, such as
+    /// [`SimError::Unrecoverable`].
+    fn deliver(&mut self) -> Result<(), SimError>;
+    /// True when the cycle so far made forward progress. The watchdog
+    /// fails the run after [`Hooks::watchdog`] cycles without.
+    fn progressed(&mut self) -> bool;
+    /// Ends the cycle after the watchdog.
+    fn end_cycle(&mut self) {}
+    /// True when nothing would enter a quiescent network before the next
+    /// boundary, so the driver may jump there in one go. Only a workload
+    /// whose cycle is the network's may say so.
+    fn may_skip_quiet(&self) -> bool {
+        false
+    }
+    /// The report a stalled run ends with.
+    fn stall_report(&mut self) -> StallReport {
+        self.net().stall_report()
+    }
+    /// The run state a checkpoint captures; `None` when the workload
+    /// cannot be checkpointed.
+    fn checkpoint(&mut self) -> Option<Checkpoint> {
+        None
+    }
+    /// Adds the workload's fields to a progress snapshot. Returns the
+    /// packets retired and, once known, the number the run waits for
+    /// (the ETA divides one by the other's rate).
+    fn progress(&mut self, _snap: &mut Snapshot) -> (u64, Option<u64>) {
+        (0, None)
+    }
+}
+
+/// The driver's per-workload state across [`drive`] calls: how many
+/// network steps one workload cycle takes, and when progress was last
+/// seen.
+#[derive(Clone, Copy, Debug)]
+pub struct Clock {
+    ratio: f64,
+    acc: f64,
+    last_progress: Cycle,
+}
+
+impl Clock {
+    /// `ratio` network steps per workload cycle (network clock over the
+    /// workload's). A fractional ratio accumulates, so steps need not
+    /// line up with workload cycles.
+    pub fn new(ratio: f64) -> Clock {
+        Clock {
+            ratio,
+            acc: 0.0,
+            last_progress: 0,
         }
     }
+
+    /// The network steps of the next workload cycle.
+    fn steps(&mut self) -> u32 {
+        self.acc += self.ratio;
+        let mut n = 0;
+        while self.acc >= 1.0 {
+            self.acc -= 1.0;
+            n += 1;
+        }
+        n
+    }
+}
+
+/// What one [`drive`] call attaches to its workload.
+#[derive(Debug)]
+pub struct Hooks {
+    /// The run stops before this workload cycle (`Cycle::MAX`: only when
+    /// the workload is done).
+    pub until: Cycle,
+    /// Cycles without progress before the run fails with
+    /// [`SimError::Stalled`] (`None`: never).
+    pub watchdog: Option<Cycle>,
+    /// Once raised, the run stops at the next cycle boundary with
+    /// [`SimError::Interrupted`].
+    pub shutdown: Option<Arc<AtomicBool>>,
+    /// Turns on the network's per-stage profiler.
+    profile: bool,
+    checkpoint: Option<(PathBuf, Cycle)>,
+    last_saved: Option<Cycle>,
+    progress: Option<ProgressState>,
+}
+
+impl Hooks {
+    /// Runs to completion under `watchdog`, with nothing else attached.
+    pub fn new(watchdog: Option<Cycle>) -> Hooks {
+        Hooks {
+            until: Cycle::MAX,
+            watchdog,
+            shutdown: None,
+            profile: false,
+            checkpoint: None,
+            last_saved: None,
+            progress: None,
+        }
+    }
+
+    /// Writes the workload's checkpoint to the configured path.
+    fn save(&mut self, w: &mut (impl Workload + ?Sized), now: Cycle) -> Result<(), SimError> {
+        if let (Some((path, _)), Some(ckpt)) = (&self.checkpoint, w.checkpoint()) {
+            ckpt.save(path)?;
+        }
+        self.last_saved = Some(now);
+        Ok(())
+    }
+}
+
+/// Runs `w` until it is done, `hooks.until`, the watchdog fires or the
+/// shutdown flag is raised. With the `verify` feature every network step
+/// is checked by `StrictInvariants`.
+///
+/// # Errors
+/// [`SimError::Stalled`] from the watchdog, with the workload's
+/// [`Workload::stall_report`]; [`SimError::Interrupted`] from the
+/// shutdown flag; whatever [`Workload::deliver`] returns.
+pub fn drive(w: &mut (impl Workload + ?Sized), hooks: Hooks) -> Result<(), SimError> {
+    drive_observed(
+        w,
+        hooks,
+        #[cfg(feature = "verify")]
+        &mut StrictInvariants,
+    )
+}
+
+/// [`drive`] with the invariant observer chosen by the caller.
+fn drive_observed(
+    w: &mut (impl Workload + ?Sized),
+    mut hooks: Hooks,
+    #[cfg(feature = "verify")] observer: &mut dyn InvariantObserver,
+) -> Result<(), SimError> {
+    if hooks.profile {
+        w.net().enable_profiling();
+    }
+    while !w.done() {
+        let now = w.now();
+        if hooks
+            .shutdown
+            .as_ref()
+            .is_some_and(|f| f.load(Ordering::Relaxed))
+        {
+            if hooks.checkpoint.is_some() && hooks.last_saved != Some(now) {
+                hooks.save(w, now)?;
+            }
+            return Err(SimError::Interrupted {
+                cycle: now,
+                checkpoint: hooks.checkpoint.map(|(path, _)| path),
+            });
+        }
+        let due = |every: Cycle| now > 0 && now.is_multiple_of(every);
+        if hooks.checkpoint.as_ref().is_some_and(|c| due(c.1)) && hooks.last_saved != Some(now) {
+            hooks.save(w, now)?;
+        }
+        if let Some(p) = hooks.progress.as_mut() {
+            if p.last_emitted.is_none() || (due(p.every) && p.last_emitted != Some(now)) {
+                p.emit(w, false);
+            }
+        }
+        if now >= hooks.until {
+            break;
+        }
+        // The first cycle the loop needs control back at. A quiet-gap
+        // jump never crosses it.
+        let next = |e: Cycle| (now - now % e).saturating_add(e);
+        let boundary = (hooks.checkpoint.as_ref())
+            .map_or(Cycle::MAX, |c| next(c.1))
+            .min(
+                hooks
+                    .progress
+                    .as_ref()
+                    .map_or(Cycle::MAX, |p| next(p.every)),
+            )
+            .min(hooks.until);
+
+        w.inject();
+        for _ in 0..w.clock().steps() {
+            // A quiescent network cannot change state this step, so the
+            // pipeline walk becomes bookkeeping, or a jump to the boundary
+            // when nothing can enter before it.
+            if w.net().quiescent() {
+                let skip = w.may_skip_quiet();
+                let net = w.net();
+                let t = net.now();
+                if skip && net.can_skip_quiet() && boundary > t + 1 {
+                    net.skip_quiet(boundary - t);
+                } else {
+                    net.idle_step();
+                }
+            } else {
+                w.net().step();
+            }
+            #[cfg(feature = "verify")]
+            observer.after_cycle(w.net());
+            w.deliver()?;
+        }
+        let now = w.now();
+        if w.progressed() {
+            w.clock().last_progress = now;
+        } else if let Some(limit) = hooks.watchdog {
+            if now.saturating_sub(w.clock().last_progress) > limit {
+                return Err(SimError::Stalled(Box::new(w.stall_report())));
+            }
+        }
+        w.end_cycle();
+    }
+    if let Some(p) = hooks.progress.as_mut() {
+        p.emit(w, true);
+    }
+    Ok(())
 }
 
 /// Section tag of the driver-loop state at the start of every run
@@ -549,13 +790,13 @@ const SEC_SIM: u8 = 11;
 /// Section tag of the traffic-pattern state at the end of the body.
 const SEC_TRAFFIC: u8 = 12;
 
-/// The open-loop driver state machine: the network plus everything the
-/// per-cycle loop in the old `run_loop` kept on its stack, factored into a
-/// struct so a checkpoint can capture it mid-run and the replay bisector
-/// can single-step it ([`SimCore::tick`] is exactly one loop iteration).
+/// The open-loop run state: the network plus the generator and
+/// measurement counters, factored into a struct so a checkpoint can
+/// capture it mid-run and the replay bisector can single-step it.
 struct SimCore {
     net: Network,
     params: SimParams,
+    clock: Clock,
     rng: StdRng,
     onoff: Vec<OnOff>,
     on_prob: f64,
@@ -563,7 +804,10 @@ struct SimCore {
     dropped_total: u64,
     measuring: bool,
     saturated: bool,
-    last_progress: Cycle,
+    /// The current cycle delivered or dropped a packet.
+    moved: bool,
+    /// The batch retired, or saturation bailed out.
+    done: bool,
 }
 
 impl SimCore {
@@ -594,6 +838,7 @@ impl SimCore {
         Self {
             net,
             params,
+            clock: Clock::new(1.0),
             rng,
             onoff,
             on_prob,
@@ -601,131 +846,9 @@ impl SimCore {
             dropped_total: 0,
             measuring: false,
             saturated: false,
-            last_progress: 0,
+            moved: false,
+            done: false,
         }
-    }
-
-    /// Runs one loop iteration: traffic generation, one network cycle,
-    /// delivery/drop draining, watchdog, warmup transition and the two
-    /// early-exit checks. Returns `Ok(false)` when the run is complete
-    /// (measurement batch retired, or saturation bail-out).
-    ///
-    /// The cycle itself is a thin dispatch into the engine: normally one
-    /// [`Network::step`], but a globally quiescent network takes the idle
-    /// fast path instead — a single
-    /// bookkeeping cycle ([`Network::idle_step`]), or a bulk jump
-    /// ([`Network::skip_quiet`]) when nothing observable distinguishes
-    /// the intermediate cycles. `boundary` is the first cycle the caller
-    /// needs control back at (next checkpoint boundary, `run_to` target
-    /// or `max_cycles`); a jump never crosses it. A Bernoulli source at
-    /// rate zero makes no RNG draws, so the walked and jumped loops leave
-    /// the same RNG state.
-    fn tick(
-        &mut self,
-        traffic: &mut dyn Traffic,
-        boundary: Cycle,
-        #[cfg(feature = "verify")] observer: &mut dyn InvariantObserver,
-    ) -> Result<bool, SimError> {
-        let n = self.onoff.len();
-        // Generate traffic for this cycle (index used both for the ON/OFF
-        // state and as the NodeId).
-        #[allow(clippy::needless_range_loop)]
-        for node in 0..n {
-            let fire = match self.params.process {
-                InjectionProcess::Bernoulli => {
-                    self.on_prob > 0.0 && self.rng.random::<f64>() < self.on_prob
-                }
-                InjectionProcess::SelfSimilar {
-                    alpha_on,
-                    alpha_off,
-                } => {
-                    let s = &mut self.onoff[node];
-                    if s.remaining == 0 {
-                        s.on = !s.on;
-                        s.remaining =
-                            pareto(&mut self.rng, if s.on { alpha_on } else { alpha_off });
-                    }
-                    s.remaining -= 1;
-                    s.on && self.rng.random::<f64>() < self.on_prob
-                }
-            };
-            if fire {
-                let src = NodeId(node);
-                let dst = traffic.destination(src, n, &mut self.rng);
-                let size = traffic.size(src, &mut self.rng);
-                let class = traffic.class(src);
-                self.net.enqueue(src, dst, size, class, 0);
-            }
-        }
-        // A quiescent network (no queued or in-flight packets, no pending
-        // events, no fault machinery) cannot change state this cycle:
-        // enqueues above are already visible through `quiescent()`, so the
-        // full walk may be replaced with bookkeeping.
-        if self.net.quiescent() {
-            let now = self.net.now();
-            // The post-cycle warmup/measure checks below read counters a
-            // quiet gap cannot change (`delivered_total`, retired packets),
-            // so their verdicts are constant across the gap: if either
-            // predicate already holds, the walked loop would act on it at
-            // the *next* cycle — step singly so it fires at the same cycle;
-            // if neither holds, no check can trip mid-gap and the jump is
-            // exact.
-            let phase_exit_pending = (!self.measuring
-                && self.delivered_total >= self.params.warmup_packets)
-                || (self.measuring
-                    && self.net.stats().packets_retired >= self.params.measure_packets);
-            let can_jump = matches!(self.params.process, InjectionProcess::Bernoulli)
-                && self.on_prob == 0.0
-                && self.net.can_skip_quiet()
-                && !phase_exit_pending
-                && boundary > now + 1;
-            if can_jump {
-                // Nothing observable happens until `boundary`: no node can
-                // ever fire (rate zero, so no RNG draws either), and no
-                // epoch recorder or trace sink is watching.
-                self.net.skip_quiet(boundary - now);
-            } else {
-                self.net.idle_step();
-            }
-        } else {
-            self.net.step();
-        }
-        #[cfg(feature = "verify")]
-        observer.after_cycle(&self.net);
-        if let Some(e) = self.net.fault_error() {
-            return Err(SimError::Unrecoverable(e));
-        }
-        let newly = self.net.drain_delivered().len() as u64;
-        self.delivered_total += newly;
-        let newly_dropped = self.net.drain_dropped().len() as u64;
-        self.dropped_total += newly_dropped;
-
-        // Progress watchdog: completions and typed drops both count as
-        // forward progress; an idle network is not stalled.
-        if newly + newly_dropped > 0 || self.net.in_flight() == 0 {
-            self.last_progress = self.net.now();
-        } else if let Some(limit) = self.params.watchdog {
-            if self.net.now().saturating_sub(self.last_progress) > limit {
-                return Err(SimError::Stalled(Box::new(self.net.stall_report())));
-            }
-        }
-
-        if !self.measuring && self.delivered_total >= self.params.warmup_packets {
-            self.measuring = true;
-            self.net.set_measuring(true);
-        }
-        if self.measuring && self.net.stats().packets_retired >= self.params.measure_packets {
-            return Ok(false);
-        }
-        // Saturation bail-out: if queues hold several times the measurement
-        // batch, latency is unbounded at this load.
-        if self.net.now().is_multiple_of(4096)
-            && self.net.in_flight() as u64 > 4 * self.params.measure_packets.max(1_000)
-        {
-            self.saturated = true;
-            return Ok(false);
-        }
-        Ok(true)
     }
 
     /// Applies the end-of-run saturation checks and builds the outcome.
@@ -758,17 +881,7 @@ impl SimCore {
     }
 
     /// Captures the complete run state (driver loop + network + traffic
-    /// pattern) and writes it atomically to `path`.
-    fn save_checkpoint(
-        &self,
-        path: &std::path::Path,
-        traffic: &dyn Traffic,
-    ) -> Result<(), CheckpointError> {
-        self.make_checkpoint(traffic).save(path)
-    }
-
-    /// Builds the checkpoint in memory (the on-disk write is
-    /// [`SimCore::save_checkpoint`]).
+    /// pattern) as an in-memory checkpoint.
     fn make_checkpoint(&self, traffic: &dyn Traffic) -> Checkpoint {
         let mut e = Enc::new();
         e.sec(SEC_SIM);
@@ -785,7 +898,7 @@ impl SimCore {
         e.u64(self.dropped_total);
         e.bool(self.measuring);
         e.bool(self.saturated);
-        e.u64(self.last_progress);
+        e.u64(self.clock.last_progress);
         self.net.encode_state(&mut e);
         e.sec(SEC_TRAFFIC);
         traffic.save_state(&mut e);
@@ -819,7 +932,7 @@ impl SimCore {
             self.dropped_total = d.u64()?;
             self.measuring = d.bool()?;
             self.saturated = d.bool()?;
-            self.last_progress = d.u64()?;
+            self.clock.last_progress = d.u64()?;
             self.net.decode_state(d)?;
             d.sec(SEC_TRAFFIC, "traffic")?;
             traffic.load_state(d)?;
@@ -832,11 +945,132 @@ impl SimCore {
     }
 }
 
+/// Open-loop traffic as a [`Workload`]: [`SimCore`] with its pattern.
+struct OpenLoop<'c, 't> {
+    core: &'c mut SimCore,
+    traffic: &'t mut dyn Traffic,
+}
+
+impl Workload for OpenLoop<'_, '_> {
+    fn net(&mut self) -> &mut Network {
+        &mut self.core.net
+    }
+
+    fn clock(&mut self) -> &mut Clock {
+        &mut self.core.clock
+    }
+
+    fn done(&self) -> bool {
+        self.core.done
+    }
+
+    /// Draws this cycle's packets (the index is both the ON/OFF state
+    /// and the `NodeId`). A Bernoulli source at rate zero makes no RNG
+    /// draws, so walking a quiet gap and jumping it leave the same RNG
+    /// state.
+    fn inject(&mut self) {
+        let c = &mut *self.core;
+        let n = c.onoff.len();
+        #[allow(clippy::needless_range_loop)]
+        for node in 0..n {
+            let fire = match c.params.process {
+                InjectionProcess::Bernoulli => c.on_prob > 0.0 && c.rng.random::<f64>() < c.on_prob,
+                InjectionProcess::SelfSimilar {
+                    alpha_on,
+                    alpha_off,
+                } => {
+                    let s = &mut c.onoff[node];
+                    if s.remaining == 0 {
+                        s.on = !s.on;
+                        s.remaining = pareto(&mut c.rng, if s.on { alpha_on } else { alpha_off });
+                    }
+                    s.remaining -= 1;
+                    s.on && c.rng.random::<f64>() < c.on_prob
+                }
+            };
+            if fire {
+                let src = NodeId(node);
+                let dst = self.traffic.destination(src, n, &mut c.rng);
+                let size = self.traffic.size(src, &mut c.rng);
+                let class = self.traffic.class(src);
+                c.net.enqueue(src, dst, size, class, 0);
+            }
+        }
+    }
+
+    fn deliver(&mut self) -> Result<(), SimError> {
+        let c = &mut *self.core;
+        if let Some(e) = c.net.fault_error() {
+            return Err(SimError::Unrecoverable(e));
+        }
+        let newly = c.net.drain_delivered().len() as u64;
+        c.delivered_total += newly;
+        let newly_dropped = c.net.drain_dropped().len() as u64;
+        c.dropped_total += newly_dropped;
+        c.moved = newly + newly_dropped > 0;
+        Ok(())
+    }
+
+    /// Completions and typed drops count as progress; an idle network is
+    /// not stalled.
+    fn progressed(&mut self) -> bool {
+        self.core.moved || self.core.net.in_flight() == 0
+    }
+
+    /// The warm-up and measurement checks, then the saturation bail-out:
+    /// queues holding several times the batch mean unbounded latency.
+    fn end_cycle(&mut self) {
+        let c = &mut *self.core;
+        if !c.measuring && c.delivered_total >= c.params.warmup_packets {
+            c.measuring = true;
+            c.net.set_measuring(true);
+        }
+        if c.measuring && c.net.stats().packets_retired >= c.params.measure_packets {
+            c.done = true;
+        } else if c.net.now().is_multiple_of(4096)
+            && c.net.in_flight() as u64 > 4 * c.params.measure_packets.max(1_000)
+        {
+            c.saturated = true;
+            c.done = true;
+        }
+    }
+
+    /// Only a Bernoulli source at rate zero injects nothing. A pending
+    /// warm-up or measurement transition must fire at its exact cycle,
+    /// so it rules the jump out too.
+    fn may_skip_quiet(&self) -> bool {
+        let c = &*self.core;
+        let phase_exit_pending = (!c.measuring && c.delivered_total >= c.params.warmup_packets)
+            || (c.measuring && c.net.stats().packets_retired >= c.params.measure_packets);
+        matches!(c.params.process, InjectionProcess::Bernoulli)
+            && c.on_prob == 0.0
+            && !phase_exit_pending
+    }
+
+    fn checkpoint(&mut self) -> Option<Checkpoint> {
+        Some(self.core.make_checkpoint(&*self.traffic))
+    }
+
+    fn progress(&mut self, snap: &mut Snapshot) -> (u64, Option<u64>) {
+        let c = &*self.core;
+        let retired = c.net.stats().packets_retired;
+        snap.field_u64("max_cycles", c.params.max_cycles)
+            .field_u64("in_flight", c.net.in_flight() as u64)
+            .field_u64("delivered", c.delivered_total)
+            .field_u64("retired", retired)
+            .field_u64("measure_packets", c.params.measure_packets)
+            .field_u64("dropped", c.dropped_total)
+            .field_bool("measuring", c.measuring);
+        (retired, c.measuring.then_some(c.params.measure_packets))
+    }
+}
+
 /// Progress-stream state carried across the driver loop: the sink, the
 /// reporting interval, and enough history (previous registry, wall-clock
 /// and retired count) to compute deltas and an ETA. Lives entirely outside
 /// the simulation state — building a snapshot reads the network, never
 /// writes it, and draws no randomness.
+#[derive(Debug)]
 struct ProgressState {
     sink: ProgressSink,
     every: Cycle,
@@ -864,40 +1098,27 @@ impl ProgressState {
         }
     }
 
-    /// Emits one `kind:"sim"` snapshot of the current core state. Write
-    /// failures warn on stderr once and are otherwise swallowed.
-    fn emit(&mut self, core: &SimCore, done: bool) {
-        let now = core.net.now();
+    /// Emits one `kind:"sim"` snapshot of the workload. Write failures
+    /// warn on stderr once and are otherwise swallowed.
+    fn emit(&mut self, w: &mut (impl Workload + ?Sized), done: bool) {
+        let now = w.now();
         let mut reg = Registry::new();
-        core.net.export_telemetry(&mut reg);
+        w.net().export_telemetry(&mut reg);
         let elapsed = self.started.elapsed().as_secs_f64();
-        let retired = core.net.stats().packets_retired;
-
-        // ETA for the measurement batch, from the retirement rate since
-        // the previous snapshot (NaN renders as null while unknown).
-        let eta = if done {
-            0.0
-        } else {
-            let rate = (retired.saturating_sub(self.prev_retired)) as f64
-                / (elapsed - self.prev_elapsed).max(1e-9);
-            let remaining = core.params.measure_packets.saturating_sub(retired);
-            if core.measuring && rate > 0.0 {
-                remaining as f64 / rate
-            } else {
-                f64::NAN
-            }
-        };
-
         let mut snap = Snapshot::new("sim", self.seq);
-        snap.field_u64("cycle", now)
-            .field_u64("max_cycles", core.params.max_cycles)
-            .field_u64("in_flight", core.net.in_flight() as u64)
-            .field_u64("delivered", core.delivered_total)
-            .field_u64("retired", retired)
-            .field_u64("measure_packets", core.params.measure_packets)
-            .field_u64("dropped", core.dropped_total)
-            .field_bool("measuring", core.measuring)
-            .field_f64("elapsed_secs", elapsed)
+        snap.field_u64("cycle", now);
+        let (retired, target) = w.progress(&mut snap);
+
+        // ETA from the retirement rate since the previous snapshot (NaN
+        // renders as null while unknown).
+        let rate = (retired.saturating_sub(self.prev_retired)) as f64
+            / (elapsed - self.prev_elapsed).max(1e-9);
+        let eta = match target {
+            _ if done => 0.0,
+            Some(t) if rate > 0.0 => t.saturating_sub(retired) as f64 / rate,
+            _ => f64::NAN,
+        };
+        snap.field_f64("elapsed_secs", elapsed)
             .field_f64("eta_secs", eta)
             .field_bool("done", done)
             .deltas("deltas", &reg, &self.prev)
@@ -914,82 +1135,6 @@ impl ProgressState {
     }
 }
 
-/// The checkpoint-aware outer loop: polls the shutdown flag and writes
-/// periodic checkpoints (and progress snapshots) at iteration boundaries,
-/// where [`SimCore::tick`] has fully settled the cycle (matching what
-/// `restore` rebuilds).
-fn drive(
-    mut core: SimCore,
-    traffic: &mut dyn Traffic,
-    checkpoint: Option<(PathBuf, Cycle)>,
-    shutdown: Option<Arc<AtomicBool>>,
-    resumed_at: Option<Cycle>,
-    mut progress: Option<ProgressState>,
-    #[cfg(feature = "verify")] observer: &mut dyn InvariantObserver,
-) -> Result<SimOutcome, SimError> {
-    let mut last_saved = resumed_at;
-    loop {
-        let now = core.net.now();
-        if shutdown.as_ref().is_some_and(|f| f.load(Ordering::Relaxed)) {
-            let path = match &checkpoint {
-                Some((path, _)) if last_saved != Some(now) => {
-                    core.save_checkpoint(path, traffic)?;
-                    Some(path.clone())
-                }
-                Some((path, _)) => Some(path.clone()),
-                None => None,
-            };
-            return Err(SimError::Interrupted {
-                cycle: now,
-                checkpoint: path,
-            });
-        }
-        if let Some((path, every)) = &checkpoint {
-            if now > 0 && now.is_multiple_of(*every) && last_saved != Some(now) {
-                core.save_checkpoint(path, traffic)?;
-                last_saved = Some(now);
-            }
-        }
-        if let Some(p) = progress.as_mut() {
-            let due = p.last_emitted.is_none()
-                || (now > 0 && now.is_multiple_of(p.every) && p.last_emitted != Some(now));
-            if due {
-                p.emit(&core, false);
-            }
-        }
-        if now >= core.params.max_cycles {
-            break;
-        }
-        // First cycle this loop needs control back at: the next periodic
-        // checkpoint or progress boundary, or the hard cycle limit. A
-        // quiet-gap jump inside `tick` never crosses it (and the cycles it
-        // covers make no RNG draws, so the boundary choice is invisible to
-        // the simulation itself).
-        let boundary = match &checkpoint {
-            Some((_, every)) => (now - now % *every).saturating_add(*every),
-            None => Cycle::MAX,
-        }
-        .min(match &progress {
-            Some(p) => (now - now % p.every).saturating_add(p.every),
-            None => Cycle::MAX,
-        })
-        .min(core.params.max_cycles);
-        let more = core.tick(
-            traffic,
-            boundary,
-            #[cfg(feature = "verify")]
-            observer,
-        )?;
-        if !more {
-            break;
-        }
-    }
-    if let Some(p) = progress.as_mut() {
-        p.emit(&core, true);
-    }
-    Ok(core.finish())
-}
-
 /// Deterministic single-stepping harness over the run loop, for replay
 /// tooling: where [`SimRun::run`] drives the loop to completion, a
 /// `Stepper` advances it to arbitrary cycle boundaries
@@ -1003,16 +1148,13 @@ fn drive(
 pub struct Stepper {
     core: SimCore,
     traffic: Box<dyn Traffic>,
-    done: bool,
-    #[cfg(feature = "verify")]
-    observer: StrictInvariants,
 }
 
 impl std::fmt::Debug for Stepper {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Stepper")
             .field("now", &self.core.net.now())
-            .field("done", &self.done)
+            .field("done", &self.core.done)
             .finish_non_exhaustive()
     }
 }
@@ -1023,9 +1165,6 @@ impl Stepper {
         Self {
             core: SimCore::new(net, params),
             traffic,
-            done: false,
-            #[cfg(feature = "verify")]
-            observer: StrictInvariants,
         }
     }
 
@@ -1052,12 +1191,6 @@ impl Stepper {
         self.core.net.now()
     }
 
-    /// True once the run loop has finished (batch retired, saturation
-    /// bail-out, or `max_cycles`); the state then freezes.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// The network at the current boundary.
     pub fn network(&self) -> &Network {
         &self.core.net
@@ -1075,29 +1208,20 @@ impl Stepper {
         self.core.make_checkpoint(self.traffic.as_ref())
     }
 
-    /// Advances the loop until `target` (a cycle boundary) or run
-    /// completion, whichever comes first.
+    /// Advances the loop until `target` (a cycle boundary), `max_cycles`
+    /// or run completion, whichever comes first.
     ///
     /// # Errors
     /// Propagates [`SimError::Stalled`] / [`SimError::Unrecoverable`] from
     /// the underlying run loop.
     pub fn run_to(&mut self, target: Cycle) -> Result<(), SimError> {
-        while !self.done && self.core.net.now() < target {
-            if self.core.net.now() >= self.core.params.max_cycles {
-                self.done = true;
-                break;
-            }
-            let more = self.core.tick(
-                self.traffic.as_mut(),
-                target.min(self.core.params.max_cycles),
-                #[cfg(feature = "verify")]
-                &mut self.observer,
-            )?;
-            if !more {
-                self.done = true;
-            }
-        }
-        Ok(())
+        let mut hooks = Hooks::new(self.core.params.watchdog);
+        hooks.until = target.min(self.core.params.max_cycles);
+        let mut run = OpenLoop {
+            core: &mut self.core,
+            traffic: self.traffic.as_mut(),
+        };
+        drive(&mut run, hooks)
     }
 }
 
@@ -1590,6 +1714,85 @@ mod tests {
             .run()
             .expect("a healthy loaded network must never trip the watchdog");
         assert!(out.stats.packets_retired >= 400);
+    }
+
+    /// A workload that injects nothing, never finishes and never makes
+    /// progress: only the watchdog can end its run.
+    struct Wedged {
+        net: Network,
+        clock: Clock,
+        now: Cycle,
+        delivers: u64,
+    }
+
+    impl Workload for Wedged {
+        fn net(&mut self) -> &mut Network {
+            &mut self.net
+        }
+        fn clock(&mut self) -> &mut Clock {
+            &mut self.clock
+        }
+        fn now(&mut self) -> Cycle {
+            self.now
+        }
+        fn done(&self) -> bool {
+            false
+        }
+        fn deliver(&mut self) -> Result<(), SimError> {
+            self.delivers += 1;
+            Ok(())
+        }
+        fn progressed(&mut self) -> bool {
+            false
+        }
+        fn end_cycle(&mut self) {
+            self.now += 1;
+        }
+    }
+
+    #[test]
+    fn a_workload_without_progress_stalls_and_every_network_step_is_observed() {
+        // Diagonal+BL's network clock against the 2.2 GHz cores: the
+        // steps do not line up with workload cycles.
+        let ratio = 2.07 / 2.2;
+        let mut w = Wedged {
+            net: Network::new(NetworkConfig::paper_baseline()).unwrap(),
+            clock: Clock::new(ratio),
+            now: 0,
+            delivers: 0,
+        };
+        let hooks = Hooks::new(Some(1_000));
+        #[cfg(feature = "verify")]
+        let err = {
+            struct Counting(u64);
+            impl InvariantObserver for Counting {
+                fn after_cycle(&mut self, _net: &Network) {
+                    self.0 += 1;
+                }
+            }
+            let mut seen = Counting(0);
+            let err = drive_observed(&mut w, hooks, &mut seen).unwrap_err();
+            assert_eq!(seen.0, w.net.now(), "one observer call per network step");
+            err
+        };
+        #[cfg(not(feature = "verify"))]
+        let err = drive(&mut w, hooks).unwrap_err();
+        assert!(matches!(err, SimError::Stalled(_)), "{err}");
+        // The watchdog fires in the first cycle more than 1 000 cycles
+        // past the last progress (cycle 0), before that cycle ends.
+        assert_eq!(w.now, 1_001);
+        let mut acc = 0.0;
+        let mut steps = 0;
+        for _ in 0..=w.now {
+            acc += ratio;
+            while acc >= 1.0 {
+                acc -= 1.0;
+                steps += 1;
+            }
+        }
+        assert_eq!(w.net.now(), steps);
+        assert_eq!(w.delivers, steps, "one delivery pass per network step");
+        assert!(steps < w.now);
     }
 
     #[test]

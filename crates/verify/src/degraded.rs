@@ -22,7 +22,7 @@ use heteronoc_noc::network::{Network, StallReport};
 use heteronoc_noc::packet::PacketClass;
 use heteronoc_noc::routing::degraded::degraded_routing;
 use heteronoc_noc::routing::RoutingKind;
-use heteronoc_noc::topology::TopologyGraph;
+use heteronoc_noc::sim::{drive, Clock, Hooks, SimError, Workload};
 use heteronoc_noc::types::{Bits, Cycle, LinkId, NodeId, RouterId};
 
 use crate::cdg::{Cdg, EscapeModel};
@@ -60,23 +60,12 @@ pub fn verify_degraded_routing(
     dead_routers: &[RouterId],
 ) -> Result<VerifiedDegradedRouting, VerifyError> {
     let graph = cfg.build_graph();
-    verify_degraded_on(&graph, cfg, dead_links, dead_routers)
-}
-
-/// [`verify_degraded_routing`] with a pre-built graph (the campaign runner
-/// regenerates on every hard fault and need not rebuild the topology).
-fn verify_degraded_on(
-    graph: &TopologyGraph,
-    cfg: &NetworkConfig,
-    dead_links: &[LinkId],
-    dead_routers: &[RouterId],
-) -> Result<VerifiedDegradedRouting, VerifyError> {
-    let dr = degraded_routing(graph, dead_links, dead_routers);
+    let dr = degraded_routing(&graph, dead_links, dead_routers);
     let routing = RoutingKind::FullTable(dr.table);
     let vcs: Vec<usize> = cfg.routers.iter().map(|r| r.vcs_per_port).collect();
     // The degraded table claims whole ports (VcClass::Any, no escape
     // reservation): the proof must hold with every dependency hard.
-    let cdg = Cdg::build(graph, &routing, &vcs, EscapeModel::None)?;
+    let cdg = Cdg::build(&graph, &routing, &vcs, EscapeModel::None)?;
     cdg.check_acyclic()?;
     Ok(VerifiedDegradedRouting {
         routing,
@@ -101,7 +90,7 @@ pub struct Injection {
 }
 
 /// Statistics of one routing phase (the interval between two reroutes).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseStats {
     /// First cycle of the phase.
     pub from_cycle: Cycle,
@@ -134,7 +123,7 @@ impl PhaseStats {
 }
 
 /// Outcome of a completed degradation campaign.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DegradedRunReport {
     /// Per-routing-phase statistics, in time order. One entry when no hard
     /// fault fired, one extra entry per reroute.
@@ -258,108 +247,149 @@ pub fn run_with_degradation(
     injections: &[Injection],
     stall_limit: Cycle,
 ) -> Result<DegradedRunReport, DegradedRunError> {
-    let graph = cfg.build_graph();
-    let cfg_probe = cfg.clone();
-    let mut net = Network::with_faults(cfg, plan).map_err(DegradedRunError::Config)?;
-
+    let net = Network::with_faults(cfg, plan).map_err(DegradedRunError::Config)?;
     let mut pending: Vec<Injection> = injections.to_vec();
     pending.sort_by_key(|i| i.cycle);
-    let mut next = 0usize;
-
-    let mut phases: Vec<PhaseStats> = Vec::new();
-    let mut phase = PhaseStats {
-        from_cycle: 0,
-        to_cycle: 0,
-        delivered: 0,
-        dropped: 0,
-        permanent: 0,
-        latency_cycles: 0,
+    let mut c = Campaign {
+        net,
+        clock: Clock::new(1.0),
+        pending,
+        next: 0,
+        phase: PhaseStats::default(),
+        report: DegradedRunReport::default(),
+        moved: false,
+        deadlock: None,
     };
-    let mut all_dropped: Vec<DroppedPacket> = Vec::new();
-    let mut delivered_total = 0u64;
-    let mut reroutes = 0u32;
-    let mut last_progress: Cycle = 0;
-    let mut finished_at: Cycle = 0;
-    let mut last_recovery = RecoveryCounters::default();
-    let mut latencies: Vec<Cycle> = Vec::new();
-
-    while next < pending.len() || net.in_flight() > 0 || net.recovery_pending() > 0 {
-        let now = net.now();
-        while next < pending.len() && pending[next].cycle <= now {
-            let inj = pending[next];
-            net.enqueue(inj.src, inj.dst, inj.size, PacketClass::Data, next as u64);
-            next += 1;
+    // A campaign has no shutdown flag or checkpoint, so only the watchdog
+    // and the engine's fault check can stop it early.
+    match drive(&mut c, Hooks::new(Some(stall_limit))) {
+        Err(SimError::Stalled(report)) => {
+            return Err(DegradedRunError::Stalled {
+                report,
+                phase: c.report.reroutes,
+                phase_start: c.phase.from_cycle,
+            })
         }
-        net.step();
+        Err(SimError::Unrecoverable(e)) => return Err(DegradedRunError::Unrecoverable(e)),
+        Err(e) => unreachable!("a campaign without hooks cannot end in {e}"),
+        Ok(()) => {}
+    }
+    if let Some(e) = c.deadlock {
+        return Err(DegradedRunError::Deadlock(e));
+    }
+    let mut report = c.report;
+    report.phases.push(PhaseStats {
+        to_cycle: c.net.now(),
+        ..c.phase
+    });
+    report.counters = c.net.fault_counters();
+    report.recovery = c.net.recovery_counters();
+    report.latencies.sort_unstable();
+    Ok(report)
+}
 
-        if let Some(e) = net.fault_error() {
-            return Err(DegradedRunError::Unrecoverable(e));
+/// A degradation campaign as a driver workload. Per cycle: the injections
+/// that are due, a step, the fault check, deliveries and drops, then a
+/// reroute if the routing went stale.
+struct Campaign {
+    net: Network,
+    clock: Clock,
+    pending: Vec<Injection>,
+    next: usize,
+    /// The routing phase in progress.
+    phase: PhaseStats,
+    /// Everything but the current phase, the engine counters and the
+    /// latency order, which the end of the run fills in.
+    report: DegradedRunReport,
+    moved: bool,
+    /// A regenerated table that failed the proof; it ends the run.
+    deadlock: Option<VerifyError>,
+}
+
+impl Workload for Campaign {
+    fn net(&mut self) -> &mut Network {
+        &mut self.net
+    }
+
+    fn clock(&mut self) -> &mut Clock {
+        &mut self.clock
+    }
+
+    fn done(&self) -> bool {
+        self.deadlock.is_some()
+            || (self.next == self.pending.len()
+                && self.net.in_flight() == 0
+                && self.net.recovery_pending() == 0)
+    }
+
+    fn inject(&mut self) {
+        let now = self.net.now();
+        while let Some(inj) = self.pending.get(self.next).filter(|i| i.cycle <= now) {
+            self.net.enqueue(
+                inj.src,
+                inj.dst,
+                inj.size,
+                PacketClass::Data,
+                self.next as u64,
+            );
+            self.next += 1;
         }
-        let delivered = net.drain_delivered();
-        let dropped = net.drain_dropped();
+    }
+
+    fn deliver(&mut self) -> Result<(), SimError> {
+        if let Some(e) = self.net.fault_error() {
+            return Err(SimError::Unrecoverable(e));
+        }
+        let now = self.net.now();
+        let delivered = self.net.drain_delivered();
+        let dropped = self.net.drain_dropped();
+        let r = &mut self.report;
         if !delivered.is_empty() || !dropped.is_empty() {
-            last_progress = net.now();
-            finished_at = net.now();
+            r.finished_at = now;
         }
         // Recovery activity (acks arriving, copies reinjected) is forward
         // progress even when nothing retired this cycle; so is an empty
         // network waiting out an ack-timeout backoff.
-        let recovery = net.recovery_counters();
-        if recovery != last_recovery || net.in_flight() == 0 {
-            last_progress = net.now();
-            last_recovery = recovery;
-        }
+        let recovery = self.net.recovery_counters();
+        self.moved = !delivered.is_empty()
+            || !dropped.is_empty()
+            || recovery != r.recovery
+            || self.net.in_flight() == 0;
+        r.recovery = recovery;
         for d in &delivered {
-            phase.delivered += 1;
-            phase.latency_cycles += d.retire.saturating_sub(d.inject);
-            latencies.push(d.retire.saturating_sub(d.inject));
+            self.phase.delivered += 1;
+            self.phase.latency_cycles += d.retire.saturating_sub(d.inject);
+            r.latencies.push(d.retire.saturating_sub(d.inject));
         }
-        delivered_total += delivered.len() as u64;
-        phase.dropped += dropped.len() as u64;
-        phase.permanent += dropped.iter().filter(|d| !d.recoverable).count() as u64;
-        all_dropped.extend(dropped);
+        r.delivered += delivered.len() as u64;
+        self.phase.dropped += dropped.len() as u64;
+        self.phase.permanent += dropped.iter().filter(|d| !d.recoverable).count() as u64;
+        r.dropped.extend(dropped);
 
-        if net.take_routing_stale() {
-            let verified =
-                verify_degraded_on(&graph, &cfg_probe, net.dead_links(), net.dead_routers())
-                    .map_err(DegradedRunError::Deadlock)?;
-            net.install_routing(verified.routing);
-            reroutes += 1;
-            phase.to_cycle = net.now();
-            phases.push(phase);
-            phase = PhaseStats {
-                from_cycle: net.now(),
-                to_cycle: 0,
-                delivered: 0,
-                dropped: 0,
-                permanent: 0,
-                latency_cycles: 0,
-            };
-            last_progress = net.now();
-        }
-
-        if net.in_flight() > 0 && net.now().saturating_sub(last_progress) > stall_limit {
-            return Err(DegradedRunError::Stalled {
-                report: Box::new(net.stall_report()),
-                phase: reroutes,
-                phase_start: phase.from_cycle,
+        if self.net.take_routing_stale() {
+            let net = &self.net;
+            match verify_degraded_routing(net.config(), net.dead_links(), net.dead_routers()) {
+                Ok(verified) => self.net.install_routing(verified.routing),
+                Err(e) => self.deadlock = Some(e),
+            }
+            r.reroutes += 1;
+            r.phases.push(PhaseStats {
+                to_cycle: now,
+                ..self.phase
             });
+            self.phase = PhaseStats {
+                from_cycle: now,
+                ..PhaseStats::default()
+            };
+            // A reroute is progress too.
+            self.moved = true;
         }
+        Ok(())
     }
 
-    phase.to_cycle = net.now();
-    phases.push(phase);
-    latencies.sort_unstable();
-    Ok(DegradedRunReport {
-        phases,
-        delivered: delivered_total,
-        dropped: all_dropped,
-        counters: net.fault_counters(),
-        recovery: net.recovery_counters(),
-        reroutes,
-        finished_at,
-        latencies,
-    })
+    fn progressed(&mut self) -> bool {
+        self.moved
+    }
 }
 
 #[cfg(test)]
