@@ -33,7 +33,9 @@ use crate::json::{self, Json};
 /// v4: open-loop points carry per-point scheduler counters (`sched`).
 /// (The `Cmp`/`ClosedLoop` point kinds and their `system` member needed no
 /// bump: their canonical descriptions are new, so no older entry matches.)
-pub const SCHEMA_VERSION: u32 = 4;
+/// v5: degradation points carry `reliability`, and campaign points are
+/// sweep points.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// 64-bit FNV-1a over `bytes`, from `offset` (lets us derive two
 /// independent 64-bit streams for a 128-bit key).

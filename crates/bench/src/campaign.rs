@@ -1,48 +1,40 @@
-//! Resumable Monte Carlo reliability campaigns.
+//! Monte Carlo reliability campaigns, run as sweeps.
 //!
 //! A [`CampaignSpec`] describes a grid of *cells* — one per
 //! (layout × dead-link count) — and every cell is populated with
 //! `plans_per_cell` independently sampled fault plans: `kills` distinct
 //! links chosen uniformly at random, each with a uniformly random kill
 //! cycle inside the injection window. Each sampled plan becomes one
-//! simulation point run through the CDG-verified degradation engine
-//! ([`run_with_degradation`]), and the cells aggregate into reliability
-//! curves: delivery ratio, p99 latency degradation versus the fault-free
-//! baseline, reconfiguration downtime (drain-time inflation) and
-//! recovery-traffic overhead, all as functions of the dead-link count.
+//! [`PointKind::Degradation`] point of a [`Sweep`], so [`run_sweep`]
+//! executes, caches, retries, lint-gates, interrupts and streams progress
+//! for the campaign like for any other grid. The cells aggregate into
+//! reliability curves ([`curves_from`]): delivery ratio, p99 latency
+//! degradation versus the fault-free baseline, reconfiguration downtime
+//! (drain-time inflation) and recovery-traffic overhead, all as functions
+//! of the dead-link count.
 //!
-//! Three layers make a campaign cheap to re-run and safe to kill:
-//!
-//! * **Seeding discipline** — a point's fault plan is a pure function of
-//!   (master seed, layout index, kill count, sample index); scheduling
-//!   order never leaks into sampling.
-//! * **Content-addressed caching** — every point shares the sweep result
-//!   cache ([`crate::cache`]); a re-run resolves completed points from
-//!   `results/cache/` without simulating.
-//! * **A periodically-written atomic manifest** — after every batch the
-//!   full campaign state is written to `results/campaigns/<name>.json`
-//!   via a temp-file rename. A killed campaign resumes from the manifest:
-//!   points recorded `done` are restored, only the remainder simulates.
-//!   The manifest is fingerprinted by the spec's content key, so editing
-//!   the spec invalidates stale state instead of silently mixing results.
+//! A point's fault plan is a pure function of (master seed, layout index,
+//! kill count, sample index), so scheduling order never leaks into
+//! sampling, and growing `plans_per_cell` keeps every earlier sample. The
+//! sweep caches each point as it finishes, so a campaign killed at any
+//! moment resumes from the result cache. [`run_campaign`] writes the
+//! manifest `results/campaigns/<name>.json` atomically when the
+//! invocation ends; it is an output document, never read back.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 use heteronoc::noc::config::NetworkConfig;
 use heteronoc::noc::fault::{FaultKind, FaultPlan, HardFault, RecoveryPolicy};
 use heteronoc::noc::types::{Cycle, LinkId};
-use heteronoc_obs::{ProgressSink, Registry, Snapshot};
-use heteronoc_verify::{run_with_degradation, DegradedRunReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cache::{content_key, ResultCache, SCHEMA_VERSION};
-use crate::json::{self, Json};
-use crate::sweep::{all_pairs_injections, int, panic_message, parallel_map_until};
+use crate::cache::SCHEMA_VERSION;
+use crate::json::Json;
+use crate::sweep::{
+    int, run_sweep, PointKind, PointMetrics, PointSpec, Sweep, SweepOptions, SweepOutcome,
+    INTERRUPTED,
+};
 
 /// A Monte Carlo reliability-campaign description: the full grid of
 /// (layout × kill count × sample) points is a pure function of this spec.
@@ -70,59 +62,44 @@ pub struct CampaignSpec {
     pub recovery: Option<RecoveryPolicy>,
 }
 
+/// A campaign point's place in the grid: (layout index, kill count,
+/// sample index).
+pub type Coord = (usize, usize, usize);
+
 impl CampaignSpec {
-    /// Canonical description of everything that determines the results —
-    /// the name is excluded, so renaming a campaign keeps its cache.
-    pub fn canonical(&self) -> String {
-        format!(
-            "campaign-v{SCHEMA_VERSION}|{:?}|{:?}|{}|{}|{}|{}|{}|{:?}",
-            self.layouts,
-            self.kills,
-            self.plans_per_cell,
-            self.seed,
-            self.bursts,
-            self.spacing,
-            self.stall_limit,
-            self.recovery,
-        )
-    }
-
-    /// Content-address of the spec; stamped into the manifest so resume
-    /// never mixes state from a different campaign definition.
-    pub fn fingerprint(&self) -> String {
-        content_key(&self.canonical())
-    }
-
-    /// Expands the grid into points: per layout, one fault-free baseline
-    /// cell (a single sample — it is deterministic) followed by
-    /// `plans_per_cell` sampled plans per non-zero kill count.
-    pub fn points(&self) -> Result<Vec<CampaignPoint>, String> {
+    /// Expands the grid into sweep points, each with its coordinates: per
+    /// layout, one fault-free baseline cell (a single sample — it is
+    /// deterministic) followed by `plans_per_cell` sampled plans per
+    /// non-zero kill count.
+    ///
+    /// # Errors
+    /// A message naming the first sampled plan that fails validation.
+    pub fn points(&self) -> Result<Vec<(Coord, PointSpec)>, String> {
         let mut out = Vec::new();
         for (li, (name, cfg)) in self.layouts.iter().enumerate() {
             let graph = cfg.build_graph();
             let links = graph.num_links();
-            let routers = graph.num_routers();
-            let nodes = graph.nodes().len();
-            let horizon = injection_window(nodes, self.bursts, self.spacing);
+            let horizon = injection_window(graph.nodes().len(), self.bursts, self.spacing);
             let mut cells: Vec<usize> = vec![0];
             cells.extend(self.kills.iter().copied().filter(|&k| k > 0));
             for k in cells {
                 let samples = if k == 0 { 1 } else { self.plans_per_cell };
                 for s in 0..samples {
                     let plan = self.sample_plan(li, k, s, links, horizon);
-                    plan.validate(links, routers).map_err(|e| {
+                    plan.validate(links, graph.num_routers()).map_err(|e| {
                         format!("{name} k={k} sample {s}: invalid sampled plan: {e}")
                     })?;
-                    out.push(CampaignPoint {
-                        layout: name.clone(),
-                        kills: k,
-                        sample: s,
+                    let point = PointSpec {
+                        label: format!("{name}|k{k}|s{s}"),
                         config: cfg.clone(),
-                        plan,
-                        bursts: self.bursts,
-                        spacing: self.spacing,
-                        stall_limit: self.stall_limit,
-                    });
+                        kind: PointKind::Degradation {
+                            plan,
+                            bursts: self.bursts,
+                            spacing: self.spacing,
+                            stall_limit: self.stall_limit,
+                        },
+                    };
+                    out.push(((li, k, s), point));
                 }
             }
         }
@@ -186,430 +163,110 @@ fn plan_seed(master: u64, layout: usize, kills: usize, sample: usize) -> u64 {
     h
 }
 
-/// One simulation point of a campaign: a layout configuration plus its
-/// sampled fault plan and run parameters.
-#[derive(Clone, Debug)]
-pub struct CampaignPoint {
-    /// Layout display name.
-    pub layout: String,
-    /// Dead-link count of the point's cell (0 = fault-free baseline).
-    pub kills: usize,
-    /// Sample index within the cell.
-    pub sample: usize,
-    /// The network configuration.
-    pub config: NetworkConfig,
-    /// The sampled fault plan.
-    pub plan: FaultPlan,
-    /// All-pairs bursts injected.
-    pub bursts: u64,
-    /// Cycles between consecutive injections.
-    pub spacing: Cycle,
-    /// Drain watchdog in cycles.
-    pub stall_limit: Cycle,
-}
-
-impl CampaignPoint {
-    /// Canonical description hashed into the shared result cache.
-    pub fn canonical(&self) -> String {
-        format!(
-            "campaign-v{SCHEMA_VERSION}|{:?}|{:?}|{}|{}|{}",
-            self.config, self.plan, self.bursts, self.spacing, self.stall_limit
-        )
-    }
-
-    /// Content-address of this point for the result cache.
-    pub fn content_key(&self) -> String {
-        content_key(&self.canonical())
-    }
-}
-
-/// Runs one campaign point to a metrics object. Typed engine errors and
-/// panics both land in the `error` member — a lost point never loses the
-/// campaign.
-pub fn run_campaign_point(point: &CampaignPoint) -> Json {
-    let r = catch_unwind(AssertUnwindSafe(|| execute_point(point)));
-    match r {
-        Ok(Ok(report)) => point_metrics(&report),
-        Ok(Err(e)) => error_metrics(&e),
-        Err(payload) => error_metrics(&panic_message(payload.as_ref())),
-    }
-}
-
-fn execute_point(point: &CampaignPoint) -> Result<DegradedRunReport, String> {
-    let nodes = point.config.build_graph().nodes().len();
-    let injections = all_pairs_injections(nodes, point.bursts, point.spacing);
-    run_with_degradation(
-        point.config.clone(),
-        point.plan.clone(),
-        &injections,
-        point.stall_limit,
-    )
-    .map_err(|e| e.to_string())
-}
-
-fn point_metrics(r: &DegradedRunReport) -> Json {
-    Json::obj(vec![
-        ("delivered", int(r.delivered)),
-        ("permanent", int(r.permanent_losses())),
-        ("delivery_ratio", Json::Num(r.delivery_ratio())),
-        ("latency_p50", int(r.latency_percentile(0.50))),
-        ("latency_p99", int(r.latency_percentile(0.99))),
-        ("finished_at", int(r.finished_at)),
-        ("reroutes", int(u64::from(r.reroutes))),
-        ("retransmissions", int(r.counters.retransmissions)),
-        ("reinjections", int(r.recovery.reinjections)),
-        ("reinjected_flits", int(r.recovery.reinjected_flits)),
-        ("recovered", int(r.recovery.recovered)),
-        (
-            "duplicates_suppressed",
-            int(r.recovery.duplicates_suppressed),
-        ),
-        ("error", Json::Null),
-    ])
-}
-
-fn error_metrics(e: &str) -> Json {
-    Json::obj(vec![
-        ("delivered", int(0)),
-        ("permanent", int(0)),
-        ("delivery_ratio", Json::Num(f64::NAN)),
-        ("error", Json::Str(e.to_owned())),
-    ])
-}
-
-/// Execution options for [`run_campaign`].
-#[derive(Clone, Debug)]
-pub struct CampaignOptions {
-    /// Worker threads for the point shards.
-    pub jobs: usize,
-    /// Whether to consult / populate the shared result cache.
-    pub use_cache: bool,
-    /// Directory of the shared result cache (`results/cache`).
-    pub cache_dir: PathBuf,
-    /// Directory of the campaign manifests (`results/campaigns`).
-    pub manifest_dir: PathBuf,
-    /// Simulate at most this many pending points this invocation, then
-    /// stop with the manifest partially complete (CI uses this to test
-    /// resume; `None` = run to completion).
-    pub max_points: Option<usize>,
-    /// Cooperative-shutdown flag (set by the CLI's signal handler). When
-    /// it rises, workers stop drawing new points, in-flight points finish,
-    /// their results land in the manifest (flushed atomically), and the
-    /// campaign returns with [`CampaignOutcome::interrupted`] set — a
-    /// re-run resumes from the manifest exactly like after a crash.
-    pub shutdown: Option<Arc<AtomicBool>>,
-    /// Live-progress sink spec (a path, `-` for stdout, or `fd:N`). When
-    /// set, the campaign streams JSONL snapshots (kind `"campaign"`): one
-    /// after the manifest/cache restore scan, one after every flushed
-    /// batch, and a final `done` snapshot. Purely observational — the
-    /// manifest, cache, and point results are byte-identical either way.
-    pub progress: Option<String>,
-}
-
-/// Outcome of a campaign invocation: where each point's result came from
-/// and the final manifest document (points + reliability curves).
+/// Outcome of a campaign invocation: the sweep that ran its points and the
+/// manifest document it wrote.
 #[derive(Debug)]
 pub struct CampaignOutcome {
-    /// Manifest location (`results/campaigns/<name>.json`).
+    /// The points' sweep outcome (run facts: wall time, cache hits,
+    /// simulated and interrupted counts).
+    pub sweep: SweepOutcome,
+    /// Manifest location (`<manifest_dir>/<name>.json`).
     pub manifest_path: PathBuf,
-    /// Total points in the campaign grid.
-    pub total: usize,
-    /// Points simulated by this invocation.
-    pub simulated: usize,
-    /// Points restored from the result cache.
-    pub from_cache: usize,
-    /// Points restored from a prior manifest of the same fingerprint.
-    pub from_manifest: usize,
-    /// Points left pending by `max_points`.
-    pub deferred: usize,
-    /// True when the shutdown flag rose mid-campaign: the run stopped
-    /// early with the manifest flushed, and undrawn points stayed pending.
-    pub interrupted: bool,
-    /// The full manifest document as last written.
+    /// The manifest document: per-point reliability numbers and curves.
     pub doc: Json,
 }
 
-/// Runs (or resumes) a campaign: restores completed points from the
-/// manifest and the result cache, shards the remainder over the sweep
-/// worker pool in batches, and rewrites the manifest atomically after
-/// every batch so a kill at any moment loses at most one batch of work.
+/// Runs a campaign's points on the sweep engine, then writes its manifest
+/// atomically to `<manifest_dir>/<name>.json` — also when the shutdown
+/// flag stopped the sweep early, with the points that never started
+/// marked `pending`.
 ///
 /// # Errors
-/// Returns an error when a sampled plan fails validation or the manifest
-/// or cache directories cannot be written. Point-level failures do *not*
-/// error — they are recorded per point and surface in the curves.
+/// A message when a sampled plan fails validation, the sweep fails (an
+/// invalid configuration, cache I/O), or the manifest cannot be written.
+/// Point-level failures do *not* error — they are recorded per point and
+/// surface in the curves.
 pub fn run_campaign(
     spec: &CampaignSpec,
-    opts: &CampaignOptions,
+    opts: &SweepOptions,
+    manifest_dir: &Path,
 ) -> Result<CampaignOutcome, String> {
-    if spec.layouts.is_empty() {
-        return Err("campaign has no layouts".to_owned());
-    }
-    let points = spec.points()?;
-    let keys: Vec<String> = points.iter().map(CampaignPoint::content_key).collect();
-    let fingerprint = spec.fingerprint();
-    let manifest_path = opts.manifest_dir.join(format!("{}.json", spec.name));
-
-    let mut results: Vec<Option<Json>> = vec![None; points.len()];
-    let mut from_manifest = 0usize;
-    if let Some(prior) = load_manifest(&manifest_path, &fingerprint) {
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(m) = prior.get(key) {
-                results[i] = Some(m.clone());
-                from_manifest += 1;
-            }
-        }
-    }
-
-    let mut cache = if opts.use_cache {
-        Some(ResultCache::open(&opts.cache_dir).map_err(|e| format!("cache: {e}"))?)
-    } else {
-        None
+    let (coords, points): (Vec<Coord>, Vec<PointSpec>) = spec.points()?.into_iter().unzip();
+    let sweep = Sweep {
+        name: spec.name.clone(),
+        points,
     };
-    let mut from_cache = 0usize;
-    if let Some(c) = &cache {
-        for (i, key) in keys.iter().enumerate() {
-            if results[i].is_none() {
-                if let Some(m) = c.get(key) {
-                    results[i] = Some(m.clone());
-                    from_cache += 1;
-                }
-            }
-        }
-    }
-
-    let mut pending: Vec<usize> = (0..points.len())
-        .filter(|&i| results[i].is_none())
-        .collect();
-    let deferred = match opts.max_points {
-        Some(max) if pending.len() > max => {
-            let d = pending.len() - max;
-            pending.truncate(max);
-            d
-        }
-        _ => 0,
-    };
-    std::fs::create_dir_all(&opts.manifest_dir).map_err(|e| format!("manifest dir: {e}"))?;
-    // Write an initial manifest so even a campaign killed inside its
-    // first batch leaves a resumable fingerprinted state behind.
-    let mut doc = manifest_doc(spec, &fingerprint, &points, &keys, &results);
-    write_atomic(&manifest_path, &doc)?;
-
-    let mut progress = match &opts.progress {
-        Some(sink) => {
-            let mut p = CampaignProgress::open(sink, &spec.name, points.len())
-                .map_err(|e| format!("progress: {e}"))?;
-            p.from_manifest = from_manifest;
-            p.from_cache = from_cache;
-            p.deferred = deferred;
-            p.emit(false);
-            Some(p)
-        }
-        None => None,
-    };
-
-    let stop = opts.shutdown.as_deref();
-    let stopped = || stop.is_some_and(|s| s.load(Ordering::SeqCst));
-    let mut interrupted = false;
-    let mut simulated = 0usize;
-    let batch = opts.jobs.max(2) * 2;
-    for chunk in pending.chunks(batch) {
-        if stopped() {
-            interrupted = true;
-            break;
-        }
-        let specs: Vec<&CampaignPoint> = chunk.iter().map(|&i| &points[i]).collect();
-        let metrics = parallel_map_until(opts.jobs, specs, stop, run_campaign_point);
-        for (&i, m) in chunk.iter().zip(metrics) {
-            // `None` = the shutdown flag rose before the point was drawn;
-            // it stays pending in the manifest and a re-run retries it.
-            let Some(m) = m else {
-                interrupted = true;
-                continue;
-            };
-            simulated += 1;
-            if let Some(p) = progress.as_mut() {
-                p.simulated += 1;
-                if m.get("error") != Some(&Json::Null) {
-                    p.failed += 1;
-                }
-            }
-            if let Some(c) = &mut cache {
-                // Failed points are never cached: a re-run retries them.
-                if m.get("error") == Some(&Json::Null) {
-                    c.insert(keys[i].clone(), m.clone())
-                        .map_err(|e| format!("cache: {e}"))?;
-                }
-            }
-            results[i] = Some(m);
-        }
-        // Flush even (especially) when interrupted: every finished
-        // in-flight point must land in the manifest before we return.
-        doc = manifest_doc(spec, &fingerprint, &points, &keys, &results);
-        write_atomic(&manifest_path, &doc)?;
-        if let Some(p) = progress.as_mut() {
-            p.emit(false);
-        }
-    }
-    if let Some(p) = progress.as_mut() {
-        p.interrupted = interrupted;
-        p.emit(true);
-    }
-
+    let outcome = run_sweep(&sweep, opts).map_err(|e| e.to_string())?;
+    let doc = manifest_doc(spec, &coords, &sweep, &outcome);
+    std::fs::create_dir_all(manifest_dir).map_err(|e| format!("manifest dir: {e}"))?;
+    let manifest_path = manifest_dir.join(format!("{}.json", spec.name));
+    let tmp = manifest_path.with_extension("json.tmp");
+    std::fs::write(&tmp, doc.pretty()).map_err(|e| format!("manifest: {e}"))?;
+    std::fs::rename(&tmp, &manifest_path).map_err(|e| format!("manifest: {e}"))?;
     Ok(CampaignOutcome {
+        sweep: outcome,
         manifest_path,
-        total: points.len(),
-        simulated,
-        from_cache,
-        from_manifest,
-        deferred,
-        interrupted,
         doc,
     })
 }
 
-/// Coordinator-side progress accounting for one campaign invocation,
-/// behind [`CampaignOptions::progress`]. Mirrors the sweep's pattern:
-/// counts live here, every snapshot rebuilds a fresh registry (absolute
-/// readings) and carries counter deltas against the previous snapshot.
-struct CampaignProgress {
-    sink: ProgressSink,
-    name: String,
-    total: usize,
-    from_manifest: usize,
-    from_cache: usize,
-    deferred: usize,
-    simulated: usize,
-    failed: usize,
-    interrupted: bool,
-    seq: u64,
-    started: Instant,
-    prev: Registry,
-    warned: bool,
-}
-
-impl CampaignProgress {
-    fn open(spec: &str, name: &str, total: usize) -> std::io::Result<CampaignProgress> {
-        Ok(CampaignProgress {
-            sink: ProgressSink::open(spec)?,
-            name: name.to_owned(),
-            total,
-            from_manifest: 0,
-            from_cache: 0,
-            deferred: 0,
-            simulated: 0,
-            failed: 0,
-            interrupted: false,
-            seq: 0,
-            started: Instant::now(),
-            prev: Registry::new(),
-            warned: false,
-        })
-    }
-
-    fn registry(&self) -> Registry {
-        let mut reg = Registry::new();
-        reg.set_counter("campaign.points.total", self.total as u64);
-        reg.set_counter("campaign.points.from_manifest", self.from_manifest as u64);
-        reg.set_counter("campaign.points.from_cache", self.from_cache as u64);
-        reg.set_counter("campaign.points.simulated", self.simulated as u64);
-        reg.set_counter("campaign.points.failed", self.failed as u64);
-        reg.set_counter("campaign.points.deferred", self.deferred as u64);
-        reg.set_counter("campaign.cache.hits", self.from_cache as u64);
-        reg
-    }
-
-    fn emit(&mut self, done: bool) {
-        let reg = self.registry();
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let done_points = self.from_manifest + self.from_cache + self.simulated;
-        let remaining = self
-            .total
-            .saturating_sub(done_points)
-            .saturating_sub(self.deferred);
-        let eta = if done {
-            0.0
-        } else if self.simulated > 0 && elapsed > 0.0 {
-            remaining as f64 / (self.simulated as f64 / elapsed)
-        } else {
-            f64::NAN
-        };
-        let mut snap = Snapshot::new("campaign", self.seq);
-        snap.field_str("name", &self.name)
-            .field_u64("points_total", self.total as u64)
-            .field_u64("points_done", done_points as u64)
-            .field_u64("points_from_manifest", self.from_manifest as u64)
-            .field_u64("points_from_cache", self.from_cache as u64)
-            .field_u64("points_simulated", self.simulated as u64)
-            .field_u64("points_failed", self.failed as u64)
-            .field_u64("points_deferred", self.deferred as u64)
-            .field_f64("elapsed_secs", elapsed)
-            .field_f64("eta_secs", eta)
-            .field_bool("interrupted", self.interrupted)
-            .field_bool("done", done)
-            .deltas("deltas", &reg, &self.prev)
-            .registry("counters", &reg);
-        if self.sink.emit(&snap).is_err() && !self.warned {
-            eprintln!("warning: campaign progress sink write failed; further snapshots dropped");
-            self.warned = true;
-        }
-        self.seq += 1;
-        self.prev = reg;
-    }
-}
-
-/// Loads `key -> metrics` of every `done` point from a manifest, or
-/// `None` when it is absent, unreadable, or fingerprinted differently.
-fn load_manifest(
-    path: &Path,
-    fingerprint: &str,
-) -> Option<std::collections::HashMap<String, Json>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let doc = json::parse(&text).ok()?;
-    if doc.get("fingerprint").and_then(Json::as_str) != Some(fingerprint) {
-        return None;
-    }
-    let mut out = std::collections::HashMap::new();
-    for p in doc.get("points").and_then(Json::as_arr)? {
-        if p.get("status").and_then(Json::as_str) != Some("done") {
-            continue;
-        }
-        let key = p.get("key").and_then(Json::as_str)?;
-        let metrics = p.get("metrics")?;
-        out.insert(key.to_owned(), metrics.clone());
-    }
-    Some(out)
-}
-
-fn write_atomic(path: &Path, doc: &Json) -> Result<(), String> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, doc.pretty()).map_err(|e| format!("manifest: {e}"))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("manifest: {e}"))
+/// A finished point's manifest `metrics`: its reliability numbers, or
+/// its error.
+fn point_metrics(m: &PointMetrics) -> Json {
+    let (Some(r), None) = (&m.reliability, &m.error) else {
+        return Json::obj(vec![
+            ("delivered", int(0)),
+            ("permanent", int(0)),
+            ("delivery_ratio", Json::Num(f64::NAN)),
+            ("error", Json::Str(m.error.clone().unwrap_or_default())),
+        ]);
+    };
+    let settled = m.delivered + r.permanent;
+    #[allow(clippy::cast_precision_loss)]
+    let delivery_ratio = if settled == 0 {
+        1.0
+    } else {
+        m.delivered as f64 / settled as f64
+    };
+    Json::obj(vec![
+        ("delivered", int(m.delivered)),
+        ("permanent", int(r.permanent)),
+        ("delivery_ratio", Json::Num(delivery_ratio)),
+        ("latency_p50", int(r.latency_p50)),
+        ("latency_p99", int(r.latency_p99)),
+        ("finished_at", int(m.cycles)),
+        ("reroutes", int(m.reroutes)),
+        ("retransmissions", int(m.retransmissions)),
+        ("reinjections", int(r.reinjections)),
+        ("reinjected_flits", int(r.reinjected_flits)),
+        ("recovered", int(r.recovered)),
+        ("duplicates_suppressed", int(r.duplicates_suppressed)),
+        ("error", Json::Null),
+    ])
 }
 
 fn manifest_doc(
     spec: &CampaignSpec,
-    fingerprint: &str,
-    points: &[CampaignPoint],
-    keys: &[String],
-    results: &[Option<Json>],
+    coords: &[Coord],
+    sweep: &Sweep,
+    outcome: &SweepOutcome,
 ) -> Json {
-    let completed = results.iter().filter(|r| r.is_some()).count();
-    let point_objs: Vec<Json> = points
+    let point_objs: Vec<Json> = coords
         .iter()
-        .zip(keys)
-        .zip(results)
-        .map(|((p, key), r)| {
+        .zip(&sweep.points)
+        .zip(&outcome.points)
+        .map(|((&(li, kills, sample), p), m)| {
+            let done = m.error.as_deref() != Some(INTERRUPTED);
             Json::obj(vec![
-                ("layout", Json::Str(p.layout.clone())),
-                ("kills", int(p.kills as u64)),
-                ("sample", int(p.sample as u64)),
-                ("key", Json::Str(key.clone())),
+                ("layout", Json::Str(spec.layouts[li].0.clone())),
+                ("kills", int(kills as u64)),
+                ("sample", int(sample as u64)),
+                ("key", Json::Str(p.content_key())),
                 (
                     "status",
-                    Json::Str(if r.is_some() { "done" } else { "pending" }.to_owned()),
+                    Json::Str(if done { "done" } else { "pending" }.to_owned()),
                 ),
-                ("metrics", r.clone().unwrap_or(Json::Null)),
+                ("metrics", if done { point_metrics(m) } else { Json::Null }),
             ])
         })
         .collect();
@@ -623,7 +280,6 @@ fn manifest_doc(
         ("schema_version", int(u64::from(SCHEMA_VERSION))),
         ("kind", Json::Str("campaign".to_owned())),
         ("name", Json::Str(spec.name.clone())),
-        ("fingerprint", Json::Str(fingerprint.to_owned())),
         (
             "spec",
             Json::obj(vec![
@@ -648,8 +304,11 @@ fn manifest_doc(
                 ("recovery", recovery),
             ]),
         ),
-        ("total", int(points.len() as u64)),
-        ("completed", int(completed as u64)),
+        ("total", int(coords.len() as u64)),
+        (
+            "completed",
+            int((coords.len() - outcome.interrupted) as u64),
+        ),
         ("points", Json::Arr(point_objs)),
     ]);
     let curves = curves_from(&doc);
@@ -775,9 +434,12 @@ pub fn curves_from(doc: &Json) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use heteronoc::noc::config::RouterCfg;
     use heteronoc::noc::topology::TopologyKind;
     use heteronoc::noc::types::Bits;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     fn mesh3() -> NetworkConfig {
         NetworkConfig::homogeneous(
@@ -805,52 +467,53 @@ mod tests {
         }
     }
 
-    fn tmp_dirs(tag: &str) -> (PathBuf, PathBuf) {
+    /// Cached sweep options over a fresh scratch cache, and a fresh
+    /// manifest directory.
+    fn opts(tag: &str) -> (SweepOptions, PathBuf) {
         let base =
             std::env::temp_dir().join(format!("heteronoc-campaign-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
-        (base.join("cache"), base.join("campaigns"))
-    }
-
-    fn opts(tag: &str) -> CampaignOptions {
-        let (cache_dir, manifest_dir) = tmp_dirs(tag);
-        CampaignOptions {
+        let opts = SweepOptions {
             jobs: 2,
             use_cache: true,
-            cache_dir,
-            manifest_dir,
-            max_points: None,
+            cache_dir: base.join("cache"),
             shutdown: None,
+            checkpoint_every: None,
             progress: None,
-        }
+        };
+        (opts, base.join("campaigns"))
+    }
+
+    fn counts(o: &CampaignOutcome) -> (usize, usize) {
+        (o.sweep.simulated, o.sweep.cache_hits)
     }
 
     #[test]
     fn progress_stream_emits_valid_snapshots_and_a_final_done() {
         let spec = tiny_spec("progress");
-        let shared = opts("progress");
-        let progress_path = shared
-            .manifest_dir
-            .parent()
-            .unwrap()
-            .join("campaign-progress.jsonl");
+        let sweep = Sweep {
+            name: spec.name.clone(),
+            points: spec.points().unwrap().into_iter().map(|(_, p)| p).collect(),
+        };
+        let (shared, manifest_dir) = opts("progress");
+        let progress_path = manifest_dir.with_file_name("progress.jsonl");
         std::fs::create_dir_all(progress_path.parent().unwrap()).unwrap();
-        let with_progress = CampaignOptions {
+        let with_progress = SweepOptions {
             use_cache: false,
             progress: Some(progress_path.to_string_lossy().into_owned()),
             ..shared
         };
-        let outcome = run_campaign(&spec, &with_progress).unwrap();
+        let outcome = run_sweep(&sweep, &with_progress).unwrap();
         assert_eq!(outcome.simulated, 3);
 
         let text = std::fs::read_to_string(&progress_path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        // One restore-scan snapshot, >=1 batch snapshot, one final done.
-        assert!(lines.len() >= 3, "expected >=3 snapshots, got {lines:?}");
+        // One snapshot after the cache scan, one per point, one final done.
+        assert_eq!(lines.len(), 5, "{lines:?}");
         for (i, line) in lines.iter().enumerate() {
             let snap = json::parse(line).unwrap();
             assert_eq!(snap.get("schema").and_then(Json::as_u64), Some(1));
-            assert_eq!(snap.get("kind").and_then(Json::as_str), Some("campaign"));
+            assert_eq!(snap.get("kind").and_then(Json::as_str), Some("sweep"));
             assert_eq!(snap.get("seq").and_then(Json::as_u64), Some(i as u64));
             assert_eq!(snap.get("points_total").and_then(Json::as_u64), Some(3));
         }
@@ -860,7 +523,7 @@ mod tests {
         assert_eq!(last.get("eta_secs").and_then(Json::as_f64), Some(0.0));
         assert_eq!(
             last.get("counters")
-                .and_then(|c| c.get("campaign.points.simulated"))
+                .and_then(|c| c.get("sweep.points.resolved"))
                 .and_then(Json::as_u64),
             Some(3)
         );
@@ -870,51 +533,61 @@ mod tests {
     fn raised_shutdown_flag_stops_before_dispatch_and_flushes_the_manifest() {
         let spec = tiny_spec("shutdown");
         let flag = Arc::new(AtomicBool::new(true));
-        let first = CampaignOptions {
+        let (shared, manifest_dir) = opts("shutdown");
+        let first = SweepOptions {
             use_cache: false,
             shutdown: Some(Arc::clone(&flag)),
-            ..opts("shutdown")
+            ..shared
         };
-        let o1 = run_campaign(&spec, &first).unwrap();
-        assert!(o1.interrupted);
-        assert_eq!(o1.simulated, 0);
-        // The fingerprinted manifest flushed with every point pending.
+        let o1 = run_campaign(&spec, &first, &manifest_dir).unwrap();
+        assert_eq!(o1.sweep.interrupted, 3);
+        assert_eq!(o1.sweep.simulated, 0);
+        // The manifest is written with every point pending.
         assert!(o1.manifest_path.exists());
         assert_eq!(o1.doc.get("completed").and_then(Json::as_u64), Some(0));
-        // Lowering the flag resumes from that manifest and completes.
-        let second = CampaignOptions {
+        let points = o1.doc.get("points").and_then(Json::as_arr).unwrap();
+        assert!(points
+            .iter()
+            .all(|p| p.get("status").and_then(Json::as_str) == Some("pending")));
+        // Lowering the flag lets the same campaign complete.
+        let second = SweepOptions {
             shutdown: None,
             ..first.clone()
         };
-        let o2 = run_campaign(&spec, &second).unwrap();
-        assert!(!o2.interrupted);
-        assert_eq!(o2.simulated, 3);
+        let o2 = run_campaign(&spec, &second, &manifest_dir).unwrap();
+        assert_eq!(o2.sweep.interrupted, 0);
+        assert_eq!(o2.sweep.simulated, 3);
         assert_eq!(o2.doc.get("completed").and_then(Json::as_u64), Some(3));
     }
 
     #[test]
     fn sampling_is_deterministic_and_distinct() {
         let spec = tiny_spec("det");
+        let plan = |p: &(Coord, PointSpec)| match &p.1.kind {
+            PointKind::Degradation { plan, .. } => plan.clone(),
+            other => panic!("not a degradation point: {other:?}"),
+        };
         let a = spec.points().unwrap();
         let b = spec.points().unwrap();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.plan, y.plan, "sampling must be a pure function");
+            assert_eq!(plan(x), plan(y), "sampling must be a pure function");
         }
         // Baseline cell first, fault-free, then two distinct samples.
-        assert_eq!(a[0].kills, 0);
-        assert!(a[0].plan.hard.is_empty());
+        assert_eq!(a[0].0, (0, 0, 0));
+        assert!(plan(&a[0]).hard.is_empty());
         assert_eq!(a.len(), 3);
-        assert_ne!(a[1].plan.hard, a[2].plan.hard, "samples must differ");
-        assert_eq!(a[1].plan.hard.len(), 1);
+        assert_ne!(plan(&a[1]).hard, plan(&a[2]).hard, "samples must differ");
+        assert_eq!(plan(&a[1]).hard.len(), 1);
     }
 
     #[test]
     fn survivable_campaign_delivers_everything() {
         let spec = tiny_spec("full");
-        let o = run_campaign(&spec, &opts("full")).unwrap();
-        assert_eq!(o.total, 3);
-        assert_eq!(o.simulated, 3);
+        let (opts, manifest_dir) = opts("full");
+        let o = run_campaign(&spec, &opts, &manifest_dir).unwrap();
+        assert_eq!(o.doc.get("total").and_then(Json::as_u64), Some(3));
+        assert_eq!(o.sweep.simulated, 3);
         let curves = o.doc.get("curves").and_then(Json::as_arr).unwrap();
         // Single-link kills never partition a 3x3 mesh; with end-to-end
         // recovery enabled every cell must report full delivery.
@@ -934,66 +607,87 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_campaign_resumes_from_the_manifest() {
-        let spec = tiny_spec("resume");
-        let shared = opts("resume");
-        // Simulate a kill after one point: cap the first invocation.
-        let first = CampaignOptions {
-            max_points: Some(1),
-            use_cache: false,
-            ..shared.clone()
+    fn partitioned_campaign_curves_match_the_reference() {
+        let spec = CampaignSpec {
+            kills: vec![3],
+            plans_per_cell: 3,
+            ..tiny_spec("partitioned")
         };
-        let o1 = run_campaign(&spec, &first).unwrap();
-        assert_eq!(o1.simulated, 1);
-        assert_eq!(o1.deferred, 2);
-        assert_eq!(o1.doc.get("completed").and_then(Json::as_u64), Some(1));
-        // Second invocation restores the completed point from the
-        // manifest and simulates only the remainder.
-        let second = CampaignOptions {
-            use_cache: false,
-            ..shared.clone()
+        let (opts, manifest_dir) = opts("partitioned");
+        let o = run_campaign(&spec, &opts, &manifest_dir).unwrap();
+        let curves = o.doc.get("curves").unwrap();
+        let row = &curves.as_arr().unwrap()[1];
+        let num = |k: &str| row.get(k).and_then(Json::as_f64).unwrap();
+        assert!(
+            num("delivery_min") < 1.0,
+            "a sample must partition the mesh"
+        );
+        assert!(num("downtime_cycles") > 0.0 && num("recovery_overhead") > 0.0);
+        // The rows the campaign wrote before it ran on the sweep engine.
+        assert_eq!(
+            curves.to_string(),
+            concat!(
+                r#"[{"layout":"mesh3","kills":0,"plans":1,"done":1,"failed":0,"#,
+                r#""delivery_mean":1.0,"delivery_min":1.0,"latency_p99_mean":18.0,"#,
+                r#""p99_x_baseline":1.0,"downtime_cycles":0.0,"recovery_overhead":0.0,"#,
+                r#""reroutes_mean":0.0},"#,
+                r#"{"layout":"mesh3","kills":3,"plans":3,"done":3,"failed":0,"#,
+                r#""delivery_mean":0.7962962962962963,"delivery_min":0.3888888888888889,"#,
+                r#""latency_p99_mean":19.0,"p99_x_baseline":1.0555555555555556,"#,
+                r#""downtime_cycles":87037.33333333333,"recovery_overhead":5.372093023255814,"#,
+                r#""reroutes_mean":3.0}]"#,
+            )
+        );
+    }
+
+    #[test]
+    fn a_grown_campaign_simulates_only_its_new_point() {
+        let (shared, manifest_dir) = opts("grow");
+        let one = CampaignSpec {
+            plans_per_cell: 1,
+            ..tiny_spec("grow")
         };
-        let o2 = run_campaign(&spec, &second).unwrap();
-        assert_eq!(o2.from_manifest, 1);
-        assert_eq!(o2.simulated, 2);
+        let o1 = run_campaign(&one, &shared, &manifest_dir).unwrap();
+        assert_eq!(counts(&o1), (2, 0));
+        // A second plan per cell keeps the first sample, so only the new
+        // sample simulates.
+        let two = tiny_spec("grow");
+        let o2 = run_campaign(&two, &shared, &manifest_dir).unwrap();
+        assert_eq!(counts(&o2), (1, 2));
         assert_eq!(o2.doc.get("completed").and_then(Json::as_u64), Some(3));
-        // Third invocation is a pure manifest replay.
-        let o3 = run_campaign(&spec, &second).unwrap();
-        assert_eq!(o3.from_manifest, 3);
-        assert_eq!(o3.simulated, 0);
+        // A third run simulates nothing and writes the same manifest.
+        let o3 = run_campaign(&two, &shared, &manifest_dir).unwrap();
+        assert_eq!(counts(&o3), (0, 3));
+        assert_eq!(o3.doc.to_string(), o2.doc.to_string());
     }
 
     #[test]
     fn cache_resolves_points_across_campaign_names() {
         let spec = tiny_spec("cache-a");
-        let shared = opts("cache");
-        let o1 = run_campaign(&spec, &shared).unwrap();
-        assert_eq!(o1.simulated, 3);
-        // Renaming the campaign keeps the cache keys (name is excluded
-        // from the canonical form), so nothing re-simulates.
+        let (shared, manifest_dir) = opts("cache");
+        let o1 = run_campaign(&spec, &shared, &manifest_dir).unwrap();
+        assert_eq!(o1.sweep.simulated, 3);
+        // Renaming the campaign keeps the cache keys (the name is only a
+        // label), so nothing re-simulates.
         let renamed = CampaignSpec {
             name: "cache-b".to_owned(),
             ..spec
         };
-        let o2 = run_campaign(&renamed, &shared).unwrap();
-        assert_eq!(o2.simulated, 0);
-        assert_eq!(o2.from_cache, 3);
+        let o2 = run_campaign(&renamed, &shared, &manifest_dir).unwrap();
+        assert_eq!(o2.sweep.simulated, 0);
+        assert_eq!(o2.sweep.cache_hits, 3);
     }
 
     #[test]
-    fn editing_the_spec_invalidates_the_manifest() {
-        let spec = tiny_spec("fp");
-        let shared = CampaignOptions {
-            use_cache: false,
-            ..opts("fp")
-        };
-        run_campaign(&spec, &shared).unwrap();
+    fn a_changed_seed_simulates_every_point_again() {
+        let spec = tiny_spec("seed");
+        let (shared, manifest_dir) = opts("seed");
+        run_campaign(&spec, &shared, &manifest_dir).unwrap();
         let edited = CampaignSpec {
             seed: spec.seed + 1,
             ..spec
         };
-        let o = run_campaign(&edited, &shared).unwrap();
-        assert_eq!(o.from_manifest, 0, "stale fingerprint must be ignored");
-        assert_eq!(o.simulated, 3);
+        let o = run_campaign(&edited, &shared, &manifest_dir).unwrap();
+        assert_eq!(counts(&o), (3, 0), "every plan derives from the seed");
     }
 }

@@ -11,6 +11,7 @@
 //! in `results/cache/`, so re-runs (and the 8x8 extrapolation work that
 //! iterates on this experiment) only pay for new placements.
 
+use crate::experiments::run_facts;
 use crate::sweep::{run_sweep, PointKind, PointSpec, Sweep, SweepOptions, TrafficSpec};
 use crate::{full_scale, Report};
 use heteronoc::dse;
@@ -111,13 +112,7 @@ pub fn run() {
         }
         let outcome = run_sweep(&sweep, &SweepOptions::default()).expect("dse sweep");
         outcome.write_json().expect("write dse json");
-        rep.line(format!(
-            "evaluated {} canonical placements in {:.2}s on {} worker(s) ({} cached)",
-            outcome.points.len(),
-            outcome.wall_secs,
-            outcome.jobs,
-            outcome.cache_hits,
-        ));
+        run_facts(&outcome);
 
         let mut scored: Vec<ScoredPlacement> = canon
             .iter()

@@ -20,6 +20,7 @@
 //! (layout × kill-count) grids are sharded across worker threads and
 //! memoized in `results/cache/`.
 
+use crate::experiments::run_facts;
 use crate::sweep::{run_sweep, PointKind, PointSpec, Sweep, SweepOptions, TrafficSpec};
 use crate::{default_params, Report};
 use heteronoc::noc::fault::{FaultKind, FaultPlan, HardFault};
@@ -81,6 +82,7 @@ pub fn run() {
     }
     let t_out = run_sweep(&transient, &SweepOptions::default()).expect("transient sweep");
     t_out.write_json().expect("write transient json");
+    run_facts(&t_out);
 
     rep.line(format!(
         "{:<14}{:>10}{:>12}{:>13}{:>14}{:>12}",
@@ -130,6 +132,7 @@ pub fn run() {
     }
     let h_out = run_sweep(&hard, &SweepOptions::default()).expect("hard-fault sweep");
     h_out.write_json().expect("write hard-fault json");
+    run_facts(&h_out);
 
     rep.line(format!(
         "{:<14}{:>8}{:>12}{:>10}{:>12}{:>16}{:>12}",
@@ -161,10 +164,4 @@ pub fn run() {
             }
         }
     }
-
-    rep.line("");
-    rep.line(format!(
-        "# sweeps: transient {:.2}s ({} cached), hard {:.2}s ({} cached), {} worker(s)",
-        t_out.wall_secs, t_out.cache_hits, h_out.wall_secs, h_out.cache_hits, t_out.jobs,
-    ));
 }

@@ -10,6 +10,7 @@
 //! across worker threads, memoized in `results/cache/`, and also emitted
 //! machine-readably as `results/fig07_ur_traffic.json`.
 
+use crate::experiments::run_facts;
 use crate::sweep::{run_sweep, PointMetrics, Sweep, SweepOptions, TrafficSpec};
 use crate::{
     default_params, mean_unsaturated_latency_ns, mean_unsaturated_power_w, pct_gain, pct_reduction,
@@ -46,15 +47,7 @@ pub fn run() {
     let opts = SweepOptions::default();
     let outcome = run_sweep(&sweep, &opts).expect("fig07 sweep");
     outcome.write_json().expect("write fig07 json");
-    rep.line(format!(
-        "# sweep: {} points ({} simulated, {} cached, {:.0}% hit rate), {:.2}s wall on {} worker(s)",
-        outcome.points.len(),
-        outcome.simulated,
-        outcome.cache_hits,
-        100.0 * outcome.cache_hit_rate(),
-        outcome.wall_secs,
-        outcome.jobs,
-    ));
+    run_facts(&outcome);
 
     // Grid order is layout-major: one chunk of `rates` per layout.
     let results: Vec<(String, &[PointMetrics])> = layouts

@@ -8,7 +8,7 @@
 //! points: the four system simulations behind each table row execute in
 //! parallel and are memoized in `results/cache/`.
 
-use crate::experiments::{cmp_benchmarks, run_grid};
+use crate::experiments::{cmp_benchmarks, run_facts, run_grid};
 use crate::sweep::{CmpSpec, PointKind, PointSpec, Sweep};
 use crate::{full_scale, pct_reduction, Report};
 use heteronoc::noc::topology::TopologyKind;
@@ -62,14 +62,7 @@ pub fn run() {
     }
     let outcome = run_grid(&sweep);
     outcome.write_json().expect("write fig10 json");
-    rep.line(format!(
-        "# sweep: {} system runs ({} simulated, {} cached), {:.2}s wall on {} worker(s)",
-        outcome.points.len(),
-        outcome.simulated,
-        outcome.cache_hits,
-        outcome.wall_secs,
-        outcome.jobs,
-    ));
+    run_facts(&outcome);
     rep.line("");
     rep.line(format!("{:<12}{:>14}{:>14}", "workload", "mesh", "torus"));
 

@@ -104,6 +104,13 @@ pub(crate) fn run_grid(sweep: &Sweep) -> SweepOutcome {
     outcome
 }
 
+/// Prints a sweep's run facts (wall time, simulated points, cache hits,
+/// workers) to stderr: they change from run to run, so they stay out of
+/// the result files.
+pub(crate) fn run_facts(o: &SweepOutcome) {
+    eprintln!("# {}: {} on {} worker(s)", o.name, o.summary(), o.jobs);
+}
+
 /// The workloads of the fig10 and fig13 CMP grids: all ten at full scale,
 /// a representative five at quick scale (two commercial, three PARSEC
 /// spanning the sharing/locality range).

@@ -3,7 +3,8 @@
 //! A [`Sweep`] describes a grid of simulation points — each a full network
 //! configuration plus a [`PointKind`] saying *what* to run on it (an
 //! open-loop load point, a full CMP system, the closed-loop memory
-//! request/response study, or a fault-degradation campaign).
+//! request/response study, or a fault-degradation run, which is also what
+//! every point of a reliability campaign ([`crate::campaign`]) is).
 //! [`run_sweep`] shards the points across a
 //! configurable worker pool (std threads + channels; the offline `compat/`
 //! situation rules out rayon) and reassembles results in grid order, so
@@ -18,9 +19,10 @@
 //!   into the output.
 //!
 //! Completed points are memoized in a content-addressed cache
-//! (see [`crate::cache`]): re-running a sweep skips every point whose
-//! configuration hash is already on disk, making iterative figure work and
-//! CI incremental. [`SweepOutcome::write_json`] emits the machine-readable
+//! (see [`crate::cache`]) as each one finishes: re-running a sweep — or
+//! resuming a killed one — skips every point whose configuration hash is
+//! already on disk, making iterative figure work and CI incremental.
+//! [`SweepOutcome::write_json`] emits the machine-readable
 //! `results/<name>.json` (points, latency/throughput/power, wall time,
 //! cache hit rate) next to the human-readable text tables.
 
@@ -164,7 +166,9 @@ pub enum PointKind {
         /// Destination-choice RNG seed.
         seed: u64,
     },
-    /// All-pairs fault-degradation campaign with CDG-verified rerouting.
+    /// All-pairs fault-degradation run with CDG-verified rerouting; its
+    /// [`PointMetrics::reliability`] carries the loss, latency-percentile
+    /// and recovery numbers.
     Degradation {
         /// Fault plan (hard kills fire mid-campaign).
         plan: FaultPlan,
@@ -299,6 +303,9 @@ pub struct PointMetrics {
     /// System-level results of CMP and closed-loop points; `None` for the
     /// other kinds, whose JSON therefore has no `system` member.
     pub system: Option<SystemMetrics>,
+    /// Reliability results of degradation points; `None` for the other
+    /// kinds, whose JSON therefore has no `reliability` member.
+    pub reliability: Option<ReliabilityMetrics>,
 }
 
 /// System-level results of a CMP or closed-loop point. What a closed-loop
@@ -387,6 +394,55 @@ impl SystemMetrics {
     }
 }
 
+/// What a degradation point reports beyond the shared counters: the
+/// numbers a reliability campaign's manifest and curves are built from.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReliabilityMetrics {
+    /// Packets permanently lost (dropped and not recovered).
+    pub permanent: u64,
+    /// Median delivery latency in cycles (0 when nothing was delivered).
+    pub latency_p50: u64,
+    /// 99th-percentile delivery latency in cycles.
+    pub latency_p99: u64,
+    /// End-to-end reinjections of retained packets.
+    pub reinjections: u64,
+    /// Flits those reinjections sent.
+    pub reinjected_flits: u64,
+    /// Packets delivered only thanks to a reinjection.
+    pub recovered: u64,
+    /// Duplicate ejections the destinations suppressed.
+    pub duplicates_suppressed: u64,
+}
+
+impl ReliabilityMetrics {
+    /// The point's `reliability` member: one integer per field.
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("permanent", int(self.permanent)),
+            ("latency_p50", int(self.latency_p50)),
+            ("latency_p99", int(self.latency_p99)),
+            ("reinjections", int(self.reinjections)),
+            ("reinjected_flits", int(self.reinjected_flits)),
+            ("recovered", int(self.recovered)),
+            ("duplicates_suppressed", int(self.duplicates_suppressed)),
+        ])
+    }
+
+    /// Reads what [`ReliabilityMetrics::to_json`] writes.
+    fn from_json(v: &Json) -> Option<ReliabilityMetrics> {
+        let count = |k: &str| v.get(k).and_then(Json::as_u64);
+        Some(ReliabilityMetrics {
+            permanent: count("permanent")?,
+            latency_p50: count("latency_p50")?,
+            latency_p99: count("latency_p99")?,
+            reinjections: count("reinjections")?,
+            reinjected_flits: count("reinjected_flits")?,
+            recovered: count("recovered")?,
+            duplicates_suppressed: count("duplicates_suppressed")?,
+        })
+    }
+}
+
 /// A point that measured nothing: NaN rates, latencies and power, zero
 /// counters, one attempt, no error.
 impl Default for PointMetrics {
@@ -413,6 +469,7 @@ impl Default for PointMetrics {
             wall_secs: 0.0,
             error: None,
             system: None,
+            reliability: None,
         }
     }
 }
@@ -462,6 +519,9 @@ impl PointMetrics {
         if let Some(system) = &self.system {
             members.push(("system", system.to_json()));
         }
+        if let Some(reliability) = &self.reliability {
+            members.push(("reliability", reliability.to_json()));
+        }
         Json::obj(members)
     }
 
@@ -495,6 +555,7 @@ impl PointMetrics {
             wall_secs: 0.0,
             error: v.get("error").and_then(Json::as_str).map(str::to_owned),
             system: v.get("system").and_then(SystemMetrics::from_json),
+            reliability: v.get("reliability").and_then(ReliabilityMetrics::from_json),
         })
     }
 }
@@ -740,6 +801,18 @@ impl SweepOutcome {
         }
     }
 
+    /// One line of run facts: wall time, simulated points and cache hits.
+    /// They change from run to run, so they never go into a result file.
+    pub fn summary(&self) -> String {
+        format!(
+            "wall {:.2}s · {} simulated · {} cache hit(s) ({:.0}%)",
+            self.wall_secs,
+            self.simulated,
+            self.cache_hits,
+            100.0 * self.cache_hit_rate()
+        )
+    }
+
     /// The points array alone — identical across worker counts, which is
     /// what the determinism tests compare (wall time and job count are
     /// run-specific by nature).
@@ -884,28 +957,33 @@ pub fn run_sweep(sweep: &Sweep, opts: &SweepOptions) -> Result<SweepOutcome, Swe
         }
         None => None,
     };
+    // Each point is cached the moment it arrives, so a sweep killed even
+    // by SIGKILL keeps every point it finished. Failures are not cached: a
+    // re-run should retry them.
+    let mut cache_error = None;
     let computed = parallel_map_observed(
         opts.jobs,
         pending,
         stop.as_deref(),
         |(i, spec)| (i, run_point_ctx(spec, &point_ctx(&keys[i], opts))),
-        |_, (_, m)| {
+        |_, (i, m)| {
+            if let (Some(c), None) = (cache.as_mut(), &m.error) {
+                if let Err(e) = c.insert(keys[*i].clone(), m.to_json()) {
+                    cache_error.get_or_insert(e);
+                }
+            }
             if let Some(p) = progress.as_mut() {
                 p.note_point(m);
                 p.emit(false);
             }
         },
     );
+    if let Some(e) = cache_error {
+        return Err(SweepError::Io(e));
+    }
     let mut simulated = 0usize;
-    for slot in computed.into_iter().flatten() {
-        let (i, metrics) = slot;
+    for (i, metrics) in computed.into_iter().flatten() {
         simulated += 1;
-        if let Some(c) = cache.as_mut() {
-            // Failures are not cached: a re-run should retry them.
-            if metrics.error.is_none() {
-                c.insert(keys[i].clone(), metrics.to_json())?;
-            }
-        }
         results[i] = Some(metrics);
     }
     // Points the shutdown flag kept from starting: record them as
@@ -913,10 +991,7 @@ pub fn run_sweep(sweep: &Sweep, opts: &SweepOptions) -> Result<SweepOutcome, Swe
     let interrupted = scheduled - simulated;
     for (i, label) in labels {
         if results[i].is_none() {
-            results[i] = Some(PointMetrics::failed(
-                label,
-                "interrupted: shutdown requested before the point started".to_owned(),
-            ));
+            results[i] = Some(PointMetrics::failed(label, INTERRUPTED.to_owned()));
         }
     }
     if let Some(p) = progress.as_mut() {
@@ -937,6 +1012,9 @@ pub fn run_sweep(sweep: &Sweep, opts: &SweepOptions) -> Result<SweepOutcome, Swe
         wall_secs: start.elapsed().as_secs_f64(),
     })
 }
+
+/// The error of a point the shutdown flag kept from starting.
+pub(crate) const INTERRUPTED: &str = "interrupted: shutdown requested before the point started";
 
 /// Coordinator-side progress accounting for one sweep run, behind
 /// [`SweepOptions::progress`]. Counts live here (not in the registry) so
@@ -1089,7 +1167,7 @@ fn run_point_with(
     m
 }
 
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("panicked: {s}")
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1224,6 +1302,15 @@ fn execute(
                 retransmissions: r.counters.retransmissions,
                 flits_corrupted: r.counters.flits_corrupted,
                 reroutes: u64::from(r.reroutes),
+                reliability: Some(ReliabilityMetrics {
+                    permanent: r.permanent_losses(),
+                    latency_p50: r.latency_percentile(0.50),
+                    latency_p99: r.latency_percentile(0.99),
+                    reinjections: r.recovery.reinjections,
+                    reinjected_flits: r.recovery.reinjected_flits,
+                    recovered: r.recovery.recovered,
+                    duplicates_suppressed: r.recovery.duplicates_suppressed,
+                }),
                 ..PointMetrics::default()
             })
         }
@@ -1232,7 +1319,7 @@ fn execute(
 
 /// Every ordered (source, destination) pair of `nodes`, `bursts` times
 /// over, one 512-bit packet every `spacing` cycles: the offered traffic of
-/// degradation and reliability-campaign points.
+/// degradation points.
 pub fn all_pairs_injections(nodes: usize, bursts: u64, spacing: Cycle) -> Vec<Injection> {
     let mut injections = Vec::new();
     for _ in 0..bursts {
@@ -1369,37 +1456,21 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    parallel_map_until(jobs, items, None, f)
+    parallel_map_observed(jobs, items, None, f, |_, _| {})
         .into_iter()
         .map(|r| r.expect("no stop flag: every item runs"))
         .collect()
 }
 
-/// [`parallel_map`] with a cooperative stop flag: workers check `stop`
-/// before drawing each item and quit once it rises, so in-flight items
-/// always finish while undrawn ones come back as `None` (in input order).
-/// With `stop = None` the behavior is exactly [`parallel_map`]'s.
-pub fn parallel_map_until<T, R, F>(
-    jobs: usize,
-    items: Vec<T>,
-    stop: Option<&AtomicBool>,
-    f: F,
-) -> Vec<Option<R>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_observed(jobs, items, stop, f, |_, _| {})
-}
-
-/// [`parallel_map_until`] with a completion observer: `on_each(i, &r)`
-/// runs on the *coordinator* thread as each item's result arrives (in
-/// completion order, not input order) — the hook live progress reporting
-/// hangs off. The observer sees each result exactly once and cannot
-/// change it, so the returned vector is identical to
-/// [`parallel_map_until`]'s.
-pub fn parallel_map_observed<T, R, F, O>(
+/// [`parallel_map`] with a cooperative stop flag and a completion
+/// observer. Workers check `stop` before drawing each item and quit once
+/// it rises, so in-flight items always finish while undrawn ones come
+/// back as `None` (in input order). `on_each(i, &r)` runs on the
+/// *coordinator* thread as each item's result arrives (in completion
+/// order, not input order) — the hook the sweep's cache inserts and live
+/// progress reporting hang off. The observer sees each result exactly
+/// once and cannot change it.
+fn parallel_map_observed<T, R, F, O>(
     jobs: usize,
     items: Vec<T>,
     stop: Option<&AtomicBool>,
@@ -1718,6 +1789,7 @@ mod tests {
             wall_secs: 1.25,
             error: None,
             system: None,
+            reliability: None,
         };
         let j = m.to_json();
         let back = PointMetrics::from_json(&j).unwrap();
@@ -1731,9 +1803,12 @@ mod tests {
         assert_eq!(back.attempts, m.attempts);
         assert_eq!(back.wall_secs, 0.0);
         assert!(!j.pretty().contains("wall_secs"));
-        // Only CMP and closed-loop points carry a `system` member.
+        // Only CMP and closed-loop points carry a `system` member, and
+        // only degradation points a `reliability` member.
         assert!(j.get("system").is_none());
         assert!(back.system.is_none());
+        assert!(j.get("reliability").is_none());
+        assert!(back.reliability.is_none());
 
         let system = SystemMetrics {
             latency_breakdown: (1.5, 0.25, f64::NAN),
@@ -1769,6 +1844,23 @@ mod tests {
             strip(&system),
             "finite values round-trip exactly"
         );
+
+        let reliability = ReliabilityMetrics {
+            permanent: 3,
+            latency_p50: 17,
+            latency_p99: 40,
+            reinjections: 9,
+            reinjected_flits: 45,
+            recovered: 2,
+            duplicates_suppressed: 1,
+        };
+        let m = PointMetrics {
+            system: None,
+            reliability: Some(reliability.clone()),
+            ..m
+        };
+        let back = PointMetrics::from_json(&json::parse(&m.to_json().to_string()).unwrap());
+        assert_eq!(back.unwrap().reliability, Some(reliability));
     }
 
     fn trivial_spec() -> PointSpec {

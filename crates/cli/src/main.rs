@@ -1,13 +1,12 @@
 //! `heteronoc` — command-line front end for the HeteroNoC simulator.
 //!
 //! ```text
-//! heteronoc sweep   --layouts all --pattern ur --rates 0.01,0.02,0.04 --jobs 4
-//! heteronoc compare --pattern transpose --rate 0.02
-//! heteronoc audit
-//! heteronoc heatmap --rate 0.05
-//! heteronoc cmp     --layout baseline --workload sap --refs 1500
+//! heteronoc sweep    --layouts all --pattern ur --rates 0.01,0.02,0.04 --jobs 4
+//! heteronoc heatmap  --rate 0.05
+//! heteronoc cmp      --layout baseline --workload sap --refs 1500
+//! heteronoc campaign --layouts baseline --kills 1,2,4 --plans 8
 //! heteronoc experiment fig11_applications
-//! heteronoc verify  --layout diagonal-bl --hubs 0,7,56,63
+//! heteronoc lint     --layout diagonal-bl --hubs 0,7,56,63
 //! ```
 
 mod args;
@@ -19,7 +18,7 @@ use heteronoc::noc::network::Network;
 use heteronoc::noc::sim::{InjectionProcess, SimParams, SimRun, Traffic};
 use heteronoc::noc::types::Rate;
 use heteronoc::traffic::workloads::Benchmark;
-use heteronoc::{audit_mesh_layout, mesh_config, Layout};
+use heteronoc::{mesh_config, Layout};
 use heteronoc_bench::sweep::{default_jobs, run_sweep, Sweep, SweepOptions, TrafficSpec};
 
 use args::Args;
@@ -85,9 +84,6 @@ COMMANDS
                                     (default: later start + 50000)
                --max-fields N       field diffs reported at the diverging
                                     cycle (default 16)
-  compare    all seven layouts at one load point
-               --pattern, --rate, --packets, --seed as above
-  audit      resource audit of every layout (Table 1 accounting)
   heatmap    ASCII buffer-utilization heat-map of the baseline mesh
                --rate, --packets, --seed as above
   cmp        full 64-tile CMP run
@@ -111,18 +107,12 @@ COMMANDS
                --rows N             epochs per point before eliding (default 24)
                --compare <a> <b>    instead: side-by-side latency/power/
                                     throughput deltas of two sweep results files
-  verify     static deadlock & invariant analysis (channel-dependency graph
-             acyclicity + iso-resource lint against the baseline)
-               --layout <name>      verify one layout (default: every shipped
-                                    configuration, incl. torus/cmesh/fbfly and
-                                    the table-routed case study)
-               --hubs a,b,c         add table routing through these routers
-               --deny-warnings      exit non-zero when any warning is reported
   lint       full static-analysis suite: structure, CDG deadlock, protocol
              (message-class) deadlock, credit-loop sizing, starvation, and
              fault-plan reachability, reported as stable-coded diagnostics
                --layout <name>      lint one layout (default: every shipped
-                                    configuration, like verify)
+                                    configuration, incl. torus/cmesh/fbfly and
+                                    the table-routed case study)
                --hubs a,b,c         add table routing through these routers
                --rates a,b,c        injection rates for the credit-sizing pass
                                     (default 0.01,0.02,0.03,0.04,0.05)
@@ -148,10 +138,11 @@ COMMANDS
                --bursts N           all-pairs injection bursts (default 1)
                --spacing N          cycles between injections (default 2)
                --stall-limit N      drain watchdog in cycles (default 100000)
-  campaign   resumable Monte Carlo reliability campaign: sampled random
-             link-kill plans per (layout x kill-count) cell, sharded over
-             the sweep worker pool with result caching and a periodically
-             rewritten atomic manifest (kill it any time; re-run resumes)
+  campaign   Monte Carlo reliability campaign on the sweep engine: sampled
+             random link-kill plans per (layout x kill-count) cell, each
+             point cached as it finishes (kill it any time; a re-run
+             resumes from results/cache/); writes the manifest and its
+             reliability curves when it ends
                --layouts a,b,c      comma-separated, or 'all' (default
                                     baseline,diagonal-bl)
                --kills a,b,c        dead-link counts (default 1,2,4); the
@@ -164,13 +155,13 @@ COMMANDS
                                     (default 4,512,16)
                --no-recover         disable end-to-end delivery guarantees
                --jobs N             worker threads (default: all cores)
-               --no-cache           ignore results/cache/
-               --max-points N       simulate at most N pending points, then
-                                    stop with a resumable manifest
+               --no-cache           re-simulate every point, ignore
+                                    results/cache/
                --name <name>        manifest results/campaigns/<name>.json
                                     (default cli_campaign)
-               --progress <sink>    stream per-batch JSONL progress snapshots
-                                    to a file, '-' (stdout) or fd:N
+               --progress <sink>    stream per-point JSONL progress snapshots
+                                    (kind sweep) to a file, '-' (stdout) or
+                                    fd:N
   cache      result-cache maintenance for results/cache/
                --verify             audit every cache file line by line, CRC-
                                     check every *.ckpt checkpoint, and exit
@@ -374,13 +365,7 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
 
     let json_path = outcome.write_json().map_err(|e| e.to_string())?;
     println!();
-    println!(
-        "wall {:.2}s · {} simulated · {} cache hit(s) ({:.0}%)",
-        outcome.wall_secs,
-        outcome.simulated,
-        outcome.cache_hits,
-        100.0 * outcome.cache_hit_rate()
-    );
+    println!("{}", outcome.summary());
     if outcome.interrupted > 0 {
         println!(
             "{} point(s) interrupted by shutdown; completed work is cached and \
@@ -853,17 +838,13 @@ fn render_top_block(snap: &heteronoc_bench::json::Json) -> String {
                 },
             ));
         }
-        "sweep" | "campaign" => {
+        "sweep" => {
             out.push_str(&format!(
                 "  {}  points {:>5} / {}  cached {}  failed {}\n",
                 snap.get("name").and_then(Json::as_str).unwrap_or("?"),
                 u("points_done"),
                 u("points_total"),
-                u(if kind == "sweep" {
-                    "points_cached"
-                } else {
-                    "points_from_cache"
-                }),
+                u("points_cached"),
                 u("points_failed"),
             ));
         }
@@ -1012,69 +993,6 @@ fn cmd_bench(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(a: &Args) -> Result<(), String> {
-    use heteronoc_bench::sweep::{run_point, PointKind, PointSpec};
-
-    let pattern = a.get("pattern").unwrap_or("ur").to_owned();
-    let traffic = traffic_spec_by_name(&pattern)?;
-    let rate = a.get_or("rate", 0.03f64)?;
-    let packets = a.get_or("packets", 5_000u64)?;
-    let seed = a.get_or("seed", 42u64)?;
-    println!("pattern {pattern} @ {rate} packets/node/cycle");
-    println!(
-        "{:<14}{:>12}{:>14}{:>12}",
-        "layout", "latency", "throughput", "power"
-    );
-    for layout in Layout::all_seven() {
-        let m = run_point(&PointSpec {
-            label: String::new(),
-            config: mesh_config(&layout),
-            kind: PointKind::OpenLoop {
-                params: params(rate, packets, seed),
-                traffic: traffic.clone(),
-                faults: None,
-                epochs: None,
-            },
-        });
-        if let Some(e) = m.error {
-            return Err(e);
-        }
-        let latency = if m.saturated {
-            format!("{:>12}", "sat")
-        } else {
-            format!("{:>9.2} ns", m.latency_ns)
-        };
-        println!(
-            "{:<14}{latency}{:>14.4}{:>10.1} W",
-            layout.name(),
-            m.throughput,
-            m.power_w
-        );
-    }
-    Ok(())
-}
-
-fn cmd_audit() -> Result<(), String> {
-    println!(
-        "{:<14}{:>8}{:>14}{:>18}{:>12}{:>10}",
-        "layout", "VCs", "buffer bits", "bisection bits", "area mm2", "budget"
-    );
-    for layout in Layout::all_seven() {
-        let audit = audit_mesh_layout(&layout);
-        println!(
-            "{:<14}{:>8}{:>14}{:>13} /{:<4}{:>10.2}{:>10}",
-            audit.layout,
-            audit.total_vcs,
-            audit.buffer_bits,
-            audit.bisection_bits,
-            audit.baseline_bisection_bits,
-            audit.router_area_mm2,
-            if audit.power_budget_ok { "ok" } else { "OVER" }
-        );
-    }
-    Ok(())
-}
-
 fn cmd_heatmap(a: &Args) -> Result<(), String> {
     let rate = a.get_or("rate", 0.05f64)?;
     let packets = a.get_or("packets", 8_000u64)?;
@@ -1121,122 +1039,6 @@ fn cmd_cmp(a: &Args) -> Result<(), String> {
         "  memory reads      {}",
         m.system.map_or(0, |s| s.mem_reads)
     );
-    Ok(())
-}
-
-/// `heteronoc verify`: prove every requested configuration deadlock-free
-/// (CDG acyclicity) and within the paper's iso-resource budgets.
-fn cmd_verify(a: &Args) -> Result<(), String> {
-    use heteronoc::noc::config::NetworkConfig;
-    use heteronoc::noc::topology::TopologyKind;
-    use heteronoc::noc::types::{Bits, RouterId};
-    use heteronoc::noc::RouterCfg;
-    use heteronoc_verify::{verify_config, verify_layout, verify_layout_with_table, VerifyReport};
-
-    let hubs: Option<Vec<usize>> = a.get_list::<usize>("hubs")?;
-    if let Some(h) = &hubs {
-        if let Some(&r) = h.iter().find(|&&r| r >= 64) {
-            return Err(format!(
-                "--hubs router {r} is out of range for the 8x8 mesh (0..=63)"
-            ));
-        }
-    }
-    let mut reports: Vec<Result<VerifyReport, String>> = Vec::new();
-
-    if let Some(name) = a.get("layout") {
-        let layout = layout_by_name(name)?;
-        reports.push(match &hubs {
-            Some(h) => {
-                let hubs: Vec<RouterId> = h.iter().map(|&r| RouterId(r)).collect();
-                verify_layout_with_table(&layout, &hubs).map_err(|e| e.to_string())
-            }
-            None => verify_layout(&layout).map_err(|e| e.to_string()),
-        });
-    } else {
-        // Every shipped configuration: the seven paper layouts, the
-        // alternative topologies, and the §7 table-routed case study.
-        for layout in Layout::all_seven() {
-            reports.push(verify_layout(&layout).map_err(|e| e.to_string()));
-        }
-        let corners: Vec<RouterId> = hubs
-            .unwrap_or_else(|| vec![0, 7, 56, 63])
-            .into_iter()
-            .map(RouterId)
-            .collect();
-        reports.push(
-            verify_layout_with_table(&Layout::DiagonalBL, &corners).map_err(|e| e.to_string()),
-        );
-        for (name, kind) in [
-            (
-                "torus-8x8",
-                TopologyKind::Torus {
-                    width: 8,
-                    height: 8,
-                },
-            ),
-            (
-                "cmesh-4x4x4",
-                TopologyKind::CMesh {
-                    width: 4,
-                    height: 4,
-                    concentration: 4,
-                },
-            ),
-            (
-                "fbfly-4x4x4",
-                TopologyKind::FlattenedButterfly {
-                    width: 4,
-                    height: 4,
-                    concentration: 4,
-                },
-            ),
-        ] {
-            let cfg = NetworkConfig::homogeneous(kind, RouterCfg::BASELINE, Bits(192), 2.2);
-            reports.push(verify_config(name, &cfg).map_err(|e| format!("{name}: {e}")));
-        }
-    }
-
-    // Identical warnings repeat across layouts (e.g. every +BL layout
-    // shares the same lane warning); print each distinct warning once,
-    // naming the configurations it applies to.
-    let mut failures = 0usize;
-    let mut warning_count = 0usize;
-    let mut deduped: std::collections::BTreeMap<String, Vec<String>> =
-        std::collections::BTreeMap::new();
-    for r in &reports {
-        match r {
-            Ok(report) => {
-                println!("ok   {}", report.summary());
-                warning_count += report.warnings.len();
-                for w in &report.warnings {
-                    deduped
-                        .entry(w.to_string())
-                        .or_default()
-                        .push(report.name.clone());
-                }
-            }
-            Err(e) => {
-                failures += 1;
-                println!("FAIL {e}");
-            }
-        }
-    }
-    for (text, names) in &deduped {
-        println!("warning: {text} [{}]", names.join(", "));
-    }
-    println!(
-        "{} configuration(s) verified, {failures} rejected, {warning_count} warning(s) ({} distinct)",
-        reports.len() - failures,
-        deduped.len()
-    );
-    if failures > 0 {
-        return Err(format!("{failures} configuration(s) failed verification"));
-    }
-    if a.flag("deny-warnings") && warning_count > 0 {
-        return Err(format!(
-            "{warning_count} warning(s) denied by --deny-warnings"
-        ));
-    }
     Ok(())
 }
 
@@ -1509,12 +1311,12 @@ fn cmd_faults(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `heteronoc campaign`: resumable Monte Carlo reliability campaign over
-/// sampled random link-kill plans, with shared result caching and an
-/// atomically rewritten manifest (kill + re-run resumes).
+/// `heteronoc campaign`: Monte Carlo reliability campaign over sampled
+/// random link-kill plans, run on the sweep engine (every point cached as
+/// it finishes, so kill + re-run resumes), ending in its manifest.
 fn cmd_campaign(a: &Args) -> Result<(), String> {
     use heteronoc::noc::fault::{RecoveryPolicy, RetryPolicy};
-    use heteronoc_bench::campaign::{run_campaign, CampaignOptions, CampaignSpec};
+    use heteronoc_bench::campaign::{run_campaign, CampaignSpec};
     use heteronoc_bench::report::render_campaign;
     use heteronoc_bench::results_dir;
 
@@ -1566,20 +1368,12 @@ fn cmd_campaign(a: &Args) -> Result<(), String> {
         stall_limit: a.get_or("stall-limit", 100_000u64)?,
         recovery,
     };
-    let opts = CampaignOptions {
+    let opts = SweepOptions {
         jobs: a.get_or("jobs", default_jobs())?.max(1),
         use_cache: !a.flag("no-cache"),
-        cache_dir: results_dir().join("cache"),
-        manifest_dir: results_dir().join("campaigns"),
-        max_points: match a.get("max-points") {
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| format!("invalid value '{v}' for --max-points"))?,
-            ),
-            None => None,
-        },
         shutdown: Some(signals::install()),
         progress: a.get("progress").map(str::to_owned),
+        ..SweepOptions::default()
     };
     println!(
         "campaign '{}': {} layout(s) x kills {:?} x {} plan(s)/cell · recovery {} · {} worker(s) · cache {}",
@@ -1596,19 +1390,13 @@ fn cmd_campaign(a: &Args) -> Result<(), String> {
         opts.jobs,
         if opts.use_cache { "on" } else { "off" },
     );
-    let outcome = run_campaign(&spec, &opts)?;
-    println!(
-        "{} point(s): {} simulated · {} from cache · {} from manifest · {} deferred",
-        outcome.total,
-        outcome.simulated,
-        outcome.from_cache,
-        outcome.from_manifest,
-        outcome.deferred
-    );
-    if outcome.interrupted {
+    let outcome = run_campaign(&spec, &opts, &results_dir().join("campaigns"))?;
+    println!("{}", outcome.sweep.summary());
+    if outcome.sweep.interrupted > 0 {
         println!(
-            "campaign interrupted by shutdown; the manifest is flushed and \
-             unfinished points stay pending — re-run the same campaign to resume"
+            "campaign interrupted by shutdown: {} point(s) never started and stay \
+             pending — re-run the same campaign to resume from the result cache",
+            outcome.sweep.interrupted
         );
     }
     print!("{}", render_campaign(&outcome.doc)?);
@@ -1746,13 +1534,10 @@ fn run() -> Result<(), String> {
         Some("run") => cmd_run(&a),
         Some("replay") => cmd_replay(&a),
         Some("sweep") => cmd_sweep(&a),
-        Some("compare") => cmd_compare(&a),
-        Some("audit") => cmd_audit(),
         Some("heatmap") => cmd_heatmap(&a),
         Some("cmp") => cmd_cmp(&a),
         Some("trace") => cmd_trace(&a),
         Some("report") => cmd_report(&a),
-        Some("verify") => cmd_verify(&a),
         Some("lint") => cmd_lint(&a),
         Some("faults") => cmd_faults(&a),
         Some("campaign") => cmd_campaign(&a),

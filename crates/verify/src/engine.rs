@@ -2,7 +2,7 @@
 //! collects [`Diagnostic`]s into a deterministic [`LintReport`].
 //!
 //! Unlike [`crate::verify_config`] (first-error, `Result`-shaped, kept for
-//! API stability and the `heteronoc verify` subcommand), [`lint_config`]
+//! API stability and the benchmark's set-up), [`lint_config`]
 //! never fails: it runs as many passes as remain meaningful and returns
 //! everything it found, sorted (errors first, then code/span/message) and
 //! de-duplicated, so two runs over the same configuration render

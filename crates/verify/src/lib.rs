@@ -14,8 +14,8 @@
 //! Entry points: [`verify_config`] for any [`NetworkConfig`],
 //! [`verify_layout`] / [`verify_layout_with_table`] for the paper's named
 //! layouts (which adds the iso-resource lint against the Fig. 3 baseline).
-//! The `heteronoc verify` CLI subcommand and the CI workflow run these over
-//! every shipped configuration.
+//! `heteronoc lint` (the [`lint_config`] suite, which includes these
+//! checks) and the CI workflow run over every shipped configuration.
 //!
 //! The complementary *runtime* invariant checker (flit conservation, credit
 //! bounds, per-VC FIFO order) lives in `heteronoc-noc` behind its `verify`
