@@ -277,9 +277,10 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
     let rates = a
         .get_list::<f64>("rates")?
         .unwrap_or_else(|| vec![0.01, 0.02, 0.03, 0.04, 0.05]);
-    let seeds = a
-        .get_list::<u64>("seeds")?
-        .unwrap_or_else(|| vec![a.get_or("seed", 42u64).unwrap_or(42)]);
+    let seeds = match a.get_list::<u64>("seeds")? {
+        Some(seeds) => seeds,
+        None => vec![a.get_or("seed", 42u64)?],
+    };
     let packets = a.get_or("packets", 5_000u64)?;
     let jobs = a.get_or("jobs", default_jobs())?.max(1);
     let name = a.get("name").unwrap_or("cli_sweep").to_owned();
@@ -1000,7 +1001,7 @@ fn cmd_heatmap(a: &Args) -> Result<(), String> {
     let net = Network::new(mesh_config(&Layout::Baseline)).map_err(|e| e.to_string())?;
     let out = SimRun::new(net, params(rate, packets, seed))
         .run()
-        .expect("simulation run");
+        .map_err(|e| e.to_string())?;
     println!("baseline 8x8 mesh, UR @ {rate}: buffer (VC) utilization [%]");
     for y in 0..8 {
         let row: Vec<String> = (0..8)
@@ -1554,6 +1555,7 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
+    signals::default_sigpipe();
     let result = run();
     if let Err(e) = &result {
         eprintln!("error: {e}");

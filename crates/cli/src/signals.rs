@@ -1,4 +1,5 @@
-//! Minimal, dependency-free SIGINT/SIGTERM handling for crash-safe runs.
+//! Minimal, dependency-free SIGINT/SIGTERM handling for crash-safe runs,
+//! and the default SIGPIPE disposition for every command.
 //!
 //! The handlers do the only async-signal-safe thing possible: store the
 //! signal number and raise a shared [`AtomicBool`]. Long-running commands
@@ -8,6 +9,12 @@
 //! signal into the conventional `128 + signo` exit code (130 for SIGINT,
 //! 143 for SIGTERM) so callers can distinguish "interrupted but resumable"
 //! from ordinary failure.
+//!
+//! The Rust runtime ignores SIGPIPE, so printing to a pipe whose reader
+//! has gone (`heteronoc lint | head -1`) panics in `println!`.
+//! [`default_sigpipe`] restores the default disposition: the process then
+//! ends quietly on SIGPIPE, as any Unix filter does. A sweep or campaign
+//! cut short this way keeps every finished point in the result cache.
 
 use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -16,6 +23,8 @@ use std::sync::{Arc, OnceLock};
 pub const SIGINT: i32 = 2;
 /// POSIX SIGTERM (polite kill).
 pub const SIGTERM: i32 = 15;
+/// POSIX SIGPIPE (write to a pipe without a reader).
+const SIGPIPE: i32 = 13;
 
 /// Last signal delivered (0 = none yet).
 static RECEIVED: AtomicI32 = AtomicI32::new(0);
@@ -31,19 +40,31 @@ extern "C" fn on_signal(sig: i32) {
 
 extern "C" {
     // ISO C `signal(2)`; declared by hand to stay free of a libc crate
-    // dependency. The return value (previous handler) is unused.
-    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    // dependency. `None` is `SIG_DFL` (the null handler). The return value
+    // (previous handler) is unused.
+    fn signal(signum: i32, handler: Option<extern "C" fn(i32)>) -> usize;
 }
 
 /// Installs the SIGINT/SIGTERM handlers (idempotent) and returns the
 /// shared shutdown flag to thread into a run, sweep, or campaign.
 pub fn install() -> Arc<AtomicBool> {
     let flag = Arc::clone(FLAG.get_or_init(|| Arc::new(AtomicBool::new(false))));
+    // SAFETY: `on_signal` only stores to atomics, which is
+    // async-signal-safe, and it stays valid for the life of the process.
     unsafe {
-        signal(SIGINT, on_signal);
-        signal(SIGTERM, on_signal);
+        signal(SIGINT, Some(on_signal));
+        signal(SIGTERM, Some(on_signal));
     }
     flag
+}
+
+/// Restores the default SIGPIPE disposition (see the module docs).
+pub fn default_sigpipe() {
+    // SAFETY: `SIG_DFL` installs no handler code; it only resets what the
+    // runtime changed before `main`.
+    unsafe {
+        signal(SIGPIPE, None);
+    }
 }
 
 /// The signal received so far, if any.

@@ -27,6 +27,8 @@
 //! checkpoint can be rejected *before* decoding when it belongs to a
 //! different configuration or parameter set; the body itself is opaque
 //! length-prefixed sections written by [`Enc`] and read back by [`Dec`].
+//! Every value in it goes through its type's one [`Codec`] impl, which
+//! fixes that type's wire layout for both directions.
 //!
 //! # Atomicity
 //!
@@ -36,13 +38,17 @@
 //! against torn writes of the temp file itself surviving a rename done by
 //! an interrupted earlier process.
 
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::fs;
+use std::hash::Hash;
 use std::io::Write as _;
 use std::path::Path;
 
+use rand::rngs::StdRng;
+
 use crate::config::NetworkConfig;
-use crate::types::Cycle;
+use crate::types::{Bits, Cycle, LinkId, NodeId, PacketId, PortId, RouterId, VcId};
 
 /// File magic: identifies a HeteroNoC checkpoint, format generation 01.
 pub const MAGIC: [u8; 8] = *b"HNCKPT01";
@@ -251,22 +257,23 @@ impl Enc {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Writes a length-prefixed `u64` slice.
-    pub fn u64s(&mut self, xs: &[u64]) {
+    /// Writes a collection: its length as a `usize`, then each element.
+    pub fn items<'a, T: Codec + 'a>(&mut self, xs: impl ExactSizeIterator<Item = &'a T>) {
         self.usize(xs.len());
-        for &x in xs {
-            self.u64(x);
+        for x in xs {
+            x.enc(self);
         }
     }
 
-    /// Writes an `Option<u64>` as a presence byte plus the value.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.u64(x);
-            }
-            None => self.bool(false),
+    /// Writes a map as [`Enc::items`] writes its `(key, value)` pairs.
+    fn pairs<'a, K: Codec + 'a, V: Codec + 'a>(
+        &mut self,
+        kv: impl ExactSizeIterator<Item = (&'a K, &'a V)>,
+    ) {
+        self.usize(kv.len());
+        for (k, v) in kv {
+            k.enc(self);
+            v.enc(self);
         }
     }
 }
@@ -365,19 +372,266 @@ impl<'a> Dec<'a> {
         String::from_utf8(b.to_vec()).map_err(|_| CheckpointError::Malformed("utf8"))
     }
 
-    /// Reads a length-prefixed `u64` vector.
-    pub fn u64s(&mut self) -> Result<Vec<u64>, CheckpointError> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.u64()).collect()
+    /// Reads a collection written by [`Enc::items`] into any container.
+    fn items<T: Codec, C: FromIterator<T>>(&mut self) -> Result<C, CheckpointError> {
+        let n = self.len(T::MIN)?;
+        (0..n).map(|_| T::dec(self)).collect()
     }
+}
 
-    /// Reads an `Option<u64>`.
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, CheckpointError> {
-        Ok(if self.bool()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
+// ---------------------------------------------------------------------------
+// The codec: one wire layout per type
+// ---------------------------------------------------------------------------
+
+/// A type with one checkpoint wire layout, read back exactly as written.
+///
+/// An `Option` is a presence byte, then the value; a collection is its
+/// `usize` length, then its elements; an id is its index as a `u64`; an
+/// array or tuple is its elements in order; hash-shaped collections are
+/// written sorted by key, so the bytes never depend on hash order.
+/// Inside the crate, `codec_struct!` and `codec_enum!` declare a struct's
+/// field order or an enum's variant tags once, for both directions.
+pub trait Codec: Sized {
+    /// Fewest bytes one encoded value takes; bounds a decoded collection's
+    /// length by the bytes left (see [`Dec::len`]).
+    const MIN: usize = 1;
+
+    /// Appends the value to `e`.
+    fn enc(&self, e: &mut Enc);
+
+    /// Reads back a value written by [`Codec::enc`].
+    ///
+    /// # Errors
+    /// [`CheckpointError::Truncated`] when the bytes run out, or
+    /// [`CheckpointError::Malformed`] naming what failed to decode.
+    fn dec(d: &mut Dec) -> Result<Self, CheckpointError>;
+}
+
+/// The [`Codec::MIN`] of the field `f` selects, without naming its type
+/// (for `codec_struct!`).
+pub(crate) const fn wire_min<S, T: Codec>(_f: fn(&S) -> &T) -> usize {
+    T::MIN
+}
+
+/// Declares each struct's wire layout: its fields in order. Fields after
+/// a `;` are not on the wire; decode leaves them at their `Default`, for
+/// the restoring side to rebuild from the configuration.
+macro_rules! codec_struct {
+    ($($ty:ident { $($f:ident),* $(; $($rebuilt:ident),*)? })*) => {$(
+        impl $crate::checkpoint::Codec for $ty {
+            const MIN: usize = 0 $(+ $crate::checkpoint::wire_min(|s: &Self| &s.$f))*;
+            fn enc(&self, e: &mut $crate::checkpoint::Enc) {
+                $($crate::checkpoint::Codec::enc(&self.$f, e);)*
+            }
+            fn dec(
+                d: &mut $crate::checkpoint::Dec,
+            ) -> Result<Self, $crate::checkpoint::CheckpointError> {
+                Ok(Self {
+                    $($f: $crate::checkpoint::Codec::dec(d)?,)*
+                    $($($rebuilt: Default::default(),)*)?
+                })
+            }
+        }
+    )*};
+}
+pub(crate) use codec_struct;
+
+/// Declares each enum's wire layout: a one-byte tag per variant, then the
+/// variant's fields in order. An unknown tag is `Malformed(what)`.
+macro_rules! codec_enum {
+    ($($ty:ident, $what:literal {
+        $($tag:literal => $var:ident $({ $($f:ident),* })? $(( $($t:ident),* ))?),* $(,)?
+    })*) => {$(
+        impl $crate::checkpoint::Codec for $ty {
+            fn enc(&self, e: &mut $crate::checkpoint::Enc) {
+                match self {
+                    $($ty::$var $({ $($f),* })? $(( $($t),* ))? => {
+                        e.u8($tag);
+                        $($($crate::checkpoint::Codec::enc($f, e);)*)?
+                        $($($crate::checkpoint::Codec::enc($t, e);)*)?
+                    })*
+                }
+            }
+            fn dec(
+                d: &mut $crate::checkpoint::Dec,
+            ) -> Result<Self, $crate::checkpoint::CheckpointError> {
+                Ok(match d.u8()? {
+                    $($tag => $ty::$var
+                        $({ $($f: $crate::checkpoint::Codec::dec(d)?),* })?
+                        $(( $({
+                            let $t = $crate::checkpoint::Codec::dec(d)?;
+                            $t
+                        }),* ))?,)*
+                    _ => return Err($crate::checkpoint::CheckpointError::Malformed($what)),
+                })
+            }
+        }
+    )*};
+}
+pub(crate) use codec_enum;
+
+macro_rules! codec_primitive {
+    ($($ty:ty => $m:ident, $min:literal;)*) => {$(
+        impl Codec for $ty {
+            const MIN: usize = $min;
+            fn enc(&self, e: &mut Enc) {
+                e.$m(*self);
+            }
+            fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+                d.$m()
+            }
+        }
+    )*};
+}
+
+codec_primitive! {
+    u8 => u8, 1;
+    bool => bool, 1;
+    u32 => u32, 4;
+    u64 => u64, 8;
+    usize => usize, 8;
+    f64 => f64, 8;
+}
+
+/// Ids are their index, [`Bits`] its `u32`.
+macro_rules! codec_newtype {
+    ($($ty:ident)*) => {$(
+        impl Codec for $ty {
+            const MIN: usize = wire_min(|s: &Self| &s.0);
+            fn enc(&self, e: &mut Enc) {
+                self.0.enc(e);
+            }
+            fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+                Codec::dec(d).map($ty)
+            }
+        }
+    )*};
+}
+
+codec_newtype!(NodeId RouterId PortId VcId LinkId PacketId Bits);
+
+impl Codec for String {
+    const MIN: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        e.str(self);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+        d.str()
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn enc(&self, e: &mut Enc) {
+        self.is_some().enc(e);
+        if let Some(v) = self {
+            v.enc(e);
+        }
+    }
+    fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+        Ok(if d.bool()? { Some(T::dec(d)?) } else { None })
+    }
+}
+
+impl<T: Codec> Codec for Box<T> {
+    const MIN: usize = T::MIN;
+    fn enc(&self, e: &mut Enc) {
+        (**self).enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+        T::dec(d).map(Box::new)
+    }
+}
+
+impl<T: Codec, const N: usize> Codec for [T; N] {
+    const MIN: usize = N * T::MIN;
+    fn enc(&self, e: &mut Enc) {
+        for x in self {
+            x.enc(e);
+        }
+    }
+    fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+        let v = (0..N).map(|_| T::dec(d)).collect::<Result<Vec<T>, _>>()?;
+        Ok(v.try_into()
+            .unwrap_or_else(|_| unreachable!("exactly N elements")))
+    }
+}
+
+macro_rules! codec_tuple {
+    ($(($($t:ident)*))*) => {$(
+        #[allow(non_snake_case)]
+        impl<$($t: Codec),*> Codec for ($($t,)*) {
+            const MIN: usize = 0 $(+ $t::MIN)*;
+            fn enc(&self, e: &mut Enc) {
+                let ($($t,)*) = self;
+                $($t.enc(e);)*
+            }
+            fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+                Ok(($($t::dec(d)?,)*))
+            }
+        }
+    )*};
+}
+
+codec_tuple!((A B) (A B C) (A B C D) (A B C D E));
+
+macro_rules! codec_seq {
+    ($($coll:ident<T $(: $bound:ident)?>)*) => {$(
+        impl<T: Codec $(+ $bound)?> Codec for $coll<T> {
+            const MIN: usize = 8;
+            fn enc(&self, e: &mut Enc) {
+                e.items(self.iter());
+            }
+            fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+                d.items()
+            }
+        }
+    )*};
+}
+
+codec_seq!(Vec<T> VecDeque<T> BTreeSet<T: Ord>);
+
+impl<T: Codec + Ord + Hash> Codec for HashSet<T> {
+    const MIN: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        let mut xs: Vec<&T> = self.iter().collect();
+        xs.sort_unstable();
+        e.items(xs.into_iter());
+    }
+    fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+        d.items()
+    }
+}
+
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    const MIN: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        e.pairs(self.iter());
+    }
+    fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+        d.items()
+    }
+}
+
+impl<K: Codec + Ord + Hash, V: Codec> Codec for HashMap<K, V> {
+    const MIN: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        let mut kv: Vec<(&K, &V)> = self.iter().collect();
+        kv.sort_unstable_by_key(|&(k, _)| k);
+        e.pairs(kv.into_iter());
+    }
+    fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+        d.items()
+    }
+}
+
+/// The raw xoshiro256++ state words.
+impl Codec for StdRng {
+    const MIN: usize = 32;
+    fn enc(&self, e: &mut Enc) {
+        self.state().enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+        Codec::dec(d).map(StdRng::from_state)
     }
 }
 
@@ -606,9 +860,9 @@ mod tests {
         e.usize(77);
         e.f64(-0.125);
         e.str("hello world");
-        e.u64s(&[1, 2, 3]);
-        e.opt_u64(None);
-        e.opt_u64(Some(42));
+        vec![1u64, 2, 3].enc(&mut e);
+        None::<u64>.enc(&mut e);
+        Some(42u64).enc(&mut e);
         let bytes = e.into_bytes();
 
         let mut d = Dec::new(&bytes);
@@ -620,9 +874,9 @@ mod tests {
         assert_eq!(d.usize().unwrap(), 77);
         assert_eq!(d.f64().unwrap(), -0.125);
         assert_eq!(d.str().unwrap(), "hello world");
-        assert_eq!(d.u64s().unwrap(), vec![1, 2, 3]);
-        assert_eq!(d.opt_u64().unwrap(), None);
-        assert_eq!(d.opt_u64().unwrap(), Some(42));
+        assert_eq!(Vec::<u64>::dec(&mut d).unwrap(), vec![1, 2, 3]);
+        assert_eq!(Option::<u64>::dec(&mut d).unwrap(), None);
+        assert_eq!(Option::<u64>::dec(&mut d).unwrap(), Some(42));
         assert!(d.is_done());
     }
 

@@ -462,16 +462,16 @@ impl Network {
     pub fn with_faults(cfg: NetworkConfig, plan: FaultPlan) -> Result<Self, ConfigError> {
         let mut net = Self::new(cfg)?;
         plan.validate(net.graph.num_links(), net.graph.num_routers())?;
-        let vcs: Vec<usize> = (0..net.graph.num_routers())
-            .map(|r| net.cfg.routers[r].vcs_per_port)
-            .collect();
-        net.faults = Some(Box::new(FaultState::new(
-            plan,
-            &net.graph,
-            net.cfg.flit_width,
-            &vcs,
-        )));
+        net.faults = Some(Box::new(net.fault_state(plan)));
         Ok(net)
+    }
+
+    /// Fresh fault state for `plan`, which must be valid for this network.
+    fn fault_state(&self, plan: FaultPlan) -> FaultState {
+        let vcs: Vec<usize> = (0..self.graph.num_routers())
+            .map(|r| self.cfg.routers[r].vcs_per_port)
+            .collect();
+        FaultState::new(plan, &self.graph, self.cfg.flit_width, &vcs)
     }
 
     /// Current simulation cycle.

@@ -10,6 +10,12 @@
 //! cycle-by-cycle schedules, the same trace events and the same final
 //! statistics as the original would have.
 //!
+//! Each type's wire layout is declared once, as its [`Codec`]. Code is
+//! written by hand only where decode checks the stream against the freshly
+//! built network or rebuilds state from it: router FIFOs refill through
+//! `push`, counts must match the configuration, and fault state is rebuilt
+//! from its plan.
+//!
 //! Hash-map shaped state (`in_flight`, the e2e `by_packet` map, zombie
 //! sets, absorbed counts) is serialized **sorted by key**. The engine only
 //! ever uses these maps for point lookups — never iterates them in a way
@@ -22,28 +28,30 @@
 //! *where* two supposedly identical states differ (router, VC, field,
 //! expected vs actual) — the payload of `heteronoc replay`'s report.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::BTreeMap;
 
 use heteronoc_obs::LogHistogram;
-use rand::rngs::StdRng;
 
-use crate::checkpoint::{fnv1a64, CheckpointError, Dec, Enc};
+use crate::checkpoint::{codec_enum, codec_struct, fnv1a64, CheckpointError, Codec, Dec, Enc};
 use crate::fault::{
     DropReason, DroppedPacket, FaultCounters, FaultPlan, RecoveryCounters, UnrecoverableFault,
 };
-use crate::metrics::EpochRecorder;
+use crate::metrics::{EpochRecorder, EpochSample};
 use crate::packet::{Flit, FlitKind, Packet, PacketClass};
 use crate::router::arbiter::RrArbiter;
-use crate::router::InputVc;
+use crate::router::{InputVc, OutputVc};
 use crate::routing::{RouteChoice, RouteTable, RoutingKind, VcClass};
 use crate::sched::WakeReason;
 use crate::stats::{
-    LatencyAgg, LatencyDist, LatencyPctls, LinkEvents, PacketRecord, Pctls, RouterEvents,
+    LatencyAgg, LatencyDist, LatencyPctls, LinkEvents, NetStats, PacketRecord, Pctls, RouterEvents,
 };
-use crate::types::{Bits, LinkId, NodeId, PacketId, PortId, RouterId, VcId};
+use crate::trace::TraceSink;
+use crate::types::RouterId;
 
-use super::fault_state::{FarEvent, FaultState, ReplayEntry, Retained, SourceE2e};
-use super::{Delivered, Event, Network, NodeState, PacketMeta, Sending, Upstream, WHEEL};
+use super::fault_state::{
+    E2eState, FarEvent, FaultState, LinkTx, ReplayEntry, Retained, SourceE2e,
+};
+use super::{Delivered, Event, Network, NodeState, PacketMeta, Sending, Upstream};
 
 /// One field-level difference between two network states (see
 /// [`Network::divergences`]).
@@ -86,814 +94,144 @@ const SEC_FAULTS: u8 = 9;
 const SEC_EPOCHS: u8 = 10;
 
 // --------------------------------------------------------------------------
-// Primitive codecs
+// Wire layouts
 // --------------------------------------------------------------------------
 
-fn enc_class(e: &mut Enc, c: PacketClass) {
-    e.u8(match c {
-        PacketClass::Data => 0,
-        PacketClass::Control => 1,
-        PacketClass::Expedited => 2,
-    });
+codec_struct! {
+    Flit { packet, kind, seq, total, src, dst, class, inject, buffered }
+    Packet { id, src, dst, size, class, tag, birth }
+    RouteChoice { port, class }
+    OutputVc { owner, credits }
+    Sending { vc, flits }
+    NodeState { queue, sending, vcs, rr_vc; router, port, lanes }
+    PacketMeta { packet, inject, received, total, measured }
+    Delivered { packet, inject, retire }
+
+    NetStats {
+        cycles, packets_offered, packets_retired, flits_retired, latency, latency_by_class,
+        latency_dist, dist_by_class, buffer_occ_integral, vc_busy_integral, records, links,
+        routers; vc_counts, buffer_slots
+    }
+    LatencyAgg { count, total, queuing, blocking, transfer }
+    LatencyDist { total, queuing, blocking, transfer }
+    PacketRecord { src, dst, birth, inject, retire, flits, ideal, class }
+    LinkEvents { flits, busy_cycles, dual_cycles }
+    RouterEvents { buffer_writes, buffer_reads, xbar_flits, sa1_arbs, sa2_arbs, va_grants }
+
+    FaultState {
+        plan, rng, links, next_hard, far, router_dead, dead_links, dead_routers, absorbing,
+        absorbed, dropped, counters, error, routing_stale, e2e; p_flit, hard
+    }
+    LinkTx { replay, tx_seq, rx_expected, attempts, epoch, backoff_until, dead, in_transit }
+    ReplayEntry { seq, vc, flit }
+    DroppedPacket { packet, cycle, reason, recoverable }
+    UnrecoverableFault { link, src, dst, attempts, cycle, packet }
+    FaultCounters {
+        flits_corrupted, retransmissions, retries, timeouts, flits_lost_dead_router,
+        packets_dropped, links_dead, routers_dead
+    }
+    E2eState { sources, by_packet, zombies, counters; policy }
+    SourceE2e { next_seq, retained, contig, sparse }
+    Retained { dst, size, class, tag, measured, first_birth, attempts, current, current_alive }
+    RecoveryCounters {
+        acks, reinjections, reinjected_flits, duplicates_suppressed, recovered, lost,
+        retention_peak, retention_stalls
+    }
+
+    EpochRecorder {
+        every, epoch_start, occ_integral, busy_integral, link_flits, injected, ejected, dist,
+        samples; router_cap, router_vcs, link_lanes
+    }
+    EpochSample { start, end, injected, ejected, buffer_occ, vc_busy, link_util, latency }
+    LatencyPctls { total, queuing, blocking, transfer }
+    Pctls { p50, p95, p99 }
 }
 
-fn dec_class(d: &mut Dec) -> Result<PacketClass, CheckpointError> {
-    Ok(match d.u8()? {
-        0 => PacketClass::Data,
-        1 => PacketClass::Control,
-        2 => PacketClass::Expedited,
-        _ => return Err(CheckpointError::Malformed("packet class")),
-    })
-}
-
-fn enc_flit(e: &mut Enc, f: &Flit) {
-    e.u64(f.packet.index() as u64);
-    e.u8(match f.kind {
-        FlitKind::Head => 0,
-        FlitKind::Body => 1,
-        FlitKind::Tail => 2,
-        FlitKind::HeadTail => 3,
-    });
-    e.u32(f.seq);
-    e.u32(f.total);
-    e.usize(f.src.index());
-    e.usize(f.dst.index());
-    enc_class(e, f.class);
-    e.u64(f.inject);
-    e.u64(f.buffered);
-}
-
-fn dec_flit(d: &mut Dec) -> Result<Flit, CheckpointError> {
-    Ok(Flit {
-        packet: PacketId(d.usize()?),
-        kind: match d.u8()? {
-            0 => FlitKind::Head,
-            1 => FlitKind::Body,
-            2 => FlitKind::Tail,
-            3 => FlitKind::HeadTail,
-            _ => return Err(CheckpointError::Malformed("flit kind")),
-        },
-        seq: d.u32()?,
-        total: d.u32()?,
-        src: NodeId(d.usize()?),
-        dst: NodeId(d.usize()?),
-        class: dec_class(d)?,
-        inject: d.u64()?,
-        buffered: d.u64()?,
-    })
-}
-
-fn enc_packet(e: &mut Enc, p: &Packet) {
-    e.usize(p.id.index());
-    e.usize(p.src.index());
-    e.usize(p.dst.index());
-    e.u32(p.size.get());
-    enc_class(e, p.class);
-    e.u64(p.tag);
-    e.u64(p.birth);
-}
-
-fn dec_packet(d: &mut Dec) -> Result<Packet, CheckpointError> {
-    Ok(Packet {
-        id: PacketId(d.usize()?),
-        src: NodeId(d.usize()?),
-        dst: NodeId(d.usize()?),
-        size: Bits(d.u32()?),
-        class: dec_class(d)?,
-        tag: d.u64()?,
-        birth: d.u64()?,
-    })
-}
-
-fn enc_route(e: &mut Enc, r: &Option<RouteChoice>) {
-    match r {
-        None => e.bool(false),
-        Some(rc) => {
-            e.bool(true);
-            e.usize(rc.port.index());
-            e.u8(match rc.class {
-                VcClass::Any => 0,
-                VcClass::Dateline0 => 1,
-                VcClass::Dateline1 => 2,
-                VcClass::NonEscape => 3,
-                VcClass::Escape => 4,
-            });
-        }
+codec_enum! {
+    PacketClass, "packet class" { 0 => Data, 1 => Control, 2 => Expedited }
+    FlitKind, "flit kind" { 0 => Head, 1 => Body, 2 => Tail, 3 => HeadTail }
+    VcClass, "vc class" { 0 => Any, 1 => Dateline0, 2 => Dateline1, 3 => NonEscape, 4 => Escape }
+    Upstream, "upstream" { 0 => Router(router, port), 1 => Node(node) }
+    Event, "event tag" {
+        0 => FlitArrive { router, port, vc, flit },
+        1 => Credit { up, vc },
+        2 => Retire { flit },
+        3 => LinkArrive { link, seq, corrupted, router, port, vc, flit },
+        4 => Ack { link, seq },
+        5 => Nack { link, seq },
+    }
+    RoutingKind, "routing kind" { 0 => DimensionOrder, 1 => TableXy(t), 2 => FullTable(t) }
+    DropReason, "drop reason" {
+        0 => SourceDead, 1 => DestinationDead, 2 => Unreachable, 3 => Wedged,
+        4 => RecoveryExhausted,
+    }
+    FarEvent, "far event" {
+        0 => Resend { link, epoch },
+        1 => Timeout { link, epoch },
+        2 => E2eAck { node, seq },
+        3 => E2eTimeout { node, seq, attempt },
     }
 }
 
-fn dec_route(d: &mut Dec) -> Result<Option<RouteChoice>, CheckpointError> {
-    if !d.bool()? {
-        return Ok(None);
+/// An arbiter is its rotating-pointer position.
+impl Codec for RrArbiter {
+    const MIN: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        self.pointer().enc(e);
     }
-    Ok(Some(RouteChoice {
-        port: PortId(d.usize()?),
-        class: match d.u8()? {
-            0 => VcClass::Any,
-            1 => VcClass::Dateline0,
-            2 => VcClass::Dateline1,
-            3 => VcClass::NonEscape,
-            4 => VcClass::Escape,
-            _ => return Err(CheckpointError::Malformed("vc class")),
-        },
-    }))
-}
-
-fn enc_arb(e: &mut Enc, a: &RrArbiter) {
-    e.usize(a.pointer());
-}
-
-fn dec_arb(d: &mut Dec) -> Result<RrArbiter, CheckpointError> {
-    Ok(RrArbiter::from_pointer(d.usize()?))
-}
-
-fn enc_opt_usize(e: &mut Enc, v: Option<usize>) {
-    match v {
-        None => e.bool(false),
-        Some(x) => {
-            e.bool(true);
-            e.usize(x);
-        }
+    fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+        Codec::dec(d).map(RrArbiter::from_pointer)
     }
 }
 
-fn dec_opt_usize(d: &mut Dec) -> Result<Option<usize>, CheckpointError> {
-    Ok(if d.bool()? { Some(d.usize()?) } else { None })
-}
-
-/// A histogram is stored as its buckets up to the last non-zero one, then
-/// its sum; the count is derived from the buckets on decode.
-fn enc_hist(e: &mut Enc, h: &LogHistogram) {
-    let used = h
-        .buckets()
-        .iter()
-        .rposition(|&b| b > 0)
-        .map_or(0, |i| i + 1);
-    e.u64s(&h.buckets()[..used]);
-    e.u64(h.sum());
-}
-
-fn dec_hist(d: &mut Dec) -> Result<LogHistogram, CheckpointError> {
-    let buckets = d.u64s()?;
-    let sum = d.u64()?;
-    LogHistogram::from_parts(&buckets, sum).ok_or(CheckpointError::Malformed("histogram buckets"))
-}
-
-fn enc_dist(e: &mut Enc, dist: &LatencyDist) {
-    enc_hist(e, &dist.total);
-    enc_hist(e, &dist.queuing);
-    enc_hist(e, &dist.blocking);
-    enc_hist(e, &dist.transfer);
-}
-
-fn dec_dist(d: &mut Dec) -> Result<LatencyDist, CheckpointError> {
-    Ok(LatencyDist {
-        total: dec_hist(d)?,
-        queuing: dec_hist(d)?,
-        blocking: dec_hist(d)?,
-        transfer: dec_hist(d)?,
-    })
-}
-
-fn enc_agg(e: &mut Enc, a: &LatencyAgg) {
-    e.u64(a.count);
-    e.u64(a.total);
-    e.u64(a.queuing);
-    e.u64(a.blocking);
-    e.u64(a.transfer);
-}
-
-fn dec_agg(d: &mut Dec) -> Result<LatencyAgg, CheckpointError> {
-    Ok(LatencyAgg {
-        count: d.u64()?,
-        total: d.u64()?,
-        queuing: d.u64()?,
-        blocking: d.u64()?,
-        transfer: d.u64()?,
-    })
-}
-
-fn enc_record(e: &mut Enc, r: &PacketRecord) {
-    e.usize(r.src.index());
-    e.usize(r.dst.index());
-    e.u64(r.birth);
-    e.u64(r.inject);
-    e.u64(r.retire);
-    e.u32(r.flits);
-    e.u64(r.ideal);
-    enc_class(e, r.class);
-}
-
-fn dec_record(d: &mut Dec) -> Result<PacketRecord, CheckpointError> {
-    Ok(PacketRecord {
-        src: NodeId(d.usize()?),
-        dst: NodeId(d.usize()?),
-        birth: d.u64()?,
-        inject: d.u64()?,
-        retire: d.u64()?,
-        flits: d.u32()?,
-        ideal: d.u64()?,
-        class: dec_class(d)?,
-    })
-}
-
-fn enc_event(e: &mut Enc, ev: &Event) {
-    match ev {
-        Event::FlitArrive {
-            router,
-            port,
-            vc,
-            flit,
-        } => {
-            e.u8(0);
-            e.usize(router.index());
-            e.usize(port.index());
-            e.usize(vc.index());
-            enc_flit(e, flit);
-        }
-        Event::Credit { up, vc } => {
-            e.u8(1);
-            match up {
-                Upstream::Router(r, p) => {
-                    e.u8(0);
-                    e.usize(r.index());
-                    e.usize(p.index());
-                }
-                Upstream::Node(n) => {
-                    e.u8(1);
-                    e.usize(n.index());
-                }
-            }
-            e.usize(vc.index());
-        }
-        Event::Retire { flit } => {
-            e.u8(2);
-            enc_flit(e, flit);
-        }
-        Event::LinkArrive {
-            link,
-            seq,
-            corrupted,
-            router,
-            port,
-            vc,
-            flit,
-        } => {
-            e.u8(3);
-            e.usize(link.index());
-            e.u64(*seq);
-            e.bool(*corrupted);
-            e.usize(router.index());
-            e.usize(port.index());
-            e.usize(vc.index());
-            enc_flit(e, flit);
-        }
-        Event::Ack { link, seq } => {
-            e.u8(4);
-            e.usize(link.index());
-            e.u64(*seq);
-        }
-        Event::Nack { link, seq } => {
-            e.u8(5);
-            e.usize(link.index());
-            e.u64(*seq);
-        }
+/// A histogram is its buckets up to the last non-zero one, then its sum;
+/// decode derives the count from the buckets.
+impl Codec for LogHistogram {
+    const MIN: usize = 16;
+    fn enc(&self, e: &mut Enc) {
+        let used = self
+            .buckets()
+            .iter()
+            .rposition(|&b| b > 0)
+            .map_or(0, |i| i + 1);
+        e.items(self.buckets()[..used].iter());
+        self.sum().enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+        let (buckets, sum): (Vec<u64>, u64) = Codec::dec(d)?;
+        LogHistogram::from_parts(&buckets, sum)
+            .ok_or(CheckpointError::Malformed("histogram buckets"))
     }
 }
 
-fn dec_event(d: &mut Dec) -> Result<Event, CheckpointError> {
-    Ok(match d.u8()? {
-        0 => Event::FlitArrive {
-            router: RouterId(d.usize()?),
-            port: PortId(d.usize()?),
-            vc: VcId(d.usize()?),
-            flit: dec_flit(d)?,
-        },
-        1 => Event::Credit {
-            up: match d.u8()? {
-                0 => Upstream::Router(RouterId(d.usize()?), PortId(d.usize()?)),
-                1 => Upstream::Node(NodeId(d.usize()?)),
-                _ => return Err(CheckpointError::Malformed("upstream")),
-            },
-            vc: VcId(d.usize()?),
-        },
-        2 => Event::Retire { flit: dec_flit(d)? },
-        3 => Event::LinkArrive {
-            link: LinkId(d.usize()?),
-            seq: d.u64()?,
-            corrupted: d.bool()?,
-            router: RouterId(d.usize()?),
-            port: PortId(d.usize()?),
-            vc: VcId(d.usize()?),
-            flit: dec_flit(d)?,
-        },
-        4 => Event::Ack {
-            link: LinkId(d.usize()?),
-            seq: d.u64()?,
-        },
-        5 => Event::Nack {
-            link: LinkId(d.usize()?),
-            seq: d.u64()?,
-        },
-        _ => return Err(CheckpointError::Malformed("event tag")),
-    })
-}
-
-fn enc_routing(e: &mut Enc, routing: &RoutingKind) {
-    let enc_table = |e: &mut Enc, t: &RouteTable| {
-        let mut pairs: Vec<((RouterId, RouterId), &[RouterId])> = t.pairs().collect();
-        pairs.sort_by_key(|&(k, _)| k);
-        e.usize(pairs.len());
-        for ((src, dst), path) in pairs {
-            e.usize(src.index());
-            e.usize(dst.index());
-            e.usize(path.len());
-            for r in path {
-                e.usize(r.index());
-            }
-        }
-    };
-    match routing {
-        RoutingKind::DimensionOrder => e.u8(0),
-        RoutingKind::TableXy(t) => {
-            e.u8(1);
-            enc_table(e, t);
-        }
-        RoutingKind::FullTable(t) => {
-            e.u8(2);
-            enc_table(e, t);
-        }
+/// A route table is its paths keyed by `(src, dst)`; each path must run
+/// from its `src` to its `dst`.
+impl Codec for RouteTable {
+    fn enc(&self, e: &mut Enc) {
+        let paths: BTreeMap<_, _> = self.pairs().map(|(k, path)| (k, path.to_vec())).collect();
+        paths.enc(e);
     }
-}
-
-fn dec_routing(d: &mut Dec) -> Result<RoutingKind, CheckpointError> {
-    let dec_table = |d: &mut Dec| -> Result<RouteTable, CheckpointError> {
-        let n = d.len(24)?;
+    fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+        let paths: BTreeMap<(RouterId, RouterId), Vec<RouterId>> = Codec::dec(d)?;
         let mut t = RouteTable::new();
-        for _ in 0..n {
-            let src = RouterId(d.usize()?);
-            let dst = RouterId(d.usize()?);
-            let len = d.len(8)?;
-            let mut path = Vec::with_capacity(len);
-            for _ in 0..len {
-                path.push(RouterId(d.usize()?));
-            }
+        for ((src, dst), path) in paths {
             if path.first() != Some(&src) || path.last() != Some(&dst) {
                 return Err(CheckpointError::Malformed("route table path"));
             }
             t.insert(src, dst, path);
         }
         Ok(t)
-    };
-    Ok(match d.u8()? {
-        0 => RoutingKind::DimensionOrder,
-        1 => RoutingKind::TableXy(dec_table(d)?),
-        2 => RoutingKind::FullTable(dec_table(d)?),
-        _ => return Err(CheckpointError::Malformed("routing kind")),
-    })
-}
-
-fn enc_fault_counters(e: &mut Enc, c: &FaultCounters) {
-    for v in [
-        c.flits_corrupted,
-        c.retransmissions,
-        c.retries,
-        c.timeouts,
-        c.flits_lost_dead_router,
-        c.packets_dropped,
-        c.links_dead,
-        c.routers_dead,
-    ] {
-        e.u64(v);
     }
 }
 
-fn dec_fault_counters(d: &mut Dec) -> Result<FaultCounters, CheckpointError> {
-    Ok(FaultCounters {
-        flits_corrupted: d.u64()?,
-        retransmissions: d.u64()?,
-        retries: d.u64()?,
-        timeouts: d.u64()?,
-        flits_lost_dead_router: d.u64()?,
-        packets_dropped: d.u64()?,
-        links_dead: d.u64()?,
-        routers_dead: d.u64()?,
-    })
-}
-
-fn enc_recovery_counters(e: &mut Enc, c: &RecoveryCounters) {
-    for v in [
-        c.acks,
-        c.reinjections,
-        c.reinjected_flits,
-        c.duplicates_suppressed,
-        c.recovered,
-        c.lost,
-        c.retention_peak,
-        c.retention_stalls,
-    ] {
-        e.u64(v);
+/// A fault plan is its text form.
+impl Codec for FaultPlan {
+    fn enc(&self, e: &mut Enc) {
+        self.to_text().enc(e);
     }
-}
-
-fn dec_recovery_counters(d: &mut Dec) -> Result<RecoveryCounters, CheckpointError> {
-    Ok(RecoveryCounters {
-        acks: d.u64()?,
-        reinjections: d.u64()?,
-        reinjected_flits: d.u64()?,
-        duplicates_suppressed: d.u64()?,
-        recovered: d.u64()?,
-        lost: d.u64()?,
-        retention_peak: d.u64()?,
-        retention_stalls: d.u64()?,
-    })
-}
-
-fn enc_drop_reason(e: &mut Enc, r: DropReason) {
-    e.u8(match r {
-        DropReason::SourceDead => 0,
-        DropReason::DestinationDead => 1,
-        DropReason::Unreachable => 2,
-        DropReason::Wedged => 3,
-        DropReason::RecoveryExhausted => 4,
-    });
-}
-
-fn dec_drop_reason(d: &mut Dec) -> Result<DropReason, CheckpointError> {
-    Ok(match d.u8()? {
-        0 => DropReason::SourceDead,
-        1 => DropReason::DestinationDead,
-        2 => DropReason::Unreachable,
-        3 => DropReason::Wedged,
-        4 => DropReason::RecoveryExhausted,
-        _ => return Err(CheckpointError::Malformed("drop reason")),
-    })
-}
-
-fn enc_far_event(e: &mut Enc, ev: &FarEvent) {
-    match *ev {
-        FarEvent::Resend { link, epoch } => {
-            e.u8(0);
-            e.usize(link.index());
-            e.u64(epoch);
-        }
-        FarEvent::Timeout { link, epoch } => {
-            e.u8(1);
-            e.usize(link.index());
-            e.u64(epoch);
-        }
-        FarEvent::E2eAck { node, seq } => {
-            e.u8(2);
-            e.usize(node.index());
-            e.u64(seq);
-        }
-        FarEvent::E2eTimeout { node, seq, attempt } => {
-            e.u8(3);
-            e.usize(node.index());
-            e.u64(seq);
-            e.u32(attempt);
-        }
+    fn dec(d: &mut Dec) -> Result<Self, CheckpointError> {
+        FaultPlan::from_text(&String::dec(d)?).map_err(|_| CheckpointError::Malformed("fault plan"))
     }
-}
-
-fn dec_far_event(d: &mut Dec) -> Result<FarEvent, CheckpointError> {
-    Ok(match d.u8()? {
-        0 => FarEvent::Resend {
-            link: LinkId(d.usize()?),
-            epoch: d.u64()?,
-        },
-        1 => FarEvent::Timeout {
-            link: LinkId(d.usize()?),
-            epoch: d.u64()?,
-        },
-        2 => FarEvent::E2eAck {
-            node: NodeId(d.usize()?),
-            seq: d.u64()?,
-        },
-        3 => FarEvent::E2eTimeout {
-            node: NodeId(d.usize()?),
-            seq: d.u64()?,
-            attempt: d.u32()?,
-        },
-        _ => return Err(CheckpointError::Malformed("far event")),
-    })
-}
-
-fn enc_rng(e: &mut Enc, rng: &StdRng) {
-    for w in rng.state() {
-        e.u64(w);
-    }
-}
-
-fn dec_rng(d: &mut Dec) -> Result<StdRng, CheckpointError> {
-    Ok(StdRng::from_state([d.u64()?, d.u64()?, d.u64()?, d.u64()?]))
-}
-
-// --------------------------------------------------------------------------
-// Fault-state codec
-// --------------------------------------------------------------------------
-
-fn enc_faults(e: &mut Enc, fs: &FaultState) {
-    e.str(&fs.plan.to_text());
-    enc_rng(e, &fs.rng);
-    e.usize(fs.links.len());
-    for l in &fs.links {
-        e.usize(l.replay.len());
-        for r in &l.replay {
-            e.u64(r.seq);
-            e.usize(r.vc.index());
-            enc_flit(e, &r.flit);
-        }
-        e.u64(l.tx_seq);
-        e.u64(l.rx_expected);
-        e.u32(l.attempts);
-        e.u64(l.epoch);
-        e.u64(l.backoff_until);
-        e.bool(l.dead);
-        e.usize(l.in_transit.len());
-        for &t in &l.in_transit {
-            e.u32(t);
-        }
-    }
-    e.usize(fs.next_hard);
-    e.usize(fs.far.len());
-    for (&cycle, evs) in &fs.far {
-        e.u64(cycle);
-        e.usize(evs.len());
-        for ev in evs {
-            enc_far_event(e, ev);
-        }
-    }
-    e.usize(fs.router_dead.len());
-    for &d in &fs.router_dead {
-        e.bool(d);
-    }
-    e.usize(fs.dead_links.len());
-    for l in &fs.dead_links {
-        e.usize(l.index());
-    }
-    e.usize(fs.dead_routers.len());
-    for r in &fs.dead_routers {
-        e.usize(r.index());
-    }
-    e.usize(fs.absorbing.len());
-    for &(r, p, v) in &fs.absorbing {
-        e.usize(r.index());
-        e.usize(p.index());
-        e.usize(v.index());
-    }
-    let mut absorbed: Vec<(PacketId, u32)> = fs.absorbed.iter().map(|(&k, &v)| (k, v)).collect();
-    absorbed.sort_by_key(|&(k, _)| k);
-    e.usize(absorbed.len());
-    for (k, v) in absorbed {
-        e.usize(k.index());
-        e.u32(v);
-    }
-    e.usize(fs.dropped.len());
-    for dp in &fs.dropped {
-        enc_packet(e, &dp.packet);
-        e.u64(dp.cycle);
-        enc_drop_reason(e, dp.reason);
-        e.bool(dp.recoverable);
-    }
-    enc_fault_counters(e, &fs.counters);
-    match &fs.error {
-        None => e.bool(false),
-        Some(err) => {
-            e.bool(true);
-            e.usize(err.link.index());
-            e.usize(err.src.index());
-            e.usize(err.dst.index());
-            e.u32(err.attempts);
-            e.u64(err.cycle);
-            enc_opt_usize(e, err.packet.map(PacketId::index));
-        }
-    }
-    e.bool(fs.routing_stale);
-    match &fs.e2e {
-        None => e.bool(false),
-        Some(e2e) => {
-            e.bool(true);
-            e.usize(e2e.sources.len());
-            for s in &e2e.sources {
-                e.u64(s.next_seq);
-                e.usize(s.retained.len());
-                for (&seq, r) in &s.retained {
-                    e.u64(seq);
-                    e.usize(r.dst.index());
-                    e.u32(r.size.get());
-                    enc_class(e, r.class);
-                    e.u64(r.tag);
-                    e.bool(r.measured);
-                    e.u64(r.first_birth);
-                    e.u32(r.attempts);
-                    e.usize(r.current.index());
-                    e.bool(r.current_alive);
-                }
-                e.u64(s.contig);
-                e.usize(s.sparse.len());
-                for &x in &s.sparse {
-                    e.u64(x);
-                }
-            }
-            let mut by_packet: Vec<(PacketId, (NodeId, u64))> =
-                e2e.by_packet.iter().map(|(&k, &v)| (k, v)).collect();
-            by_packet.sort_by_key(|&(k, _)| k);
-            e.usize(by_packet.len());
-            for (k, (n, seq)) in by_packet {
-                e.usize(k.index());
-                e.usize(n.index());
-                e.u64(seq);
-            }
-            let mut zombies: Vec<PacketId> = e2e.zombies.iter().copied().collect();
-            zombies.sort();
-            e.usize(zombies.len());
-            for z in zombies {
-                e.usize(z.index());
-            }
-            enc_recovery_counters(e, &e2e.counters);
-        }
-    }
-}
-
-/// Rebuilds a [`FaultState`] from the stream. Structural members
-/// (`p_flit`, the sorted hard-fault list, the e2e policy) are re-derived
-/// from the embedded plan via [`FaultState::new`]; everything dynamic is
-/// then overwritten from the stream.
-fn dec_faults(d: &mut Dec, net: &Network) -> Result<FaultState, CheckpointError> {
-    let plan_text = d.str()?;
-    let plan =
-        FaultPlan::from_text(&plan_text).map_err(|_| CheckpointError::Malformed("fault plan"))?;
-    plan.validate(net.graph.num_links(), net.graph.num_routers())
-        .map_err(|_| CheckpointError::Malformed("fault plan bounds"))?;
-    let vcs: Vec<usize> = (0..net.graph.num_routers())
-        .map(|r| net.cfg.routers[r].vcs_per_port)
-        .collect();
-    let mut fs = FaultState::new(plan, &net.graph, net.cfg.flit_width, &vcs);
-    fs.rng = dec_rng(d)?;
-    let nl = d.len(8)?;
-    if nl != fs.links.len() {
-        return Err(CheckpointError::Malformed("link count"));
-    }
-    for l in &mut fs.links {
-        let nr = d.len(8)?;
-        let mut replay = VecDeque::with_capacity(nr);
-        for _ in 0..nr {
-            replay.push_back(ReplayEntry {
-                seq: d.u64()?,
-                vc: VcId(d.usize()?),
-                flit: dec_flit(d)?,
-            });
-        }
-        l.replay = replay;
-        l.tx_seq = d.u64()?;
-        l.rx_expected = d.u64()?;
-        l.attempts = d.u32()?;
-        l.epoch = d.u64()?;
-        l.backoff_until = d.u64()?;
-        l.dead = d.bool()?;
-        let nt = d.len(4)?;
-        if nt != l.in_transit.len() {
-            return Err(CheckpointError::Malformed("in_transit count"));
-        }
-        for t in &mut l.in_transit {
-            *t = d.u32()?;
-        }
-    }
-    fs.next_hard = d.usize()?;
-    if fs.next_hard > fs.hard.len() {
-        return Err(CheckpointError::Malformed("next_hard"));
-    }
-    let nf = d.len(8)?;
-    let mut far = BTreeMap::new();
-    for _ in 0..nf {
-        let cycle = d.u64()?;
-        let ne = d.len(1)?;
-        let mut evs = Vec::with_capacity(ne);
-        for _ in 0..ne {
-            evs.push(dec_far_event(d)?);
-        }
-        far.insert(cycle, evs);
-    }
-    fs.far = far;
-    let nrd = d.len(1)?;
-    if nrd != fs.router_dead.len() {
-        return Err(CheckpointError::Malformed("router_dead count"));
-    }
-    for rd in &mut fs.router_dead {
-        *rd = d.bool()?;
-    }
-    let ndl = d.len(8)?;
-    fs.dead_links = (0..ndl)
-        .map(|_| d.usize().map(LinkId))
-        .collect::<Result<_, _>>()?;
-    let ndr = d.len(8)?;
-    fs.dead_routers = (0..ndr)
-        .map(|_| d.usize().map(RouterId))
-        .collect::<Result<_, _>>()?;
-    let na = d.len(24)?;
-    let mut absorbing = BTreeSet::new();
-    for _ in 0..na {
-        absorbing.insert((RouterId(d.usize()?), PortId(d.usize()?), VcId(d.usize()?)));
-    }
-    fs.absorbing = absorbing;
-    let nab = d.len(12)?;
-    let mut absorbed = HashMap::with_capacity(nab);
-    for _ in 0..nab {
-        let k = PacketId(d.usize()?);
-        let v = d.u32()?;
-        absorbed.insert(k, v);
-    }
-    fs.absorbed = absorbed;
-    let ndp = d.len(8)?;
-    let mut dropped = Vec::with_capacity(ndp);
-    for _ in 0..ndp {
-        dropped.push(DroppedPacket {
-            packet: dec_packet(d)?,
-            cycle: d.u64()?,
-            reason: dec_drop_reason(d)?,
-            recoverable: d.bool()?,
-        });
-    }
-    fs.dropped = dropped;
-    fs.counters = dec_fault_counters(d)?;
-    fs.error = if d.bool()? {
-        Some(UnrecoverableFault {
-            link: LinkId(d.usize()?),
-            src: RouterId(d.usize()?),
-            dst: RouterId(d.usize()?),
-            attempts: d.u32()?,
-            cycle: d.u64()?,
-            packet: dec_opt_usize(d)?.map(PacketId),
-        })
-    } else {
-        None
-    };
-    fs.routing_stale = d.bool()?;
-    let has_e2e = d.bool()?;
-    match (&mut fs.e2e, has_e2e) {
-        (None, false) => {}
-        (Some(_), false) | (None, true) => {
-            return Err(CheckpointError::Malformed("e2e presence"));
-        }
-        (Some(e2e), true) => {
-            let ns = d.len(8)?;
-            if ns != e2e.sources.len() {
-                return Err(CheckpointError::Malformed("e2e source count"));
-            }
-            for s in &mut e2e.sources {
-                let next_seq = d.u64()?;
-                let nr = d.len(16)?;
-                let mut retained = BTreeMap::new();
-                for _ in 0..nr {
-                    let seq = d.u64()?;
-                    retained.insert(
-                        seq,
-                        Retained {
-                            dst: NodeId(d.usize()?),
-                            size: Bits(d.u32()?),
-                            class: dec_class(d)?,
-                            tag: d.u64()?,
-                            measured: d.bool()?,
-                            first_birth: d.u64()?,
-                            attempts: d.u32()?,
-                            current: PacketId(d.usize()?),
-                            current_alive: d.bool()?,
-                        },
-                    );
-                }
-                let contig = d.u64()?;
-                let nsp = d.len(8)?;
-                let mut sparse = BTreeSet::new();
-                for _ in 0..nsp {
-                    sparse.insert(d.u64()?);
-                }
-                *s = SourceE2e {
-                    next_seq,
-                    retained,
-                    contig,
-                    sparse,
-                };
-            }
-            let nbp = d.len(24)?;
-            let mut by_packet = HashMap::with_capacity(nbp);
-            for _ in 0..nbp {
-                let k = PacketId(d.usize()?);
-                let n = NodeId(d.usize()?);
-                let seq = d.u64()?;
-                by_packet.insert(k, (n, seq));
-            }
-            e2e.by_packet = by_packet;
-            let nz = d.len(8)?;
-            let mut zombies = HashSet::with_capacity(nz);
-            for _ in 0..nz {
-                zombies.insert(PacketId(d.usize()?));
-            }
-            e2e.zombies = zombies;
-            e2e.counters = dec_recovery_counters(d)?;
-        }
-    }
-    Ok(fs)
 }
 
 // --------------------------------------------------------------------------
@@ -909,197 +247,51 @@ impl Network {
     /// [`Network::decode_state`] overwrites only what evolves.
     pub(crate) fn encode_state(&self, e: &mut Enc) {
         e.sec(SEC_GLOBALS);
-        e.u64(self.now);
-        e.usize(self.next_packet);
-        e.bool(self.measuring);
-        e.bool(self.record_packets);
+        (
+            self.now,
+            self.next_packet,
+            self.measuring,
+            self.record_packets,
+        )
+            .enc(e);
 
         e.sec(SEC_ROUTERS);
         e.usize(self.routers.len());
         for r in &self.routers {
             for vc in &r.inputs {
-                e.usize(vc.fifo().len());
-                for f in vc.fifo() {
-                    enc_flit(e, f);
-                }
-                enc_route(e, &vc.route);
-                enc_opt_usize(e, vc.out_vc.map(VcId::index));
-                e.bool(vc.in_escape_grant);
-                e.u32(vc.sent_on_grant);
-                e.u32(vc.head_wait);
-                enc_opt_usize(e, vc.holder.map(PacketId::index));
+                vc.fifo().enc(e);
+                vc.enc(e);
             }
             for out in &r.outputs {
-                e.usize(out.vcs.len());
-                for ov in &out.vcs {
-                    match ov.owner {
-                        None => e.bool(false),
-                        Some((p, v)) => {
-                            e.bool(true);
-                            e.usize(p.index());
-                            e.usize(v.index());
-                        }
-                    }
-                    e.u32(ov.credits);
+                out.vcs.enc(e);
+                for a in [&out.va_arb, &out.sa_primary, &out.sa_secondary] {
+                    a.enc(e);
                 }
-                enc_arb(e, &out.va_arb);
-                enc_arb(e, &out.sa_primary);
-                enc_arb(e, &out.sa_secondary);
             }
             for a in &r.sa_stage1 {
-                enc_arb(e, a);
+                a.enc(e);
             }
-            e.u32(r.occupancy());
-            e.u32(r.busy_vcs());
+            (r.occupancy(), r.busy_vcs()).enc(e);
         }
 
         e.sec(SEC_NODES);
-        e.usize(self.nodes.len());
-        for n in &self.nodes {
-            e.usize(n.queue.len());
-            for p in &n.queue {
-                enc_packet(e, p);
-            }
-            match &n.sending {
-                None => e.bool(false),
-                Some(s) => {
-                    e.bool(true);
-                    e.usize(s.vc.index());
-                    e.usize(s.flits.len());
-                    for f in &s.flits {
-                        enc_flit(e, f);
-                    }
-                }
-            }
-            e.usize(n.vcs.len());
-            for ov in &n.vcs {
-                match ov.owner {
-                    None => e.bool(false),
-                    Some((p, v)) => {
-                        e.bool(true);
-                        e.usize(p.index());
-                        e.usize(v.index());
-                    }
-                }
-                e.u32(ov.credits);
-            }
-            enc_arb(e, &n.rr_vc);
-        }
-
+        self.nodes.enc(e);
         e.sec(SEC_WHEEL);
-        for slot in &self.wheel {
-            e.usize(slot.len());
-            for ev in slot {
-                enc_event(e, ev);
-            }
-        }
-
+        self.wheel.enc(e);
         e.sec(SEC_IN_FLIGHT);
-        let mut in_flight: Vec<(&PacketId, &PacketMeta)> = self.in_flight.iter().collect();
-        in_flight.sort_by_key(|&(k, _)| k);
-        e.usize(in_flight.len());
-        for (_, m) in in_flight {
-            enc_packet(e, &m.packet);
-            e.u64(m.inject);
-            e.u32(m.received);
-            e.u32(m.total);
-            e.bool(m.measured);
-        }
-
+        let mut in_flight: Vec<&PacketMeta> = self.in_flight.values().collect();
+        in_flight.sort_unstable_by_key(|m| m.packet.id);
+        e.items(in_flight.into_iter());
         e.sec(SEC_DELIVERED);
-        e.usize(self.delivered.len());
-        for dlv in &self.delivered {
-            enc_packet(e, &dlv.packet);
-            e.u64(dlv.inject);
-            e.u64(dlv.retire);
-        }
-
+        self.delivered.enc(e);
         e.sec(SEC_STATS);
-        let s = &self.stats;
-        e.u64(s.cycles);
-        e.u64(s.packets_offered);
-        e.u64(s.packets_retired);
-        e.u64(s.flits_retired);
-        enc_agg(e, &s.latency);
-        for a in &s.latency_by_class {
-            enc_agg(e, a);
-        }
-        enc_dist(e, &s.latency_dist);
-        for dist in &s.dist_by_class {
-            enc_dist(e, dist);
-        }
-        e.u64s(&s.buffer_occ_integral);
-        e.u64s(&s.vc_busy_integral);
-        e.usize(s.records.len());
-        for r in &s.records {
-            enc_record(e, r);
-        }
-        e.usize(s.links.len());
-        for l in &s.links {
-            e.u64(l.flits);
-            e.u64(l.busy_cycles);
-            e.u64(l.dual_cycles);
-        }
-        e.usize(s.routers.len());
-        for r in &s.routers {
-            e.u64(r.buffer_writes);
-            e.u64(r.buffer_reads);
-            e.u64(r.xbar_flits);
-            e.u64(r.sa1_arbs);
-            e.u64(r.sa2_arbs);
-            e.u64(r.va_grants);
-        }
-
+        self.stats.enc(e);
         e.sec(SEC_ROUTING);
-        enc_routing(e, &self.cfg.routing);
-
+        self.cfg.routing.enc(e);
         e.sec(SEC_FAULTS);
-        match &self.faults {
-            None => e.bool(false),
-            Some(fs) => {
-                e.bool(true);
-                enc_faults(e, fs);
-            }
-        }
-
+        self.faults.enc(e);
         e.sec(SEC_EPOCHS);
-        match &self.epochs {
-            None => e.bool(false),
-            Some(rec) => {
-                e.bool(true);
-                e.u64(rec.every);
-                e.u64(rec.epoch_start);
-                e.u64s(&rec.occ_integral);
-                e.u64s(&rec.busy_integral);
-                e.u64s(&rec.link_flits);
-                e.u64(rec.injected);
-                e.u64(rec.ejected);
-                enc_dist(e, &rec.dist);
-                e.usize(rec.samples.len());
-                for smp in &rec.samples {
-                    e.u64(smp.start);
-                    e.u64(smp.end);
-                    e.u64(smp.injected);
-                    e.u64(smp.ejected);
-                    for v in [&smp.buffer_occ, &smp.vc_busy, &smp.link_util] {
-                        e.usize(v.len());
-                        for &x in v.iter() {
-                            e.f64(x);
-                        }
-                    }
-                    for p in [
-                        &smp.latency.total,
-                        &smp.latency.queuing,
-                        &smp.latency.blocking,
-                        &smp.latency.transfer,
-                    ] {
-                        e.u64(p.p50);
-                        e.u64(p.p95);
-                        e.u64(p.p99);
-                    }
-                }
-            }
-        }
+        self.epochs.enc(e);
     }
 
     /// Overwrites this network's dynamic state from a stream written by
@@ -1115,276 +307,127 @@ impl Network {
     /// network is left in an unspecified (but memory-safe) state on error;
     /// discard it.
     pub(crate) fn decode_state(&mut self, d: &mut Dec) -> Result<(), CheckpointError> {
+        use CheckpointError::Malformed;
+
         d.sec(SEC_GLOBALS, "globals")?;
-        self.now = d.u64()?;
-        self.next_packet = d.usize()?;
-        self.measuring = d.bool()?;
-        self.record_packets = d.bool()?;
+        (
+            self.now,
+            self.next_packet,
+            self.measuring,
+            self.record_packets,
+        ) = Codec::dec(d)?;
 
         d.sec(SEC_ROUTERS, "routers")?;
-        let nr = d.len(1)?;
-        if nr != self.routers.len() {
-            return Err(CheckpointError::Malformed("router count"));
+        if d.len(1)? != self.routers.len() {
+            return Err(Malformed("router count"));
         }
         for (r, rc) in self.routers.iter_mut().zip(&self.cfg.routers) {
             // Flits go in through `push`, so the occupancy counter and the
             // VC masks are derived from the decoded FIFOs, never read.
             for i in 0..r.inputs.len() {
-                let nf = d.len(8)?;
-                if nf > rc.buffer_depth {
-                    return Err(CheckpointError::Malformed("fifo depth"));
+                let fifo: Vec<Flit> = Codec::dec(d)?;
+                if fifo.len() > rc.buffer_depth {
+                    return Err(Malformed("fifo depth"));
                 }
-                for _ in 0..nf {
-                    r.push(i, dec_flit(d)?);
+                r.inputs[i] = InputVc::dec(d)?;
+                for f in fifo {
+                    r.push(i, f);
                 }
-                let vc = &mut r.inputs[i];
-                vc.route = dec_route(d)?;
-                vc.out_vc = dec_opt_usize(d)?.map(VcId);
-                vc.in_escape_grant = d.bool()?;
-                vc.sent_on_grant = d.u32()?;
-                vc.head_wait = d.u32()?;
-                vc.holder = dec_opt_usize(d)?.map(PacketId);
             }
             for out in &mut r.outputs {
-                let nv = d.len(1)?;
-                if nv != out.vcs.len() {
-                    return Err(CheckpointError::Malformed("output vc count"));
+                let vcs: Vec<OutputVc> = Codec::dec(d)?;
+                if vcs.len() != out.vcs.len() {
+                    return Err(Malformed("output vc count"));
                 }
-                for ov in &mut out.vcs {
-                    ov.owner = if d.bool()? {
-                        Some((PortId(d.usize()?), VcId(d.usize()?)))
-                    } else {
-                        None
-                    };
-                    ov.credits = d.u32()?;
+                out.vcs = vcs;
+                for a in [&mut out.va_arb, &mut out.sa_primary, &mut out.sa_secondary] {
+                    *a = Codec::dec(d)?;
                 }
-                out.va_arb = dec_arb(d)?;
-                out.sa_primary = dec_arb(d)?;
-                out.sa_secondary = dec_arb(d)?;
             }
             for a in &mut r.sa_stage1 {
-                *a = dec_arb(d)?;
+                *a = Codec::dec(d)?;
             }
             // The stored counters only cross-check the FIFOs: a restore that
             // trusted a stale occupancy could leave a router asleep over
             // its flits.
-            let (occupancy, busy_vcs) = (d.u32()?, d.u32()?);
-            if (occupancy, busy_vcs) != (r.occupancy(), r.busy_vcs()) {
-                return Err(CheckpointError::Malformed("router occupancy"));
+            if <(u32, u32)>::dec(d)? != (r.occupancy(), r.busy_vcs()) {
+                return Err(Malformed("router occupancy"));
             }
         }
 
         d.sec(SEC_NODES, "nodes")?;
-        let nn = d.len(1)?;
-        if nn != self.nodes.len() {
-            return Err(CheckpointError::Malformed("node count"));
+        let nodes: Vec<NodeState> = Codec::dec(d)?;
+        if nodes.len() != self.nodes.len() {
+            return Err(Malformed("node count"));
         }
-        for n in &mut self.nodes {
-            let nq = d.len(8)?;
-            let mut queue = VecDeque::with_capacity(nq);
-            for _ in 0..nq {
-                queue.push_back(dec_packet(d)?);
+        for (fresh, n) in self.nodes.iter_mut().zip(nodes) {
+            if n.vcs.len() != fresh.vcs.len() {
+                return Err(Malformed("node vc count"));
             }
-            n.queue = queue;
-            n.sending = if d.bool()? {
-                let vc = VcId(d.usize()?);
-                let nf = d.len(8)?;
-                let mut flits = VecDeque::with_capacity(nf);
-                for _ in 0..nf {
-                    flits.push_back(dec_flit(d)?);
-                }
-                Some(Sending { vc, flits })
-            } else {
-                None
+            *fresh = NodeState {
+                router: fresh.router,
+                port: fresh.port,
+                lanes: fresh.lanes,
+                ..n
             };
-            let nv = d.len(1)?;
-            if nv != n.vcs.len() {
-                return Err(CheckpointError::Malformed("node vc count"));
-            }
-            for ov in &mut n.vcs {
-                ov.owner = if d.bool()? {
-                    Some((PortId(d.usize()?), VcId(d.usize()?)))
-                } else {
-                    None
-                };
-                ov.credits = d.u32()?;
-            }
-            n.rr_vc = dec_arb(d)?;
         }
 
         d.sec(SEC_WHEEL, "wheel")?;
-        for slot in &mut self.wheel {
-            let ne = d.len(1)?;
-            let mut evs = Vec::with_capacity(ne);
-            for _ in 0..ne {
-                evs.push(dec_event(d)?);
-            }
-            *slot = evs;
-        }
-        debug_assert_eq!(self.wheel.len(), WHEEL);
-
+        self.wheel = Codec::dec(d)?;
         d.sec(SEC_IN_FLIGHT, "in_flight")?;
-        let nif = d.len(8)?;
-        let mut in_flight = HashMap::with_capacity(nif);
-        for _ in 0..nif {
-            let packet = dec_packet(d)?;
-            let meta = PacketMeta {
-                packet,
-                inject: d.u64()?,
-                received: d.u32()?,
-                total: d.u32()?,
-                measured: d.bool()?,
-            };
-            in_flight.insert(packet.id, meta);
-        }
-        self.in_flight = in_flight;
-
+        let in_flight: Vec<PacketMeta> = Codec::dec(d)?;
+        self.in_flight = in_flight.into_iter().map(|m| (m.packet.id, m)).collect();
         d.sec(SEC_DELIVERED, "delivered")?;
-        let ndl = d.len(8)?;
-        let mut delivered = Vec::with_capacity(ndl);
-        for _ in 0..ndl {
-            delivered.push(Delivered {
-                packet: dec_packet(d)?,
-                inject: d.u64()?,
-                retire: d.u64()?,
-            });
-        }
-        self.delivered = delivered;
+        self.delivered = Codec::dec(d)?;
 
         d.sec(SEC_STATS, "stats")?;
+        let stats = NetStats::dec(d)?;
         let s = &mut self.stats;
-        s.cycles = d.u64()?;
-        s.packets_offered = d.u64()?;
-        s.packets_retired = d.u64()?;
-        s.flits_retired = d.u64()?;
-        s.latency = dec_agg(d)?;
-        for a in &mut s.latency_by_class {
-            *a = dec_agg(d)?;
+        if stats.buffer_occ_integral.len() != s.buffer_occ_integral.len()
+            || stats.vc_busy_integral.len() != s.vc_busy_integral.len()
+        {
+            return Err(Malformed("stats integrals"));
         }
-        s.latency_dist = dec_dist(d)?;
-        for dist in &mut s.dist_by_class {
-            *dist = dec_dist(d)?;
+        if stats.links.len() != s.links.len() {
+            return Err(Malformed("stats link count"));
         }
-        let occ = d.u64s()?;
-        let busy = d.u64s()?;
-        if occ.len() != s.buffer_occ_integral.len() || busy.len() != s.vc_busy_integral.len() {
-            return Err(CheckpointError::Malformed("stats integrals"));
+        if stats.routers.len() != s.routers.len() {
+            return Err(Malformed("stats router count"));
         }
-        s.buffer_occ_integral = occ;
-        s.vc_busy_integral = busy;
-        let nrec = d.len(8)?;
-        let mut records = Vec::with_capacity(nrec);
-        for _ in 0..nrec {
-            records.push(dec_record(d)?);
-        }
-        s.records = records;
-        let nl = d.len(24)?;
-        if nl != s.links.len() {
-            return Err(CheckpointError::Malformed("stats link count"));
-        }
-        for l in &mut s.links {
-            *l = LinkEvents {
-                flits: d.u64()?,
-                busy_cycles: d.u64()?,
-                dual_cycles: d.u64()?,
-            };
-        }
-        let nre = d.len(48)?;
-        if nre != s.routers.len() {
-            return Err(CheckpointError::Malformed("stats router count"));
-        }
-        for r in &mut s.routers {
-            *r = RouterEvents {
-                buffer_writes: d.u64()?,
-                buffer_reads: d.u64()?,
-                xbar_flits: d.u64()?,
-                sa1_arbs: d.u64()?,
-                sa2_arbs: d.u64()?,
-                va_grants: d.u64()?,
-            };
-        }
+        *s = NetStats {
+            vc_counts: std::mem::take(&mut s.vc_counts),
+            buffer_slots: std::mem::take(&mut s.buffer_slots),
+            ..stats
+        };
 
         d.sec(SEC_ROUTING, "routing")?;
-        self.cfg.routing = dec_routing(d)?;
+        self.cfg.routing = Codec::dec(d)?;
 
         d.sec(SEC_FAULTS, "faults")?;
-        self.faults = if d.bool()? {
-            Some(Box::new(dec_faults(d, self)?))
-        } else {
-            None
-        };
+        let faults: Option<Box<FaultState>> = Codec::dec(d)?;
+        self.faults = faults.map(|fs| self.rebuild_faults(fs)).transpose()?;
 
         d.sec(SEC_EPOCHS, "epochs")?;
-        self.epochs = if d.bool()? {
-            let every = d.u64()?;
-            if every == 0 {
-                return Err(CheckpointError::Malformed("epoch length"));
+        self.epochs = None;
+        if let Some(rec) = Option::<Box<EpochRecorder>>::dec(d)? {
+            if rec.every == 0 {
+                return Err(Malformed("epoch length"));
             }
-            let caps = self.routers.iter().map(|r| u64::from(r.capacity)).collect();
-            let vcs = self.routers.iter().map(|r| r.inputs.len() as u64).collect();
-            let lanes = self.link_lanes.iter().map(|&l| l as u64).collect();
-            let mut rec = EpochRecorder::new(every, caps, vcs, lanes);
-            rec.epoch_start = d.u64()?;
-            let occ = d.u64s()?;
-            let busy = d.u64s()?;
-            let flits = d.u64s()?;
-            if occ.len() != rec.occ_integral.len()
-                || busy.len() != rec.busy_integral.len()
-                || flits.len() != rec.link_flits.len()
+            self.enable_epochs(rec.every);
+            let fresh = self.epochs.as_deref_mut().expect("epochs just enabled");
+            if rec.occ_integral.len() != fresh.occ_integral.len()
+                || rec.busy_integral.len() != fresh.busy_integral.len()
+                || rec.link_flits.len() != fresh.link_flits.len()
             {
-                return Err(CheckpointError::Malformed("epoch integrals"));
+                return Err(Malformed("epoch integrals"));
             }
-            rec.occ_integral = occ;
-            rec.busy_integral = busy;
-            rec.link_flits = flits;
-            rec.injected = d.u64()?;
-            rec.ejected = d.u64()?;
-            rec.dist = dec_dist(d)?;
-            let nsmp = d.len(32)?;
-            let mut samples = Vec::with_capacity(nsmp);
-            for _ in 0..nsmp {
-                let start = d.u64()?;
-                let end = d.u64()?;
-                let injected = d.u64()?;
-                let ejected = d.u64()?;
-                let mut vecs: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-                for v in &mut vecs {
-                    let n = d.len(8)?;
-                    for _ in 0..n {
-                        v.push(d.f64()?);
-                    }
-                }
-                let [buffer_occ, vc_busy, link_util] = vecs;
-                let mut pctls: [Pctls; 4] = [Pctls::default(); 4];
-                for p in &mut pctls {
-                    *p = Pctls {
-                        p50: d.u64()?,
-                        p95: d.u64()?,
-                        p99: d.u64()?,
-                    };
-                }
-                let [total, queuing, blocking, transfer] = pctls;
-                samples.push(crate::metrics::EpochSample {
-                    start,
-                    end,
-                    injected,
-                    ejected,
-                    buffer_occ,
-                    vc_busy,
-                    link_util,
-                    latency: LatencyPctls {
-                        total,
-                        queuing,
-                        blocking,
-                        transfer,
-                    },
-                });
-            }
-            rec.samples = samples;
-            Some(Box::new(rec))
-        } else {
-            None
-        };
+            *fresh = EpochRecorder {
+                router_cap: std::mem::take(&mut fresh.router_cap),
+                router_vcs: std::mem::take(&mut fresh.router_vcs),
+                link_lanes: std::mem::take(&mut fresh.link_lanes),
+                ..*rec
+            };
+        }
 
         // The restore refilled every router that held flits at the
         // checkpoint: count each as woken.
@@ -1395,6 +438,48 @@ impl Network {
         }
 
         Ok(())
+    }
+
+    /// Checks decoded fault state against this network and rebuilds what
+    /// the stream leaves out (`p_flit`, the sorted hard-fault list, the
+    /// e2e policy) from its plan.
+    fn rebuild_faults(&self, mut fs: Box<FaultState>) -> Result<Box<FaultState>, CheckpointError> {
+        use CheckpointError::Malformed;
+
+        fs.plan
+            .validate(self.graph.num_links(), self.graph.num_routers())
+            .map_err(|_| Malformed("fault plan bounds"))?;
+        let fresh = self.fault_state(fs.plan.clone());
+        if fs.links.len() != fresh.links.len() {
+            return Err(Malformed("link count"));
+        }
+        if fs
+            .links
+            .iter()
+            .zip(&fresh.links)
+            .any(|(l, f)| l.in_transit.len() != f.in_transit.len())
+        {
+            return Err(Malformed("in_transit count"));
+        }
+        if fs.next_hard > fresh.hard.len() {
+            return Err(Malformed("next_hard"));
+        }
+        if fs.router_dead.len() != fresh.router_dead.len() {
+            return Err(Malformed("router_dead count"));
+        }
+        match (&mut fs.e2e, fresh.e2e) {
+            (None, None) => {}
+            (Some(e2e), Some(f)) => {
+                if e2e.sources.len() != f.sources.len() {
+                    return Err(Malformed("e2e source count"));
+                }
+                e2e.policy = f.policy;
+            }
+            _ => return Err(Malformed("e2e presence")),
+        }
+        fs.p_flit = fresh.p_flit;
+        fs.hard = fresh.hard;
+        Ok(fs)
     }
 
     /// FNV-1a-64 fingerprint of the encoded engine state — the per-cycle
@@ -1564,7 +649,7 @@ impl Network {
             let digest = |slot: &[Event]| {
                 let mut e = Enc::new();
                 for ev in slot {
-                    enc_event(&mut e, ev);
+                    ev.enc(&mut e);
                 }
                 format!("{} events ({:016x})", slot.len(), fnv1a64(&e.into_bytes()))
             };
@@ -1594,7 +679,7 @@ impl Network {
             None => "none".to_owned(),
             Some(fs) => {
                 let mut e = Enc::new();
-                enc_faults(&mut e, fs);
+                fs.enc(&mut e);
                 format!("{:016x}", fnv1a64(&e.into_bytes()))
             }
         };
@@ -1609,14 +694,13 @@ impl Network {
     }
 }
 
-use crate::trace::TraceSink;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::NetworkConfig;
     use crate::fault::{FaultKind, HardFault, RecoveryPolicy, RetryPolicy};
     use crate::topology::TopologyKind;
+    use crate::types::{Bits, LinkId, NodeId};
 
     fn mesh4() -> NetworkConfig {
         NetworkConfig::homogeneous(
@@ -1710,13 +794,13 @@ mod tests {
             h.record(v);
         }
         let mut e = Enc::new();
-        enc_hist(&mut e, &h);
-        e.u64s(&[1; 65]);
+        h.enc(&mut e);
+        vec![1u64; 65].enc(&mut e);
         e.u64(65);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        assert_eq!(dec_hist(&mut d).unwrap(), h);
-        let err = dec_hist(&mut d).unwrap_err();
+        assert_eq!(LogHistogram::dec(&mut d).unwrap(), h);
+        let err = LogHistogram::dec(&mut d).unwrap_err();
         assert!(
             matches!(err, CheckpointError::Malformed("histogram buckets")),
             "{err:?}"
@@ -1796,6 +880,93 @@ mod tests {
             "credit perturbation must be named: {divs:?}"
         );
         assert_ne!(net.state_digest(), other.state_digest());
+    }
+
+    // The pinned digests below were captured before the checkpoint codec
+    // was rewritten; a roundtrip test passes under any symmetric format
+    // change, these fail on the first byte that moves.
+
+    #[test]
+    fn checkpoint_bytes_are_pinned_for_a_mid_flight_mesh_with_epochs() {
+        let mut net = Network::new(mesh4()).unwrap();
+        net.enable_epochs(8);
+        net.set_measuring(true);
+        net.set_record_packets(true);
+        let classes = [
+            PacketClass::Data,
+            PacketClass::Control,
+            PacketClass::Expedited,
+        ];
+        for (i, (src, dst)) in [(0, 15), (5, 10), (12, 3), (6, 9), (1, 2)]
+            .into_iter()
+            .enumerate()
+        {
+            let class = classes[i % 3];
+            net.enqueue(NodeId(src), NodeId(dst), Bits(1024), class, i as u64);
+        }
+        for _ in 0..24 {
+            net.step();
+        }
+        net.enqueue(NodeId(15), NodeId(0), Bits(512), PacketClass::Data, 9);
+        net.enqueue(NodeId(3), NodeId(12), Bits(1024), PacketClass::Control, 10);
+        for _ in 0..6 {
+            net.step();
+        }
+        assert!(net.in_flight() > 0 && !net.delivered.is_empty());
+        assert!(!net.stats.records.is_empty());
+        assert!(!net.epochs.as_ref().unwrap().samples.is_empty());
+        assert_eq!(net.state_digest(), 0x621e_9efc_85a0_c125);
+    }
+
+    #[test]
+    fn checkpoint_bytes_are_pinned_for_a_faulted_mesh_mid_recovery() {
+        let mut plan = FaultPlan::transient(2e-3, 41);
+        plan.retry = RetryPolicy {
+            max_attempts: 8,
+            timeout: 32,
+        };
+        plan.hard.push(HardFault {
+            cycle: 9,
+            kind: FaultKind::Link(LinkId(4)),
+        });
+        plan.recovery = Some(RecoveryPolicy {
+            retry: RetryPolicy {
+                max_attempts: 4,
+                timeout: 200,
+            },
+            retention: 8,
+        });
+        let mut net = Network::with_faults(mesh4(), plan).unwrap();
+        net.set_measuring(true);
+        for i in 0..16 {
+            net.enqueue(NodeId(i), NodeId(15 - i), Bits(1024), PacketClass::Data, 0);
+        }
+        for _ in 0..20 {
+            net.step();
+        }
+        let fs = net.faults.as_ref().unwrap();
+        assert!(!fs.far.is_empty(), "far events pending");
+        assert!(!fs.dead_links.is_empty(), "link killed");
+        assert!(fs.counters.flits_corrupted > 0, "BER corrupted flits");
+        assert!(fs.e2e.as_ref().unwrap().pending() > 0, "packets retained");
+        assert_eq!(net.state_digest(), 0xd646_a931_5a49_8a2b);
+    }
+
+    #[test]
+    fn checkpoint_bytes_are_pinned_for_table_routing() {
+        let mut cfg = mesh4();
+        let graph = cfg.build_graph();
+        cfg.routing =
+            RoutingKind::TableXy(RouteTable::for_hubs(&graph, &[RouterId(0), RouterId(15)]));
+        let mut net = Network::new(cfg).unwrap();
+        net.enqueue(NodeId(0), NodeId(15), Bits(1024), PacketClass::Expedited, 0);
+        net.enqueue(NodeId(10), NodeId(0), Bits(1024), PacketClass::Expedited, 1);
+        net.enqueue(NodeId(4), NodeId(11), Bits(1024), PacketClass::Data, 2);
+        for _ in 0..6 {
+            net.step();
+        }
+        assert!(net.in_flight() > 0);
+        assert_eq!(net.state_digest(), 0xbf68_e0d4_d45c_8387);
     }
 
     #[test]

@@ -51,6 +51,13 @@ pub struct InputVc {
     pub holder: Option<PacketId>,
 }
 
+// The checkpoint layout of an input VC. It leaves out the FIFO: a restore
+// refills that through `RouterState::push`, so the occupancy and VC masks
+// follow from the flits.
+crate::checkpoint::codec_struct! {
+    InputVc { route, out_vc, in_escape_grant, sent_on_grant, head_wait, holder; fifo }
+}
+
 impl InputVc {
     /// Buffered flits, front = oldest.
     pub(crate) fn fifo(&self) -> &VecDeque<Flit> {

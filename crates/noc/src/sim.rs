@@ -20,7 +20,9 @@ use heteronoc_obs::{ProgressSink, Registry, Snapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::checkpoint::{config_hash, fnv1a64, Checkpoint, CheckpointError, Dec, Enc};
+use crate::checkpoint::{
+    codec_struct, config_hash, fnv1a64, Checkpoint, CheckpointError, Codec, Dec, Enc,
+};
 use crate::fault::{FaultCounters, UnrecoverableFault};
 use crate::metrics::EpochSample;
 use crate::network::{Network, StallReport};
@@ -234,7 +236,7 @@ pub fn params_hash(p: &SimParams) -> u64 {
 pub fn checkpoint_trace_cursor(ckpt: &Checkpoint) -> Result<Option<u64>, CheckpointError> {
     let mut d = Dec::new(&ckpt.body);
     d.sec(SEC_SIM, "sim")?;
-    d.opt_u64()
+    Codec::dec(&mut d)
 }
 
 /// Result of one open-loop run.
@@ -282,6 +284,8 @@ struct OnOff {
     on: bool,
     remaining: u64,
 }
+
+codec_struct!(OnOff { on, remaining });
 
 /// Draws a Pareto-distributed period length with shape `alpha`, minimum 1.
 fn pareto(rng: &mut StdRng, alpha: f64) -> u64 {
@@ -885,20 +889,17 @@ impl SimCore {
     fn make_checkpoint(&self, traffic: &dyn Traffic) -> Checkpoint {
         let mut e = Enc::new();
         e.sec(SEC_SIM);
-        e.opt_u64(self.net.trace_bytes_written());
-        for w in self.rng.state() {
-            e.u64(w);
-        }
-        e.usize(self.onoff.len());
-        for s in &self.onoff {
-            e.bool(s.on);
-            e.u64(s.remaining);
-        }
-        e.u64(self.delivered_total);
-        e.u64(self.dropped_total);
-        e.bool(self.measuring);
-        e.bool(self.saturated);
-        e.u64(self.clock.last_progress);
+        self.net.trace_bytes_written().enc(&mut e);
+        self.rng.enc(&mut e);
+        self.onoff.enc(&mut e);
+        (
+            self.delivered_total,
+            self.dropped_total,
+            self.measuring,
+            self.saturated,
+            self.clock.last_progress,
+        )
+            .enc(&mut e);
         self.net.encode_state(&mut e);
         e.sec(SEC_TRAFFIC);
         traffic.save_state(&mut e);
@@ -918,21 +919,20 @@ impl SimCore {
         let mut d = Dec::new(&ckpt.body);
         let mut inner = |d: &mut Dec| -> Result<(), CheckpointError> {
             d.sec(SEC_SIM, "sim")?;
-            let _trace_cursor = d.opt_u64()?;
-            self.rng = StdRng::from_state([d.u64()?, d.u64()?, d.u64()?, d.u64()?]);
-            let n = d.len(9)?;
-            if n != self.onoff.len() {
+            let _trace_cursor = Option::<u64>::dec(d)?;
+            self.rng = Codec::dec(d)?;
+            let onoff: Vec<OnOff> = Codec::dec(d)?;
+            if onoff.len() != self.onoff.len() {
                 return Err(CheckpointError::Malformed("onoff count"));
             }
-            for s in &mut self.onoff {
-                s.on = d.bool()?;
-                s.remaining = d.u64()?;
-            }
-            self.delivered_total = d.u64()?;
-            self.dropped_total = d.u64()?;
-            self.measuring = d.bool()?;
-            self.saturated = d.bool()?;
-            self.clock.last_progress = d.u64()?;
+            self.onoff = onoff;
+            (
+                self.delivered_total,
+                self.dropped_total,
+                self.measuring,
+                self.saturated,
+                self.clock.last_progress,
+            ) = Codec::dec(d)?;
             self.net.decode_state(d)?;
             d.sec(SEC_TRAFFIC, "traffic")?;
             traffic.load_state(d)?;
@@ -1523,6 +1523,32 @@ mod tests {
             "resumed trace must continue byte-identically from the cursor"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Matrix transpose on the 8x8 mesh: node (x, y) sends to (y, x).
+    struct Transpose8;
+
+    impl Traffic for Transpose8 {
+        fn destination(&mut self, src: NodeId, _: usize, _: &mut StdRng) -> NodeId {
+            NodeId(src.index() % 8 * 8 + src.index() / 8)
+        }
+    }
+
+    /// Pins the whole run-checkpoint body, driver section included, to the
+    /// digest captured before the checkpoint codec was rewritten.
+    #[test]
+    fn checkpoint_bytes_are_pinned_for_a_self_similar_transpose_run() {
+        let mut p = quick_params(0.03);
+        p.process = InjectionProcess::SelfSimilar {
+            alpha_on: 1.9,
+            alpha_off: 1.25,
+        };
+        let net = Network::new(NetworkConfig::paper_baseline()).unwrap();
+        let mut s = Stepper::fresh(net, p, Box::new(Transpose8));
+        s.run_to(300).unwrap();
+        assert!(s.core.measuring && s.core.onoff.iter().any(|o| o.on));
+        assert!(s.network().in_flight() > 0);
+        assert_eq!(fnv1a64(&s.checkpoint().body), 0x1fed_6692_d571_3790);
     }
 
     #[test]

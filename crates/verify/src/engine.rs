@@ -36,9 +36,9 @@ use crate::starvation::{analyze_starvation, ArbiterModel};
 /// What to lint a configuration against.
 #[derive(Clone, Debug)]
 pub struct LintOptions {
-    /// Iso-resource baseline for the budget lint (`None` skips it; the
-    /// paper layouts are checked against Fig. 3's homogeneous mesh by the
-    /// `verify` subcommand, while `lint` leaves it opt-in).
+    /// Iso-resource baseline for the budget lint (`None` skips it;
+    /// `heteronoc lint --baseline` checks against Fig. 3's homogeneous
+    /// mesh).
     pub baseline: Option<NetworkConfig>,
     /// Protocol model for the message-class deadlock pass (`None` skips).
     pub protocol: Option<ProtocolModel>,

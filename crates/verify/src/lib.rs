@@ -11,11 +11,12 @@
 //!    VC budget and respect the bisection/buffer budgets of the homogeneous
 //!    baseline ([`lint`]).
 //!
-//! Entry points: [`verify_config`] for any [`NetworkConfig`],
-//! [`verify_layout`] / [`verify_layout_with_table`] for the paper's named
-//! layouts (which adds the iso-resource lint against the Fig. 3 baseline).
-//! `heteronoc lint` (the [`lint_config`] suite, which includes these
-//! checks) and the CI workflow run over every shipped configuration.
+//! Entry points: [`lint_config`] runs every analysis over one
+//! configuration and reports all findings; `heteronoc lint`, the sweep
+//! gate and CI run it over every shipped configuration, and
+//! [`LintOptions::baseline`] adds the iso-resource lint against the
+//! Fig. 3 baseline. [`verify_config`] is the first-error form of the
+//! structure and deadlock checks, which the benchmark's set-up calls.
 //!
 //! The complementary *runtime* invariant checker (flit conservation, credit
 //! bounds, per-VC FIFO order) lives in `heteronoc-noc` behind its `verify`
@@ -35,9 +36,7 @@ pub mod lint;
 pub mod protocol;
 pub mod starvation;
 
-use heteronoc::{mesh_config, mesh_config_with_table, Layout};
 use heteronoc_noc::config::NetworkConfig;
-use heteronoc_noc::types::RouterId;
 
 pub use cdg::{Cdg, EscapeModel};
 pub use credit::{analyze_credit, credit_ceiling, CREDIT_RTT};
@@ -71,32 +70,6 @@ pub struct VerifyReport {
     pub warnings: Vec<LintWarning>,
 }
 
-impl VerifyReport {
-    /// The one-line summary without the warnings (the CLI de-duplicates
-    /// warnings across layouts and prints them separately).
-    pub fn summary(&self) -> String {
-        format!(
-            "{}: {} channels, {} deps ({} escape-relieved), {} VCs, bisection {}b",
-            self.name,
-            self.channels,
-            self.dependencies,
-            self.relieved,
-            self.total_vcs,
-            self.bisection_bits
-        )
-    }
-}
-
-impl std::fmt::Display for VerifyReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.summary())?;
-        for w in &self.warnings {
-            write!(f, "\n  warning: {w}")?;
-        }
-        Ok(())
-    }
-}
-
 /// Verifies one configuration: validity, structural lint and CDG
 /// acyclicity (with escape relief when the routing reserves escape VCs).
 ///
@@ -128,86 +101,49 @@ pub fn verify_config(name: &str, cfg: &NetworkConfig) -> Result<VerifyReport, Ve
     })
 }
 
-/// Verifies `cfg` and additionally lints it against `baseline` for the
-/// paper's iso-resource invariants (VC budget, bisection, buffer bits).
-///
-/// # Errors
-/// See [`verify_config`] and [`lint::lint_budget`].
-pub fn verify_config_against(
-    name: &str,
-    cfg: &NetworkConfig,
-    baseline: &NetworkConfig,
-) -> Result<VerifyReport, VerifyError> {
-    let mut report = verify_config(name, cfg)?;
-    let graph = cfg.build_graph();
-    report
-        .warnings
-        .extend(lint::lint_budget(cfg, &graph, baseline)?);
-    Ok(report)
-}
-
-/// Verifies one of the paper's named layouts on the 8x8 mesh, linted
-/// against the homogeneous baseline.
-///
-/// # Errors
-/// See [`verify_config_against`].
-pub fn verify_layout(layout: &Layout) -> Result<VerifyReport, VerifyError> {
-    let cfg = mesh_config(layout);
-    let baseline = mesh_config(&Layout::Baseline);
-    verify_config_against(layout.name(), &cfg, &baseline)
-}
-
-/// Verifies a layout with §7 table routing through `hubs` (the asymmetric-
-/// CMP case study), linted against the homogeneous baseline.
-///
-/// # Errors
-/// See [`verify_config_against`].
-pub fn verify_layout_with_table(
-    layout: &Layout,
-    hubs: &[RouterId],
-) -> Result<VerifyReport, VerifyError> {
-    let cfg = mesh_config_with_table(layout, hubs);
-    let baseline = mesh_config(&Layout::Baseline);
-    verify_config_against(&format!("{} (table)", layout.name()), &cfg, &baseline)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heteronoc_noc::config::{NetworkConfig, RouterCfg};
+    use heteronoc::{mesh_config, mesh_config_with_table, Layout};
+    use heteronoc_noc::config::RouterCfg;
     use heteronoc_noc::topology::TopologyKind;
-    use heteronoc_noc::types::Bits;
+    use heteronoc_noc::types::{Bits, RouterId};
 
+    /// The paper layouts lint against the Fig. 3 baseline with no errors;
+    /// Row2_5+BL's documented bisection exceedance (HN-W002) is the only
+    /// finding.
     #[test]
     fn all_seven_paper_layouts_verify() {
+        let opts = LintOptions {
+            baseline: Some(mesh_config(&Layout::Baseline)),
+            ..LintOptions::default()
+        };
         for layout in Layout::all_seven() {
-            let report = verify_layout(&layout).unwrap_or_else(|e| panic!("{layout}: {e}"));
-            assert_eq!(report.total_vcs, 192, "{layout}");
-            assert!(report.dependencies > 0, "{layout}");
-            // Row2_5+BL's documented bisection exceedance is the only
-            // accepted warning on the paper set.
-            if layout == Layout::Row25BL {
-                assert!(
-                    report
-                        .warnings
-                        .iter()
-                        .any(|w| matches!(w, LintWarning::BisectionExceedsBudget { .. })),
-                    "Row2_5+BL trades bisection by design"
-                );
+            let report = lint_config(layout.name(), &mesh_config(&layout), &opts);
+            let codes: Vec<Code> = report.diagnostics.iter().map(|d| d.code).collect();
+            let expected = if layout == Layout::Row25BL {
+                vec![Code::BisectionExceedsBudget]
             } else {
-                assert!(
-                    report.warnings.is_empty(),
-                    "{layout}: {:?}",
-                    report.warnings
-                );
-            }
+                Vec::new()
+            };
+            assert_eq!(codes, expected, "{}", report.render_human());
         }
     }
 
+    /// The §7 case study (Diagonal+BL, table routing through the corner
+    /// hubs) lints clean, and its table dependencies are relieved by the
+    /// escape VC.
     #[test]
     fn table_case_study_verifies_with_escape_relief() {
         let corners = [RouterId(0), RouterId(7), RouterId(56), RouterId(63)];
-        let report = verify_layout_with_table(&Layout::DiagonalBL, &corners).unwrap();
+        let cfg = mesh_config_with_table(&Layout::DiagonalBL, &corners);
+        let opts = LintOptions {
+            baseline: Some(mesh_config(&Layout::Baseline)),
+            ..LintOptions::default()
+        };
+        let report = lint_config("table", &cfg, &opts);
+        assert!(report.diagnostics.is_empty(), "{}", report.render_human());
+        let report = verify_config("table", &cfg).unwrap();
         assert!(report.relieved > 0, "table deps must be escape-relieved");
     }
 
