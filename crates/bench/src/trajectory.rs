@@ -15,6 +15,10 @@
 //!   path covers without visiting a router, gated against the same
 //!   horizon walked one cycle at a time (`quiet.speedup`,
 //!   `Higher`-is-better);
+//! * **Engine work** — at the same three rates, the allocation work per
+//!   flit committed (`work.r<rate>.*`: SA stage-1 VCs, RC/VA heads, VA
+//!   bids, wheel events), read off the run's [`SchedReport`]. These are
+//!   exact counts, so they repeat on any host;
 //! * **Checkpoint round-trip** — capture, serialize to disk, reload and
 //!   resume a mid-run checkpoint;
 //! * **Sweep cache hit path** — re-running an already-cached sweep must
@@ -29,6 +33,7 @@ use std::time::Instant;
 
 use heteronoc::noc::config::NetworkConfig;
 use heteronoc::noc::network::Network;
+use heteronoc::noc::sched::SchedReport;
 use heteronoc::noc::sim::{InjectionProcess, SimParams, SimRun, Stepper, UniformRandom};
 use heteronoc::noc::types::Rate;
 
@@ -261,15 +266,18 @@ fn min_secs(reps: u32, mut f: impl FnMut()) -> f64 {
 }
 
 /// Min-of-`reps` wall time of one pinned run, with the
-/// `(cycles, packets_retired)` it reached.
-fn timed_run(cfg: &NetworkConfig, params: SimParams, reps: u32) -> (f64, (u64, u64)) {
+/// `(cycles, packets_retired)` it reached and its scheduler counters
+/// (identical across reps).
+fn timed_run(cfg: &NetworkConfig, params: SimParams, reps: u32) -> (f64, (u64, u64), SchedReport) {
     let mut reached = (0, 0);
+    let mut sched = SchedReport::default();
     let secs = min_secs(reps, || {
         let net = Network::new(cfg.clone()).expect("pinned config is valid");
         let out = SimRun::new(net, params).run().expect("pinned suite run");
         reached = (out.cycles, out.stats.packets_retired);
+        sched = out.sched;
     });
-    (secs, reached)
+    (secs, reached, sched)
 }
 
 /// Runs the pinned micro-suite and returns the record (not yet written).
@@ -294,9 +302,10 @@ pub fn run_suite(quick: bool) -> BenchRecord {
     ));
     entries.push(entry("meta.reps", f64::from(reps), "count", Better::Info));
 
-    // Open-loop engine cost at three loads.
+    // Open-loop engine cost at three loads, and the work behind it.
+    let mut work = Vec::new();
     for rate in RATES {
-        let (secs, (_, retired)) = timed_run(&cfg, suite_params(rate, measure), reps);
+        let (secs, (_, retired), sched) = timed_run(&cfg, suite_params(rate, measure), reps);
         assert!(retired > 0, "suite run retired nothing");
         entries.push(entry(
             &format!("open.r{rate}.secs"),
@@ -304,7 +313,21 @@ pub fn run_suite(quick: bool) -> BenchRecord {
             "secs",
             Better::Lower,
         ));
+        for (name, count) in [
+            ("sa_vcs", sched.sa_vcs),
+            ("rcva_heads", sched.rcva_heads),
+            ("va_bids", sched.va_bids),
+            ("wheel_events", sched.wheel_events),
+        ] {
+            work.push(entry(
+                &format!("work.r{rate}.{name}"),
+                sched.per_flit(count),
+                "/flit",
+                Better::Lower,
+            ));
+        }
     }
+    entries.append(&mut work);
 
     // Near-idle mesh: long stretches of quiet cycles, each advanced by
     // the idle fast path.
@@ -317,7 +340,7 @@ pub fn run_suite(quick: bool) -> BenchRecord {
         process: InjectionProcess::Bernoulli,
         watchdog: None,
     };
-    let (secs, (_, retired)) = timed_run(&cfg, idle, reps);
+    let (secs, (_, retired), _) = timed_run(&cfg, idle, reps);
     assert!(retired > 0, "suite run retired nothing");
     entries.push(entry("idle.secs", secs, "secs", Better::Lower));
 
@@ -336,7 +359,7 @@ pub fn run_suite(quick: bool) -> BenchRecord {
         process: InjectionProcess::Bernoulli,
         watchdog: None,
     };
-    let (jumped, (cycles, _)) = timed_run(&cfg, quiet, reps);
+    let (jumped, (cycles, _), _) = timed_run(&cfg, quiet, reps);
     assert_eq!(cycles, horizon, "quiet run stopped short of its horizon");
     let walked = min_secs(reps, || {
         let net = Network::new(cfg.clone()).expect("pinned config is valid");
@@ -698,6 +721,19 @@ mod tests {
             let e = record.get(name).unwrap_or_else(|| panic!("missing {name}"));
             assert!(e.value.is_finite() && e.value > 0.0, "{name} = {}", e.value);
             assert_ne!(e.better, Better::Info, "{name} must gate");
+        }
+        // The work counters are exact: every committed flit pushes its
+        // credit and its arrival (or retirement) into the wheel.
+        for rate in RATES {
+            let get = |name: &str| {
+                let e = record
+                    .get(&format!("work.r{rate}.{name}"))
+                    .unwrap_or_else(|| panic!("missing work.r{rate}.{name}"));
+                assert_eq!(e.better, Better::Lower);
+                e.value
+            };
+            assert!(get("sa_vcs") > 0.0 && get("rcva_heads") > 0.0 && get("va_bids") > 0.0);
+            assert!(get("wheel_events") >= 2.0);
         }
         // Self-compare is the CI sanity gate: it must always pass.
         let report = compare(&record, &record, DEFAULT_THRESHOLD).unwrap();

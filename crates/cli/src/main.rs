@@ -244,6 +244,29 @@ fn workload_by_name(name: &str) -> Result<Benchmark, String> {
     })
 }
 
+/// `--rates a,b,c`, each element an injection probability in [0, 1].
+///
+/// # Errors
+/// A message naming the flag and the first element that does not parse
+/// or lies outside [0, 1] (NaN included).
+fn rates_arg(a: &Args) -> Result<Option<Vec<f64>>, String> {
+    let Some(rates) = a.get_list::<f64>("rates")? else {
+        return Ok(None);
+    };
+    let texts = a.get("rates").unwrap_or_default().split(',');
+    if let Some((_, text)) = rates
+        .iter()
+        .zip(texts)
+        .find(|(&r, _)| !Rate::new(r).is_valid())
+    {
+        return Err(format!(
+            "invalid value '{}' for --rates: an injection rate is a probability in [0, 1]",
+            text.trim()
+        ));
+    }
+    Ok(Some(rates))
+}
+
 fn params(rate: f64, packets: u64, seed: u64) -> SimParams {
     SimParams {
         injection_rate: Rate::new(rate),
@@ -274,9 +297,7 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
     };
     let pattern = a.get("pattern").unwrap_or("ur").to_owned();
     let spec = traffic_spec_by_name(&pattern)?;
-    let rates = a
-        .get_list::<f64>("rates")?
-        .unwrap_or_else(|| vec![0.01, 0.02, 0.03, 0.04, 0.05]);
+    let rates = rates_arg(a)?.unwrap_or_else(|| vec![0.01, 0.02, 0.03, 0.04, 0.05]);
     let seeds = match a.get_list::<u64>("seeds")? {
         Some(seeds) => seeds,
         None => vec![a.get_or("seed", 42u64)?],
@@ -338,17 +359,18 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
             "rate", "seed", "latency", "throughput", "power", "cache"
         );
         for (i, p) in chunk.iter().enumerate() {
-            let seed = seeds[i / rates.len()];
+            // The requested rate: a failed point measured none.
+            let (rate, seed) = (rates[i % rates.len()], seeds[i / rates.len()]);
             let cached = if p.cached { "hit" } else { "run" };
             match &p.error {
-                Some(e) => println!("{:<8.4}{seed:>8}  error: {e}", p.rate),
+                Some(e) => println!("{rate:<8.4}{seed:>8}  error: {e}"),
                 None if p.saturated => println!(
-                    "{:<8.4}{seed:>8}{:>12}{:>14.4}{:>10.1} W{cached:>8}",
-                    p.rate, "sat", p.throughput, p.power_w
+                    "{rate:<8.4}{seed:>8}{:>12}{:>14.4}{:>10.1} W{cached:>8}",
+                    "sat", p.throughput, p.power_w
                 ),
                 None => println!(
-                    "{:<8.4}{seed:>8}{:>9.2} ns{:>14.4}{:>10.1} W{cached:>8}",
-                    p.rate, p.latency_ns, p.throughput, p.power_w
+                    "{rate:<8.4}{seed:>8}{:>9.2} ns{:>14.4}{:>10.1} W{cached:>8}",
+                    p.latency_ns, p.throughput, p.power_w
                 ),
             }
         }
@@ -375,6 +397,14 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
         );
     }
     println!("json: {}", json_path.display());
+    // Interrupted points are reported above and resume on a re-run.
+    let failed = outcome.points.iter().filter(|p| p.error.is_some()).count() - outcome.interrupted;
+    if failed > 0 {
+        return Err(format!(
+            "{failed} of {} sweep point(s) failed",
+            outcome.points.len()
+        ));
+    }
     Ok(())
 }
 
@@ -1079,7 +1109,7 @@ fn cmd_lint(a: &Args) -> Result<(), String> {
     }
 
     let mut opts = LintOptions::default();
-    if let Some(rates) = a.get_list::<f64>("rates")? {
+    if let Some(rates) = rates_arg(a)? {
         opts.rates = rates;
     }
     if let Some(path) = a.get("plan") {
@@ -1570,5 +1600,33 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(_) => ExitCode::FAILURE,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Args {
+        Args::parse(line.split_whitespace().map(String::from)).expect("parses")
+    }
+
+    #[test]
+    fn rates_outside_zero_one_are_rejected_with_the_flag_and_value() {
+        assert_eq!(rates_arg(&args("sweep")).unwrap(), None);
+        assert_eq!(
+            rates_arg(&args("sweep --rates 0,0.5,1")).unwrap(),
+            Some(vec![0.0, 0.5, 1.0])
+        );
+        for bad in ["1.5", "-0.5", "nan", "inf"] {
+            let e = rates_arg(&args(&format!("lint --rates 0.01,{bad}"))).unwrap_err();
+            assert!(
+                e.contains("--rates") && e.contains(&format!("'{bad}'")),
+                "{e}"
+            );
+        }
+        assert!(rates_arg(&args("sweep --rates 0.1,x"))
+            .unwrap_err()
+            .contains("--rates"));
     }
 }

@@ -31,6 +31,7 @@ pub mod invariant;
 pub use invariant::InvariantViolation;
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::Rng;
 
@@ -45,7 +46,7 @@ use crate::packet::{Flit, Packet, PacketClass};
 use crate::profile::{maybe_now, ProfileReport, Stage, StageProfiler};
 use crate::router::arbiter::RrArbiter;
 use crate::router::{OutputPort, OutputTarget, OutputVc, RouterState};
-use crate::routing::{RouteChoice, RoutingKind, VcClass};
+use crate::routing::{RoutingKind, VcClass};
 use crate::sched::{SchedReport, WakeReason};
 use crate::stats::{NetStats, PacketRecord};
 use crate::topology::{PortKind, TopologyGraph};
@@ -232,9 +233,6 @@ struct NodeState {
 /// Maximum event-schedule horizon (flit arrivals at +2 are the farthest).
 const WHEEL: usize = 3;
 
-/// `AllocScratch::sa_out` entry of an input VC that cannot send this cycle.
-const NO_OUT: u8 = u8::MAX;
-
 /// A port's stage-1 switch-allocation nomination.
 #[derive(Clone, Copy, Debug, Default)]
 struct Nomination {
@@ -263,17 +261,23 @@ impl PortSends {
 }
 
 /// Bitmask allocation state of the router being visited, reused across
-/// visits so the allocators allocate nothing. Flat input-VC index is
-/// `port * vcs_per_port + vc`; [`NetworkConfig::validate`] bounds it below
-/// 128 and ports below 64, so the masks always fit.
-#[derive(Debug, Default)]
+/// visits so the allocators allocate nothing. Sized once, in
+/// [`Network::new`], for the widest router; a visit uses the leading
+/// entries. Flat input-VC index is `port * vcs_per_port + vc`;
+/// [`NetworkConfig::validate`] bounds it below 128 and ports below 64, so
+/// the masks always fit.
+#[derive(Debug)]
 struct AllocScratch {
     /// VA, per output: flat input VCs whose ungranted head flit bids for
-    /// a downstream VC there.
+    /// a downstream VC there. All zero between visits: VA takes each
+    /// entry RC set.
     va_req: Vec<u128>,
     /// SA, per flat input VC: the output its front flit can take this
-    /// cycle, or [`NO_OUT`].
+    /// cycle. Valid only for the VCs of the visit's `eligible` masks.
     sa_out: Vec<u8>,
+    /// SA, per input port: its VCs that can send this cycle, as a mask
+    /// over the port's VCs. Valid only for ports holding one.
+    eligible: Vec<u128>,
     /// SA, per output: input ports holding a VC eligible for it.
     sa_reach: Vec<u64>,
     /// SA, per output: input ports whose stage-1 nominee targets it.
@@ -282,6 +286,50 @@ struct AllocScratch {
     /// has the port's bit).
     nominee: Vec<Nomination>,
 }
+
+impl AllocScratch {
+    /// Scratch for routers of up to `ports` ports and `vcs` input VCs.
+    fn new(ports: usize, vcs: usize) -> Self {
+        Self {
+            va_req: vec![0; ports],
+            sa_out: vec![0; vcs],
+            eligible: vec![0; ports],
+            sa_reach: vec![0; ports],
+            sa_nom: vec![0; ports],
+            nominee: vec![Nomination::default(); ports],
+        }
+    }
+}
+
+/// Hasher for the engine's own packet ids: one multiply by the 64-bit
+/// golden ratio (Fibonacci hashing). The ids are a sequential counter, so
+/// SipHash's defence against chosen keys buys nothing, and the table's
+/// iteration order is never observed (see `in_flight`).
+#[derive(Clone, Copy, Debug, Default)]
+struct PacketIdHasher(u64);
+
+impl Hasher for PacketIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b) ^ self.0.rotate_left(8));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// Packet-keyed map of the engine's packets.
+type PacketMap<V> = HashMap<PacketId, V, BuildHasherDefault<PacketIdHasher>>;
 
 /// The simulated network.
 pub struct Network {
@@ -296,7 +344,11 @@ pub struct Network {
     nodes: Vec<NodeState>,
     now: Cycle,
     wheel: [Vec<Event>; WHEEL],
-    in_flight: HashMap<PacketId, PacketMeta>,
+    /// Packets from enqueue to retirement. Only point lookups and
+    /// order-free scans read it (a checkpoint sorts it by id, diagnostics
+    /// take a maximum, the stall report sorts), so its hasher is free to
+    /// be fast.
+    in_flight: PacketMap<PacketMeta>,
     next_packet: usize,
     measuring: bool,
     record_packets: bool,
@@ -313,8 +365,10 @@ pub struct Network {
     /// Per-stage wall-time profiler; `None` means [`std::time::Instant`]
     /// is never consulted on the hot path.
     profiler: Option<Box<StageProfiler>>,
-    /// Scheduler counters (see [`crate::sched`]): observability only,
-    /// never serialized.
+    /// Scheduler and work counters (see [`crate::sched`]): observability
+    /// only, never in a checkpoint and never read back by the engine. The
+    /// sweep JSON publishes the cycle, visit and wake fields, so the
+    /// benchmark's `ur_sweep` digest hashes them.
     sched: SchedReport,
     // Scratch buffers reused across cycles to avoid per-cycle allocation.
     scratch_events: Vec<Event>,
@@ -421,6 +475,8 @@ impl Network {
 
         let slots: Vec<u32> = routers.iter().map(|r| r.capacity).collect();
         let vc_counts: Vec<u32> = routers.iter().map(|r| r.inputs.len() as u32).collect();
+        let widest = routers.iter().map(|r| r.outputs.len()).max().unwrap_or(0);
+        let alloc = AllocScratch::new(widest, vc_counts.iter().max().map_or(0, |&v| v as usize));
         let stats = NetStats::new(graph.num_routers(), graph.num_links(), slots, vc_counts);
         Ok(Self {
             cfg,
@@ -432,7 +488,7 @@ impl Network {
             nodes,
             now: 0,
             wheel: [Vec::new(), Vec::new(), Vec::new()],
-            in_flight: HashMap::new(),
+            in_flight: PacketMap::default(),
             next_packet: 0,
             measuring: false,
             record_packets: false,
@@ -444,7 +500,7 @@ impl Network {
             profiler: None,
             sched: SchedReport::default(),
             scratch_events: Vec::with_capacity(4),
-            alloc: AllocScratch::default(),
+            alloc,
             wheel_spare: Vec::new(),
         })
     }
@@ -772,11 +828,10 @@ impl Network {
     pub fn install_routing(&mut self, routing: RoutingKind) {
         self.cfg.routing = routing;
         for router in &mut self.routers {
-            for vc in &mut router.inputs {
-                if vc.route.is_some() && vc.out_vc.is_none() {
-                    vc.route = None;
-                    vc.in_escape_grant = false;
-                    vc.head_wait = 0;
+            for i in 0..router.inputs.len() {
+                let vc = &router.inputs[i];
+                if vc.route().is_some() && vc.out_vc().is_none() {
+                    router.forget_route(i);
                 }
             }
         }
@@ -978,6 +1033,7 @@ impl Network {
         debug_assert!(delay >= 1 && (delay as usize) < WHEEL + 1);
         let idx = ((self.now + delay) % WHEEL as u64) as usize;
         self.wheel[idx].push(ev);
+        self.sched.wheel_events += 1;
     }
 
     /// Advances the simulation by one cycle.
@@ -1078,7 +1134,7 @@ impl Network {
             }
             Event::Credit { up, vc } => match up {
                 Upstream::Router(r, p) => {
-                    self.routers[r.index()].outputs[p.index()].vcs[vc.index()].credits += 1;
+                    self.routers[r.index()].return_credit(p.index(), vc.index());
                 }
                 Upstream::Node(n) => {
                     self.nodes[n.index()].vcs[vc.index()].credits += 1;
@@ -1611,23 +1667,12 @@ impl Network {
     /// on their grant re-enter route computation; mid-wormhole packets keep
     /// their grant and drain.
     fn rescind_routes_to(&mut self, router: RouterId, out_port: PortId) {
-        let r = router.index();
-        for i in 0..self.routers[r].inputs.len() {
-            let rescind = {
-                let vc = &self.routers[r].inputs[i];
-                vc.sent_on_grant == 0 && vc.route.is_some_and(|rt| rt.port == out_port)
-            };
-            if !rescind {
-                continue;
+        let router = &mut self.routers[router.index()];
+        for i in 0..router.inputs.len() {
+            let vc = &router.inputs[i];
+            if vc.sent_on_grant == 0 && vc.route().is_some_and(|rt| rt.port == out_port) {
+                router.forget_route(i);
             }
-            if let Some(ovc) = self.routers[r].inputs[i].out_vc {
-                self.routers[r].outputs[out_port.index()].vcs[ovc.index()].owner = None;
-            }
-            let vc = &mut self.routers[r].inputs[i];
-            vc.route = None;
-            vc.out_vc = None;
-            vc.in_escape_grant = false;
-            vc.head_wait = 0;
         }
     }
 
@@ -1751,20 +1796,9 @@ impl Network {
                 }
                 let holder = self.routers[ri].inputs[i].holder;
                 if holder.is_some_and(|h| zombies.contains(&h)) {
-                    let (route, out_vc) = {
-                        let vc = &self.routers[ri].inputs[i];
-                        (vc.route, vc.out_vc)
-                    };
-                    if let (Some(rt), Some(ov)) = (route, out_vc) {
-                        let op = rt.port.index();
-                        let ovcs = &mut self.routers[ri].outputs[op].vcs;
-                        if !ovcs.is_empty() && ovcs[ov.index()].owner == Some((p, v)) {
-                            ovcs[ov.index()].owner = None;
-                        }
-                    }
                     let fs = self.faults.as_mut().expect("fault mode");
                     fs.absorbing.remove(&(RouterId(ri), p, v));
-                    self.routers[ri].inputs[i].release();
+                    self.routers[ri].release(i);
                 }
             }
         }
@@ -1824,7 +1858,7 @@ impl Network {
                     if self.is_zombie(flit.packet) {
                         let fs = self.faults.as_mut().expect("fault mode");
                         fs.absorbing.remove(&(router, port, vc));
-                        self.routers[r].inputs[i].release();
+                        self.routers[r].release(i);
                         break;
                     }
                     let (packet, received, total) = {
@@ -1870,7 +1904,7 @@ impl Network {
                         reason,
                         recoverable,
                     });
-                    self.routers[r].inputs[i].release();
+                    self.routers[r].release(i);
                     break;
                 }
             }
@@ -2152,103 +2186,79 @@ impl Network {
         let vcs_per_port = self.cfg.routers[r].vcs_per_port;
         let reserves_escape = self.cfg.routing.reserves_escape_vc();
         let escape_timeout = self.cfg.escape_timeout;
+        self.sched.rcva_heads += u64::from(heads.count_ones());
 
         // --- Route computation & escape diversion -----------------------
-        let nout = self.routers[r].outputs.len();
         // Each VC's final RC state sets its bit in the requester mask of
-        // the output it bids for; VA below reads only those masks.
-        let mut va_req = std::mem::take(&mut self.alloc.va_req);
-        va_req.clear();
-        va_req.resize(nout, 0);
+        // the output it bids for, and the output's bit in `requested`; VA
+        // below reads only those masks and leaves them zero again.
+        let mut requested = 0u64;
         while heads != 0 {
             let i = heads.trailing_zeros() as usize;
             heads &= heads - 1;
-            let (p, v) = (i / vcs_per_port, i % vcs_per_port);
-            let (pkt, src, dst, class, has_route, sent, wait) = {
-                let vc = &self.routers[r].inputs[i];
-                let f = vc.fifo().front().expect("head-front VC holds a flit");
-                (
-                    f.packet,
-                    f.src,
-                    f.dst,
-                    f.class,
-                    vc.route.is_some(),
-                    vc.sent_on_grant,
-                    vc.head_wait,
-                )
-            };
-            let expedited = class == PacketClass::Expedited;
+            let v = i % vcs_per_port;
             let in_escape = reserves_escape && v == vcs_per_port - 1;
-            if !has_route {
-                match self
-                    .cfg
-                    .routing
-                    .route(&self.graph, router_id, src, dst, expedited, in_escape)
-                {
-                    Some(rc) => {
-                        let vc = &mut self.routers[r].inputs[i];
-                        vc.route = Some(rc);
-                        vc.holder = Some(pkt);
-                    }
-                    None => {
-                        let at = self.graph.attachment(dst);
-                        if at.router != router_id {
-                            // `None` away from the destination means the
-                            // routing table has no surviving path: mark
-                            // the VC for absorption (route stays `None`,
-                            // so allocation ignores it).
-                            debug_assert!(
-                                self.faults.is_some(),
-                                "unroutable packet without fault layer"
-                            );
-                            if let Some(fs) = self.faults.as_mut() {
-                                fs.absorbing.insert((router_id, PortId(p), VcId(v)));
+            let (route, sent, wait) = {
+                let vc = &self.routers[r].inputs[i];
+                (vc.route(), vc.sent_on_grant, vc.head_wait)
+            };
+            // A routed head needs its flit only for the escape timeout,
+            // which applies to expedited packets under escape routing.
+            if route.is_none() || reserves_escape {
+                let (pkt, src, dst, class) = {
+                    let f = self.routers[r].inputs[i]
+                        .fifo()
+                        .front()
+                        .expect("head-front VC holds a flit");
+                    (f.packet, f.src, f.dst, f.class)
+                };
+                let expedited = class == PacketClass::Expedited;
+                if route.is_none() {
+                    match self.cfg.routing.route(
+                        &self.graph,
+                        router_id,
+                        src,
+                        dst,
+                        expedited,
+                        in_escape,
+                    ) {
+                        Some(rc) => self.routers[r].route_head(i, rc, pkt),
+                        None => {
+                            let at = self.graph.attachment(dst);
+                            if at.router != router_id {
+                                // `None` away from the destination means the
+                                // routing table has no surviving path: mark
+                                // the VC for absorption (route stays `None`,
+                                // so allocation ignores it).
+                                debug_assert!(
+                                    self.faults.is_some(),
+                                    "unroutable packet without fault layer"
+                                );
+                                if let Some(fs) = self.faults.as_mut() {
+                                    fs.absorbing.insert((
+                                        router_id,
+                                        PortId(i / vcs_per_port),
+                                        VcId(v),
+                                    ));
+                                }
+                                self.routers[r].inputs[i].holder = Some(pkt);
+                                continue;
                             }
-                            self.routers[r].inputs[i].holder = Some(pkt);
-                            continue;
-                        }
-                        // At destination router: eject through the local
-                        // port of dst. No downstream VC needed.
-                        let vc = &mut self.routers[r].inputs[i];
-                        vc.route = Some(RouteChoice {
-                            port: at.port,
-                            class: VcClass::Any,
-                        });
-                        vc.out_vc = Some(VcId(0)); // sink: dummy grant
-                        vc.holder = Some(pkt);
-                    }
-                }
-            } else if expedited
-                && !in_escape
-                && reserves_escape
-                && wait > escape_timeout
-                && sent == 0
-            {
-                // Divert a stuck expedited head to the escape network.
-                if let Some(esc) = self
-                    .cfg
-                    .routing
-                    .escape_route(&self.graph, router_id, src, dst)
-                {
-                    // Rescind any unused normal grant.
-                    let old = {
-                        let vc = &self.routers[r].inputs[i];
-                        vc.route.map(|rt| (rt.port, vc.out_vc))
-                    };
-                    if let Some((old_port, Some(old_vc))) = old {
-                        if !matches!(
-                            self.routers[r].outputs[old_port.index()].target,
-                            OutputTarget::Sink { .. }
-                        ) {
-                            self.routers[r].outputs[old_port.index()].vcs[old_vc.index()].owner =
-                                None;
+                            // At destination router: eject through the local
+                            // port of dst. No downstream VC needed.
+                            self.routers[r].grant_sink(i, at.port, pkt);
                         }
                     }
-                    let vc = &mut self.routers[r].inputs[i];
-                    vc.route = Some(esc);
-                    vc.out_vc = None;
-                    vc.in_escape_grant = true;
-                    vc.head_wait = 0;
+                } else if expedited && !in_escape && wait > escape_timeout && sent == 0 {
+                    // Divert a stuck expedited head to the escape network,
+                    // rescinding any unused normal grant.
+                    if let Some(esc) =
+                        self.cfg
+                            .routing
+                            .escape_route(&self.graph, router_id, src, dst)
+                    {
+                        self.routers[r].divert(i, esc);
+                    }
                 }
             }
             // Age heads that have not moved yet.
@@ -2258,9 +2268,11 @@ impl Network {
             }
             // Final requester state for the VA phase: an ungranted head
             // with a computed route bids for its route's output port.
-            if vc.out_vc.is_none() {
-                if let Some(rt) = vc.route {
-                    va_req[rt.port.index()] |= 1u128 << i;
+            if vc.out_vc().is_none() {
+                if let Some(rt) = vc.route() {
+                    let o = rt.port.index();
+                    self.alloc.va_req[o] |= 1u128 << i;
+                    requested |= 1 << o;
                 }
             }
         }
@@ -2272,9 +2284,13 @@ impl Network {
         // the other requesters' bits stay exact through the loop.
         let t = self.prof_lap(t, Stage::RouteCompute);
         let flat = self.routers[r].inputs.len();
-        for (o, mut req) in va_req.iter().copied().enumerate() {
-            if req == 0 || self.routers[r].outputs[o].vcs.is_empty() {
-                continue; // no requester, or a sink (no VA needed)
+        while requested != 0 {
+            let o = requested.trailing_zeros() as usize;
+            requested &= requested - 1;
+            let mut req = std::mem::take(&mut self.alloc.va_req[o]);
+            self.sched.va_bids += u64::from(req.count_ones());
+            if self.routers[r].outputs[o].vcs.is_empty() {
+                continue; // a sink (no VA needed)
             }
             // Dead links take no new wormholes (granted packets drain).
             if let OutputTarget::Channel { link, .. } = self.routers[r].outputs[o].target {
@@ -2293,24 +2309,23 @@ impl Network {
                 // classes behind it are still served.
                 req &= !(1u128 << i);
                 let class = self.routers[r].inputs[i]
-                    .route
+                    .route()
                     .expect("requester has route")
                     .class;
                 let down_vcs = self.routers[r].outputs[o].vcs.len();
                 let (lo, hi) = class.range(down_vcs);
                 let free = (lo..hi).find(|&dv| self.routers[r].outputs[o].vcs[dv].owner.is_none());
                 let Some(dv) = free else { continue };
-                let (p, v) = self.routers[r].port_vc(i);
                 {
                     let router = &mut self.routers[r];
-                    router.outputs[o].vcs[dv].owner = Some((p, v));
-                    router.inputs[i].out_vc = Some(VcId(dv));
+                    router.grant(i, o, dv);
                     router.outputs[o].va_arb.advance_past(i, flat);
                 }
                 if self.measuring {
                     self.stats.routers[r].va_grants += 1;
                 }
                 if self.tracer.is_some() {
+                    let (p, v) = self.routers[r].port_vc(i);
                     let packet = self.routers[r].inputs[i]
                         .fifo()
                         .front()
@@ -2328,18 +2343,18 @@ impl Network {
                 }
             }
         }
-        self.alloc.va_req = va_req;
         let _ = self.prof_lap(t, Stage::VcAlloc);
     }
 
     /// Two-phase switch allocation and traversal at router `r`.
     ///
-    /// Stage 1 inspects only VCs holding a flit (an empty VC is never
-    /// eligible), and stage 2 only outputs that got a stage-1 nomination
-    /// (an output without one never grants, and its secondary arbiter runs
-    /// only after a primary grant). Both walk set bits in ascending order,
-    /// the order of full port/VC and output loops, so arbitration is
-    /// unchanged.
+    /// Stage 1 inspects only the VCs that can send now, read off the
+    /// router's masks (`RouterState::sa_candidates`), and only the input
+    /// ports holding one. Stage 2 visits only outputs that got a stage-1
+    /// nomination (an output without one never grants, and its secondary
+    /// arbiter runs only after a primary grant). Both walk set bits in
+    /// ascending order, the order of full port/VC and output loops, so
+    /// arbitration is unchanged.
     fn switch_alloc(&mut self, r: usize) {
         let mut t = self.prof_start();
         let now = self.now;
@@ -2349,14 +2364,8 @@ impl Network {
         // Input and output ports pair up, so one count sizes both.
         let nports = router.outputs.len();
         let s = &mut self.alloc;
-        s.sa_out.clear();
-        s.sa_out.resize(router.inputs.len(), NO_OUT);
-        s.sa_reach.clear();
-        s.sa_reach.resize(nports, 0);
-        s.sa_nom.clear();
-        s.sa_nom.resize(nports, 0);
-        s.nominee.clear();
-        s.nominee.resize(nports, Nomination::default());
+        s.sa_reach[..nports].fill(0);
+        s.sa_nom[..nports].fill(0);
         // Outputs holding at least one stage-1 nominee.
         let mut nominated = 0u64;
 
@@ -2365,30 +2374,40 @@ impl Network {
         // only the credits of `o`'s downstream VCs, and each output commits
         // once, so no commit changes what the table says about any output
         // still to be visited: reading it later equals re-evaluating
-        // `sa_eligible` live.
+        // `sa_eligible` live. `sa_out` and `eligible` are written for the
+        // ports and VCs that can send and read only there.
         //
         // Stage 1: one nomination per input port (plus a possible pair or
         // a second VC for the same wide output).
-        let nonempty = router.nonempty();
-        for p in 0..nports {
-            let mut occupied = router.port_bits(nonempty, p);
-            if occupied == 0 {
-                continue;
-            }
+        let mut cand = router.sa_candidates(now);
+        debug_assert_eq!(
+            cand,
+            (0..router.inputs.len())
+                .filter(|&i| router.sa_eligible(i, now).is_some())
+                .fold(0u128, |m, i| m | 1 << i),
+            "r{r}: SA candidate mask differs from sa_eligible at cycle {now}"
+        );
+        self.sched.sa_vcs += u64::from(cand.count_ones());
+        while cand != 0 {
+            let p = cand.trailing_zeros() as usize / vcs_per_port;
             let row = p * vcs_per_port;
-            let mut eligible = 0u128;
-            while occupied != 0 {
-                let v = occupied.trailing_zeros() as usize;
-                occupied &= occupied - 1;
-                if let Some(out) = router.sa_eligible(row + v, now) {
-                    s.sa_out[row + v] = out.index() as u8;
-                    s.sa_reach[out.index()] |= 1 << p;
-                    eligible |= 1 << v;
-                }
+            let eligible = router.port_bits(cand, p);
+            cand &= !(eligible << row);
+            s.eligible[p] = eligible;
+            let mut bits = eligible;
+            while bits != 0 {
+                let v = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let out = router.inputs[row + v]
+                    .route()
+                    .expect("ready VC is routed")
+                    .port;
+                s.sa_out[row + v] = out.index() as u8;
+                s.sa_reach[out.index()] |= 1 << p;
             }
-            let Some(v) = router.sa_stage1[p].peek_mask(vcs_per_port, eligible) else {
-                continue;
-            };
+            let v = router.sa_stage1[p]
+                .peek_mask(vcs_per_port, eligible)
+                .expect("the port has a candidate");
             let out = usize::from(s.sa_out[row + v]);
             s.sa_nom[out] |= 1 << p;
             nominated |= 1 << out;
@@ -2397,7 +2416,7 @@ impl Network {
             // Another VC of the same input port heading to the same output
             // (the paper's case (a)/(c) combining).
             let alt = if wide && !pair {
-                (0..vcs_per_port).find(|&v2| v2 != v && usize::from(s.sa_out[row + v2]) == out)
+                first_to(&s.sa_out[row..], eligible & !(1 << v), out)
             } else {
                 None
             };
@@ -2453,8 +2472,7 @@ impl Network {
                             .grant_mask(nports, u128::from(others));
                         if let Some(p2) = w2 {
                             let row = p2 * vcs_per_port;
-                            let v2 = (0..vcs_per_port)
-                                .find(|&v| usize::from(s.sa_out[row + v]) == o)
+                            let v2 = first_to(&s.sa_out[row..], s.eligible[p2], o)
                                 .expect("port reaches this output");
                             if s.sa_nom[o] & (1 << p2) != 0 && s.nominee[p2].vc == v2 {
                                 // Its stage-1 nomination is being consumed here.
@@ -2496,18 +2514,8 @@ impl Network {
     /// write (or retirement) at `now + 2`; credit upstream at `now + 1`.
     fn commit_flit(&mut self, r: usize, p: PortId, v: VcId, o: PortId) {
         let i = self.routers[r].flat(p, v);
-        let flit = self.routers[r].pop(i).expect("winner has a flit");
-        let (out_vc, is_tail) = {
-            let vc = &mut self.routers[r].inputs[i];
-            let out_vc = vc.out_vc.expect("winner has a grant");
-            vc.sent_on_grant += 1;
-            vc.head_wait = 0;
-            let is_tail = flit.kind.is_tail();
-            if is_tail {
-                vc.release();
-            }
-            (out_vc, is_tail)
-        };
+        let (flit, out_vc) = self.routers[r].traverse(i, o.index());
+        self.sched.flits_committed += 1;
         if self.measuring {
             let ev = &mut self.stats.routers[r];
             ev.buffer_reads += 1;
@@ -2546,14 +2554,6 @@ impl Network {
                 dst,
                 dst_port,
             } => {
-                {
-                    let ovc = &mut self.routers[r].outputs[o.index()].vcs[out_vc.index()];
-                    debug_assert!(ovc.credits >= 1, "SA must check credits");
-                    ovc.credits -= 1;
-                    if is_tail {
-                        ovc.owner = None;
-                    }
-                }
                 if self.measuring {
                     self.stats.links[link.index()].flits += 1;
                 }
@@ -2584,6 +2584,19 @@ impl Network {
             }
         }
     }
+}
+
+/// The first VC among the set bits of `eligible` whose entry in a port's
+/// row of `AllocScratch::sa_out` is output `o`.
+fn first_to(row: &[u8], mut eligible: u128, o: usize) -> Option<usize> {
+    while eligible != 0 {
+        let v = eligible.trailing_zeros() as usize;
+        if usize::from(row[v]) == o {
+            return Some(v);
+        }
+        eligible &= eligible - 1;
+    }
+    None
 }
 
 impl std::fmt::Debug for Network {
@@ -2692,8 +2705,8 @@ mod tests {
             assert_eq!((r.nonempty(), r.head_front()), (0, 0));
             for vc in &r.inputs {
                 assert!(vc.fifo().is_empty());
-                assert!(vc.route.is_none());
-                assert!(vc.out_vc.is_none());
+                assert!(vc.route().is_none());
+                assert!(vc.out_vc().is_none());
             }
             // All output VCs released and credits restored.
             for out in &r.outputs {

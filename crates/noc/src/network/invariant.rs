@@ -118,6 +118,18 @@ pub enum InvariantViolation {
         /// The VC index.
         vc: VcId,
     },
+    /// A bit of a router's ready mask disagrees with whether the VC holds
+    /// a route and a downstream VC that can take a flit, or the VC's bit
+    /// of switch allocation's stage-1 candidate mask disagrees with
+    /// `RouterState::sa_eligible`.
+    ReadyMaskDrift {
+        /// The drifting router.
+        router: RouterId,
+        /// Input port of the VC.
+        port: PortId,
+        /// The VC index.
+        vc: VcId,
+    },
 }
 
 impl fmt::Display for InvariantViolation {
@@ -190,6 +202,11 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "{router}.{port}.{vc}: VC mask bits disagree with the FIFO"
             ),
+            InvariantViolation::ReadyMaskDrift { router, port, vc } => write!(
+                f,
+                "{router}.{port}.{vc}: ready or switch-allocation candidate bit \
+                 disagrees with the grant and credit state"
+            ),
         }
     }
 }
@@ -200,7 +217,9 @@ impl Network {
     /// Checks every engine invariant against the current cycle's state:
     /// buffer bounds, per-VC FIFO order, exact credit conservation on every
     /// router-to-router and node-to-router channel, per-router occupancy
-    /// counters and VC masks, and exact per-packet flit conservation.
+    /// counters, VC masks and ready masks (with switch allocation's
+    /// candidate mask against `sa_eligible`), and exact per-packet flit
+    /// conservation.
     ///
     /// Intended to run between [`Network::step`] calls (the
     /// `sim::StrictInvariants` observer does this every cycle); the cost is
@@ -271,6 +290,7 @@ impl Network {
         // Buffer bounds, FIFO order, occupancy counters and VC masks.
         for (r, router) in self.routers.iter().enumerate() {
             let depth = self.cfg.routers[r].buffer_depth;
+            let candidates = router.sa_candidates(self.now);
             let mut counted = 0u32;
             for (i, ivc) in router.inputs.iter().enumerate() {
                 let (port, vc) = router.port_vc(i);
@@ -292,6 +312,15 @@ impl Network {
                     || head_front != fifo.front().is_some_and(|f| f.kind.is_head())
                 {
                     return Err(InvariantViolation::VcMaskDrift {
+                        router: RouterId(r),
+                        port,
+                        vc,
+                    });
+                }
+                if (router.ready() & bit != 0) != router.can_send(i)
+                    || (candidates & bit != 0) != router.sa_eligible(i, self.now).is_some()
+                {
+                    return Err(InvariantViolation::ReadyMaskDrift {
                         router: RouterId(r),
                         port,
                         vc,
@@ -539,7 +568,12 @@ mod tests {
     fn occupancy_drift_is_detected() {
         let mut net = fresh();
         let rt = &mut net.routers[5];
-        rt.set_derived(rt.occupancy() + 1, rt.nonempty(), rt.head_front());
+        rt.set_derived(
+            rt.occupancy() + 1,
+            rt.nonempty(),
+            rt.head_front(),
+            rt.ready(),
+        );
         assert!(matches!(
             net.check_invariants(),
             Err(InvariantViolation::OccupancyDrift { .. })
@@ -552,7 +586,12 @@ mod tests {
         let mut net = fresh();
         let rt = &mut net.routers[5];
         let i = rt.flat(PortId(2), VcId(1));
-        rt.set_derived(rt.occupancy(), rt.nonempty() ^ (1 << i), rt.head_front());
+        rt.set_derived(
+            rt.occupancy(),
+            rt.nonempty() ^ (1 << i),
+            rt.head_front(),
+            rt.ready(),
+        );
         assert_eq!(
             net.check_invariants(),
             Err(InvariantViolation::VcMaskDrift {
@@ -571,7 +610,12 @@ mod tests {
             .expect("a 40-cycle loaded run leaves a head flit buffered");
         let rt = &mut net.routers[r];
         let i = rt.head_front().trailing_zeros() as usize;
-        rt.set_derived(rt.occupancy(), rt.nonempty(), rt.head_front() ^ (1 << i));
+        rt.set_derived(
+            rt.occupancy(),
+            rt.nonempty(),
+            rt.head_front() ^ (1 << i),
+            rt.ready(),
+        );
         let (port, vc) = net.routers[r].port_vc(i);
         assert_eq!(
             net.check_invariants(),
@@ -581,6 +625,37 @@ mod tests {
                 vc,
             })
         );
+    }
+
+    #[test]
+    fn ready_mask_drift_is_an_invariant_violation() {
+        let mut net = fresh();
+        load(&mut net, 40);
+        let r = net
+            .routers
+            .iter()
+            .position(|rt| rt.ready() != 0)
+            .expect("a 40-cycle loaded run leaves a granted VC with a credit");
+        let ready = net.routers[r].ready();
+        let drift = |net: &mut Network, mask: u128| {
+            let rt = &mut net.routers[r];
+            rt.set_derived(rt.occupancy(), rt.nonempty(), rt.head_front(), mask);
+            let i = (mask ^ ready).trailing_zeros() as usize;
+            let (port, vc) = net.routers[r].port_vc(i);
+            assert_eq!(
+                net.check_invariants(),
+                Err(InvariantViolation::ReadyMaskDrift {
+                    router: RouterId(r),
+                    port,
+                    vc,
+                })
+            );
+        };
+        // A granted VC that lost its ready bit would never be offered to
+        // switch allocation; an ungranted one with the bit would be
+        // offered without a downstream VC.
+        drift(&mut net, ready & (ready - 1));
+        drift(&mut net, ready | ((ready + 1) & !ready));
     }
 
     #[test]

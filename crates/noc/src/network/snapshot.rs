@@ -323,7 +323,7 @@ impl Network {
         }
         for (r, rc) in self.routers.iter_mut().zip(&self.cfg.routers) {
             // Flits go in through `push`, so the occupancy counter and the
-            // VC masks are derived from the decoded FIFOs, never read.
+            // FIFO masks are derived from the decoded FIFOs, never read.
             for i in 0..r.inputs.len() {
                 let fifo: Vec<Flit> = Codec::dec(d)?;
                 if fifo.len() > rc.buffer_depth {
@@ -347,6 +347,8 @@ impl Network {
             for a in &mut r.sa_stage1 {
                 *a = Codec::dec(d)?;
             }
+            // The ready mask follows from the decoded grants and credits.
+            r.derive_ready();
             // The stored counters only cross-check the FIFOs: a restore that
             // trusted a stale occupancy could leave a router asleep over
             // its flits.
@@ -556,14 +558,14 @@ impl Network {
                 push(
                     loc.clone(),
                     "route",
-                    format!("{:?}", va.route),
-                    format!("{:?}", vb.route),
+                    format!("{:?}", va.route()),
+                    format!("{:?}", vb.route()),
                 );
                 push(
                     loc.clone(),
                     "out_vc",
-                    format!("{:?}", va.out_vc),
-                    format!("{:?}", vb.out_vc),
+                    format!("{:?}", va.out_vc()),
+                    format!("{:?}", vb.out_vc()),
                 );
                 push(
                     loc.clone(),
@@ -755,7 +757,12 @@ mod tests {
             .iter_mut()
             .find(|rt| rt.occupancy() > 0)
             .expect("flits are buffered mid-flight");
-        rt.set_derived(rt.occupancy() + 1, rt.nonempty(), rt.head_front());
+        rt.set_derived(
+            rt.occupancy() + 1,
+            rt.nonempty(),
+            rt.head_front(),
+            rt.ready(),
+        );
         let err = restore_error(&net);
         assert!(
             matches!(err, CheckpointError::Malformed("router occupancy")),

@@ -32,10 +32,12 @@ pub struct InputVc {
     fifo: VecDeque<Flit>,
     /// Routing decision for the packet currently occupying the VC
     /// (`None` until route computation for the head at the FIFO front).
-    pub route: Option<RouteChoice>,
+    /// Edited, like `out_vc`, only through [`RouterState`] methods, which
+    /// keep the router's ready mask in step with the grant.
+    route: Option<RouteChoice>,
     /// Granted downstream VC (`None` until VC allocation succeeds).
     /// For ejection (local output) this is a dummy grant.
-    pub out_vc: Option<VcId>,
+    out_vc: Option<VcId>,
     /// True when the granted route is the X-Y escape route.
     pub in_escape_grant: bool,
     /// Flits already sent under the current grant (used to decide whether a
@@ -64,8 +66,18 @@ impl InputVc {
         &self.fifo
     }
 
+    /// Routing decision for the packet occupying the VC.
+    pub fn route(&self) -> Option<RouteChoice> {
+        self.route
+    }
+
+    /// Granted downstream VC (a dummy grant for ejection).
+    pub fn out_vc(&self) -> Option<VcId> {
+        self.out_vc
+    }
+
     /// Resets allocation state after the tail flit leaves.
-    pub fn release(&mut self) {
+    fn release(&mut self) {
         self.route = None;
         self.out_vc = None;
         self.in_escape_grant = false;
@@ -125,11 +137,19 @@ pub struct OutputPort {
 /// Complete per-router simulation state.
 ///
 /// Input VCs sit in one flat table indexed `port * vcs_per_port + vc`, the
-/// index VC allocation arbitrates over. Two `u128` masks over that index
-/// (bit `i` for `inputs[i]`) say which VCs hold a flit and which have a
-/// head flit at the front; together with `occupancy` they are derived from
-/// the FIFOs and kept in step by the FIFO methods (`push`, `pop`,
-/// `retain`), the only way to edit a FIFO.
+/// index VC allocation arbitrates over. Four `u128` masks over that index
+/// (bit `i` for `inputs[i]`) are derived state, never stored in a
+/// checkpoint:
+///
+/// * `nonempty`, `head_front` and `fresh` (with `occupancy`) follow the
+///   FIFOs and are kept in step by the FIFO methods (`push`, `pop`,
+///   `retain`), the only way to edit a FIFO;
+/// * `ready` follows each VC's grant and its downstream VC's credits and
+///   is kept in step by the grant and credit methods (`route_head`,
+///   `grant`, `grant_sink`, `divert`, `forget_route`,
+///   `release`, `traverse`, `return_credit`), the only way to edit a
+///   route, a grant or a credit.
+///
 /// [`crate::config::NetworkConfig::validate`] keeps the flat index below
 /// 128.
 #[derive(Clone, Debug)]
@@ -151,6 +171,16 @@ pub struct RouterState {
     nonempty: u128,
     /// Flat input VCs whose front flit is a head.
     head_front: u128,
+    /// Flat input VCs whose front flit was buffered at cycle `fresh_at`.
+    /// Read only when `fresh_at` is the current cycle: those fronts are
+    /// still in their stage-1 cycle and cannot cross the switch yet.
+    fresh: u128,
+    /// The cycle `fresh` describes: the latest `buffered` stamp pushed.
+    fresh_at: Cycle,
+    /// Flat input VCs that hold a route and a downstream VC that can take
+    /// a flit now: a sink, or a downstream VC with at least one credit.
+    /// Independent of the FIFO (a granted VC may be momentarily empty).
+    ready: u128,
 }
 
 impl RouterState {
@@ -167,6 +197,9 @@ impl RouterState {
             occupancy: 0,
             nonempty: 0,
             head_front: 0,
+            fresh: 0,
+            fresh_at: 0,
+            ready: 0,
         }
     }
 
@@ -191,6 +224,7 @@ impl RouterState {
     }
 
     /// Flat input VCs holding at least one flit.
+    #[cfg(any(test, feature = "verify"))]
     pub(crate) fn nonempty(&self) -> u128 {
         self.nonempty
     }
@@ -210,6 +244,13 @@ impl RouterState {
 
     /// Appends `flit` to input VC `i`.
     pub(crate) fn push(&mut self, i: usize, flit: Flit) {
+        // Buffer writes stamp the current cycle, so the first one of a
+        // cycle retires the previous cycle's fresh bits. (A restore pushes
+        // older stamps; the masks it leaves describe a past cycle.)
+        if flit.buffered > self.fresh_at {
+            self.fresh = 0;
+            self.fresh_at = flit.buffered;
+        }
         self.inputs[i].fifo.push_back(flit);
         self.occupancy += 1;
         if self.inputs[i].fifo.len() == 1 {
@@ -233,41 +274,203 @@ impl RouterState {
         self.sync(i);
     }
 
-    /// Re-derives both mask bits of input VC `i` from its FIFO front.
+    /// Re-derives the FIFO mask bits of input VC `i` from its front.
     fn sync(&mut self, i: usize) {
         let bit = 1u128 << i;
         let front = self.inputs[i].fifo.front();
-        if front.is_some() {
-            self.nonempty |= bit;
+        set_bit(&mut self.nonempty, bit, front.is_some());
+        set_bit(
+            &mut self.head_front,
+            bit,
+            front.is_some_and(|f| f.kind.is_head()),
+        );
+        set_bit(
+            &mut self.fresh,
+            bit,
+            front.is_some_and(|f| f.buffered == self.fresh_at),
+        );
+    }
+
+    /// Flat input VCs whose front flit is still in its stage-1 cycle at
+    /// `now` (buffered at `now`).
+    fn fresh(&self, now: Cycle) -> u128 {
+        if self.fresh_at == now {
+            self.fresh
         } else {
-            self.nonempty &= !bit;
+            0
         }
-        if front.is_some_and(|f| f.kind.is_head()) {
-            self.head_front |= bit;
-        } else {
-            self.head_front &= !bit;
+    }
+
+    /// Flat input VCs that hold a grant whose downstream VC can take a
+    /// flit now.
+    #[cfg(any(test, feature = "verify"))]
+    pub(crate) fn ready(&self) -> u128 {
+        self.ready
+    }
+
+    /// SA stage 1's candidates at `now`: VCs with a flit past its stage-1
+    /// cycle and a grant that can send it. Equals the VCs for which
+    /// [`RouterState::sa_eligible`] holds.
+    pub(crate) fn sa_candidates(&self, now: Cycle) -> u128 {
+        self.nonempty & self.ready & !self.fresh(now)
+    }
+
+    /// Whether input VC `i` holds a route and a downstream VC that can
+    /// take a flit now: the state its `ready` bit mirrors.
+    pub(crate) fn can_send(&self, i: usize) -> bool {
+        let vc = &self.inputs[i];
+        let (Some(route), Some(ovc)) = (vc.route, vc.out_vc) else {
+            return false;
+        };
+        let out = &self.outputs[route.port.index()];
+        match out.target {
+            OutputTarget::Sink { .. } => true,
+            OutputTarget::Channel { .. } => out.vcs[ovc.index()].credits >= 1,
+        }
+    }
+
+    /// Re-derives the ready bit of input VC `i` from its grant.
+    fn sync_ready(&mut self, i: usize) {
+        let can = self.can_send(i);
+        set_bit(&mut self.ready, 1u128 << i, can);
+    }
+
+    /// Re-derives the ready mask of every input VC: a restore writes the
+    /// grants and credits wholesale.
+    pub(crate) fn derive_ready(&mut self) {
+        for i in 0..self.inputs.len() {
+            self.sync_ready(i);
+        }
+    }
+
+    /// Records route computation's choice `route` for the head of input
+    /// VC `i`, owned by `packet`. No downstream VC is held yet.
+    pub(crate) fn route_head(&mut self, i: usize, route: RouteChoice, packet: PacketId) {
+        let vc = &mut self.inputs[i];
+        vc.route = Some(route);
+        vc.holder = Some(packet);
+    }
+
+    /// Routes the head of input VC `i`, owned by `packet`, to the local
+    /// sink `port` with the sink's dummy grant: ejection needs no
+    /// downstream VC, so the VC is ready at once.
+    pub(crate) fn grant_sink(&mut self, i: usize, port: PortId, packet: PacketId) {
+        let vc = &mut self.inputs[i];
+        vc.route = Some(RouteChoice {
+            port,
+            class: crate::routing::VcClass::Any,
+        });
+        vc.out_vc = Some(VcId(0));
+        vc.holder = Some(packet);
+        self.ready |= 1u128 << i;
+    }
+
+    /// VC allocation: input VC `i` wins downstream VC `dv` of output `o`.
+    pub(crate) fn grant(&mut self, i: usize, o: usize, dv: usize) {
+        self.outputs[o].vcs[dv].owner = Some(self.port_vc(i));
+        self.inputs[i].out_vc = Some(VcId(dv));
+        self.sync_ready(i);
+    }
+
+    /// Frees the downstream VC input VC `i` holds, if it holds one on a
+    /// channel (a sink's dummy grant owns nothing). Every method that
+    /// drops a grant calls it first.
+    fn free_out_vc(&mut self, i: usize) {
+        let vc = &self.inputs[i];
+        let (Some(route), Some(ovc)) = (vc.route, vc.out_vc) else {
+            return;
+        };
+        let me = self.port_vc(i);
+        let ovcs = &mut self.outputs[route.port.index()].vcs;
+        if !ovcs.is_empty() && ovcs[ovc.index()].owner == Some(me) {
+            ovcs[ovc.index()].owner = None;
+        }
+    }
+
+    /// Escape diversion: the head of input VC `i` gives up its unused
+    /// grant and re-requests on the escape route.
+    pub(crate) fn divert(&mut self, i: usize, escape: RouteChoice) {
+        self.free_out_vc(i);
+        let vc = &mut self.inputs[i];
+        vc.route = Some(escape);
+        vc.out_vc = None;
+        vc.in_escape_grant = true;
+        vc.head_wait = 0;
+        self.ready &= !(1u128 << i);
+    }
+
+    /// Sends the head of input VC `i` back to route computation: its
+    /// route and any grant are dropped, its packet stays the holder.
+    pub(crate) fn forget_route(&mut self, i: usize) {
+        self.free_out_vc(i);
+        let vc = &mut self.inputs[i];
+        vc.route = None;
+        vc.out_vc = None;
+        vc.in_escape_grant = false;
+        vc.head_wait = 0;
+        self.ready &= !(1u128 << i);
+    }
+
+    /// Resets the allocation state of input VC `i`, freeing its
+    /// downstream VC, after its packet left (tail sent or absorbed) or was
+    /// abandoned.
+    pub(crate) fn release(&mut self, i: usize) {
+        self.free_out_vc(i);
+        self.inputs[i].release();
+        self.ready &= !(1u128 << i);
+    }
+
+    /// Switch traversal of the front flit of input VC `i` to output `o`:
+    /// pops it, spends a credit of its downstream VC (none at a sink) and,
+    /// after a tail, releases `i` and that VC. Returns the flit and its
+    /// downstream VC.
+    pub(crate) fn traverse(&mut self, i: usize, o: usize) -> (Flit, VcId) {
+        let flit = self.pop(i).expect("winner has a flit");
+        let tail = flit.kind.is_tail();
+        let vc = &mut self.inputs[i];
+        let out_vc = vc.out_vc.expect("winner has a grant");
+        vc.sent_on_grant += 1;
+        vc.head_wait = 0;
+        if tail {
+            self.release(i);
+        }
+        let out = &mut self.outputs[o];
+        if let OutputTarget::Channel { .. } = out.target {
+            let ovc = &mut out.vcs[out_vc.index()];
+            debug_assert!(ovc.credits >= 1, "SA must check credits");
+            ovc.credits -= 1;
+            if ovc.credits == 0 {
+                self.ready &= !(1u128 << i);
+            }
+        }
+        (flit, out_vc)
+    }
+
+    /// A credit for downstream VC `dv` of output `o` came back; its owner
+    /// can send again if it had run out.
+    pub(crate) fn return_credit(&mut self, o: usize, dv: usize) {
+        let ovc = &mut self.outputs[o].vcs[dv];
+        ovc.credits += 1;
+        if ovc.credits == 1 {
+            if let Some((p, v)) = ovc.owner {
+                let i = self.flat(p, v);
+                self.sync_ready(i);
+            }
         }
     }
 
     /// Output port the front flit of input VC `i` can cross to at `now`:
     /// it finished its stage-1 cycle (buffered strictly before `now`),
     /// holds a route and a downstream VC, and that VC has a credit (a sink
-    /// always accepts).
+    /// always accepts). The reference that `sa_candidates` is checked
+    /// against.
     pub(crate) fn sa_eligible(&self, i: usize, now: Cycle) -> Option<PortId> {
-        let vc = &self.inputs[i];
-        let f = vc.fifo.front()?;
+        let f = self.inputs[i].fifo.front()?;
         if f.buffered >= now {
             return None; // still in stage 1
         }
-        let route = vc.route?;
-        let ovc = vc.out_vc?;
-        let out = &self.outputs[route.port.index()];
-        match out.target {
-            OutputTarget::Sink { .. } => Some(route.port),
-            OutputTarget::Channel { .. } => {
-                (out.vcs[ovc.index()].credits >= 1).then_some(route.port)
-            }
-        }
+        self.can_send(i)
+            .then(|| self.inputs[i].route.expect("a ready VC has a route").port)
     }
 
     /// Whether input VC `i` can supply a *second* flit at `now`
@@ -289,14 +492,32 @@ impl RouterState {
         }
     }
 
-    /// Overwrites the occupancy counter and both VC masks without touching
-    /// the FIFOs, so tests can plant the drift that the invariant checker
-    /// and checkpoint restore must catch.
+    /// Overwrites the occupancy counter and the non-empty, head-front and
+    /// ready masks without touching the FIFOs or grants, so tests can
+    /// plant the drift that the invariant checker and checkpoint restore
+    /// must catch.
     #[cfg(test)]
-    pub(crate) fn set_derived(&mut self, occupancy: u32, nonempty: u128, head_front: u128) {
+    pub(crate) fn set_derived(
+        &mut self,
+        occupancy: u32,
+        nonempty: u128,
+        head_front: u128,
+        ready: u128,
+    ) {
         self.occupancy = occupancy;
         self.nonempty = nonempty;
         self.head_front = head_front;
+        self.ready = ready;
+    }
+}
+
+/// Sets or clears `bit` of `mask`.
+#[inline]
+fn set_bit(mask: &mut u128, bit: u128, on: bool) {
+    if on {
+        *mask |= bit;
+    } else {
+        *mask &= !bit;
     }
 }
 
@@ -384,6 +605,53 @@ mod tests {
         r.inputs[0].out_vc = Some(VcId(0));
         assert_eq!(r.sa_eligible(0, 5), None);
         assert_eq!(r.sa_eligible(0, 6), Some(PortId(0)));
+    }
+
+    #[test]
+    fn ready_and_fresh_masks_follow_grants_credits_and_stage() {
+        let channel = OutputPort {
+            target: OutputTarget::Channel {
+                link: LinkId(0),
+                dst: RouterId(1),
+                dst_port: PortId(0),
+            },
+            vcs: vec![OutputVc {
+                owner: None,
+                credits: 1,
+            }],
+            ..router(1, 1).outputs[0].clone()
+        };
+        let mut r = RouterState::new(vec![channel], 2, 4);
+        let at = |kind, buffered| Flit {
+            buffered,
+            ..flit(kind)
+        };
+        r.push(0, at(FlitKind::Head, 5));
+        r.push(0, at(FlitKind::Tail, 5));
+        let route = RouteChoice {
+            port: PortId(0),
+            class: crate::routing::VcClass::Any,
+        };
+        r.route_head(0, route, PacketId(0));
+        assert_eq!(r.ready(), 0, "routed but not granted");
+        r.grant(0, 0, 0);
+        assert_eq!(r.outputs[0].vcs[0].owner, Some((PortId(0), VcId(0))));
+        assert_eq!(r.ready(), 1);
+        assert_eq!(r.sa_candidates(5), 0, "buffered this cycle: stage 1");
+        assert_eq!(r.sa_candidates(6), 1);
+        // The head spends the only credit; its return makes the VC ready.
+        let (f, dv) = r.traverse(0, 0);
+        assert_eq!((f.kind, dv, r.ready()), (FlitKind::Head, VcId(0), 0));
+        r.return_credit(0, 0);
+        assert_eq!(r.ready(), 1);
+        // The tail releases the VC and its downstream VC.
+        let (f, _) = r.traverse(0, 0);
+        assert_eq!((f.kind, r.ready()), (FlitKind::Tail, 0));
+        assert_eq!(r.outputs[0].vcs[0].owner, None);
+        assert!(r.inputs[0].route().is_none());
+        // A flit entering an empty VC is fresh in its own cycle only.
+        r.push(1, at(FlitKind::HeadTail, 7));
+        assert_eq!((r.fresh(7), r.fresh(8)), (0b10, 0));
     }
 
     #[test]

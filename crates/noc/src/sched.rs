@@ -13,9 +13,10 @@
 //! The *wake set* of a cycle is the set of live routers holding flits
 //! when its allocation phases start: the routers it visits. A router *wakes* when a flit enters it while
 //! it is empty, and [`WakeReason`] records how that flit came in.
-//! [`SchedReport`] counts the cycles, visits and wakes. Its counters are
-//! observability-only: they are not simulation state, never go into a
-//! checkpoint, and never feed back into the run.
+//! [`SchedReport`] counts the cycles, visits and wakes, and the work done
+//! inside the visits (VCs inspected, bids, flits, wheel events). Its
+//! counters are observability-only: they are not simulation state, never
+//! go into a checkpoint, and never feed back into the run.
 
 /// How a flit entered an empty router.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,12 +57,17 @@ pub(crate) fn bucket_lo(i: usize) -> usize {
 }
 
 /// Scheduler statistics: how much work the router walk actually did
-/// versus what polling every router every cycle would have done.
+/// versus what polling every router every cycle would have done, and how
+/// much work the allocation phases did per flit.
 ///
 /// Returned by [`crate::network::Network::sched_report`] and embedded in
 /// [`crate::profile::ProfileReport::sched`]; `heteronoc run --profile`
-/// renders it. All counters are observability-only — they are not part of
-/// the simulation state, never serialized, and never hashed.
+/// renders it. All counters are observability-only: they are not part of
+/// the simulation state and never go into a checkpoint. They are
+/// deterministic per run, though, and published: the sweep JSON carries
+/// the eight cycle, visit and wake fields (and so the benchmark's
+/// `ur_sweep` digest hashes them), and `heteronoc bench` records the work
+/// counters per flit committed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedReport {
     /// Total cycles the engine advanced (full + idle + jumped).
@@ -83,6 +89,18 @@ pub struct SchedReport {
     /// (`0, 1, 2–3, 4–7, …, ≥64`). Idle and jumped cycles count in
     /// bucket 0.
     pub wake_hist: [u64; WAKE_BUCKETS],
+    /// Input VCs switch-allocation stage 1 inspected: at each visit, those
+    /// whose front flit can cross the switch.
+    pub sa_vcs: u64,
+    /// Head-front input VCs route computation / VC allocation walked.
+    pub rcva_heads: u64,
+    /// VC-allocation bids: ungranted, routed heads requesting an output.
+    pub va_bids: u64,
+    /// Flits that crossed a switch.
+    pub flits_committed: u64,
+    /// Events pushed into the timing wheel (flit arrivals, credits,
+    /// retirements and, with a fault layer, link-level traffic).
+    pub wheel_events: u64,
 }
 
 impl SchedReport {
@@ -101,6 +119,15 @@ impl SchedReport {
         }
     }
 
+    /// `count` per flit committed (0 when no flit was committed).
+    pub fn per_flit(&self, count: u64) -> f64 {
+        if self.flits_committed == 0 {
+            0.0
+        } else {
+            count as f64 / self.flits_committed as f64
+        }
+    }
+
     /// Merges another report into this one (for summing across runs).
     pub fn merge(&mut self, other: &SchedReport) {
         self.cycles += other.cycles;
@@ -115,6 +142,11 @@ impl SchedReport {
         for (a, b) in self.wake_hist.iter_mut().zip(&other.wake_hist) {
             *a += b;
         }
+        self.sa_vcs += other.sa_vcs;
+        self.rcva_heads += other.rcva_heads;
+        self.va_bids += other.va_bids;
+        self.flits_committed += other.flits_committed;
+        self.wheel_events += other.wheel_events;
     }
 
     /// Accounts one wake: a flit entered an empty router for `reason`.
@@ -174,6 +206,17 @@ impl std::fmt::Display for SchedReport {
             100.0 * self.router_visits_skipped as f64 / polled.max(1) as f64,
             self.mean_wake_set()
         )?;
+        writeln!(
+            f,
+            "  work per flit committed: {:.3} SA VCs, {:.3} RC/VA heads, {:.3} VA bids, \
+             {:.3} wheel events, {:.3} router visits ({} flits)",
+            self.per_flit(self.sa_vcs),
+            self.per_flit(self.rcva_heads),
+            self.per_flit(self.va_bids),
+            self.per_flit(self.wheel_events),
+            self.per_flit(self.router_visits),
+            self.flits_committed
+        )?;
         write!(f, "  wake-set size histogram:")?;
         for (i, &count) in self.wake_hist.iter().enumerate() {
             if count == 0 {
@@ -229,16 +272,36 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("scheduler"), "{text}");
         assert!(text.contains("wake-set size histogram"), "{text}");
+        assert!(text.contains("work per flit committed"), "{text}");
     }
 
     #[test]
     fn merge_sums_every_counter() {
-        let mut s = SchedReport::default();
+        let mut s = SchedReport {
+            sa_vcs: 5,
+            rcva_heads: 4,
+            va_bids: 3,
+            flits_committed: 2,
+            wheel_events: 1,
+            ..SchedReport::default()
+        };
         s.note_full_cycle(3, 8);
         let mut a = s;
         a.merge(&s);
         assert_eq!(a.cycles, 2);
         assert_eq!(a.router_visits, 6);
         assert!((a.mean_wake_set() - 3.0).abs() < 1e-12);
+        assert_eq!(
+            (
+                a.sa_vcs,
+                a.rcva_heads,
+                a.va_bids,
+                a.flits_committed,
+                a.wheel_events
+            ),
+            (10, 8, 6, 4, 2)
+        );
+        assert!((a.per_flit(a.sa_vcs) - 2.5).abs() < 1e-12);
+        assert_eq!(SchedReport::default().per_flit(7), 0.0);
     }
 }

@@ -47,6 +47,11 @@ impl Instrument for SchedReport {
         for (i, &c) in self.wake_hist.iter().enumerate() {
             reg.counter_add(&format!("{prefix}.wake_hist.b{i}"), c);
         }
+        reg.counter_add(&format!("{prefix}.sa_vcs"), self.sa_vcs);
+        reg.counter_add(&format!("{prefix}.rcva_heads"), self.rcva_heads);
+        reg.counter_add(&format!("{prefix}.va_bids"), self.va_bids);
+        reg.counter_add(&format!("{prefix}.flits_committed"), self.flits_committed);
+        reg.counter_add(&format!("{prefix}.wheel_events"), self.wheel_events);
     }
 }
 
@@ -164,6 +169,8 @@ mod tests {
             idle_cycles: 30,
             jumped_cycles: 10,
             wakes: [5, 2, 1],
+            sa_vcs: 7,
+            wheel_events: 9,
             ..SchedReport::default()
         };
         rep.wake_hist[0] = 40;
@@ -172,6 +179,8 @@ mod tests {
         assert_eq!(reg.counter("sched.cycles"), 100);
         assert_eq!(reg.counter("sched.wakes.flit_arrive"), 5);
         assert_eq!(reg.counter("sched.wake_hist.b0"), 40);
+        assert_eq!(reg.counter("sched.sa_vcs"), 7);
+        assert_eq!(reg.counter("sched.wheel_events"), 9);
         // Additivity: a second export doubles everything.
         rep.export(&mut reg, "sched");
         assert_eq!(reg.counter("sched.cycles"), 200);

@@ -5,7 +5,9 @@
 //! [`SchedReport`] is observability-only, but its counters are part of the
 //! sweep JSON and of the benchmark's result digests, so every field is
 //! pinned here: cycle split (full, idle, jumped), router visits and skips,
-//! wakes per reason and the wake-set size histogram.
+//! wakes per reason and the wake-set size histogram, and the allocation
+//! work (SA stage-1 VCs, RC/VA heads, VA bids, flits committed, wheel
+//! events) that `heteronoc bench` records per flit.
 
 use heteronoc_noc::config::NetworkConfig;
 use heteronoc_noc::fault::FaultPlan;
@@ -47,6 +49,11 @@ fn baseline_run_report_is_pinned() {
             router_visits_skipped: 42_314,
             wakes: [9_192, 0, 0],
             wake_hist: [1, 1, 2, 2, 3, 60, 1_756, 0],
+            sa_vcs: 95_231,
+            rcva_heads: 29_112,
+            va_bids: 12_336,
+            flits_committed: 86_347,
+            wheel_events: 186_364,
         }
     );
     assert_eq!(out.sched.cycles, out.cycles);
@@ -81,6 +88,11 @@ fn near_idle_run_report_is_pinned() {
             router_visits_skipped: 385_396,
             wakes: [1_333, 0, 0],
             wake_hist: [2_807, 599, 1_963, 741, 57, 0, 0, 0],
+            sa_vcs: 8_036,
+            rcva_heads: 2_680,
+            va_bids: 1_130,
+            flits_committed: 8_028,
+            wheel_events: 17_333,
         }
     );
 }
@@ -110,6 +122,11 @@ fn quiet_run_report_is_pinned() {
             router_visits_skipped: 6_400_000,
             wakes: [0, 0, 0],
             wake_hist: [100_000, 0, 0, 0, 0, 0, 0, 0],
+            sa_vcs: 0,
+            rcva_heads: 0,
+            va_bids: 0,
+            flits_committed: 0,
+            wheel_events: 0,
         }
     );
 }
@@ -137,6 +154,11 @@ fn transient_fault_run_report_is_pinned() {
             router_visits_skipped: 19_447,
             wakes: [406, 3_075, 0],
             wake_hist: [1, 1, 2, 2, 3, 13, 2_083, 4],
+            sa_vcs: 129_512,
+            rcva_heads: 89_787,
+            va_bids: 53_629,
+            flits_committed: 93_542,
+            wheel_events: 310_268,
         }
     );
 }
@@ -165,6 +187,11 @@ fn resumed_run_report_is_pinned() {
             router_visits_skipped: 20_905,
             wakes: [4_788, 0, 37],
             wake_hist: [0, 0, 0, 0, 0, 22, 903, 0],
+            sa_vcs: 48_550,
+            rcva_heads: 14_905,
+            va_bids: 6_321,
+            flits_committed: 44_287,
+            wheel_events: 95_407,
         }
     );
 }
