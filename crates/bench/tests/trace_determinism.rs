@@ -168,3 +168,101 @@ fn progress_streaming_never_perturbs_traces_stats_or_checkpoints() {
     assert!(final_cycle > 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The CLI's `sweep` parameters for `--packets 400`.
+fn cli_params(rate: f64, seed: u64) -> SimParams {
+    SimParams {
+        injection_rate: Rate::new(rate),
+        warmup_packets: 100,
+        measure_packets: 400,
+        max_cycles: 5_000_000,
+        seed,
+        process: InjectionProcess::Bernoulli,
+        watchdog: Some(100_000),
+    }
+}
+
+/// Pins every number an epoch series and a measured window are built
+/// from: per-router occupancy and busy-VC integrals, per-link flits,
+/// injections, ejections and latency percentiles per epoch, and the
+/// window's power (router and link event counts), latency and
+/// throughput. The grid is what
+///
+/// ```text
+/// heteronoc sweep --layouts baseline,diagonal-bl --rates 0.02,0.09 \
+///   --packets 400 --epochs 100 --no-cache --name epoch_pin
+/// ```
+///
+/// runs (a low and a saturating rate), and `heteronoc report --name
+/// epoch_pin` must print `tests/fixtures/epoch_pin_report.txt`. The
+/// faulted run kills a router mid-run, so flits frozen in its buffers
+/// count in the occupancy integrals until the end.
+#[test]
+fn epoch_sweep_and_faulted_run_are_pinned() {
+    use heteronoc::noc::checkpoint::fnv1a64;
+    use heteronoc::noc::fault::{FaultKind, FaultPlan, HardFault};
+    use heteronoc::noc::types::RouterId;
+    use heteronoc_bench::json::Json;
+    use heteronoc_bench::report::render_results;
+
+    let opts = SweepOptions {
+        jobs: 2,
+        use_cache: false,
+        ..SweepOptions::default()
+    };
+    let configs: Vec<_> = [Layout::Baseline, Layout::DiagonalBL]
+        .iter()
+        .map(|l| (l.name().to_owned(), mesh_config(l)))
+        .collect();
+    let grid = Sweep::grid(
+        "epoch_pin",
+        &configs,
+        &[TrafficSpec::Uniform],
+        &[42],
+        &[0.02, 0.09],
+        cli_params,
+    )
+    .with_epochs(100);
+    let out = run_sweep(&grid, &opts).expect("sweep runs");
+    assert!(out.points.iter().all(|p| p.error.is_none()));
+    let report = render_results(&out.to_json(), 24).expect("epochs render");
+    assert_eq!(report, include_str!("fixtures/epoch_pin_report.txt"));
+    assert_eq!(
+        fnv1a64(out.points_json().pretty().as_bytes()),
+        0xc9f1_5acb_5dfd_4a3d,
+        "epoch sweep points moved"
+    );
+
+    let mut plan = FaultPlan::default();
+    plan.hard.push(HardFault {
+        cycle: 300,
+        kind: FaultKind::Router(RouterId(27)),
+    });
+    let mut faulted = Sweep::new("epoch_pin_faulted");
+    faulted.push(PointSpec {
+        label: "baseline|ur|kill-r27@300".to_owned(),
+        config: mesh_config(&Layout::Baseline),
+        kind: PointKind::OpenLoop {
+            params: cli_params(0.03, 7),
+            traffic: TrafficSpec::Uniform,
+            faults: Some(plan),
+            epochs: Some(100),
+        },
+    });
+    let out = run_sweep(&faulted, &opts).expect("sweep runs");
+    let p = &out.points[0];
+    assert!(p.error.is_none(), "{:?}", p.error);
+    let epochs = p.epochs.as_ref().and_then(Json::as_arr).expect("epochs");
+    let occ = (epochs.last().and_then(|e| e.get("buffer_occ")))
+        .and_then(Json::as_arr)
+        .expect("per-router occupancy");
+    assert!(
+        occ[27].as_f64().is_some_and(|x| x > 0.0),
+        "the dead router holds frozen flits"
+    );
+    assert_eq!(
+        fnv1a64(out.points_json().pretty().as_bytes()),
+        0x0144_2b9e_1842_33d7,
+        "faulted run moved"
+    );
+}
