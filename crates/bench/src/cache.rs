@@ -23,7 +23,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use heteronoc_noc::checkpoint::Checkpoint;
+use heteronoc_noc::checkpoint::{Checkpoint, CheckpointError};
 
 use crate::json::{self, Json};
 
@@ -253,8 +253,14 @@ pub enum CkptVerdict {
     /// Named by an older-schema or malformed key: it can never be matched
     /// by a resume lookup (`--gc` deletes these).
     StaleName,
-    /// Fails to load: truncated, bad magic/version, or a CRC mismatch
-    /// (`--gc` quarantines these as `.corrupt`).
+    /// Written under another checkpoint schema: no build of this schema
+    /// can resume it, and a sweep overwrites it (`--gc` deletes these).
+    StaleSchema {
+        /// The schema version in its header.
+        found: u32,
+    },
+    /// Fails to load: truncated, bad magic, or a CRC mismatch (`--gc`
+    /// quarantines these as `.corrupt`).
     Corrupt(String),
 }
 
@@ -329,6 +335,7 @@ pub fn verify_checkpoints(dir: &Path) -> std::io::Result<Vec<CkptReport>> {
             match Checkpoint::load(&path) {
                 Ok(c) if completed.contains(&stem) => CkptVerdict::Orphaned { cycle: c.cycle },
                 Ok(c) => CkptVerdict::Resumable { cycle: c.cycle },
+                Err(CheckpointError::BadVersion { found }) => CkptVerdict::StaleSchema { found },
                 Err(e) => CkptVerdict::Corrupt(e.to_string()),
             }
         };
@@ -373,8 +380,9 @@ pub enum GcAction {
 /// Garbage-collects the cache directory: files with undecodable lines are
 /// quarantined (renamed to `.corrupt`); files with only stale-schema or
 /// bad-shape lines are rewritten keeping the valid ones. `.ckpt` files are
-/// swept too: corrupt ones are quarantined, stale-named and orphaned ones
-/// (their point already completed) deleted, resumable ones kept.
+/// swept too: corrupt ones are quarantined; stale-named, stale-schema and
+/// orphaned ones (their point already completed) deleted; resumable ones
+/// kept.
 ///
 /// # Errors
 /// Propagates I/O failures.
@@ -434,6 +442,13 @@ pub fn gc_dir(dir: &Path) -> std::io::Result<Vec<GcAction>> {
                 actions.push(GcAction::RemovedCheckpoint {
                     path: report.path,
                     reason: "stale or malformed content key".to_owned(),
+                });
+            }
+            CkptVerdict::StaleSchema { found } => {
+                fs::remove_file(&report.path)?;
+                actions.push(GcAction::RemovedCheckpoint {
+                    path: report.path,
+                    reason: format!("checkpoint schema v{found}"),
                 });
             }
             CkptVerdict::Corrupt(_) => {
@@ -608,6 +623,47 @@ mod tests {
                 torn.file_name().unwrap().to_string_lossy()
             ))
             .exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_of_another_schema_is_stale_and_gc_deletes_it() {
+        use heteronoc_noc::checkpoint::SCHEMA_VERSION as CKPT_SCHEMA;
+
+        let dir =
+            std::env::temp_dir().join(format!("heteronoc-cache-ckpt-v-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let ckpt = Checkpoint {
+            config_hash: 1,
+            params_hash: 2,
+            cycle: 777,
+            body: vec![1, 2, 3],
+        };
+        // A well-formed file whose header carries the previous schema.
+        let mut bytes = ckpt.to_bytes();
+        bytes[8..12].copy_from_slice(&(CKPT_SCHEMA - 1).to_le_bytes());
+        let old = dir.join(format!("{}.ckpt", content_key("older build")));
+        fs::write(&old, bytes).unwrap();
+
+        let reports = verify_checkpoints(&dir).unwrap();
+        assert_eq!(
+            reports[0].verdict,
+            CkptVerdict::StaleSchema {
+                found: CKPT_SCHEMA - 1
+            }
+        );
+        let actions = gc_dir(&dir).unwrap();
+        assert!(
+            matches!(&actions[..], [GcAction::RemovedCheckpoint { reason, .. }] if reason.contains("schema")),
+            "{actions:?}"
+        );
+        assert!(!old.exists());
+        let quarantined = old.with_file_name(format!(
+            "{}.corrupt",
+            old.file_name().unwrap().to_string_lossy()
+        ));
+        assert!(!quarantined.exists(), "a stale checkpoint is not corrupt");
         let _ = fs::remove_dir_all(&dir);
     }
 

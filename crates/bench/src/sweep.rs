@@ -146,7 +146,7 @@ pub enum PointKind {
         traffic: TrafficSpec,
         /// Optional fault-injection plan (transient BER and/or hard kills).
         faults: Option<FaultPlan>,
-        /// Epoch length for the time-series recorder (`None` = off). When
+        /// Epoch length of the time-series (`None` = off). When
         /// set, the point's [`PointMetrics::epochs`] carries one sample per
         /// epoch into `results/<name>.json`.
         epochs: Option<Cycle>,
@@ -670,7 +670,7 @@ impl Sweep {
         sweep
     }
 
-    /// Turns on the epoch recorder (interval `every`) for every open-loop
+    /// Turns on the epoch series (interval `every`) for every open-loop
     /// point. Changes the content of each point's result, so it is part of
     /// the cache key: a sweep with epochs does not collide with one without.
     #[must_use]
@@ -820,18 +820,15 @@ impl SweepOutcome {
         Json::Arr(self.points.iter().map(PointMetrics::to_json).collect())
     }
 
-    /// The full machine-readable schema.
+    /// The results file: the schema, the sweep's name and its points.
+    /// Run facts (workers, cache hits, wall time) differ from run to run,
+    /// so they go to stderr through [`SweepOutcome::summary`] instead and
+    /// a regenerated file differs only where a result does.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("schema_version", Json::Int(i64::from(SCHEMA_VERSION))),
             ("name", Json::Str(self.name.clone())),
-            ("jobs", int(self.jobs as u64)),
             ("num_points", int(self.points.len() as u64)),
-            ("cache_hits", int(self.cache_hits as u64)),
-            ("simulated", int(self.simulated as u64)),
-            ("interrupted", int(self.interrupted as u64)),
-            ("cache_hit_rate", Json::Num(self.cache_hit_rate())),
-            ("wall_secs", Json::Num(self.wall_secs)),
             ("points", self.points_json()),
         ])
     }

@@ -18,7 +18,8 @@
 //! * **Engine work** — at the same three rates, the allocation work per
 //!   flit committed (`work.r<rate>.*`: SA stage-1 VCs, RC/VA heads, VA
 //!   bids, wheel events), read off the run's [`SchedReport`]. These are
-//!   exact counts, so they repeat on any host;
+//!   exact counts, so they repeat on any host and gate exactly
+//!   ([`Better::Exact`]): any increase is a regression;
 //! * **Checkpoint round-trip** — capture, serialize to disk, reload and
 //!   resume a mid-run checkpoint;
 //! * **Sweep cache hit path** — re-running an already-cached sweep must
@@ -43,7 +44,8 @@ use crate::sweep::{run_sweep, PointKind, PointSpec, Sweep, SweepOptions, Traffic
 /// Version of the `BENCH_*.json` record layout. Bump on any change to the
 /// schema or when an existing entry is renamed or re-scaled (that makes
 /// cross-version comparisons meaningless); new entries need no bump, since
-/// [`compare`] reports one-sided entries without failing.
+/// [`compare`] reports one-sided entries without failing, and neither does
+/// a new gate direction, which an older reader rejects by entry name.
 pub const BENCH_SCHEMA: u32 = 2;
 
 /// Default relative regression threshold for [`compare`]: 15%.
@@ -58,6 +60,10 @@ pub enum Better {
     /// Bigger is better (speedup ratios). Regresses when the new value
     /// falls short of the old by more than the threshold.
     Higher,
+    /// Smaller is better, and the value is an exact count that repeats on
+    /// any host (work per flit): any increase regresses, whatever the
+    /// threshold.
+    Exact,
     /// Context only (scales, counts): recorded, rendered, never gated.
     Info,
 }
@@ -67,6 +73,7 @@ impl Better {
         match self {
             Better::Lower => "lower",
             Better::Higher => "higher",
+            Better::Exact => "exact",
             Better::Info => "info",
         }
     }
@@ -75,6 +82,7 @@ impl Better {
         match s {
             "lower" => Some(Better::Lower),
             "higher" => Some(Better::Higher),
+            "exact" => Some(Better::Exact),
             "info" => Some(Better::Info),
             _ => None,
         }
@@ -323,7 +331,7 @@ pub fn run_suite(quick: bool) -> BenchRecord {
                 &format!("work.r{rate}.{name}"),
                 sched.per_flit(count),
                 "/flit",
-                Better::Lower,
+                Better::Exact,
             ));
         }
     }
@@ -495,7 +503,8 @@ impl CompareReport {
 
 /// Compares two bench records at `threshold` (relative). `Lower` entries
 /// regress when `new > old * (1 + threshold)`, `Higher` entries when
-/// `new < old * (1 - threshold)`; [`Better::Info`] entries never gate.
+/// `new < old * (1 - threshold)`, `Exact` entries when `new > old`;
+/// [`Better::Info`] entries never gate. The new record's direction rules.
 ///
 /// # Errors
 /// A message when the records mix quick and full suites (their scales
@@ -527,6 +536,7 @@ pub fn compare(
         let regressed = match e.better {
             Better::Lower => e.value > o.value * (1.0 + threshold),
             Better::Higher => e.value < o.value * (1.0 - threshold),
+            Better::Exact => e.value > o.value,
             Better::Info => false,
         };
         rows.push(CompareRow {
@@ -686,6 +696,28 @@ mod tests {
     }
 
     #[test]
+    fn exact_work_counts_regress_on_any_increase() {
+        let old = rec(vec![
+            ("work.r0.03.sa_vcs", 1.25, Better::Exact),
+            ("work.r0.03.va_bids", 0.5, Better::Exact),
+        ]);
+        // A doctored record with 1% more stage-1 work per flit.
+        let mut more = old.clone();
+        more.entries[0].value *= 1.01;
+        for threshold in [DEFAULT_THRESHOLD, 1.0] {
+            let report = compare(&old, &more, threshold).unwrap();
+            assert_eq!(report.regressions().len(), 1, "{}", render_compare(&report));
+            assert_eq!(report.regressions()[0].name, "work.r0.03.sa_vcs");
+        }
+        // Less work, or the same, never gates; the direction survives JSON.
+        let mut less = old.clone();
+        less.entries[1].value *= 0.5;
+        assert!(compare(&old, &less, 0.0).unwrap().passed());
+        let back = BenchRecord::from_json(&old.to_json()).unwrap();
+        assert_eq!(back.entries[0].better, Better::Exact);
+    }
+
+    #[test]
     fn missing_entries_are_reported_but_do_not_fail() {
         let old = rec(vec![("gone.secs", 1.0, Better::Lower)]);
         let new = rec(vec![("fresh.secs", 1.0, Better::Lower)]);
@@ -729,7 +761,7 @@ mod tests {
                 let e = record
                     .get(&format!("work.r{rate}.{name}"))
                     .unwrap_or_else(|| panic!("missing work.r{rate}.{name}"));
-                assert_eq!(e.better, Better::Lower);
+                assert_eq!(e.better, Better::Exact);
                 e.value
             };
             assert!(get("sa_vcs") > 0.0 && get("rcva_heads") > 0.0 && get("va_bids") > 0.0);

@@ -191,7 +191,8 @@ COMMANDS
                --out-dir <dir>      record directory (default results/bench)
                --compare <a> <b>    instead: diff two records; exit non-zero
                                     when a gated entry regresses
-               --threshold <t>      relative regression gate (default 0.15)
+               --threshold <t>      relative regression gate (default 0.15);
+                                    exact work counts fail on any increase
                --warn-only          report regressions without failing
 
 LAYOUTS  baseline, center-b, row25-b, diagonal-b, center-bl, row25-bl, diagonal-bl
@@ -1507,6 +1508,10 @@ fn cmd_cache(a: &Args) -> Result<(), String> {
             }
             CkptVerdict::StaleName => {
                 println!("ckpt {name:<40} stale or malformed content key");
+                dirty = true;
+            }
+            CkptVerdict::StaleSchema { found } => {
+                println!("ckpt {name:<40} stale: written under checkpoint schema v{found}");
                 dirty = true;
             }
             CkptVerdict::Corrupt(e) => {

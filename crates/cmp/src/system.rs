@@ -484,7 +484,7 @@ impl CmpSystem {
         until: Cycle,
         shutdown: Option<Arc<AtomicBool>>,
     ) -> Result<Cycle, SimError> {
-        self.net.set_measuring(true);
+        self.net.start_measuring();
         let mut hooks = Hooks::new(Some(WATCHDOG_CYCLES));
         hooks.until = until;
         hooks.shutdown = shutdown;

@@ -55,8 +55,10 @@ pub const MAGIC: [u8; 8] = *b"HNCKPT01";
 
 /// Bump when the body layout changes; old files then fail with
 /// [`CheckpointError::BadVersion`] instead of decoding garbage. v2 stores
-/// each latency histogram as its bucket prefix plus its sum.
-pub const SCHEMA_VERSION: u32 = 2;
+/// each latency histogram as its bucket prefix plus its sum; v3 stores the
+/// statistics as counters kept from cycle 0 plus the measured window's
+/// baseline, and the epoch series in the run state instead of the network.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Fixed header size in bytes (see the module-level format table).
 pub const HEADER_LEN: usize = 48;

@@ -79,7 +79,7 @@ pub use fault::{
     DropReason, DroppedPacket, FaultCounters, FaultKind, FaultPlan, HardFault, RetryPolicy,
     UnrecoverableFault,
 };
-pub use metrics::{EpochRecorder, EpochSample};
+pub use metrics::EpochSample;
 pub use network::snapshot::Divergence;
 pub use network::{BlockedChannel, Delivered, Diagnostics, Network, StallReport, StuckPacket};
 pub use packet::{Flit, Packet, PacketClass};

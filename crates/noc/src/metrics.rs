@@ -1,13 +1,10 @@
 //! Epoch time-series metrics.
 //!
-//! The cumulative [`crate::stats::NetStats`] counters only advance inside
-//! the measurement window and collapse a whole run into end-of-run
-//! aggregates. The paper's argument, however, is about *where and when*
-//! contention lives (center-vs-edge utilization, Figs. 1–2), so the
-//! [`EpochRecorder`] — installed via
-//! [`crate::network::Network::enable_epochs`] or
-//! [`crate::sim::SimRun::epochs`] — samples the live network every N cycles
-//! from cycle 0, warmup included:
+//! The measured window collapses a whole run into end-of-run aggregates.
+//! The paper's argument, however, is about *where and when* contention
+//! lives (center-vs-edge utilization, Figs. 1–2), so an open-loop run can
+//! also sample the network every N cycles from cycle 0, warm-up included
+//! ([`crate::sim::SimRun::epochs`]):
 //!
 //! * per-router mean buffer occupancy and VC-busy fraction over the epoch,
 //! * per-link utilization (flits launched / lane-cycles),
@@ -15,12 +12,13 @@
 //! * latency percentiles (p50/p95/p99 of total/queuing/blocking/transfer)
 //!   over the packets *retired* in the epoch.
 //!
-//! Like tracing and fault injection the recorder sits behind an `Option` on
-//! the network: when absent the per-cycle cost is one `is_some()` branch.
+//! An epoch is the difference of two snapshots of the counters the engine
+//! keeps from cycle 0 ([`crate::stats`]), taken at its boundaries by the
+//! workload's [`EpochSeries`]; the engine itself does no sampling work.
 
 use serde::{Deserialize, Serialize};
 
-use crate::stats::{LatencyDist, LatencyPctls, PacketRecord};
+use crate::stats::{Counters, LatencyPctls, NetStats};
 use crate::types::Cycle;
 
 /// One closed epoch's worth of samples.
@@ -48,6 +46,40 @@ pub struct EpochSample {
 }
 
 impl EpochSample {
+    /// The epoch between two readings of the from-cycle-0 counters: `from`
+    /// at its first cycle, `to` one past its last. Router `r` has
+    /// `slots[r]` buffer slots and `vcs[r]` input VCs; link `l` has
+    /// `lanes[l]` lanes.
+    pub(crate) fn between(
+        from: &Counters,
+        to: &Counters,
+        slots: &[u32],
+        vcs: &[u32],
+        lanes: &[usize],
+    ) -> EpochSample {
+        let cycles = to.cycles - from.cycles;
+        let per_cycle = |sum: u64, size: u64| ratio(sum, size * cycles);
+        let buffer_occ = (0..slots.len())
+            .map(|r| per_cycle(to.buffer_occ[r] - from.buffer_occ[r], u64::from(slots[r])))
+            .collect();
+        let vc_busy = (0..vcs.len())
+            .map(|r| per_cycle(to.vc_busy[r] - from.vc_busy[r], u64::from(vcs[r])))
+            .collect();
+        let link_util = (0..lanes.len())
+            .map(|l| per_cycle(to.links[l].flits() - from.links[l].flits(), lanes[l] as u64))
+            .collect();
+        EpochSample {
+            start: from.cycles,
+            end: to.cycles,
+            injected: to.heads_injected - from.heads_injected,
+            ejected: to.retired.count() - from.retired.count(),
+            buffer_occ,
+            vc_busy,
+            link_util,
+            latency: to.retired.since(&from.retired).percentiles(),
+        }
+    }
+
     /// Cycles covered by the epoch.
     pub fn cycles(&self) -> Cycle {
         self.end - self.start
@@ -77,153 +109,57 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Accumulates per-epoch counters and closes them into [`EpochSample`]s.
-///
-/// Owned by the network; its counters advance independently of the
-/// measurement window so the time-series covers warmup and drain too.
-#[derive(Clone, Debug)]
-pub struct EpochRecorder {
-    // Fields are crate-visible so `network::snapshot` can checkpoint the
-    // open epoch's accumulators and closed samples losslessly.
+/// An epoch time-series in progress: the interval, the samples closed so
+/// far and the counters at the last boundary. The open-loop workload owns
+/// it and checkpoints it with the rest of its run state.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct EpochSeries {
     pub(crate) every: Cycle,
-    pub(crate) epoch_start: Cycle,
-    pub(crate) router_cap: Vec<u64>,
-    pub(crate) router_vcs: Vec<u64>,
-    pub(crate) link_lanes: Vec<u64>,
-    pub(crate) occ_integral: Vec<u64>,
-    pub(crate) busy_integral: Vec<u64>,
-    pub(crate) link_flits: Vec<u64>,
-    pub(crate) injected: u64,
-    pub(crate) ejected: u64,
-    pub(crate) dist: LatencyDist,
+    pub(crate) mark: Counters,
     pub(crate) samples: Vec<EpochSample>,
 }
 
-impl EpochRecorder {
-    /// A recorder sampling every `every` cycles over routers with the given
-    /// buffer capacities / VC counts and links with the given lane counts.
+impl EpochSeries {
+    /// A series sampling every `every` cycles from `stats`' current counts.
     ///
     /// # Panics
     /// Panics if `every` is zero.
-    pub fn new(
-        every: Cycle,
-        router_cap: Vec<u64>,
-        router_vcs: Vec<u64>,
-        link_lanes: Vec<u64>,
-    ) -> Self {
+    pub(crate) fn new(every: Cycle, stats: &NetStats) -> EpochSeries {
         assert!(every > 0, "epoch length must be non-zero");
-        let nr = router_cap.len();
-        let nl = link_lanes.len();
-        Self {
+        EpochSeries {
             every,
-            epoch_start: 0,
-            router_cap,
-            router_vcs,
-            link_lanes,
-            occ_integral: vec![0; nr],
-            busy_integral: vec![0; nr],
-            link_flits: vec![0; nl],
-            injected: 0,
-            ejected: 0,
-            dist: LatencyDist::default(),
+            mark: stats.counts.clone(),
             samples: Vec::new(),
         }
     }
 
-    /// Epoch length in cycles.
-    pub fn every(&self) -> Cycle {
-        self.every
-    }
-
-    /// A packet entered the network.
-    #[inline]
-    pub fn note_inject(&mut self) {
-        self.injected += 1;
-    }
-
-    /// A flit was launched onto `link`.
-    #[inline]
-    pub fn note_link_flit(&mut self, link: usize) {
-        self.link_flits[link] += 1;
-    }
-
-    /// A packet was fully delivered; `rec` carries its latency split.
-    #[inline]
-    pub fn note_retired(&mut self, rec: &PacketRecord) {
-        self.ejected += 1;
-        self.dist.add(rec);
-    }
-
-    /// Adds one cycle's occupancy/busy-VC readings for router `r`.
-    #[inline]
-    pub fn accumulate_router(&mut self, r: usize, occupancy: u64, busy_vcs: u64) {
-        self.occ_integral[r] += occupancy;
-        self.busy_integral[r] += busy_vcs;
-    }
-
-    /// Closes the epoch if `now` (the cycle just simulated) is its last.
-    #[inline]
-    pub fn maybe_close(&mut self, now: Cycle) {
-        if now + 1 - self.epoch_start >= self.every {
-            self.close(now + 1);
+    /// Closes an epoch when `stats` has just counted a multiple of `every`
+    /// cycles (call after every network step).
+    pub(crate) fn sample(&mut self, stats: &NetStats, lanes: &[usize]) {
+        if stats.counts.cycles.is_multiple_of(self.every) {
+            self.close(stats, lanes);
         }
     }
 
-    /// Closes whatever partial epoch is open (end of run). No-op when the
-    /// current epoch has seen zero cycles.
-    pub fn finish(&mut self, now: Cycle) {
-        if now > self.epoch_start {
-            self.close(now);
+    /// Closes the partial epoch in progress, if it covers at least one
+    /// cycle, and returns every sample.
+    pub(crate) fn finish(mut self, stats: &NetStats, lanes: &[usize]) -> Vec<EpochSample> {
+        if stats.counts.cycles > self.mark.cycles {
+            self.close(stats, lanes);
         }
-    }
-
-    fn close(&mut self, end: Cycle) {
-        let cycles = end - self.epoch_start;
-        let buffer_occ = self
-            .occ_integral
-            .iter()
-            .zip(&self.router_cap)
-            .map(|(&sum, &cap)| ratio(sum, cap * cycles))
-            .collect();
-        let vc_busy = self
-            .busy_integral
-            .iter()
-            .zip(&self.router_vcs)
-            .map(|(&sum, &vcs)| ratio(sum, vcs * cycles))
-            .collect();
-        let link_util = self
-            .link_flits
-            .iter()
-            .zip(&self.link_lanes)
-            .map(|(&flits, &lanes)| ratio(flits, lanes * cycles))
-            .collect();
-        self.samples.push(EpochSample {
-            start: self.epoch_start,
-            end,
-            injected: self.injected,
-            ejected: self.ejected,
-            buffer_occ,
-            vc_busy,
-            link_util,
-            latency: self.dist.percentiles(),
-        });
-        self.epoch_start = end;
-        self.occ_integral.iter_mut().for_each(|x| *x = 0);
-        self.busy_integral.iter_mut().for_each(|x| *x = 0);
-        self.link_flits.iter_mut().for_each(|x| *x = 0);
-        self.injected = 0;
-        self.ejected = 0;
-        self.dist = LatencyDist::default();
-    }
-
-    /// Consumes the recorder, returning the closed samples.
-    pub fn into_samples(self) -> Vec<EpochSample> {
         self.samples
     }
 
-    /// Closed samples so far.
-    pub fn samples(&self) -> &[EpochSample] {
-        &self.samples
+    fn close(&mut self, stats: &NetStats, lanes: &[usize]) {
+        let s = EpochSample::between(
+            &self.mark,
+            &stats.counts,
+            &stats.buffer_slots,
+            &stats.vc_counts,
+            lanes,
+        );
+        self.samples.push(s);
+        self.mark = stats.counts.clone();
     }
 }
 
@@ -238,99 +174,126 @@ fn ratio(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::PacketClass;
+    use crate::stats::PacketRecord;
+    use crate::types::NodeId;
 
-    fn rec2() -> EpochRecorder {
-        // Two routers (4 slots / 2 VCs each), two links (1 and 2 lanes).
-        EpochRecorder::new(10, vec![4, 4], vec![2, 2], vec![1, 2])
+    /// Two routers (4 slots / 2 VCs each) and two links (1 and 2 lanes).
+    const LANES: [usize; 2] = [1, 2];
+
+    fn stats2() -> NetStats {
+        NetStats::new(2, 2, vec![4, 4], vec![2, 2])
     }
 
     fn retired(total: Cycle) -> PacketRecord {
         PacketRecord {
-            src: crate::types::NodeId(0),
-            dst: crate::types::NodeId(1),
+            src: NodeId(0),
+            dst: NodeId(1),
             birth: 0,
             inject: 2,
             retire: 2 + total,
             flits: 1,
             ideal: 3,
-            class: crate::packet::PacketClass::Data,
+            class: PacketClass::Data,
+        }
+    }
+
+    /// One simulated cycle: router 0 holds `occ` flits, link `link` (if
+    /// any) carries one flit.
+    fn tick(s: &mut NetStats, occ: u64, link: Option<usize>) {
+        s.counts.cycles += 1;
+        s.counts.buffer_occ[0] += occ;
+        s.counts.vc_busy[0] += u64::from(occ > 0);
+        if let Some(l) = link {
+            s.counts.links[l].busy_cycles += 1;
         }
     }
 
     #[test]
     fn epoch_closes_on_boundary_and_resets() {
-        let mut r = rec2();
-        for now in 0..10 {
-            r.accumulate_router(0, 2, 1);
-            r.accumulate_router(1, 0, 0);
-            r.note_link_flit(0);
-            r.maybe_close(now);
+        let mut s = stats2();
+        let mut series = EpochSeries::new(10, &s);
+        for _ in 0..10 {
+            tick(&mut s, 2, Some(0));
+            series.sample(&s, &LANES);
         }
-        assert_eq!(r.samples().len(), 1);
-        let s = &r.samples()[0];
-        assert_eq!((s.start, s.end), (0, 10));
+        assert_eq!(series.samples.len(), 1);
+        let e = &series.samples[0];
+        assert_eq!((e.start, e.end), (0, 10));
         // Router 0 held 2 of 4 slots every cycle.
-        assert!((s.buffer_occ[0] - 0.5).abs() < 1e-12);
-        assert_eq!(s.buffer_occ[1], 0.0);
+        assert!((e.buffer_occ[0] - 0.5).abs() < 1e-12);
+        assert!((e.vc_busy[0] - 0.5).abs() < 1e-12);
+        assert_eq!(e.buffer_occ[1], 0.0);
         // Link 0 (1 lane) carried one flit per cycle.
-        assert!((s.link_util[0] - 1.0).abs() < 1e-12);
-        assert_eq!(s.link_util[1], 0.0);
+        assert!((e.link_util[0] - 1.0).abs() < 1e-12);
+        assert_eq!(e.link_util[1], 0.0);
 
-        // Counters reset for the next epoch.
-        for now in 10..20 {
-            r.maybe_close(now);
+        // The next epoch starts from the boundary's counts.
+        for _ in 10..20 {
+            tick(&mut s, 0, None);
+            series.sample(&s, &LANES);
         }
-        assert_eq!(r.samples().len(), 2);
-        assert_eq!(r.samples()[1].buffer_occ[0], 0.0);
-        assert_eq!(r.samples()[1].link_util[0], 0.0);
+        assert_eq!(series.samples.len(), 2);
+        assert_eq!(series.samples[1].buffer_occ[0], 0.0);
+        assert_eq!(series.samples[1].link_util[0], 0.0);
     }
 
     #[test]
     fn finish_closes_a_partial_epoch() {
-        let mut r = rec2();
-        for now in 0..7 {
-            r.note_link_flit(1);
-            r.maybe_close(now);
+        let mut s = stats2();
+        let mut series = EpochSeries::new(10, &s);
+        for _ in 0..7 {
+            tick(&mut s, 0, Some(1));
+            series.sample(&s, &LANES);
         }
-        r.finish(7);
-        assert_eq!(r.samples().len(), 1);
-        let s = &r.samples()[0];
-        assert_eq!(s.cycles(), 7);
+        let samples = series.finish(&s, &LANES);
+        assert_eq!(samples.len(), 1);
+        assert_eq!(samples[0].cycles(), 7);
         // 7 flits over 7 cycles on a 2-lane link = 0.5 utilization.
-        assert!((s.link_util[1] - 0.5).abs() < 1e-12);
-        // finish() again is a no-op.
-        let mut r2 = r.clone();
-        r2.finish(7);
-        assert_eq!(r2.samples().len(), 1);
+        assert!((samples[0].link_util[1] - 0.5).abs() < 1e-12);
+
+        // A run ending on a boundary adds no empty epoch.
+        let mut s = stats2();
+        let mut series = EpochSeries::new(5, &s);
+        for _ in 0..5 {
+            tick(&mut s, 1, None);
+            series.sample(&s, &LANES);
+        }
+        assert_eq!(series.finish(&s, &LANES).len(), 1);
     }
 
     #[test]
     fn latency_percentiles_cover_retired_packets() {
-        let mut r = rec2();
+        let mut s = stats2();
+        // A slow packet retired before the epoch opens stays out of it.
+        s.counts.retired.add(&retired(1000));
+        let series = EpochSeries::new(10, &s);
         for t in [4u64, 4, 4, 40] {
-            r.note_retired(&retired(t));
+            s.counts.retired.add(&retired(t));
         }
-        r.note_inject();
-        r.finish(5);
-        let s = &r.samples()[0];
-        assert_eq!(s.ejected, 4);
-        assert_eq!(s.injected, 1);
-        assert!(s.latency.total.p50 < s.latency.total.p99);
-        // p99 upper bound must cover the 40-cycle outlier.
-        assert!(s.latency.total.p99 >= 40);
+        s.counts.heads_injected += 1;
+        s.counts.cycles = 5;
+        let e = &series.finish(&s, &LANES)[0];
+        assert_eq!(e.ejected, 4);
+        assert_eq!(e.injected, 1);
+        assert!(e.latency.total.p50 < e.latency.total.p99);
+        // p99 upper bound must cover the 40-cycle outlier, not the earlier one.
+        assert!(e.latency.total.p99 >= 40 && e.latency.total.p99 < 1000);
     }
 
     #[test]
     fn empty_epoch_has_zero_percentiles() {
-        let mut r = rec2();
-        r.finish(3);
-        assert_eq!(r.samples()[0].latency.total.p99, 0);
-        assert_eq!(r.samples()[0].mean_buffer_occ(), 0.0);
+        let mut s = stats2();
+        let series = EpochSeries::new(10, &s);
+        s.counts.cycles = 3;
+        let samples = series.finish(&s, &LANES);
+        assert_eq!(samples[0].latency.total.p99, 0);
+        assert_eq!(samples[0].mean_buffer_occ(), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_epoch_length_panics() {
-        let _ = EpochRecorder::new(0, vec![], vec![], vec![]);
+        let _ = EpochSeries::new(0, &stats2());
     }
 }

@@ -41,7 +41,6 @@ use crate::fault::{
     DropReason, DroppedPacket, FaultCounters, FaultKind, FaultPlan, RecoveryCounters,
     UnrecoverableFault,
 };
-use crate::metrics::{EpochRecorder, EpochSample};
 use crate::packet::{Flit, Packet, PacketClass};
 use crate::profile::{maybe_now, ProfileReport, Stage, StageProfiler};
 use crate::router::arbiter::RrArbiter;
@@ -350,8 +349,6 @@ pub struct Network {
     /// be fast.
     in_flight: PacketMap<PacketMeta>,
     next_packet: usize,
-    measuring: bool,
-    record_packets: bool,
     stats: NetStats,
     delivered: Vec<Delivered>,
     /// Fault-injection state; `None` keeps the engine on its exact
@@ -360,8 +357,6 @@ pub struct Network {
     /// Flit-level event sink; `None` means each emission site costs one
     /// `is_some()` branch and builds no event value.
     tracer: Option<Box<dyn TraceSink>>,
-    /// Epoch time-series recorder; `None` means no per-cycle sampling work.
-    epochs: Option<Box<EpochRecorder>>,
     /// Per-stage wall-time profiler; `None` means [`std::time::Instant`]
     /// is never consulted on the hot path.
     profiler: Option<Box<StageProfiler>>,
@@ -490,13 +485,10 @@ impl Network {
             wheel: [Vec::new(), Vec::new(), Vec::new()],
             in_flight: PacketMap::default(),
             next_packet: 0,
-            measuring: false,
-            record_packets: false,
             stats,
             delivered: Vec::new(),
             faults: None,
             tracer: None,
-            epochs: None,
             profiler: None,
             sched: SchedReport::default(),
             scratch_events: Vec::with_capacity(4),
@@ -555,15 +547,11 @@ impl Network {
         &self.link_lanes
     }
 
-    /// Starts/stops statistics accumulation (packets born while measuring
-    /// are latency-tracked; cycle counters only advance while measuring).
-    pub fn set_measuring(&mut self, on: bool) {
-        self.measuring = on;
-    }
-
-    /// Enables per-packet [`PacketRecord`]s in [`NetStats::records`].
-    pub fn set_record_packets(&mut self, on: bool) {
-        self.record_packets = on;
+    /// Opens the measured window: [`NetStats`]' window readings count from
+    /// here on, and packets enqueued from here on are latency-tracked.
+    /// Only the first call takes the baseline; later calls change nothing.
+    pub fn start_measuring(&mut self) {
+        self.stats.start_measuring();
     }
 
     /// Scheduler statistics accumulated so far (cycles skipped, router
@@ -586,16 +574,11 @@ impl Network {
     /// Advances one globally-quiet cycle without running the pipeline.
     /// Byte-identical to [`Network::step`] on a [`Network::quiescent`]
     /// network: the only observable effects of a full step in that state
-    /// are the cycle counters, epoch bookkeeping (which accumulates zeros)
-    /// and the profiler step count — all replicated here.
+    /// are the cycle counter (the integrals accumulate zeros) and the
+    /// profiler step count — both replicated here.
     pub(crate) fn idle_step(&mut self) {
         debug_assert!(self.quiescent(), "idle_step on a non-quiescent network");
-        if self.measuring {
-            self.stats.cycles += 1;
-        }
-        if let Some(ep) = self.epochs.as_deref_mut() {
-            ep.maybe_close(self.now);
-        }
+        self.stats.counts.cycles += 1;
         if let Some(p) = self.profiler.as_deref_mut() {
             p.note_step();
         }
@@ -604,10 +587,9 @@ impl Network {
     }
 
     /// True when a bulk quiet-gap jump would be observationally identical
-    /// to walking the gap cycle by cycle: no epoch recorder (whose
-    /// boundaries must close on exact cycles) and no trace sink attached.
+    /// to walking the gap cycle by cycle: no trace sink attached.
     pub(crate) fn can_skip_quiet(&self) -> bool {
-        self.epochs.is_none() && self.tracer.is_none()
+        self.tracer.is_none()
     }
 
     /// Fast-forwards `delta` globally-quiet cycles in one jump. Callers
@@ -617,10 +599,8 @@ impl Network {
     /// all of this and also replays the per-cycle RNG draws).
     pub(crate) fn skip_quiet(&mut self, delta: Cycle) {
         debug_assert!(self.quiescent(), "skip_quiet on a non-quiescent network");
-        debug_assert!(self.epochs.is_none() && self.tracer.is_none());
-        if self.measuring {
-            self.stats.cycles += delta;
-        }
+        debug_assert!(self.tracer.is_none());
+        self.stats.counts.cycles += delta;
         if let Some(p) = self.profiler.as_deref_mut() {
             p.note_steps(delta);
         }
@@ -641,33 +621,6 @@ impl Network {
     pub(crate) fn finish_trace(&mut self) {
         if let Some(mut sink) = self.tracer.take() {
             sink.finish();
-        }
-    }
-
-    /// Starts epoch time-series sampling: every `every` cycles the network
-    /// closes an [`EpochSample`] of buffer occupancy, link utilization,
-    /// injection/ejection counts and latency percentiles. Sampling runs
-    /// from the next cycle regardless of the measurement window.
-    ///
-    /// # Panics
-    /// Panics if `every` is zero.
-    pub(crate) fn enable_epochs(&mut self, every: Cycle) {
-        let caps = self.routers.iter().map(|r| u64::from(r.capacity)).collect();
-        let vcs = self.routers.iter().map(|r| r.inputs.len() as u64).collect();
-        let lanes = self.link_lanes.iter().map(|&l| l as u64).collect();
-        self.epochs = Some(Box::new(EpochRecorder::new(every, caps, vcs, lanes)));
-    }
-
-    /// Stops epoch sampling, closes the partial epoch in progress (if it
-    /// covers at least one cycle) and returns all samples. Empty when
-    /// sampling was never enabled.
-    pub(crate) fn take_epochs(&mut self) -> Vec<EpochSample> {
-        match self.epochs.take() {
-            Some(mut rec) => {
-                rec.finish(self.now);
-                rec.into_samples()
-            }
-            None => Vec::new(),
         }
     }
 
@@ -721,7 +674,8 @@ impl Network {
         Some(now)
     }
 
-    /// Collected statistics.
+    /// Statistics: counters kept from cycle 0, read over the measured
+    /// window (see [`Network::start_measuring`]).
     pub fn stats(&self) -> &NetStats {
         &self.stats
     }
@@ -987,12 +941,10 @@ impl Network {
                 inject: self.now,
                 received: 0,
                 total,
-                measured: self.measuring,
+                measured: self.stats.measuring(),
             },
         );
-        if self.measuring {
-            self.stats.packets_offered += 1;
-        }
+        self.stats.counts.packets_offered += 1;
         self.nodes[src.index()].queue.push_back(packet);
         id
     }
@@ -1068,7 +1020,10 @@ impl Network {
         let _ = self.prof_lap(t, Stage::Inject);
         // Every flit of this cycle has been written. Empty routers have
         // nothing to route, allocate or traverse, and dead routers are
-        // frozen (fail-stop), so the walk skips both.
+        // frozen (fail-stop), so the walk skips both. Switch allocation
+        // only removes flits, so an empty router also adds nothing to the
+        // occupancy integrals: the second walk accumulates them for every
+        // router that holds flits after its traversals, frozen ones too.
         let total = self.routers.len();
         let mut visits = 0usize;
         for r in 0..total {
@@ -1078,31 +1033,22 @@ impl Network {
             }
         }
         for r in 0..total {
-            if self.routers[r].occupancy() > 0 && !self.router_dead(r) {
+            if self.routers[r].occupancy() == 0 {
+                continue;
+            }
+            if !self.router_dead(r) {
                 self.switch_alloc(r);
             }
+            let t = self.prof_start();
+            let router = &self.routers[r];
+            let c = &mut self.stats.counts;
+            c.buffer_occ[r] += u64::from(router.occupancy());
+            c.vc_busy[r] += u64::from(router.busy_vcs());
+            let _ = self.prof_lap(t, Stage::Stats);
         }
         self.sched.note_full_cycle(visits, total);
         // rc_and_va / switch_alloc charge RC/VA/SA/ST internally.
-        let t = self.prof_start();
-        if self.measuring {
-            self.stats.cycles += 1;
-            for (i, r) in self.routers.iter().enumerate() {
-                self.stats.buffer_occ_integral[i] += u64::from(r.occupancy());
-                self.stats.vc_busy_integral[i] += u64::from(r.busy_vcs());
-            }
-        }
-        if self.epochs.is_some() {
-            let now = self.now;
-            let routers = &self.routers;
-            if let Some(ep) = self.epochs.as_deref_mut() {
-                for (i, r) in routers.iter().enumerate() {
-                    ep.accumulate_router(i, u64::from(r.occupancy()), u64::from(r.busy_vcs()));
-                }
-                ep.maybe_close(now);
-            }
-        }
-        let _ = self.prof_lap(t, Stage::Stats);
+        self.stats.counts.cycles += 1;
         if let Some(p) = self.profiler.as_deref_mut() {
             p.note_step();
         }
@@ -1176,9 +1122,7 @@ impl Network {
             r.inputs[i].fifo().len() <= self.cfg.routers[router.index()].buffer_depth,
             "buffer overflow at {router} {port} {vc}: credit protocol violated"
         );
-        if self.measuring {
-            self.stats.routers[router.index()].buffer_writes += 1;
-        }
+        self.stats.counts.routers[router.index()].buffer_writes += 1;
         if self.tracer.is_some() {
             self.emit(TraceEvent::BufferWrite {
                 cycle: self.now,
@@ -1919,7 +1863,7 @@ impl Network {
         meta.received += 1;
         debug_assert!(meta.received <= meta.total);
         let done = meta.received == meta.total;
-        if meta.measured && self.measuring {
+        if meta.measured {
             self.stats.flits_retired += 1;
         }
         if self.tracer.is_some() {
@@ -1976,18 +1920,13 @@ impl Network {
                 ideal: self.ideal_latency(meta.packet.src, meta.packet.dst, meta.total),
                 class: meta.packet.class,
             };
-            if let Some(ep) = self.epochs.as_deref_mut() {
-                ep.note_retired(&rec);
-            }
+            let s = &mut self.stats;
+            s.counts.retired.add(&rec);
             if meta.measured {
-                self.stats.packets_retired += 1;
-                self.stats.latency.add(&rec);
-                self.stats.latency_by_class[NetStats::class_index(rec.class)].add(&rec);
-                self.stats.latency_dist.add(&rec);
-                self.stats.dist_by_class[NetStats::class_index(rec.class)].add(&rec);
-                if self.record_packets {
-                    self.stats.records.push(rec);
-                }
+                s.packets_retired += 1;
+                s.latency.add(&rec);
+                s.latency_by_class[NetStats::class_index(rec.class)].add(&rec);
+                s.latency_dist.add(&rec);
             }
             self.delivered.push(Delivered {
                 packet: meta.packet,
@@ -2078,9 +2017,7 @@ impl Network {
                 if let Some(meta) = self.in_flight.get_mut(&packet.id) {
                     meta.inject = self.now;
                 }
-                if let Some(ep) = self.epochs.as_deref_mut() {
-                    ep.note_inject();
-                }
+                self.stats.counts.heads_injected += 1;
                 if self.tracer.is_some() {
                     self.emit(TraceEvent::Inject {
                         cycle: self.now,
@@ -2321,9 +2258,7 @@ impl Network {
                     router.grant(i, o, dv);
                     router.outputs[o].va_arb.advance_past(i, flat);
                 }
-                if self.measuring {
-                    self.stats.routers[r].va_grants += 1;
-                }
+                self.stats.counts.routers[r].va_grants += 1;
                 if self.tracer.is_some() {
                     let (p, v) = self.routers[r].port_vc(i);
                     let packet = self.routers[r].inputs[i]
@@ -2358,7 +2293,6 @@ impl Network {
     fn switch_alloc(&mut self, r: usize) {
         let mut t = self.prof_start();
         let now = self.now;
-        let measuring = self.measuring;
         let vcs_per_port = self.cfg.routers[r].vcs_per_port;
         let router = &mut self.routers[r];
         // Input and output ports pair up, so one count sizes both.
@@ -2421,9 +2355,7 @@ impl Network {
                 None
             };
             s.nominee[p] = Nomination { vc: v, pair, alt };
-            if measuring {
-                self.stats.routers[r].sa1_arbs += 1;
-            }
+            self.stats.counts.routers[r].sa1_arbs += 1;
         }
 
         // Stage 2: per output port, primary + (for wide outputs) secondary.
@@ -2445,9 +2377,6 @@ impl Network {
                 router.sa_stage1[p1].advance_past(v1, vcs_per_port);
                 let mut winners = [(PortId(p1), VcId(v1)); 2];
                 let mut count = 1;
-                if measuring {
-                    self.stats.routers[r].sa2_arbs += 1;
-                }
 
                 sent.send(p1);
                 if router.outputs[o].lanes > 1 {
@@ -2483,9 +2412,6 @@ impl Network {
                             sent.send(p2);
                         }
                     }
-                    if measuring && count == 2 {
-                        self.stats.routers[r].sa2_arbs += 1;
-                    }
                 }
                 (winners, count)
             };
@@ -2495,14 +2421,13 @@ impl Network {
                 self.commit_flit(r, wp, wv, PortId(o));
             }
             t = self.prof_lap(t, Stage::SwitchTraverse);
-            // Link busy/dual accounting.
-            if self.measuring {
-                if let OutputTarget::Channel { link, .. } = self.routers[r].outputs[o].target {
-                    let le = &mut self.stats.links[link.index()];
-                    le.busy_cycles += 1;
-                    if count == 2 {
-                        le.dual_cycles += 1;
-                    }
+            // Link busy/dual accounting (one flit per busy cycle, two per
+            // dual one).
+            if let OutputTarget::Channel { link, .. } = self.routers[r].outputs[o].target {
+                let le = &mut self.stats.counts.links[link.index()];
+                le.busy_cycles += 1;
+                if count == 2 {
+                    le.dual_cycles += 1;
                 }
             }
         }
@@ -2516,11 +2441,7 @@ impl Network {
         let i = self.routers[r].flat(p, v);
         let (flit, out_vc) = self.routers[r].traverse(i, o.index());
         self.sched.flits_committed += 1;
-        if self.measuring {
-            let ev = &mut self.stats.routers[r];
-            ev.buffer_reads += 1;
-            ev.xbar_flits += 1;
-        }
+        self.stats.counts.routers[r].buffer_reads += 1;
         if self.tracer.is_some() {
             self.emit(TraceEvent::SaGrant {
                 cycle: self.now,
@@ -2554,12 +2475,6 @@ impl Network {
                 dst,
                 dst_port,
             } => {
-                if self.measuring {
-                    self.stats.links[link.index()].flits += 1;
-                }
-                if let Some(ep) = self.epochs.as_deref_mut() {
-                    ep.note_link_flit(link.index());
-                }
                 if self.tracer.is_some() {
                     self.emit(TraceEvent::LinkTraverse {
                         cycle: self.now,
@@ -2640,7 +2555,7 @@ mod tests {
     #[test]
     fn single_packet_zero_load_latency_matches_ideal() {
         let mut net = small_mesh();
-        net.set_measuring(true);
+        net.start_measuring();
         // Node 0 (0,0) to node 15 (3,3): 6 hops.
         net.enqueue(NodeId(0), NodeId(15), Bits(1024), PacketClass::Data, 0);
         run_until_drained(&mut net, 200);
@@ -2655,7 +2570,7 @@ mod tests {
     #[test]
     fn one_flit_packet_latency() {
         let mut net = small_mesh();
-        net.set_measuring(true);
+        net.start_measuring();
         net.enqueue(NodeId(0), NodeId(1), Bits(64), PacketClass::Control, 0);
         run_until_drained(&mut net, 100);
         let d = net.drain_delivered();
@@ -2677,7 +2592,7 @@ mod tests {
     #[test]
     fn all_packets_delivered_under_load() {
         let mut net = small_mesh();
-        net.set_measuring(true);
+        net.start_measuring();
         // Saturating burst: every node sends to every other node.
         for s in 0..16 {
             for d in 0..16 {
@@ -2694,7 +2609,7 @@ mod tests {
     #[test]
     fn flit_conservation_under_load() {
         let mut net = small_mesh();
-        net.set_measuring(true);
+        net.start_measuring();
         for s in 0..16 {
             net.enqueue(NodeId(s), NodeId(15 - s), Bits(1024), PacketClass::Data, 0);
         }
@@ -2733,7 +2648,7 @@ mod tests {
         cfg.flit_width = Bits(128);
         cfg.link_widths = LinkWidths::Uniform(Bits(256));
         let mut net = Network::new(cfg).expect("valid");
-        net.set_measuring(true);
+        net.start_measuring();
         net.enqueue(NodeId(0), NodeId(15), Bits(1024), PacketClass::Data, 0);
         run_until_drained(&mut net, 500);
         let d = net.drain_delivered();
@@ -2754,7 +2669,7 @@ mod tests {
     #[test]
     fn per_class_latency_accounting() {
         let mut net = small_mesh();
-        net.set_measuring(true);
+        net.start_measuring();
         net.enqueue(NodeId(0), NodeId(3), Bits(1024), PacketClass::Data, 0);
         net.enqueue(NodeId(4), NodeId(7), Bits(64), PacketClass::Control, 0);
         run_until_drained(&mut net, 500);
@@ -2769,14 +2684,14 @@ mod tests {
         let mut net = small_mesh();
         net.enqueue(NodeId(0), NodeId(15), Bits(1024), PacketClass::Data, 0);
         run_until_drained(&mut net, 500);
-        net.set_measuring(true);
+        net.start_measuring();
         for _ in 0..10 {
             net.step();
         }
         let s = net.stats();
         assert_eq!(s.packets_retired, 0);
-        assert_eq!(s.packets_offered, 0);
-        assert_eq!(s.cycles, 10);
+        assert_eq!(s.packets_offered(), 0);
+        assert_eq!(s.cycles(), 10);
     }
 
     #[test]
@@ -2829,7 +2744,7 @@ mod tests {
     #[test]
     fn buffer_utilization_is_positive_under_traffic() {
         let mut net = small_mesh();
-        net.set_measuring(true);
+        net.start_measuring();
         for s in 0..16 {
             for d in 0..16 {
                 if s != d {
@@ -2958,7 +2873,7 @@ mod tests {
     #[test]
     fn transient_faults_retransmit_and_deliver_everything() {
         let mut net = small_mesh_with(FaultPlan::transient(2e-4, 42));
-        net.set_measuring(true);
+        net.start_measuring();
         all_pairs_burst(&mut net);
         run_until_drained(&mut net, 60_000);
         assert_eq!(net.drain_delivered().len(), 16 * 15);

@@ -3,7 +3,7 @@
 //! This module is the network half of the checkpoint body (the driver-loop
 //! half lives in [`crate::sim`]): every router buffer, VC allocation,
 //! credit counter, arbiter pointer, source queue, wheel event, in-flight
-//! packet, statistic, fault-layer structure and epoch accumulator is
+//! packet, statistic and fault-layer structure is
 //! written by [`Network::encode_state`] and read back by
 //! [`Network::decode_state`] onto a freshly built network of the same
 //! configuration. Restore is exact: the restored network produces the same
@@ -36,14 +36,14 @@ use crate::checkpoint::{codec_enum, codec_struct, fnv1a64, CheckpointError, Code
 use crate::fault::{
     DropReason, DroppedPacket, FaultCounters, FaultPlan, RecoveryCounters, UnrecoverableFault,
 };
-use crate::metrics::{EpochRecorder, EpochSample};
+use crate::metrics::{EpochSample, EpochSeries};
 use crate::packet::{Flit, FlitKind, Packet, PacketClass};
 use crate::router::arbiter::RrArbiter;
 use crate::router::{InputVc, OutputVc};
 use crate::routing::{RouteChoice, RouteTable, RoutingKind, VcClass};
 use crate::sched::WakeReason;
 use crate::stats::{
-    LatencyAgg, LatencyDist, LatencyPctls, LinkEvents, NetStats, PacketRecord, Pctls, RouterEvents,
+    Counters, LatencyAgg, LatencyDist, LatencyPctls, LinkEvents, NetStats, Pctls, RouterEvents,
 };
 use crate::trace::TraceSink;
 use crate::types::RouterId;
@@ -91,7 +91,6 @@ const SEC_DELIVERED: u8 = 6;
 const SEC_STATS: u8 = 7;
 const SEC_ROUTING: u8 = 8;
 const SEC_FAULTS: u8 = 9;
-const SEC_EPOCHS: u8 = 10;
 
 // --------------------------------------------------------------------------
 // Wire layouts
@@ -108,15 +107,16 @@ codec_struct! {
     Delivered { packet, inject, retire }
 
     NetStats {
-        cycles, packets_offered, packets_retired, flits_retired, latency, latency_by_class,
-        latency_dist, dist_by_class, buffer_occ_integral, vc_busy_integral, records, links,
-        routers; vc_counts, buffer_slots
+        packets_retired, flits_retired, latency, latency_by_class, latency_dist, counts,
+        baseline; vc_counts, buffer_slots
+    }
+    Counters {
+        cycles, packets_offered, heads_injected, retired, buffer_occ, vc_busy, routers, links
     }
     LatencyAgg { count, total, queuing, blocking, transfer }
     LatencyDist { total, queuing, blocking, transfer }
-    PacketRecord { src, dst, birth, inject, retire, flits, ideal, class }
-    LinkEvents { flits, busy_cycles, dual_cycles }
-    RouterEvents { buffer_writes, buffer_reads, xbar_flits, sa1_arbs, sa2_arbs, va_grants }
+    LinkEvents { busy_cycles, dual_cycles }
+    RouterEvents { buffer_writes, buffer_reads, sa1_arbs, va_grants }
 
     FaultState {
         plan, rng, links, next_hard, far, router_dead, dead_links, dead_routers, absorbing,
@@ -138,10 +138,7 @@ codec_struct! {
         retention_peak, retention_stalls
     }
 
-    EpochRecorder {
-        every, epoch_start, occ_integral, busy_integral, link_flits, injected, ejected, dist,
-        samples; router_cap, router_vcs, link_lanes
-    }
+    EpochSeries { every, mark, samples }
     EpochSample { start, end, injected, ejected, buffer_occ, vc_busy, link_util, latency }
     LatencyPctls { total, queuing, blocking, transfer }
     Pctls { p50, p95, p99 }
@@ -247,13 +244,7 @@ impl Network {
     /// [`Network::decode_state`] overwrites only what evolves.
     pub(crate) fn encode_state(&self, e: &mut Enc) {
         e.sec(SEC_GLOBALS);
-        (
-            self.now,
-            self.next_packet,
-            self.measuring,
-            self.record_packets,
-        )
-            .enc(e);
+        (self.now, self.next_packet).enc(e);
 
         e.sec(SEC_ROUTERS);
         e.usize(self.routers.len());
@@ -290,16 +281,14 @@ impl Network {
         self.cfg.routing.enc(e);
         e.sec(SEC_FAULTS);
         self.faults.enc(e);
-        e.sec(SEC_EPOCHS);
-        self.epochs.enc(e);
     }
 
     /// Overwrites this network's dynamic state from a stream written by
     /// [`Network::encode_state`]. The network must have been freshly built
     /// via [`Network::new`] from the same configuration the checkpoint was
     /// taken under (the checkpoint header's config hash enforces this at
-    /// the file level); fault state, routing tables and epoch recorders are
-    /// reconstructed entirely from the stream.
+    /// the file level); fault state and routing tables are reconstructed
+    /// entirely from the stream.
     ///
     /// # Errors
     /// [`CheckpointError::Malformed`] naming the failing section, or
@@ -310,12 +299,7 @@ impl Network {
         use CheckpointError::Malformed;
 
         d.sec(SEC_GLOBALS, "globals")?;
-        (
-            self.now,
-            self.next_packet,
-            self.measuring,
-            self.record_packets,
-        ) = Codec::dec(d)?;
+        (self.now, self.next_packet) = Codec::dec(d)?;
 
         d.sec(SEC_ROUTERS, "routers")?;
         if d.len(1)? != self.routers.len() {
@@ -385,16 +369,10 @@ impl Network {
         d.sec(SEC_STATS, "stats")?;
         let stats = NetStats::dec(d)?;
         let s = &mut self.stats;
-        if stats.buffer_occ_integral.len() != s.buffer_occ_integral.len()
-            || stats.vc_busy_integral.len() != s.vc_busy_integral.len()
+        if !stats.counts.same_shape(&s.counts)
+            || (stats.baseline.as_ref()).is_some_and(|b| !b.same_shape(&s.counts))
         {
-            return Err(Malformed("stats integrals"));
-        }
-        if stats.links.len() != s.links.len() {
-            return Err(Malformed("stats link count"));
-        }
-        if stats.routers.len() != s.routers.len() {
-            return Err(Malformed("stats router count"));
+            return Err(Malformed("stats counters"));
         }
         *s = NetStats {
             vc_counts: std::mem::take(&mut s.vc_counts),
@@ -408,28 +386,6 @@ impl Network {
         d.sec(SEC_FAULTS, "faults")?;
         let faults: Option<Box<FaultState>> = Codec::dec(d)?;
         self.faults = faults.map(|fs| self.rebuild_faults(fs)).transpose()?;
-
-        d.sec(SEC_EPOCHS, "epochs")?;
-        self.epochs = None;
-        if let Some(rec) = Option::<Box<EpochRecorder>>::dec(d)? {
-            if rec.every == 0 {
-                return Err(Malformed("epoch length"));
-            }
-            self.enable_epochs(rec.every);
-            let fresh = self.epochs.as_deref_mut().expect("epochs just enabled");
-            if rec.occ_integral.len() != fresh.occ_integral.len()
-                || rec.busy_integral.len() != fresh.busy_integral.len()
-                || rec.link_flits.len() != fresh.link_flits.len()
-            {
-                return Err(Malformed("epoch integrals"));
-            }
-            *fresh = EpochRecorder {
-                router_cap: std::mem::take(&mut fresh.router_cap),
-                router_vcs: std::mem::take(&mut fresh.router_vcs),
-                link_lanes: std::mem::take(&mut fresh.link_lanes),
-                ..*rec
-            };
-        }
 
         // The restore refilled every router that held flits at the
         // checkpoint: count each as woken.
@@ -533,8 +489,8 @@ impl Network {
         push(
             "global".into(),
             "measuring",
-            self.measuring.to_string(),
-            other.measuring.to_string(),
+            self.stats.measuring().to_string(),
+            other.stats.measuring().to_string(),
         );
         push(
             "global".into(),
@@ -889,16 +845,13 @@ mod tests {
         assert_ne!(net.state_digest(), other.state_digest());
     }
 
-    // The pinned digests below were captured before the checkpoint codec
-    // was rewritten; a roundtrip test passes under any symmetric format
-    // change, these fail on the first byte that moves.
+    // The pinned digests below are schema 3's; a roundtrip test passes
+    // under any symmetric format change, these fail on the first byte that
+    // moves.
 
     #[test]
-    fn checkpoint_bytes_are_pinned_for_a_mid_flight_mesh_with_epochs() {
+    fn checkpoint_bytes_are_pinned_for_a_mid_flight_mesh_mid_window() {
         let mut net = Network::new(mesh4()).unwrap();
-        net.enable_epochs(8);
-        net.set_measuring(true);
-        net.set_record_packets(true);
         let classes = [
             PacketClass::Data,
             PacketClass::Control,
@@ -911,7 +864,11 @@ mod tests {
             let class = classes[i % 3];
             net.enqueue(NodeId(src), NodeId(dst), Bits(1024), class, i as u64);
         }
-        for _ in 0..24 {
+        for _ in 0..12 {
+            net.step();
+        }
+        net.start_measuring();
+        for _ in 0..12 {
             net.step();
         }
         net.enqueue(NodeId(15), NodeId(0), Bits(512), PacketClass::Data, 9);
@@ -920,9 +877,9 @@ mod tests {
             net.step();
         }
         assert!(net.in_flight() > 0 && !net.delivered.is_empty());
-        assert!(!net.stats.records.is_empty());
-        assert!(!net.epochs.as_ref().unwrap().samples.is_empty());
-        assert_eq!(net.state_digest(), 0x621e_9efc_85a0_c125);
+        let base = net.stats.baseline.as_ref().expect("window open");
+        assert!(base.cycles == 12 && base.routers.iter().any(|r| r.buffer_reads > 0));
+        assert_eq!(net.state_digest(), 0xe993_44d5_d5fa_4b5c);
     }
 
     #[test]
@@ -944,7 +901,7 @@ mod tests {
             retention: 8,
         });
         let mut net = Network::with_faults(mesh4(), plan).unwrap();
-        net.set_measuring(true);
+        net.start_measuring();
         for i in 0..16 {
             net.enqueue(NodeId(i), NodeId(15 - i), Bits(1024), PacketClass::Data, 0);
         }
@@ -956,7 +913,7 @@ mod tests {
         assert!(!fs.dead_links.is_empty(), "link killed");
         assert!(fs.counters.flits_corrupted > 0, "BER corrupted flits");
         assert!(fs.e2e.as_ref().unwrap().pending() > 0, "packets retained");
-        assert_eq!(net.state_digest(), 0xd646_a931_5a49_8a2b);
+        assert_eq!(net.state_digest(), 0x35dd_a150_f3bb_99b8);
     }
 
     #[test]
@@ -973,22 +930,32 @@ mod tests {
             net.step();
         }
         assert!(net.in_flight() > 0);
-        assert_eq!(net.state_digest(), 0xbf68_e0d4_d45c_8387);
+        assert_eq!(net.state_digest(), 0x0ed1_bce4_b15f_ed1c);
     }
 
     #[test]
-    fn epoch_recorder_roundtrips() {
+    fn window_counters_roundtrip() {
         let mut net = Network::new(mesh4()).unwrap();
-        net.enable_epochs(8);
         net.enqueue(NodeId(0), NodeId(15), Bits(1024), PacketClass::Data, 0);
-        for _ in 0..30 {
+        for _ in 0..10 {
+            net.step();
+        }
+        net.start_measuring();
+        net.enqueue(NodeId(3), NodeId(12), Bits(1024), PacketClass::Control, 1);
+        for _ in 0..20 {
             net.step();
         }
         let mut restored = roundtrip(&net, mesh4());
+        assert_eq!(net.stats, restored.stats);
         for _ in 0..30 {
             net.step();
             restored.step();
         }
-        assert_eq!(net.take_epochs(), restored.take_epochs());
+        assert_eq!(net.stats, restored.stats);
+        assert_eq!(restored.stats.cycles(), 50);
+        assert_eq!(
+            restored.stats.packets_retired, 1,
+            "the warm-up packet is not measured"
+        );
     }
 }

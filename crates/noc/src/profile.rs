@@ -38,7 +38,7 @@ pub enum Stage {
     LinkTraverse,
     /// Source-node injection (packets leaving source queues).
     Inject,
-    /// Statistics integration and epoch sampling.
+    /// Occupancy-integral accumulation.
     Stats,
 }
 
@@ -80,7 +80,7 @@ impl Stage {
             Stage::SwitchTraverse => "switch traversal + link launch",
             Stage::LinkTraverse => "link fault/retransmission layer",
             Stage::Inject => "source injection",
-            Stage::Stats => "statistics & epoch sampling",
+            Stage::Stats => "occupancy statistics",
         }
     }
 

@@ -24,7 +24,7 @@ use crate::checkpoint::{
     codec_struct, config_hash, fnv1a64, Checkpoint, CheckpointError, Codec, Dec, Enc,
 };
 use crate::fault::{FaultCounters, UnrecoverableFault};
-use crate::metrics::EpochSample;
+use crate::metrics::{EpochSample, EpochSeries};
 use crate::network::{Network, StallReport};
 use crate::packet::PacketClass;
 use crate::profile::ProfileReport;
@@ -518,12 +518,10 @@ impl<'a> SimRun<'a> {
         if let Some(sink) = trace {
             net.set_trace_sink(sink);
         }
-        if let Some(every) = epoch_every {
-            net.enable_epochs(every);
-        }
         let mut default_traffic = UniformRandom;
         let traffic = traffic.unwrap_or(&mut default_traffic);
         let mut core = SimCore::new(net, params);
+        core.epochs = epoch_every.map(|every| EpochSeries::new(every, core.net.stats()));
         hooks.progress = progress.map(|(sink, every)| ProgressState::new(sink, every));
         if let Some(ckpt) = resume {
             core.restore(&ckpt, traffic)?;
@@ -793,6 +791,9 @@ fn drive_observed(
 const SEC_SIM: u8 = 11;
 /// Section tag of the traffic-pattern state at the end of the body.
 const SEC_TRAFFIC: u8 = 12;
+/// Section tag of the epoch time-series, between the network state and
+/// the traffic-pattern state.
+const SEC_EPOCHS: u8 = 13;
 
 /// The open-loop run state: the network plus the generator and
 /// measurement counters, factored into a struct so a checkpoint can
@@ -806,8 +807,9 @@ struct SimCore {
     on_prob: f64,
     delivered_total: u64,
     dropped_total: u64,
-    measuring: bool,
     saturated: bool,
+    /// The epoch time-series, when the run records one.
+    epochs: Option<EpochSeries>,
     /// The current cycle delivered or dropped a packet.
     moved: bool,
     /// The batch retired, or saturation bailed out.
@@ -848,8 +850,8 @@ impl SimCore {
             on_prob,
             delivered_total: 0,
             dropped_total: 0,
-            measuring: false,
             saturated: false,
+            epochs: None,
             moved: false,
             done: false,
         }
@@ -869,7 +871,9 @@ impl SimCore {
         let cycles = self.net.now();
         let frequency_ghz = self.net.config().frequency_ghz;
         self.net.finish_trace();
-        let epochs = self.net.take_epochs();
+        let epochs = (self.epochs.take())
+            .map(|e| e.finish(self.net.stats(), self.net.link_lanes()))
+            .unwrap_or_default();
         let profile = self.net.take_profile();
         SimOutcome {
             stats: self.net.stats().clone(),
@@ -895,12 +899,13 @@ impl SimCore {
         (
             self.delivered_total,
             self.dropped_total,
-            self.measuring,
             self.saturated,
             self.clock.last_progress,
         )
             .enc(&mut e);
         self.net.encode_state(&mut e);
+        e.sec(SEC_EPOCHS);
+        self.epochs.enc(&mut e);
         e.sec(SEC_TRAFFIC);
         traffic.save_state(&mut e);
         Checkpoint {
@@ -929,11 +934,21 @@ impl SimCore {
             (
                 self.delivered_total,
                 self.dropped_total,
-                self.measuring,
                 self.saturated,
                 self.clock.last_progress,
             ) = Codec::dec(d)?;
             self.net.decode_state(d)?;
+            // The checkpoint's series, or its absence, carries on.
+            d.sec(SEC_EPOCHS, "epochs")?;
+            self.epochs = Codec::dec(d)?;
+            if let Some(ep) = &self.epochs {
+                if ep.every == 0 {
+                    return Err(CheckpointError::Malformed("epoch length"));
+                }
+                if !ep.mark.same_shape(&self.net.stats().counts) {
+                    return Err(CheckpointError::Malformed("epoch counters"));
+                }
+            }
             d.sec(SEC_TRAFFIC, "traffic")?;
             traffic.load_state(d)?;
             if !d.is_done() {
@@ -1008,6 +1023,9 @@ impl Workload for OpenLoop<'_, '_> {
         let newly_dropped = c.net.drain_dropped().len() as u64;
         c.dropped_total += newly_dropped;
         c.moved = newly + newly_dropped > 0;
+        if let Some(ep) = c.epochs.as_mut() {
+            ep.sample(c.net.stats(), c.net.link_lanes());
+        }
         Ok(())
     }
 
@@ -1021,11 +1039,10 @@ impl Workload for OpenLoop<'_, '_> {
     /// queues holding several times the batch mean unbounded latency.
     fn end_cycle(&mut self) {
         let c = &mut *self.core;
-        if !c.measuring && c.delivered_total >= c.params.warmup_packets {
-            c.measuring = true;
-            c.net.set_measuring(true);
+        if !c.net.stats().measuring() && c.delivered_total >= c.params.warmup_packets {
+            c.net.start_measuring();
         }
-        if c.measuring && c.net.stats().packets_retired >= c.params.measure_packets {
+        if c.net.stats().measuring() && c.net.stats().packets_retired >= c.params.measure_packets {
             c.done = true;
         } else if c.net.now().is_multiple_of(4096)
             && c.net.in_flight() as u64 > 4 * c.params.measure_packets.max(1_000)
@@ -1037,14 +1054,16 @@ impl Workload for OpenLoop<'_, '_> {
 
     /// Only a Bernoulli source at rate zero injects nothing. A pending
     /// warm-up or measurement transition must fire at its exact cycle,
-    /// so it rules the jump out too.
+    /// and so must every epoch boundary, so both rule the jump out too.
     fn may_skip_quiet(&self) -> bool {
         let c = &*self.core;
-        let phase_exit_pending = (!c.measuring && c.delivered_total >= c.params.warmup_packets)
-            || (c.measuring && c.net.stats().packets_retired >= c.params.measure_packets);
+        let measuring = c.net.stats().measuring();
+        let phase_exit_pending = (!measuring && c.delivered_total >= c.params.warmup_packets)
+            || (measuring && c.net.stats().packets_retired >= c.params.measure_packets);
         matches!(c.params.process, InjectionProcess::Bernoulli)
             && c.on_prob == 0.0
             && !phase_exit_pending
+            && c.epochs.is_none()
     }
 
     fn checkpoint(&mut self) -> Option<Checkpoint> {
@@ -1054,14 +1073,15 @@ impl Workload for OpenLoop<'_, '_> {
     fn progress(&mut self, snap: &mut Snapshot) -> (u64, Option<u64>) {
         let c = &*self.core;
         let retired = c.net.stats().packets_retired;
+        let measuring = c.net.stats().measuring();
         snap.field_u64("max_cycles", c.params.max_cycles)
             .field_u64("in_flight", c.net.in_flight() as u64)
             .field_u64("delivered", c.delivered_total)
             .field_u64("retired", retired)
             .field_u64("measure_packets", c.params.measure_packets)
             .field_u64("dropped", c.dropped_total)
-            .field_bool("measuring", c.measuring);
-        (retired, c.measuring.then_some(c.params.measure_packets))
+            .field_bool("measuring", measuring);
+        (retired, measuring.then_some(c.params.measure_packets))
     }
 }
 
@@ -1534,8 +1554,8 @@ mod tests {
         }
     }
 
-    /// Pins the whole run-checkpoint body, driver section included, to the
-    /// digest captured before the checkpoint codec was rewritten.
+    /// Pins the whole run-checkpoint body, driver section included, to its
+    /// schema 3 digest.
     #[test]
     fn checkpoint_bytes_are_pinned_for_a_self_similar_transpose_run() {
         let mut p = quick_params(0.03);
@@ -1546,9 +1566,9 @@ mod tests {
         let net = Network::new(NetworkConfig::paper_baseline()).unwrap();
         let mut s = Stepper::fresh(net, p, Box::new(Transpose8));
         s.run_to(300).unwrap();
-        assert!(s.core.measuring && s.core.onoff.iter().any(|o| o.on));
+        assert!(s.core.net.stats().measuring() && s.core.onoff.iter().any(|o| o.on));
         assert!(s.network().in_flight() > 0);
-        assert_eq!(fnv1a64(&s.checkpoint().body), 0x1fed_6692_d571_3790);
+        assert_eq!(fnv1a64(&s.checkpoint().body), 0x3f97_bfe1_cc54_33b9);
     }
 
     #[test]

@@ -2,6 +2,15 @@
 //! transfer decomposition, Fig. 8a), throughput, buffer & link utilization
 //! (Figs. 1-2), flit-combining rates (§3.3) and the event counts that drive
 //! the power model.
+//!
+//! The engine keeps one set of event counters, counted from cycle 0 and
+//! never reset. The measured window is those counters minus the baseline
+//! [`crate::network::Network::start_measuring`] takes, and every epoch of a
+//! time-series is the difference of two snapshots taken at its boundaries
+//! (see [`crate::metrics`]). Only the measured-packet aggregates
+//! (`packets_retired`, `latency`, …) are kept apart: they count the packets
+//! born inside the window, which a difference of totals cannot separate
+//! from warm-up packets retiring late.
 
 use heteronoc_obs::LogHistogram;
 use serde::{Deserialize, Serialize};
@@ -14,30 +23,53 @@ use crate::types::{Cycle, NodeId};
 pub struct RouterEvents {
     /// Flits written into input buffers.
     pub buffer_writes: u64,
-    /// Flits read out of input buffers (switch traversals start with one).
+    /// Flits read out of input buffers. Each read is one switch traversal:
+    /// one stage-2 (p:1) switch grant and one crossbar crossing, so this
+    /// counts those too.
     pub buffer_reads: u64,
-    /// Flits that crossed the crossbar.
-    pub xbar_flits: u64,
     /// Stage-1 (v:1) switch arbitration decisions performed.
     pub sa1_arbs: u64,
-    /// Stage-2 (p:1) switch arbitration decisions performed.
-    pub sa2_arbs: u64,
     /// VC-allocation grants performed.
     pub va_grants: u64,
+}
+
+impl RouterEvents {
+    /// The events since `earlier`, a past reading of the same counters.
+    fn since(&self, earlier: &RouterEvents) -> RouterEvents {
+        RouterEvents {
+            buffer_writes: self.buffer_writes - earlier.buffer_writes,
+            buffer_reads: self.buffer_reads - earlier.buffer_reads,
+            sa1_arbs: self.sa1_arbs - earlier.sa1_arbs,
+            va_grants: self.va_grants - earlier.va_grants,
+        }
+    }
 }
 
 /// Per-link counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkEvents {
-    /// Flits that traversed the link.
-    pub flits: u64,
     /// Cycles in which the link carried at least one flit.
     pub busy_cycles: u64,
     /// Cycles in which a wide link carried two combined flits.
     pub dual_cycles: u64,
 }
 
-/// Completed-packet latency record (kept when detailed records are enabled).
+impl LinkEvents {
+    /// Flits that traversed the link: one per busy cycle, two per dual one.
+    pub fn flits(&self) -> u64 {
+        self.busy_cycles + self.dual_cycles
+    }
+
+    /// The events since `earlier`, a past reading of the same counters.
+    fn since(&self, earlier: &LinkEvents) -> LinkEvents {
+        LinkEvents {
+            busy_cycles: self.busy_cycles - earlier.busy_cycles,
+            dual_cycles: self.dual_cycles - earlier.dual_cycles,
+        }
+    }
+}
+
+/// One retired packet's latency split, as the aggregates record it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PacketRecord {
     /// Source node.
@@ -182,6 +214,17 @@ impl LatencyDist {
         self.total.count()
     }
 
+    /// The packets added since `earlier`, a past state of this
+    /// distribution (exact; see [`LogHistogram::since`]).
+    pub(crate) fn since(&self, earlier: &LatencyDist) -> LatencyDist {
+        LatencyDist {
+            total: self.total.since(&earlier.total),
+            queuing: self.queuing.since(&earlier.queuing),
+            blocking: self.blocking.since(&earlier.blocking),
+            transfer: self.transfer.since(&earlier.transfer),
+        }
+    }
+
     /// p50/p95/p99 of every component.
     pub fn percentiles(&self) -> LatencyPctls {
         LatencyPctls {
@@ -206,13 +249,43 @@ pub struct LatencyPctls {
     pub transfer: Pctls,
 }
 
-/// All statistics collected during the measurement window.
+/// The counters the engine keeps from cycle 0 on, with no gate. The
+/// measured window and every epoch are differences of two readings.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Counters {
+    /// Cycles simulated.
+    pub(crate) cycles: u64,
+    /// Packets entered into source queues.
+    pub(crate) packets_offered: u64,
+    /// Head flits that left their source node.
+    pub(crate) heads_injected: u64,
+    /// Latency split of every packet delivered (suppressed duplicates
+    /// excluded); its count is the packets ejected.
+    pub(crate) retired: LatencyDist,
+    /// Σ over cycles of occupied input-buffer slots, per router.
+    pub(crate) buffer_occ: Vec<u64>,
+    /// Σ over cycles of non-empty input VCs, per router.
+    pub(crate) vc_busy: Vec<u64>,
+    /// Per-router event counters.
+    pub(crate) routers: Vec<RouterEvents>,
+    /// Per-link event counters.
+    pub(crate) links: Vec<LinkEvents>,
+}
+
+impl Counters {
+    /// True when `other` counts the same routers and links.
+    pub(crate) fn same_shape(&self, other: &Counters) -> bool {
+        self.buffer_occ.len() == other.buffer_occ.len()
+            && self.vc_busy.len() == other.vc_busy.len()
+            && self.routers.len() == other.routers.len()
+            && self.links.len() == other.links.len()
+    }
+}
+
+/// The engine's statistics: the counters kept from cycle 0, read over the
+/// measured window through accessors, and the measured-packet aggregates.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct NetStats {
-    /// Measured cycles.
-    pub cycles: u64,
-    /// Packets injected into source queues during measurement.
-    pub packets_offered: u64,
     /// Measured packets retired.
     pub packets_retired: u64,
     /// Measured flits ejected.
@@ -224,23 +297,14 @@ pub struct NetStats {
     /// Latency-component histograms over all measured packets (percentiles
     /// via [`LatencyDist::percentiles`]).
     pub latency_dist: LatencyDist,
-    /// Latency-component histograms per class (Data, Control, Expedited).
-    pub dist_by_class: [LatencyDist; 3],
-    /// Σ over measured cycles of occupied input-buffer slots, per router.
-    pub buffer_occ_integral: Vec<u64>,
-    /// Σ over measured cycles of non-empty input VCs, per router.
-    pub vc_busy_integral: Vec<u64>,
+    /// Counted from cycle 0.
+    pub(crate) counts: Counters,
+    /// `counts` when the measured window opened; `None` before.
+    pub(crate) baseline: Option<Counters>,
     /// Total input VCs per router (constant).
-    pub vc_counts: Vec<u32>,
+    pub(crate) vc_counts: Vec<u32>,
     /// Total input-buffer slots per router (constant).
-    pub buffer_slots: Vec<u32>,
-    /// Per-link event counters.
-    pub links: Vec<LinkEvents>,
-    /// Per-router event counters.
-    pub routers: Vec<RouterEvents>,
-    /// Optional per-packet records (enabled via
-    /// [`crate::network::Network::set_record_packets`]).
-    pub records: Vec<PacketRecord>,
+    pub(crate) buffer_slots: Vec<u32>,
 }
 
 impl NetStats {
@@ -251,14 +315,36 @@ impl NetStats {
         vc_counts: Vec<u32>,
     ) -> Self {
         Self {
-            buffer_occ_integral: vec![0; num_routers],
-            vc_busy_integral: vec![0; num_routers],
+            counts: Counters {
+                buffer_occ: vec![0; num_routers],
+                vc_busy: vec![0; num_routers],
+                routers: vec![RouterEvents::default(); num_routers],
+                links: vec![LinkEvents::default(); num_links],
+                ..Counters::default()
+            },
             vc_counts,
             buffer_slots: slots,
-            links: vec![LinkEvents::default(); num_links],
-            routers: vec![RouterEvents::default(); num_routers],
             ..Default::default()
         }
+    }
+
+    /// Opens the measured window at the current counts. Only the first
+    /// call takes the baseline.
+    pub(crate) fn start_measuring(&mut self) {
+        if self.baseline.is_none() {
+            self.baseline = Some(self.counts.clone());
+        }
+    }
+
+    /// True once the measured window is open.
+    pub(crate) fn measuring(&self) -> bool {
+        self.baseline.is_some()
+    }
+
+    /// The counts the window starts from: before it opens, the current
+    /// ones, so every window value reads zero.
+    fn base(&self) -> &Counters {
+        self.baseline.as_ref().unwrap_or(&self.counts)
     }
 
     /// Index into [`NetStats::latency_by_class`] for `class`.
@@ -270,50 +356,83 @@ impl NetStats {
         }
     }
 
+    /// Measured cycles.
+    pub fn cycles(&self) -> u64 {
+        self.counts.cycles - self.base().cycles
+    }
+
+    /// Packets entered into source queues during the window.
+    pub fn packets_offered(&self) -> u64 {
+        self.counts.packets_offered - self.base().packets_offered
+    }
+
+    /// `router`'s events during the window.
+    pub fn router_events(&self, router: usize) -> RouterEvents {
+        self.counts.routers[router].since(&self.base().routers[router])
+    }
+
+    /// `link`'s events during the window.
+    pub fn link_events(&self, link: usize) -> LinkEvents {
+        self.counts.links[link].since(&self.base().links[link])
+    }
+
+    /// Every router's events during the window, by router index.
+    pub fn routers(&self) -> impl ExactSizeIterator<Item = RouterEvents> + '_ {
+        (0..self.counts.routers.len()).map(|r| self.router_events(r))
+    }
+
+    /// Every link's events during the window, by link index.
+    pub fn links(&self) -> impl ExactSizeIterator<Item = LinkEvents> + '_ {
+        (0..self.counts.links.len()).map(|l| self.link_events(l))
+    }
+
     /// Mean fraction of `router`'s input VCs holding at least one flit, in
     /// `[0, 1]` — the "buffer utilization" metric of the paper's Fig. 1
     /// heat-maps (a buffer is utilized when its VC is occupied, regardless
     /// of how many of its slots are filled).
     pub fn vc_utilization(&self, router: usize) -> f64 {
+        let busy = self.counts.vc_busy[router] - self.base().vc_busy[router];
         let denom = self
-            .cycles
+            .cycles()
             .saturating_mul(u64::from(self.vc_counts[router]));
         if denom == 0 {
             0.0
         } else {
-            self.vc_busy_integral[router] as f64 / denom as f64
+            busy as f64 / denom as f64
         }
     }
 
     /// Mean buffer utilization of `router` in `[0, 1]`.
     pub fn buffer_utilization(&self, router: usize) -> f64 {
+        let occ = self.counts.buffer_occ[router] - self.base().buffer_occ[router];
         let denom = self
-            .cycles
+            .cycles()
             .saturating_mul(u64::from(self.buffer_slots[router]));
         if denom == 0 {
             0.0
         } else {
-            self.buffer_occ_integral[router] as f64 / denom as f64
+            occ as f64 / denom as f64
         }
     }
 
     /// Mean utilization of `link` in `[0, 1]`: carried flit-lanes per
     /// available flit-lane-cycle.
     pub fn link_utilization(&self, link: usize, lanes: usize) -> f64 {
-        let denom = self.cycles.saturating_mul(lanes as u64);
+        let denom = self.cycles().saturating_mul(lanes as u64);
         if denom == 0 {
             0.0
         } else {
-            self.links[link].flits as f64 / denom as f64
+            self.link_events(link).flits() as f64 / denom as f64
         }
     }
 
     /// Accepted throughput in packets per node per cycle.
     pub fn throughput_ppc(&self, num_nodes: usize) -> f64 {
-        if self.cycles == 0 {
+        let cycles = self.cycles();
+        if cycles == 0 {
             0.0
         } else {
-            self.packets_retired as f64 / (self.cycles as f64 * num_nodes as f64)
+            self.packets_retired as f64 / (cycles as f64 * num_nodes as f64)
         }
     }
 
@@ -321,7 +440,7 @@ impl NetStats {
     /// (§3.3's combining rate). Returns 0 when no wide link was ever busy.
     pub fn combining_rate(&self, wide_links: &[bool]) -> f64 {
         let (mut busy, mut dual) = (0u64, 0u64);
-        for (i, l) in self.links.iter().enumerate() {
+        for (i, l) in self.links().enumerate() {
             if wide_links.get(i).copied().unwrap_or(false) {
                 busy += l.busy_cycles;
                 dual += l.dual_cycles;
@@ -342,12 +461,6 @@ impl NetStats {
     /// p50/p95/p99 of every latency component over all measured packets.
     pub fn percentiles(&self) -> LatencyPctls {
         self.latency_dist.percentiles()
-    }
-
-    /// p50/p95/p99 of every latency component for one message class
-    /// (index via [`NetStats::class_index`]).
-    pub fn class_percentiles(&self, class: PacketClass) -> LatencyPctls {
-        self.dist_by_class[Self::class_index(class)].percentiles()
     }
 }
 
@@ -437,30 +550,33 @@ mod tests {
     }
 
     #[test]
-    fn class_percentiles_separate_classes() {
+    fn window_reads_the_counts_since_the_baseline() {
         let mut s = NetStats::new(1, 1, vec![4], vec![2]);
-        let mut fast = rec(0, 1, 5, 4);
-        fast.class = PacketClass::Control;
-        let slow = rec(0, 1, 500, 4);
-        s.dist_by_class[NetStats::class_index(fast.class)].add(&fast);
-        s.dist_by_class[NetStats::class_index(slow.class)].add(&slow);
-        s.latency_dist.add(&fast);
-        s.latency_dist.add(&slow);
-        assert!(s.class_percentiles(PacketClass::Control).total.p99 < 16);
-        assert!(s.class_percentiles(PacketClass::Data).total.p99 >= 500);
-        assert!(s.percentiles().total.p99 >= 500);
+        s.counts.cycles = 10;
+        s.counts.vc_busy[0] = 20;
+        s.counts.routers[0].buffer_reads = 7;
+        assert_eq!(s.cycles(), 0, "the window is empty before it opens");
+        assert_eq!(s.router_events(0), RouterEvents::default());
+        s.start_measuring();
+        s.counts.cycles = 30;
+        s.counts.vc_busy[0] = 40;
+        s.counts.routers[0].buffer_reads = 9;
+        // Only the first call takes the baseline.
+        s.start_measuring();
+        assert_eq!(s.cycles(), 20);
+        assert_eq!(s.router_events(0).buffer_reads, 2);
+        assert!((s.vc_utilization(0) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn combining_rate_counts_only_wide_links() {
         let mut s = NetStats::new(1, 2, vec![5], vec![1]);
-        s.links[0] = LinkEvents {
-            flits: 30,
+        s.start_measuring();
+        s.counts.links[0] = LinkEvents {
             busy_cycles: 20,
             dual_cycles: 10,
         };
-        s.links[1] = LinkEvents {
-            flits: 99,
+        s.counts.links[1] = LinkEvents {
             busy_cycles: 99,
             dual_cycles: 0,
         };

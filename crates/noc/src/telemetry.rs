@@ -106,8 +106,8 @@ impl Instrument for ProfileReport {
 
 impl Instrument for NetStats {
     fn export(&self, reg: &mut Registry, prefix: &str) {
-        reg.counter_add(&format!("{prefix}.cycles"), self.cycles);
-        reg.counter_add(&format!("{prefix}.packets_offered"), self.packets_offered);
+        reg.counter_add(&format!("{prefix}.cycles"), self.cycles());
+        reg.counter_add(&format!("{prefix}.packets_offered"), self.packets_offered());
         reg.counter_add(&format!("{prefix}.packets_retired"), self.packets_retired);
         reg.counter_add(&format!("{prefix}.flits_retired"), self.flits_retired);
         for (name, h) in [

@@ -38,18 +38,16 @@ fn virtual_channels_allow_packet_interleaving() {
     // Two long packets share the single path 0 -> 3; with 2 VCs both make
     // progress (total time < strictly serial transmission).
     let mut net = Network::new(line4()).expect("valid");
-    net.set_measuring(true);
-    net.set_record_packets(true);
     net.enqueue(NodeId(0), NodeId(3), Bits(1024), PacketClass::Data, 1);
     net.enqueue(NodeId(0), NodeId(3), Bits(1024), PacketClass::Data, 2);
     drain(&mut net, 10_000);
-    let recs = &net.stats().records;
-    assert_eq!(recs.len(), 2);
+    let delivered = net.drain_delivered();
+    assert_eq!(delivered.len(), 2);
     // Ideal single packet: 3*3 + 4 + 7 = 20 cycles. Two packets over one
     // injection port serialize at the source (one VC each, 1 flit/cycle
     // shared port): the second must finish well before 2x a strictly
     // sequential schedule (20 + 20 + queue).
-    let last_retire = recs.iter().map(|r| r.retire).max().unwrap();
+    let last_retire = delivered.iter().map(|d| d.retire).max().unwrap();
     assert!(
         last_retire < 45,
         "VC interleaving should overlap transfers (finished at {last_retire})"
@@ -70,8 +68,6 @@ fn ejection_bandwidth_is_one_flit_per_cycle_per_lane() {
         2.2,
     );
     let mut net = Network::new(cfg).expect("valid");
-    net.set_measuring(true);
-    net.set_record_packets(true);
     for s in 1..9 {
         net.enqueue(
             NodeId(s),
@@ -82,7 +78,7 @@ fn ejection_bandwidth_is_one_flit_per_cycle_per_lane() {
         );
     }
     drain(&mut net, 10_000);
-    let mut retires: Vec<u64> = net.stats().records.iter().map(|r| r.retire).collect();
+    let mut retires: Vec<u64> = net.drain_delivered().iter().map(|d| d.retire).collect();
     retires.sort_unstable();
     for w in retires.windows(2) {
         assert!(w[1] > w[0], "two flits may not eject in the same cycle");
@@ -128,7 +124,7 @@ fn expedited_traffic_uses_table_path_and_drains_under_congestion() {
     ));
     cfg.escape_timeout = 8;
     let mut net = Network::new(cfg).expect("valid");
-    net.set_measuring(true);
+    net.start_measuring();
     for wave in 0..5u64 {
         net.enqueue(
             NodeId(0),
@@ -202,7 +198,7 @@ fn hol_blocking_is_relieved_by_more_vcs() {
             2.2,
         );
         let mut net = Network::new(cfg).expect("valid");
-        net.set_measuring(true);
+        net.start_measuring();
         for s in 0..32usize {
             for k in 0..3usize {
                 net.enqueue(
@@ -241,7 +237,7 @@ fn wide_local_ports_double_injection_bandwidth() {
         cfg.flit_width = Bits(128);
         cfg.link_widths = LinkWidths::Uniform(Bits(if wide { 256 } else { 128 }));
         let mut net = Network::new(cfg).expect("valid");
-        net.set_measuring(true);
+        net.start_measuring();
         for _ in 0..8 {
             net.enqueue(NodeId(0), NodeId(3), Bits(1024), PacketClass::Data, 0);
         }

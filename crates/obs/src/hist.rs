@@ -103,6 +103,21 @@ impl LogHistogram {
         self.sum = self.sum.saturating_add(other.sum);
     }
 
+    /// The samples recorded since `earlier`, a past state of this
+    /// histogram: the inverse of [`LogHistogram::merge`]. Bucket counts and
+    /// the count subtract exactly, so quantiles of the difference are those
+    /// of the later samples alone; the sum is exact unless it saturated.
+    ///
+    /// # Panics
+    /// In debug builds, when `earlier` holds a sample this one lacks.
+    pub fn since(&self, earlier: &LogHistogram) -> LogHistogram {
+        LogHistogram {
+            buckets: std::array::from_fn(|i| self.buckets[i] - earlier.buckets[i]),
+            count: self.count - earlier.count,
+            sum: self.sum.saturating_sub(earlier.sum),
+        }
+    }
+
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count

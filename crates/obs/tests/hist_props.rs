@@ -1,7 +1,7 @@
 //! Property tests for [`heteronoc_obs::LogHistogram`]: the merge algebra
 //! (associativity, commutativity, identity — the properties that make
-//! shard-count-independent aggregation sound) and the quantile error bound
-//! against an exact order-statistic reference.
+//! shard-count-independent aggregation sound), its inverse `since`, and
+//! the quantile error bound against an exact order-statistic reference.
 
 use heteronoc_obs::LogHistogram;
 use proptest::prelude::*;
@@ -116,5 +116,22 @@ proptest! {
         prop_assert_eq!(h.sum(), sum);
         let mean = sum as f64 / samples.len() as f64;
         prop_assert!((h.mean() - mean).abs() < 1e-9 * mean.max(1.0));
+    }
+
+    #[test]
+    fn since_recovers_the_later_samples_exactly(
+        xs in prop::collection::vec(0u64..1_000_000, 0..200),
+        ys in prop::collection::vec(0u64..1_000_000, 0..200),
+    ) {
+        // `earlier` then `ys` recorded on top: the difference is `ys` alone,
+        // down to every bucket, the count, the sum and each quantile.
+        let earlier = hist_of(&xs);
+        let mut later = earlier.clone();
+        later.merge(&hist_of(&ys));
+        let d = later.since(&earlier);
+        prop_assert_eq!(&d, &hist_of(&ys));
+        for p in [0.5, 0.95, 0.99] {
+            prop_assert_eq!(d.quantile_upper_bound(p), hist_of(&ys).quantile_upper_bound(p));
+        }
     }
 }

@@ -74,26 +74,29 @@ impl Activity {
         }
     }
 
-    /// Extracts per-router activities from simulation statistics.
+    /// Extracts per-router activities from the measured window. Every
+    /// buffer read is one switch traversal: one crossbar crossing and one
+    /// stage-2 switch grant.
     pub fn from_stats(stats: &NetStats, graph: &TopologyGraph, router: usize) -> Self {
-        if stats.cycles == 0 {
+        let cycles = stats.cycles();
+        if cycles == 0 {
             return Self::default();
         }
         let ports = graph.routers()[router].ports.len() as f64;
-        let denom = stats.cycles as f64 * ports;
-        let ev = &stats.routers[router];
+        let denom = cycles as f64 * ports;
+        let ev = stats.router_events(router);
         let out_link_flits: u64 = graph.routers()[router]
             .ports
             .iter()
             .filter_map(|p| match p.kind {
-                PortKind::Link { out, .. } => Some(stats.links[out.index()].flits),
+                PortKind::Link { out, .. } => Some(stats.link_events(out.index()).flits()),
                 PortKind::Local { .. } => None,
             })
             .sum();
         Self {
             buffers: (ev.buffer_writes + ev.buffer_reads) as f64 / (2.0 * denom),
-            crossbar: ev.xbar_flits as f64 / denom,
-            arbiters: (ev.sa1_arbs + ev.sa2_arbs + ev.va_grants) as f64 / (2.0 * denom),
+            crossbar: ev.buffer_reads as f64 / denom,
+            arbiters: (ev.sa1_arbs + ev.buffer_reads + ev.va_grants) as f64 / (2.0 * denom),
             links: out_link_flits as f64 / denom,
         }
     }

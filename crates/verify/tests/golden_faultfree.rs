@@ -127,9 +127,9 @@ fn assert_pinned(
         s.latency.total,
         s.latency.queuing,
         out.cycles,
-        s.routers.iter().map(|r| r.xbar_flits).sum(),
-        s.routers.iter().map(|r| r.va_grants).sum(),
-        s.links.iter().map(|l| l.dual_cycles).sum(),
+        s.routers().map(|r| r.buffer_reads).sum(),
+        s.routers().map(|r| r.va_grants).sum(),
+        s.links().map(|l| l.dual_cycles).sum(),
     );
     println!("{name} fingerprint: {got:?}");
     assert_eq!(got, want, "{name} fingerprint drifted");

@@ -47,7 +47,7 @@ fn fingerprint(out: &SimOutcome) -> (u64, u64, u64, u64, u64, u64) {
         out.stats.latency.total,
         out.stats.latency.blocking,
         out.dropped,
-        out.stats.routers.iter().map(|r| r.xbar_flits).sum::<u64>(),
+        out.stats.routers().map(|r| r.buffer_reads).sum::<u64>(),
     )
 }
 

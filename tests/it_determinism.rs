@@ -33,7 +33,7 @@ fn network_runs_identical_per_seed() {
             out.stats.packets_retired,
             out.stats.latency.total,
             out.stats.latency.blocking,
-            out.stats.routers.iter().map(|r| r.xbar_flits).sum::<u64>(),
+            out.stats.routers().map(|r| r.buffer_reads).sum::<u64>(),
         )
     };
     assert_eq!(fingerprint(42), fingerprint(42));

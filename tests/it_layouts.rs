@@ -88,7 +88,7 @@ fn table_routed_network_delivers_expedited_traffic() {
     let corners = [RouterId(0), RouterId(7), RouterId(56), RouterId(63)];
     let cfg = mesh_config_with_table(&Layout::DiagonalBL, &corners);
     let mut net = Network::new(cfg).expect("valid table config");
-    net.set_measuring(true);
+    net.start_measuring();
     // Expedited corner-to-corner packets plus background data packets.
     for i in 0..4usize {
         net.enqueue(

@@ -2,11 +2,15 @@
 //! simulator end-to-end with synthetic traffic.
 
 use heteronoc::noc::network::Network;
+use heteronoc::noc::packet::PacketClass;
 use heteronoc::noc::sim::{InjectionProcess, SimParams, SimRun, Traffic, UniformRandom};
-use heteronoc::noc::types::Rate;
+use heteronoc::noc::stats::{LatencyAgg, PacketRecord};
+use heteronoc::noc::types::{Bits, NodeId, Rate};
 use heteronoc::traffic::{BitComplement, NearestNeighbor, Transpose};
 use heteronoc::{mesh_config, network_config, Layout};
 use heteronoc_noc::topology::TopologyKind;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn quick(rate: f64) -> SimParams {
     SimParams {
@@ -132,13 +136,47 @@ fn self_similar_traffic_has_heavier_tail_than_bernoulli() {
 
 #[test]
 fn packet_records_match_aggregates() {
+    // Packets born before the window opens are not measured; each measured
+    // packet's split, rebuilt from its delivery and its path's ideal
+    // latency, sums to the window's aggregate.
     let mut net = Network::new(mesh_config(&Layout::CenterBL)).expect("valid");
-    net.set_record_packets(true);
-    let out = SimRun::new(net, quick(0.015))
-        .run()
-        .expect("simulation run");
-    let recs = &out.stats.records;
-    assert_eq!(recs.len() as u64, out.stats.latency.count);
-    let sum: u64 = recs.iter().map(|r| r.total()).sum();
-    assert_eq!(sum, out.stats.latency.total);
+    let flit_width = net.config().flit_width;
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut agg = LatencyAgg::default();
+    let mut add = |net: &mut Network| {
+        let delivered = net.drain_delivered();
+        for d in delivered.into_iter().filter(|d| d.packet.birth >= 1_000) {
+            let (src, dst) = (d.packet.src, d.packet.dst);
+            let flits = d.packet.size.flits(flit_width);
+            agg.add(&PacketRecord {
+                src,
+                dst,
+                birth: d.packet.birth,
+                inject: d.inject,
+                retire: d.retire,
+                flits,
+                ideal: net.ideal_latency(src, dst, flits),
+                class: d.packet.class,
+            });
+        }
+    };
+    for cycle in 0..4_000 {
+        if cycle == 1_000 {
+            net.start_measuring();
+        }
+        for src in 0..64 {
+            if rng.random::<f64>() < 0.015 {
+                let dst = NodeId(rng.random_range(0..64));
+                net.enqueue(NodeId(src), dst, Bits(1024), PacketClass::Data, 0);
+            }
+        }
+        net.step();
+        add(&mut net);
+    }
+    while net.in_flight() > 0 {
+        net.step();
+        add(&mut net);
+    }
+    assert!(agg.count > 500, "{agg:?}");
+    assert_eq!(agg, net.stats().latency);
 }

@@ -37,7 +37,7 @@ proptest! {
         let cfg = mesh_config(layout);
         let flit_width = cfg.flit_width;
         let mut net = Network::new(cfg).expect("valid layout");
-        net.set_measuring(true);
+        net.start_measuring();
         let mut expect_flits = 0u64;
         for (i, &(s, d)) in pairs.iter().enumerate() {
             let size = if data[i % data.len()] { Bits(1024) } else { Bits(64) };
@@ -60,17 +60,18 @@ proptest! {
         pairs in prop::collection::vec((0usize..64, 0usize..64), 1..40),
     ) {
         let mut net = Network::new(mesh_config(&Layout::DiagonalBL)).expect("valid");
-        net.set_measuring(true);
-        net.set_record_packets(true);
+        let flits = Bits(1024).flits(net.config().flit_width);
         for (i, &(s, d)) in pairs.iter().enumerate() {
             net.enqueue(NodeId(s), NodeId(d), Bits(1024), PacketClass::Data, i as u64);
         }
         drain(&mut net, 200_000);
-        for rec in &net.stats().records {
+        for d in net.drain_delivered() {
+            let (src, dst) = (d.packet.src, d.packet.dst);
+            let ideal = net.ideal_latency(src, dst, flits);
             prop_assert!(
-                rec.network() >= rec.ideal,
+                d.retire - d.inject >= ideal,
                 "packet {}->{} took {} cycles, ideal {}",
-                rec.src, rec.dst, rec.network(), rec.ideal
+                src, dst, d.retire - d.inject, ideal
             );
         }
     }
@@ -149,7 +150,7 @@ proptest! {
             .expect("every X-Y-routed mesh placement is deadlock-free");
 
         let mut net = Network::new(cfg).expect("verified config must build");
-        net.set_measuring(true);
+        net.start_measuring();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut packets = 0u64;
         let mut expect_flits = 0u64;
