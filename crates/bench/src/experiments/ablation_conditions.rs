@@ -43,11 +43,6 @@ pub fn run() {
     ));
 
     let diag = Placement::diagonals(8, 8);
-    let routers_hetero: Vec<RouterCfg> = diag
-        .mask()
-        .iter()
-        .map(|&b| if b { RouterCfg::BIG } else { RouterCfg::SMALL })
-        .collect();
 
     let mut variants: Vec<(&str, NetworkConfig)> = Vec::new();
     variants.push(("Baseline (homogeneous)", mesh_config(&Layout::Baseline)));
@@ -101,7 +96,6 @@ pub fn run() {
     v.flit_width = Bits(128);
     v.link_widths = LinkWidths::Uniform(Bits(128));
     variants.push(("128b width tax only @ 2.2 GHz", v));
-    let _ = routers_hetero;
 
     for (name, cfg) in variants {
         let (l1, s1) = measure(cfg.clone(), 0.04);

@@ -39,29 +39,28 @@ pub fn run() {
         rep.line(row.join(" "));
     }
 
-    // Per-router mean utilization of its incident links.
-    rep.line("");
-    rep.line("## (b) Link utilization [%] (mean over links incident to each router)");
-    let cfg = mesh_config(&Layout::Baseline);
-    let lanes = 1usize;
-    for y in 0..8 {
-        let mut row = Vec::new();
-        for x in 0..8 {
-            let r = y * 8 + x;
+    // Per-router mean utilization of its incident links, for the table
+    // and the heat-map.
+    let link_means: Vec<f64> = (0..64)
+        .map(|r| {
             let mut sum = 0.0;
             let mut n = 0;
             for p in &graph.routers()[r].ports {
                 if let PortKind::Link { out, into, .. } = p.kind {
-                    sum += stats.link_utilization(out.index(), lanes);
-                    sum += stats.link_utilization(into.index(), lanes);
+                    sum += stats.link_utilization(out.index(), 1)
+                        + stats.link_utilization(into.index(), 1);
                     n += 2;
                 }
             }
-            row.push(format!("{:5.1}", 100.0 * sum / n as f64));
-        }
+            100.0 * sum / n as f64
+        })
+        .collect();
+    rep.line("");
+    rep.line("## (b) Link utilization [%] (mean over links incident to each router)");
+    for row in link_means.chunks(8) {
+        let row: Vec<String> = row.iter().map(|v| format!("{v:5.1}")).collect();
         rep.line(row.join(" "));
     }
-    let _ = cfg;
 
     // Summary statistics the paper quotes.
     let center: f64 = [27usize, 28, 35, 36]
@@ -87,20 +86,6 @@ pub fn run() {
         (0..64).map(|r| 100.0 * stats.vc_utilization(r)).collect(),
     )
     .write(dir.join("fig01_buffer_util.svg"));
-    let link_means: Vec<f64> = (0..64)
-        .map(|r| {
-            let mut sum = 0.0;
-            let mut n = 0;
-            for p in &graph.routers()[r].ports {
-                if let PortKind::Link { out, into, .. } = p.kind {
-                    sum += stats.link_utilization(out.index(), 1)
-                        + stats.link_utilization(into.index(), 1);
-                    n += 2;
-                }
-            }
-            100.0 * sum / n as f64
-        })
-        .collect();
     crate::plot::HeatMap::new("Fig 1b — link utilization [%]", 8, link_means)
         .write(dir.join("fig01_link_util.svg"));
     rep.line("");

@@ -18,7 +18,6 @@ pub mod plot;
 pub mod report;
 pub mod sweep;
 pub mod tracecheck;
-pub mod trajectory;
 
 use std::fs;
 use std::io::Write as _;

@@ -233,9 +233,9 @@ pub fn render_campaign(doc: &Json) -> Result<String, String> {
 /// Renders two sweep-results documents (`results/<name>.json`) side by
 /// side: one row per point label present in both, with latency, power and
 /// throughput from each file and the relative deltas, followed by a list
-/// of unmatched labels. Backs `heteronoc report --compare a.json b.json`;
-/// the delta/threshold conventions match [`crate::trajectory::compare`]
-/// (a negative latency/power delta is an improvement).
+/// of unmatched labels. Backs `heteronoc report --compare a.json b.json`.
+/// A delta is `(b - a) / a`, so a negative latency/power delta is an
+/// improvement.
 ///
 /// # Errors
 /// A message when either document has no `points` array or the two sweeps

@@ -15,7 +15,7 @@ mod signals;
 use std::process::ExitCode;
 
 use heteronoc::noc::network::Network;
-use heteronoc::noc::sim::{InjectionProcess, SimParams, SimRun, Traffic};
+use heteronoc::noc::sim::{InjectionProcess, SimParams, SimRun};
 use heteronoc::noc::types::Rate;
 use heteronoc::traffic::workloads::Benchmark;
 use heteronoc::{mesh_config, Layout};
@@ -182,18 +182,6 @@ COMMANDS
              any fails); writes results/<id>.txt. HETERONOC_FULL=1 selects
              paper scale, HETERONOC_JOBS=N caps workers, HETERONOC_NO_CACHE=1
              ignores results/cache/
-  bench      perf-trajectory harness: runs a pinned micro-suite (open-loop
-             runs at three loads, near-idle and quiet meshes, checkpoint
-             round-trip, sweep cache hits) and writes a schema-versioned
-             record to results/bench/BENCH_<git-sha>.json
-               --quick              reduced scale for CI (quick records only
-                                    compare against quick records)
-               --out-dir <dir>      record directory (default results/bench)
-               --compare <a> <b>    instead: diff two records; exit non-zero
-                                    when a gated entry regresses
-               --threshold <t>      relative regression gate (default 0.15);
-                                    exact work counts fail on any increase
-               --warn-only          report regressions without failing
 
 LAYOUTS  baseline, center-b, row25-b, diagonal-b, center-bl, row25-bl, diagonal-bl
 WORKLOADS sap, specjbb, tpcc, sjas, ferret, facesim, vips, canneal, dedup,
@@ -222,10 +210,6 @@ fn traffic_spec_by_name(name: &str) -> Result<TrafficSpec, String> {
         "shuffle" => TrafficSpec::Shuffle,
         other => return Err(format!("unknown pattern '{other}' (see --help)")),
     })
-}
-
-fn pattern_by_name(name: &str) -> Result<Box<dyn Traffic>, String> {
-    traffic_spec_by_name(name).map(|spec| spec.instantiate())
 }
 
 fn workload_by_name(name: &str) -> Result<Benchmark, String> {
@@ -464,7 +448,7 @@ fn cmd_run(a: &Args) -> Result<(), String> {
     };
 
     let net = Network::new(cfg).map_err(|e| e.to_string())?;
-    let mut traffic = pattern_by_name(&pattern)?;
+    let mut traffic = traffic_spec_by_name(&pattern)?.instantiate();
     let flag = signals::install();
     let mut run = SimRun::new(net, p)
         .traffic(traffic.as_mut())
@@ -571,6 +555,7 @@ fn cmd_replay(a: &Args) -> Result<(), String> {
 
     let layout = layout_by_name(a.get("layout").unwrap_or("baseline"))?;
     let pattern = a.get("pattern").unwrap_or("ur").to_owned();
+    let spec = traffic_spec_by_name(&pattern)?;
     let rate = a.get_or("rate", 0.02f64)?;
     let packets = a.get_or("packets", 5_000u64)?;
     let seed = a.get_or("seed", 42u64)?;
@@ -611,7 +596,7 @@ fn cmd_replay(a: &Args) -> Result<(), String> {
     let driver = ReplayDriver::new(
         p,
         || Network::new(mesh_config(&layout)).expect("the same configuration built above"),
-        || pattern_by_name(&pattern).expect("the pattern name validated above"),
+        || spec.instantiate(),
     );
     match driver
         .first_divergence(&ta, &tb, horizon, max_fields)
@@ -971,58 +956,6 @@ fn cmd_top(a: &Args) -> Result<(), String> {
         }
         std::thread::sleep(std::time::Duration::from_millis(interval));
     }
-}
-
-/// `heteronoc bench`: the perf-trajectory harness. Without `--compare`,
-/// runs the pinned micro-suite and writes `results/bench/BENCH_<sha>.json`;
-/// with `--compare old.json new.json`, diffs two records and exits
-/// non-zero when any gated entry regressed beyond `--threshold`.
-fn cmd_bench(a: &Args) -> Result<(), String> {
-    use heteronoc_bench::results_dir;
-    use heteronoc_bench::trajectory::{
-        compare, render_compare, render_record, run_suite, BenchRecord, DEFAULT_THRESHOLD,
-    };
-
-    let threshold = a.get_or("threshold", DEFAULT_THRESHOLD)?;
-    if !(0.0..10.0).contains(&threshold) {
-        return Err("--threshold must be in [0, 10) (a fraction, e.g. 0.15)".into());
-    }
-
-    if let Some(old_path) = a.get("compare") {
-        let [new_path] = a.rest.as_slice() else {
-            return Err(
-                "bench --compare takes exactly two files: --compare old.json new.json".into(),
-            );
-        };
-        let old = BenchRecord::load(std::path::Path::new(old_path))?;
-        let new = BenchRecord::load(std::path::Path::new(new_path))?;
-        let report = compare(&old, &new, threshold)?;
-        print!("{}", render_compare(&report));
-        if !report.passed() && !a.flag("warn-only") {
-            return Err(format!(
-                "{} gated entr(ies) regressed beyond {:.0}%",
-                report.regressions().len(),
-                threshold * 100.0
-            ));
-        }
-        return Ok(());
-    }
-    a.no_rest()?;
-
-    let quick = a.flag("quick");
-    println!(
-        "bench: running the pinned micro-suite ({} scale)…",
-        if quick { "quick" } else { "full" }
-    );
-    let record = run_suite(quick);
-    print!("{}", render_record(&record));
-    let dir = match a.get("out-dir") {
-        Some(d) => std::path::PathBuf::from(d),
-        None => results_dir().join("bench"),
-    };
-    let path = record.write(&dir)?;
-    println!("record: {}", path.display());
-    Ok(())
 }
 
 fn cmd_heatmap(a: &Args) -> Result<(), String> {
@@ -1579,7 +1512,6 @@ fn run() -> Result<(), String> {
         Some("campaign") => cmd_campaign(&a),
         Some("cache") => cmd_cache(&a),
         Some("top") => cmd_top(&a),
-        Some("bench") => cmd_bench(&a),
         Some("experiment") => cmd_experiment(&a),
         Some(other) => Err(format!("unknown command '{other}'\n\n{USAGE}")),
         None => {
@@ -1633,5 +1565,11 @@ mod tests {
         assert!(rates_arg(&args("sweep --rates 0.1,x"))
             .unwrap_err()
             .contains("--rates"));
+    }
+
+    #[test]
+    fn replay_rejects_an_unknown_pattern_before_loading_a_checkpoint() {
+        let e = cmd_replay(&args("replay --pattern nosuch --a missing.ckpt")).unwrap_err();
+        assert!(e.contains("unknown pattern 'nosuch'"), "{e}");
     }
 }

@@ -176,7 +176,6 @@ mod tests {
     use super::*;
     use crate::packet::PacketClass;
     use crate::stats::PacketRecord;
-    use crate::types::NodeId;
 
     /// Two routers (4 slots / 2 VCs each) and two links (1 and 2 lanes).
     const LANES: [usize; 2] = [1, 2];
@@ -187,12 +186,9 @@ mod tests {
 
     fn retired(total: Cycle) -> PacketRecord {
         PacketRecord {
-            src: NodeId(0),
-            dst: NodeId(1),
             birth: 0,
             inject: 2,
             retire: 2 + total,
-            flits: 1,
             ideal: 3,
             class: PacketClass::Data,
         }

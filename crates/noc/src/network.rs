@@ -1911,12 +1911,9 @@ impl Network {
                 return;
             }
             let rec = PacketRecord {
-                src: meta.packet.src,
-                dst: meta.packet.dst,
                 birth: meta.packet.birth,
                 inject: meta.inject,
                 retire: self.now,
-                flits: meta.total,
                 ideal: self.ideal_latency(meta.packet.src, meta.packet.dst, meta.total),
                 class: meta.packet.class,
             };

@@ -66,8 +66,8 @@ pub(crate) fn bucket_lo(i: usize) -> usize {
 /// the simulation state and never go into a checkpoint. They are
 /// deterministic per run, though, and published: the sweep JSON carries
 /// the eight cycle, visit and wake fields (and so the benchmark's
-/// `ur_sweep` digest hashes them), and `heteronoc bench` records the work
-/// counters per flit committed.
+/// `ur_sweep` digest hashes them), and `heteronoc run --profile` prints
+/// the work counters per flit committed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedReport {
     /// Total cycles the engine advanced (full + idle + jumped).

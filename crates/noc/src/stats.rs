@@ -16,7 +16,7 @@ use heteronoc_obs::LogHistogram;
 use serde::{Deserialize, Serialize};
 
 use crate::packet::PacketClass;
-use crate::types::{Cycle, NodeId};
+use crate::types::Cycle;
 
 /// Per-router microarchitectural event counters (power-model inputs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,18 +72,12 @@ impl LinkEvents {
 /// One retired packet's latency split, as the aggregates record it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PacketRecord {
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
     /// Cycle the packet entered the source queue.
     pub birth: Cycle,
     /// Cycle the head flit left the source node.
     pub inject: Cycle,
     /// Cycle the tail flit was ejected at the destination.
     pub retire: Cycle,
-    /// Flits in the packet.
-    pub flits: u32,
     /// Contention-free reference latency for its path (see
     /// [`crate::network::Network::ideal_latency`]).
     pub ideal: u64,
@@ -470,12 +464,9 @@ mod tests {
 
     fn rec(birth: Cycle, inject: Cycle, retire: Cycle, ideal: u64) -> PacketRecord {
         PacketRecord {
-            src: NodeId(0),
-            dst: NodeId(1),
             birth,
             inject,
             retire,
-            flits: 6,
             ideal,
             class: PacketClass::Data,
         }

@@ -1,13 +1,13 @@
 //! Pins the full scheduler report of four fault-free runs (a loaded mesh,
-//! a near-idle one, a quiet one and a checkpoint resume) and one run with
-//! transient link errors.
+//! a near-idle one, a quiet one and a checkpoint resume), one run with
+//! transient link errors, and open-loop runs at three loads.
 //!
 //! [`SchedReport`] is observability-only, but its counters are part of the
 //! sweep JSON and of the benchmark's result digests, so every field is
 //! pinned here: cycle split (full, idle, jumped), router visits and skips,
 //! wakes per reason and the wake-set size histogram, and the allocation
 //! work (SA stage-1 VCs, RC/VA heads, VA bids, flits committed, wheel
-//! events) that `heteronoc bench` records per flit.
+//! events) that `heteronoc run --profile` prints per flit.
 
 use heteronoc_noc::config::NetworkConfig;
 use heteronoc_noc::fault::FaultPlan;
@@ -63,8 +63,8 @@ fn baseline_run_report_is_pinned() {
     );
 }
 
-/// The `heteronoc bench` near-idle run (quick scale): long quiet
-/// stretches, which the idle fast path advances one cycle at a time.
+/// A near-idle mesh: long quiet stretches, which the idle fast path
+/// advances one cycle at a time.
 #[test]
 fn near_idle_run_report_is_pinned() {
     let params = SimParams {
@@ -97,8 +97,8 @@ fn near_idle_run_report_is_pinned() {
     );
 }
 
-/// The `heteronoc bench` quiet run (quick scale): at rate 0 no source can
-/// fire, so the whole horizon is covered by one bulk jump.
+/// A quiet mesh: at rate 0 no source can fire, so the whole horizon is
+/// covered by one bulk jump.
 #[test]
 fn quiet_run_report_is_pinned() {
     let params = SimParams {
@@ -194,4 +194,83 @@ fn resumed_run_report_is_pinned() {
             wheel_events: 95_407,
         }
     );
+}
+
+/// Open-loop runs at three loads, from light to near the knee (quick
+/// scale, seed 42): the exact allocation work per flit grows with load
+/// (SA stage-1 VCs 1.038 / 1.196 / 1.520 per flit committed, RC/VA heads
+/// 0.334 / 0.345 / 0.430, VA bids 0.141 / 0.148 / 0.213, wheel events
+/// 2.158 / 2.160 / 2.163). Any change to the work the engine does per
+/// flit moves these counts; a change that cuts it re-pins them lower.
+#[test]
+fn open_loop_load_reports_are_pinned() {
+    let pins = [
+        (
+            0.01,
+            SchedReport {
+                cycles: 3_579,
+                full_cycles: 3_577,
+                idle_cycles: 2,
+                jumped_cycles: 0,
+                router_visits: 86_015,
+                router_visits_skipped: 143_041,
+                wakes: [12_083, 0, 0],
+                wake_hist: [3, 1, 2, 3, 194, 3_010, 366, 0],
+                sa_vcs: 87_954,
+                rcva_heads: 28_343,
+                va_bids: 11_928,
+                flits_committed: 84_734,
+                wheel_events: 182_881,
+            },
+        ),
+        (
+            0.03,
+            SchedReport {
+                cycles: 1_242,
+                full_cycles: 1_241,
+                idle_cycles: 1,
+                jumped_cycles: 0,
+                router_visits: 63_787,
+                router_visits_skipped: 15_701,
+                wakes: [6_319, 0, 0],
+                wake_hist: [2, 0, 1, 2, 4, 8, 1_225, 0],
+                sa_vcs: 104_210,
+                rcva_heads: 30_048,
+                va_bids: 12_918,
+                flits_committed: 87_107,
+                wheel_events: 188_163,
+            },
+        ),
+        (
+            0.05,
+            SchedReport {
+                cycles: 776,
+                full_cycles: 776,
+                idle_cycles: 0,
+                jumped_cycles: 0,
+                router_visits: 46_976,
+                router_visits_skipped: 2_688,
+                wakes: [1_886, 0, 0],
+                wake_hist: [1, 1, 0, 1, 2, 6, 695, 70],
+                sa_vcs: 137_240,
+                rcva_heads: 38_810,
+                va_bids: 19_258,
+                flits_committed: 90_307,
+                wheel_events: 195_357,
+            },
+        ),
+    ];
+    for (rate, want) in pins {
+        let params = SimParams {
+            injection_rate: Rate::new(rate),
+            warmup_packets: 200,
+            measure_packets: 2_000,
+            max_cycles: 3_000_000,
+            seed: 42,
+            process: InjectionProcess::Bernoulli,
+            watchdog: None,
+        };
+        let out = SimRun::new(net(), params).run().expect("simulation run");
+        assert_eq!(out.sched, want, "rate {rate}");
+    }
 }

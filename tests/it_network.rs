@@ -149,12 +149,9 @@ fn packet_records_match_aggregates() {
             let (src, dst) = (d.packet.src, d.packet.dst);
             let flits = d.packet.size.flits(flit_width);
             agg.add(&PacketRecord {
-                src,
-                dst,
                 birth: d.packet.birth,
                 inject: d.inject,
                 retire: d.retire,
-                flits,
                 ideal: net.ideal_latency(src, dst, flits),
                 class: d.packet.class,
             });
