@@ -2,58 +2,15 @@
 //! shipped paper configuration must lint clean, and one seeded-broken
 //! fixture per analysis must be caught with its stable code.
 
+mod common;
+
+use common::shipped_set;
 use heteronoc::noc::config::{NetworkConfig, RouterCfg};
 use heteronoc::noc::fault::{FaultKind, FaultPlan, HardFault};
 use heteronoc::noc::topology::TopologyKind;
-use heteronoc::noc::types::{Bits, LinkId, RouterId};
-use heteronoc::{mesh_config, mesh_config_with_table, Layout};
+use heteronoc::noc::types::{Bits, LinkId};
+use heteronoc::{mesh_config, Layout};
 use heteronoc_verify::{lint_config, ArbiterModel, Code, LintOptions, ProtocolModel, Severity};
-
-/// The configurations `heteronoc lint` checks by default: the paper's
-/// seven mesh layouts, the best layout with a hub route table, and the
-/// three alternative-topology homogeneous networks.
-fn shipped_set() -> Vec<(String, NetworkConfig)> {
-    let mut out: Vec<(String, NetworkConfig)> = Layout::all_seven()
-        .into_iter()
-        .map(|l| (l.name().to_owned(), mesh_config(&l)))
-        .collect();
-    let corners = [RouterId(0), RouterId(7), RouterId(56), RouterId(63)];
-    out.push((
-        "Diagonal+BL (table)".to_owned(),
-        mesh_config_with_table(&Layout::DiagonalBL, &corners),
-    ));
-    for (name, kind) in [
-        (
-            "torus-8x8",
-            TopologyKind::Torus {
-                width: 8,
-                height: 8,
-            },
-        ),
-        (
-            "cmesh-4x4x4",
-            TopologyKind::CMesh {
-                width: 4,
-                height: 4,
-                concentration: 4,
-            },
-        ),
-        (
-            "fbfly-4x4x4",
-            TopologyKind::FlattenedButterfly {
-                width: 4,
-                height: 4,
-                concentration: 4,
-            },
-        ),
-    ] {
-        out.push((
-            name.to_owned(),
-            NetworkConfig::homogeneous(kind, RouterCfg::BASELINE, Bits(192), 2.2),
-        ));
-    }
-    out
-}
 
 fn codes(report: &heteronoc_verify::LintReport) -> Vec<Code> {
     report.diagnostics.iter().map(|d| d.code).collect()
