@@ -26,12 +26,41 @@
 //!   acyclic, which [`Cdg::check_acyclic`] proves.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 
 use heteronoc_noc::routing::{RoutingKind, VcClass};
 use heteronoc_noc::topology::TopologyGraph;
 use heteronoc_noc::types::{LinkId, NodeId, RouterId};
 
-use crate::error::{CdgChannel, VerifyError};
+use crate::diag::{Code, Diagnostic, Span};
+
+/// One VC-level channel of the dependency graph, named for diagnostics.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct CdgChannel {
+    /// The unidirectional link the channel belongs to.
+    link: LinkId,
+    /// Driving router of the link.
+    src: RouterId,
+    /// Receiving router (the VC buffer lives at its input port).
+    dst: RouterId,
+    /// Virtual-channel index at the receiving input port.
+    vc: usize,
+}
+
+impl fmt::Display for CdgChannel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}[{}->{}].vc{}", self.link, self.src, self.dst, self.vc)
+    }
+}
+
+/// `HN-E004`: the walk `src -> dst` exceeded `bound` hops.
+fn route_diverges(src: NodeId, dst: NodeId, bound: usize) -> Diagnostic {
+    Diagnostic::new(
+        Code::RouteDiverges,
+        Span::Route { src, dst },
+        format!("routing walk {src} -> {dst} did not terminate within {bound} hops"),
+    )
+}
 
 /// How reserved escape VCs are modelled during CDG construction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -69,10 +98,9 @@ impl Cdg {
     /// channels per port at router `r`, under the given escape model.
     ///
     /// # Errors
-    /// [`VerifyError::RouteDiverges`] when a routing walk fails to
-    /// terminate, [`VerifyError::MissingEscapeVc`] when
-    /// [`EscapeModel::ReservedTop`] is requested but a router cannot
-    /// reserve an escape VC.
+    /// `HN-E004` (`RouteDiverges`) when a routing walk fails to terminate,
+    /// `HN-E005` (`MissingEscapeVc`) when [`EscapeModel::ReservedTop`] is
+    /// requested but a router cannot reserve an escape VC.
     ///
     /// # Panics
     /// Panics if `vcs.len()` does not match the router count or any entry
@@ -82,7 +110,7 @@ impl Cdg {
         routing: &RoutingKind,
         vcs: &[usize],
         escape: EscapeModel,
-    ) -> Result<Self, VerifyError> {
+    ) -> Result<Self, Diagnostic> {
         assert_eq!(vcs.len(), graph.num_routers(), "one VC count per router");
         assert!(
             vcs.iter().all(|&v| v > 0),
@@ -90,10 +118,15 @@ impl Cdg {
         );
         if escape == EscapeModel::ReservedTop {
             if let Some(r) = vcs.iter().position(|&v| v < 2) {
-                return Err(VerifyError::MissingEscapeVc {
-                    router: RouterId(r),
-                    vcs: vcs[r],
-                });
+                let router = RouterId(r);
+                return Err(Diagnostic::new(
+                    Code::MissingEscapeVc,
+                    Span::Router(router),
+                    format!(
+                        "router {router} has {} VC(s) per port; escape analysis needs >= 2",
+                        vcs[r]
+                    ),
+                ));
             }
         }
 
@@ -170,11 +203,20 @@ impl Cdg {
     /// Proves the hard-dependency subgraph acyclic.
     ///
     /// # Errors
-    /// [`VerifyError::CyclicEscape`] when a cycle lies entirely on reserved
+    /// `HN-E003` (`CyclicEscape`) when a cycle lies entirely on reserved
     /// escape channels (the escape subnetwork cannot drain), otherwise
-    /// [`VerifyError::CyclicDependency`]; both name the channels on the
-    /// cycle in dependency order.
-    pub fn check_acyclic(&self) -> Result<(), VerifyError> {
+    /// `HN-E002` (`CyclicDependency`); both name the channels on the cycle
+    /// in dependency order, the last one depending on the first.
+    pub fn check_acyclic(&self) -> Result<(), Diagnostic> {
+        match self.find_cycle() {
+            None => Ok(()),
+            Some(cycle) => Err(self.cycle_diagnostic(&cycle)),
+        }
+    }
+
+    /// The first cycle of hard dependencies a depth-first search meets, as
+    /// channel indices in dependency order, or `None` when there is none.
+    fn find_cycle(&self) -> Option<Vec<usize>> {
         // Deterministic adjacency order so the named cycle is stable.
         let adj: Vec<Vec<usize>> = self
             .edges
@@ -212,8 +254,7 @@ impl Cdg {
                                 .iter()
                                 .position(|&(c, _)| c == to)
                                 .expect("gray channel is on the stack");
-                            let cycle: Vec<usize> = stack[from..].iter().map(|&(c, _)| c).collect();
-                            return Err(self.cycle_error(&cycle));
+                            return Some(stack[from..].iter().map(|&(c, _)| c).collect());
                         }
                         _ => {}
                     }
@@ -223,7 +264,7 @@ impl Cdg {
                 }
             }
         }
-        Ok(())
+        None
     }
 
     /// Resolves a channel index back to its named form.
@@ -241,13 +282,29 @@ impl Cdg {
         }
     }
 
-    fn cycle_error(&self, cycle: &[usize]) -> VerifyError {
+    /// Names a cycle channel by channel, closing it on its first channel;
+    /// the diagnostic anchors to that channel.
+    fn cycle_diagnostic(&self, cycle: &[usize]) -> Diagnostic {
         let named: Vec<CdgChannel> = cycle.iter().map(|&c| self.channel(c)).collect();
-        if cycle.iter().all(|&c| self.escape_channel[c]) {
-            VerifyError::CyclicEscape { cycle: named }
+        let (code, what) = if cycle.iter().all(|&c| self.escape_channel[c]) {
+            (Code::CyclicEscape, "escape subnetwork is cyclic")
         } else {
-            VerifyError::CyclicDependency { cycle: named }
-        }
+            (Code::CyclicDependency, "cyclic channel dependency")
+        };
+        let first = named[0];
+        let chain: Vec<String> = named
+            .iter()
+            .chain([&first])
+            .map(ToString::to_string)
+            .collect();
+        Diagnostic::new(
+            code,
+            Span::Channel {
+                link: first.link,
+                vc: first.vc,
+            },
+            format!("{what} ({} channels): {}", named.len(), chain.join(" -> ")),
+        )
     }
 }
 
@@ -301,7 +358,7 @@ impl Builder<'_> {
 
     /// Walks `src -> dst` through the routing function, adding a dependency
     /// from each traversed channel to its successor.
-    fn walk(&mut self, src: NodeId, dst: NodeId, expedited: bool) -> Result<(), VerifyError> {
+    fn walk(&mut self, src: NodeId, dst: NodeId, expedited: bool) -> Result<(), Diagnostic> {
         let bound = 2 * self.graph.num_routers() + 4;
         // Table dependencies are relieved by escape diversion; everything
         // else (plain X-Y traffic cannot divert) is hard.
@@ -315,7 +372,7 @@ impl Builder<'_> {
         {
             hops += 1;
             if hops > bound {
-                return Err(VerifyError::RouteDiverges { src, dst, bound });
+                return Err(route_diverges(src, dst, bound));
             }
             let link = self
                 .graph
@@ -347,7 +404,7 @@ impl Builder<'_> {
         at: RouterId,
         src: NodeId,
         dst: NodeId,
-    ) -> Result<(), VerifyError> {
+    ) -> Result<(), Diagnostic> {
         let bound = 2 * self.graph.num_routers() + 4;
         let Some(first) = self.routing.escape_route(self.graph, at, src, dst) else {
             return Ok(());
@@ -367,7 +424,7 @@ impl Builder<'_> {
         while let Some(choice) = self.routing.route(self.graph, cur, src, dst, true, true) {
             hops += 1;
             if hops > bound {
-                return Err(VerifyError::RouteDiverges { src, dst, bound });
+                return Err(route_diverges(src, dst, bound));
             }
             let link = self
                 .graph
@@ -446,18 +503,40 @@ mod tests {
             EscapeModel::None,
         )
         .unwrap();
-        let err = cdg.check_acyclic().unwrap_err();
-        match err {
-            VerifyError::CyclicDependency { ref cycle } => {
-                assert!(cycle.len() >= 3, "ring cycle has at least the ring length");
-                // Consecutive channels must chain through shared routers.
-                for w in cycle.windows(2) {
-                    assert_eq!(w[0].dst, w[1].src, "cycle must chain: {err}");
-                }
-                assert_eq!(cycle.last().unwrap().dst, cycle[0].src, "cycle closes");
-            }
-            ref other => panic!("expected a named cycle, got {other:?}"),
+        let cycle: Vec<CdgChannel> = cdg
+            .find_cycle()
+            .expect("the ring is cyclic")
+            .into_iter()
+            .map(|c| cdg.channel(c))
+            .collect();
+        assert!(cycle.len() >= 3, "ring cycle has at least the ring length");
+        // Consecutive channels must chain through shared routers.
+        for w in cycle.windows(2) {
+            assert_eq!(w[0].dst, w[1].src, "cycle must chain: {cycle:?}");
         }
+        assert_eq!(cycle.last().unwrap().dst, cycle[0].src, "cycle closes");
+
+        // The diagnostic anchors to the first channel, names every channel
+        // and closes back on the first.
+        let d = cdg.check_acyclic().unwrap_err();
+        assert_eq!(d.code, Code::CyclicDependency);
+        assert_eq!(
+            d.span,
+            Span::Channel {
+                link: cycle[0].link,
+                vc: cycle[0].vc
+            }
+        );
+        let prefix = format!("cyclic channel dependency ({} channels): ", cycle.len());
+        assert!(d.message.starts_with(&prefix), "{}", d.message);
+        for c in &cycle {
+            assert!(d.message.contains(&c.to_string()), "{}", d.message);
+        }
+        assert!(
+            d.message.ends_with(&format!(" -> {}", cycle[0])),
+            "{}",
+            d.message
+        );
     }
 
     #[test]
@@ -487,11 +566,13 @@ mod tests {
         let routing = RoutingKind::TableXy(tbl);
         // Without the escape reservation the four turns close a cycle.
         let cdg = Cdg::build(&g, &routing, &[2; 9], EscapeModel::None).unwrap();
+        let cycle = cdg.find_cycle().expect("the four turns close a cycle");
+        assert!(
+            cycle.len() >= 4,
+            "turn cycle spans the four sides: {cycle:?}"
+        );
         let err = cdg.check_acyclic().unwrap_err();
-        let VerifyError::CyclicDependency { cycle } = &err else {
-            panic!("expected CyclicDependency, got {err:?}");
-        };
-        assert!(cycle.len() >= 4, "turn cycle spans the four sides: {err}");
+        assert_eq!(err.code, Code::CyclicDependency, "{err}");
         // With the escape VC reserved, the same table verifies: the cycle
         // is entirely escape-relieved and the escape subnetwork is X-Y.
         let cdg = Cdg::build(&g, &routing, &[2; 9], EscapeModel::ReservedTop).unwrap();
@@ -506,23 +587,17 @@ mod tests {
             height: 4,
         }
         .build();
-        let mut tbl = RouteTable::new();
-        tbl.insert(
-            RouterId(0),
-            RouterId(2),
-            vec![RouterId(0), RouterId(1), RouterId(2)],
-        );
-        let routing = RoutingKind::TableXy(tbl);
+        let routing = RoutingKind::TableXy(RouteTable::for_hubs(&g, &[RouterId(0)]));
         // The single escape VC re-creates the ring cycle the datelines
         // otherwise break: escape diversion cannot guarantee progress.
         let cdg = Cdg::build(&g, &routing, &[3; 16], EscapeModel::ReservedTop).unwrap();
+        let cycle = cdg.find_cycle().expect("the escape ring is cyclic");
+        assert!(cycle.iter().all(|&c| cdg.channel(c).vc == 2), "{cycle:?}");
         let err = cdg.check_acyclic().unwrap_err();
+        assert_eq!(err.code, Code::CyclicEscape, "{err}");
         assert!(
-            matches!(
-                err,
-                VerifyError::CyclicEscape { .. } | VerifyError::CyclicDependency { .. }
-            ),
-            "expected a named cycle, got {err:?}"
+            err.message.starts_with("escape subnetwork is cyclic ("),
+            "{err}"
         );
     }
 
@@ -538,10 +613,11 @@ mod tests {
         .unwrap_err();
         assert_eq!(
             err,
-            VerifyError::MissingEscapeVc {
-                router: RouterId(2),
-                vcs: 1
-            }
+            Diagnostic::new(
+                Code::MissingEscapeVc,
+                Span::Router(RouterId(2)),
+                "router r2 has 1 VC(s) per port; escape analysis needs >= 2"
+            )
         );
     }
 }

@@ -26,7 +26,7 @@ use heteronoc_noc::sim::{drive, Clock, Hooks, SimError, Workload};
 use heteronoc_noc::types::{Bits, Cycle, LinkId, NodeId, RouterId};
 
 use crate::cdg::{Cdg, EscapeModel};
-use crate::error::VerifyError;
+use crate::diag::Diagnostic;
 
 /// A degraded routing that passed the CDG acyclicity proof.
 #[derive(Clone, Debug)]
@@ -51,14 +51,14 @@ pub struct VerifiedDegradedRouting {
 /// reported so callers can account for the lost coverage.
 ///
 /// # Errors
-/// [`VerifyError::CyclicDependency`] (naming the cycle) if the regenerated
-/// table's dependency graph is cyclic; [`VerifyError::Config`] if `cfg`
-/// itself is invalid.
+/// `HN-E002` (`CyclicDependency`, naming the cycle) if the regenerated
+/// table's dependency graph is cyclic, `HN-E004` (`RouteDiverges`) if one
+/// of its walks does not terminate.
 pub fn verify_degraded_routing(
     cfg: &NetworkConfig,
     dead_links: &[LinkId],
     dead_routers: &[RouterId],
-) -> Result<VerifiedDegradedRouting, VerifyError> {
+) -> Result<VerifiedDegradedRouting, Diagnostic> {
     let graph = cfg.build_graph();
     let dr = degraded_routing(&graph, dead_links, dead_routers);
     let routing = RoutingKind::FullTable(dr.table);
@@ -189,7 +189,7 @@ pub enum DegradedRunError {
     Config(heteronoc_noc::error::ConfigError),
     /// A regenerated routing failed the deadlock proof (cycle named) —
     /// nothing was installed.
-    Deadlock(VerifyError),
+    Deadlock(Diagnostic),
     /// A link exhausted its retransmission attempts.
     Unrecoverable(UnrecoverableFault),
     /// No forward progress for longer than the stall limit.
@@ -209,9 +209,11 @@ impl std::fmt::Display for DegradedRunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DegradedRunError::Config(e) => write!(f, "invalid configuration: {e}"),
-            DegradedRunError::Deadlock(e) => {
-                write!(f, "regenerated routing failed the deadlock proof: {e}")
-            }
+            DegradedRunError::Deadlock(d) => write!(
+                f,
+                "regenerated routing failed the deadlock proof: {}",
+                d.message
+            ),
             DegradedRunError::Unrecoverable(e) => write!(f, "unrecoverable fault: {e}"),
             DegradedRunError::Stalled {
                 report,
@@ -303,7 +305,7 @@ struct Campaign {
     report: DegradedRunReport,
     moved: bool,
     /// A regenerated table that failed the proof; it ends the run.
-    deadlock: Option<VerifyError>,
+    deadlock: Option<Diagnostic>,
 }
 
 impl Workload for Campaign {

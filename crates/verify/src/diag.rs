@@ -13,8 +13,6 @@ use std::fmt;
 
 use heteronoc_noc::types::{LinkId, NodeId, RouterId};
 
-use crate::error::{LintWarning, VerifyError};
-
 /// How bad a diagnostic is.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Severity {
@@ -509,53 +507,6 @@ impl Diagnostic {
             json_escape(&self.message)
         )
     }
-
-    /// Maps a typed [`VerifyError`] onto the diagnostic registry (the port
-    /// of the pre-existing CDG/structure/budget checks).
-    pub fn from_error(e: &VerifyError) -> Diagnostic {
-        let span = match e {
-            VerifyError::CyclicDependency { cycle } | VerifyError::CyclicEscape { cycle } => {
-                cycle.first().map_or(Span::Config, |c| Span::Channel {
-                    link: c.link,
-                    vc: c.vc,
-                })
-            }
-            VerifyError::RouteDiverges { src, dst, .. } => Span::Route {
-                src: *src,
-                dst: *dst,
-            },
-            VerifyError::MissingEscapeVc { router, .. } => Span::Router(*router),
-            VerifyError::TablePathBrokenLink { at, .. } => Span::Router(*at),
-            _ => Span::Config,
-        };
-        let code = match e {
-            VerifyError::Config(_) => Code::InvalidConfig,
-            VerifyError::CyclicDependency { .. } => Code::CyclicDependency,
-            VerifyError::CyclicEscape { .. } => Code::CyclicEscape,
-            VerifyError::RouteDiverges { .. } => Code::RouteDiverges,
-            VerifyError::MissingEscapeVc { .. } => Code::MissingEscapeVc,
-            VerifyError::VcBudgetMismatch { .. } => Code::VcBudgetMismatch,
-            VerifyError::LinkWidthInversion { .. } => Code::LinkWidthInversion,
-            VerifyError::CombiningIncompatible { .. } => Code::CombiningIncompatible,
-            VerifyError::TablePathBrokenLink { .. } => Code::TablePathBrokenLink,
-            VerifyError::TableCoverageGap { .. } => Code::TableCoverageGap,
-        };
-        Diagnostic::new(code, span, e.to_string())
-    }
-
-    /// Maps a [`LintWarning`] onto the diagnostic registry.
-    pub fn from_warning(w: &LintWarning) -> Diagnostic {
-        let (code, span) = match w {
-            LintWarning::BisectionExceedsBudget { .. } => {
-                (Code::BisectionExceedsBudget, Span::Config)
-            }
-            LintWarning::BufferBitsExceedBudget { .. } => {
-                (Code::BufferBitsExceedBudget, Span::Config)
-            }
-            LintWarning::UnderusedLanes { link, .. } => (Code::UnderusedLanes, Span::Link(*link)),
-        };
-        Diagnostic::new(code, span, w.to_string())
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -629,28 +580,5 @@ mod tests {
         assert!(j.contains("\\\"flits\\\""), "{j}");
         assert!(j.contains("\\n"), "{j}");
         assert!(!j.contains('\n'), "single line: {j}");
-    }
-
-    #[test]
-    fn error_mapping_keeps_the_cycle_channel() {
-        use crate::error::CdgChannel;
-        let e = VerifyError::CyclicDependency {
-            cycle: vec![CdgChannel {
-                link: LinkId(4),
-                src: RouterId(1),
-                dst: RouterId(2),
-                vc: 1,
-            }],
-        };
-        let d = Diagnostic::from_error(&e);
-        assert_eq!(d.code, Code::CyclicDependency);
-        assert_eq!(
-            d.span,
-            Span::Channel {
-                link: LinkId(4),
-                vc: 1
-            }
-        );
-        assert!(d.message.contains("l4[r1->r2].vc1"));
     }
 }

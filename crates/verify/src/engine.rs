@@ -1,35 +1,39 @@
-//! The lint engine: runs every analysis pass over one configuration and
-//! collects [`Diagnostic`]s into a deterministic [`LintReport`].
+//! The two entry points over one configuration, both built on the passes
+//! of [`crate::lint`] and [`crate::cdg`].
 //!
-//! Unlike [`crate::verify_config`] (first-error, `Result`-shaped, kept for
-//! API stability and the benchmark's set-up), [`lint_config`]
-//! never fails: it runs as many passes as remain meaningful and returns
-//! everything it found, sorted (errors first, then code/span/message) and
+//! [`lint_config`] never fails: it runs as many passes as remain
+//! meaningful and returns every [`Diagnostic`] it found in a
+//! [`LintReport`], sorted (errors first, then code/span/message) and
 //! de-duplicated, so two runs over the same configuration render
 //! byte-identical output. Pass order:
 //!
 //! 1. `NetworkConfig::validate` — on failure, `HN-E001` and stop (nothing
 //!    else is well-defined).
-//! 2. Structure — the collect-all port of [`crate::lint::lint_structure`]:
-//!    width inversion/combining, underused lanes, table coverage.
+//! 2. Structure — width inversion/combining, underused lanes, table
+//!    coverage.
 //! 3. Budget (opt-in via [`LintOptions::baseline`]) — the iso-resource
 //!    lint of [`crate::lint::lint_budget`].
 //! 4. Proof passes, skipped when structure found errors (a broken table
-//!    makes the walks meaningless): CDG acyclicity, protocol deadlock,
-//!    credit sizing, starvation.
+//!    makes the walks meaningless): CDG acyclicity, protocol deadlock of
+//!    the shipped MESI model, credit sizing, and starvation under the
+//!    shipped rotating-priority allocator.
 //! 5. Fault-plan reachability (opt-in via [`LintOptions::fault_plan`]).
+//! 6. Crash safety (opt-in via [`LintOptions::checkpoint_every`] and
+//!    [`LintOptions::watchdog`]).
+//!
+//! [`verify_config`] runs steps 1, 2 and the CDG proof, the passes a
+//! configuration must pass before it is simulated, and returns the first
+//! error the report would list.
 
-use heteronoc_noc::config::{lanes, LinkWidths, NetworkConfig};
+use heteronoc_noc::config::NetworkConfig;
 use heteronoc_noc::fault::FaultPlan;
-use heteronoc_noc::routing::RoutingKind;
 use heteronoc_noc::topology::TopologyGraph;
-use heteronoc_noc::types::LinkId;
 
 use crate::cdg::{Cdg, EscapeModel};
 use crate::credit::analyze_credit;
 use crate::diag::{json_escape, Code, Diagnostic, Severity, Span};
 use crate::faultplan::analyze_fault_plan;
-use crate::lint::lint_budget;
+use crate::lint::{lint_budget, structure_diagnostics};
 use crate::protocol::{analyze_protocol, ProtocolModel};
 use crate::starvation::{analyze_starvation, ArbiterModel};
 
@@ -40,13 +44,9 @@ pub struct LintOptions {
     /// `heteronoc lint --baseline` checks against Fig. 3's homogeneous
     /// mesh).
     pub baseline: Option<NetworkConfig>,
-    /// Protocol model for the message-class deadlock pass (`None` skips).
-    pub protocol: Option<ProtocolModel>,
     /// Injection rates (packets/node/cycle) the credit-sizing pass checks
     /// against; empty skips the pass.
     pub rates: Vec<f64>,
-    /// Switch-allocator arbitration model for the starvation pass.
-    pub arbiter: ArbiterModel,
     /// Fault plan for the reachability pass (`None` skips).
     pub fault_plan: Option<FaultPlan>,
     /// Checkpoint interval of the run being gated, in cycles (`None` means
@@ -58,15 +58,12 @@ pub struct LintOptions {
 }
 
 impl Default for LintOptions {
-    /// The defaults the CLI and the sweep gate use: shipped MESI protocol,
-    /// the sweeps' canonical pre-saturation rates, the shipped rotating
-    /// arbiter, no baseline, no fault plan.
+    /// The defaults the CLI and the sweep gate use: the sweeps' canonical
+    /// pre-saturation rates, no baseline, no fault plan.
     fn default() -> LintOptions {
         LintOptions {
             baseline: None,
-            protocol: Some(ProtocolModel::mesi_directory()),
             rates: vec![0.01, 0.02, 0.03, 0.04, 0.05],
-            arbiter: ArbiterModel::RotatingPriority,
             fault_plan: None,
             checkpoint_every: None,
             watchdog: None,
@@ -129,120 +126,73 @@ impl LintReport {
     }
 }
 
-/// Collect-all port of [`crate::lint::lint_structure`]: same findings,
-/// but every one of them instead of the first error.
-fn structure_diagnostics(cfg: &NetworkConfig, graph: &TopologyGraph) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
+/// `NetworkConfig::validate` as a finding: `HN-E001`.
+fn validate(cfg: &NetworkConfig, graph: &TopologyGraph) -> Result<(), Diagnostic> {
+    cfg.validate(graph)
+        .map_err(|e| Diagnostic::new(Code::InvalidConfig, Span::Config, e.to_string()))
+}
 
-    if let LinkWidths::ByBigRouters { narrow, wide, .. } = &cfg.link_widths {
-        if wide.get() < narrow.get() {
-            out.push(Diagnostic::new(
-                Code::LinkWidthInversion,
-                Span::Config,
-                format!(
-                    "big-router links ({}b) are narrower than small-router \
-                     links ({}b)",
-                    wide.get(),
-                    narrow.get()
-                ),
-            ));
-        } else if narrow.get() > 0 && wide.get() % narrow.get() != 0 {
-            out.push(Diagnostic::new(
-                Code::CombiningIncompatible,
-                Span::Config,
-                format!(
-                    "wide links ({}b) are not a whole multiple of narrow \
-                     links ({}b); flit combining cannot pack them",
-                    wide.get(),
-                    narrow.get()
-                ),
-            ));
-        }
+/// CDG acyclicity of `cfg`'s routing, with escape relief when the routing
+/// reserves escape VCs.
+fn prove_deadlock_free(cfg: &NetworkConfig, graph: &TopologyGraph) -> Result<(), Diagnostic> {
+    let vcs: Vec<usize> = cfg.routers.iter().map(|r| r.vcs_per_port).collect();
+    let escape = if cfg.routing.reserves_escape_vc() {
+        EscapeModel::ReservedTop
+    } else {
+        EscapeModel::None
+    };
+    Cdg::build(graph, &cfg.routing, &vcs, escape)?.check_acyclic()
+}
+
+/// Verifies one configuration: validity, the structure pass and CDG
+/// acyclicity. `name` is not used; callers label the error themselves.
+///
+/// # Errors
+/// The first error-severity finding, as [`lint_config`]'s report would
+/// list it: `HN-E001`, else the first structure error, else the CDG
+/// proof's (a deadlock cycle is named channel by channel).
+pub fn verify_config(_name: &str, cfg: &NetworkConfig) -> Result<(), Diagnostic> {
+    let graph = cfg.build_graph();
+    validate(cfg, &graph)?;
+    let first_error = structure_diagnostics(cfg, &graph)
+        .into_iter()
+        .filter(|d| d.severity() == Severity::Error)
+        .min_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+    match first_error {
+        Some(d) => Err(d),
+        None => prove_deadlock_free(cfg, &graph),
     }
-    for (i, w) in cfg.link_widths.resolve(graph).iter().enumerate() {
-        let l = lanes(*w, cfg.flit_width);
-        if l > 2 {
-            out.push(Diagnostic::new(
-                Code::UnderusedLanes,
-                Span::Link(LinkId(i)),
-                format!(
-                    "link carries {l} flit lanes but the allocator drives at \
-                     most 2 per cycle"
-                ),
-            ));
-        }
-    }
-    if let RoutingKind::TableXy(tbl) = &cfg.routing {
-        for ((src, dst), path) in tbl.pairs() {
-            for hop in path.windows(2) {
-                if graph.port_towards(hop[0], hop[1]).is_none() {
-                    out.push(Diagnostic::new(
-                        Code::TablePathBrokenLink,
-                        Span::Router(hop[0]),
-                        format!(
-                            "table path {src}->{dst} hops {}->{} which is \
-                             not a topology link",
-                            hop[0], hop[1]
-                        ),
-                    ));
-                }
-            }
-            if tbl.path(dst, src).is_none() {
-                out.push(Diagnostic::new(
-                    Code::TableCoverageGap,
-                    Span::Config,
-                    format!(
-                        "table routes {src}->{dst} but has no reverse \
-                         {dst}->{src} entry (hub routing is bidirectional)"
-                    ),
-                ));
-            }
-        }
-    }
-    out
 }
 
 /// Lints one configuration with every applicable pass; never fails.
 pub fn lint_config(name: &str, cfg: &NetworkConfig, opts: &LintOptions) -> LintReport {
-    let mut diags = Vec::new();
     let graph = cfg.build_graph();
-
-    if let Err(e) = cfg.validate(&graph) {
-        diags.push(Diagnostic::new(
-            Code::InvalidConfig,
-            Span::Config,
-            e.to_string(),
-        ));
-        return finish(name, diags);
+    if let Err(d) = validate(cfg, &graph) {
+        return finish(name, vec![d]);
     }
 
-    diags.extend(structure_diagnostics(cfg, &graph));
+    let mut diags = structure_diagnostics(cfg, &graph);
     if let Some(baseline) = &opts.baseline {
-        match lint_budget(cfg, &graph, baseline) {
-            Ok(warnings) => diags.extend(warnings.iter().map(Diagnostic::from_warning)),
-            Err(e) => diags.push(Diagnostic::from_error(&e)),
-        }
+        diags.extend(lint_budget(cfg, &graph, baseline));
     }
 
     let structurally_sound = !diags.iter().any(|d| d.severity() == Severity::Error);
     if structurally_sound {
         // Proof passes; a broken table would make every walk meaningless.
-        let vcs: Vec<usize> = cfg.routers.iter().map(|r| r.vcs_per_port).collect();
-        let escape = if cfg.routing.reserves_escape_vc() {
-            EscapeModel::ReservedTop
-        } else {
-            EscapeModel::None
-        };
-        let verdict =
-            Cdg::build(&graph, &cfg.routing, &vcs, escape).and_then(|cdg| cdg.check_acyclic());
-        if let Err(e) = verdict {
-            diags.push(Diagnostic::from_error(&e));
+        if let Err(d) = prove_deadlock_free(cfg, &graph) {
+            diags.push(d);
         }
-        if let Some(model) = &opts.protocol {
-            diags.extend(analyze_protocol(cfg, &graph, model));
-        }
+        diags.extend(analyze_protocol(
+            cfg,
+            &graph,
+            &ProtocolModel::mesi_directory(),
+        ));
         diags.extend(analyze_credit(cfg, &graph, &opts.rates));
-        diags.extend(analyze_starvation(cfg, &graph, opts.arbiter));
+        diags.extend(analyze_starvation(
+            cfg,
+            &graph,
+            ArbiterModel::RotatingPriority,
+        ));
     }
     if let Some(plan) = &opts.fault_plan {
         diags.extend(analyze_fault_plan(cfg, &graph, plan));

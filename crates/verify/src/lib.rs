@@ -11,12 +11,16 @@
 //!    VC budget and respect the bisection/buffer budgets of the homogeneous
 //!    baseline ([`lint`]).
 //!
+//! Every finding is a [`Diagnostic`]: a registry-stable [`Code`], the
+//! [`Span`] it anchors to and a message naming the concrete artifact.
+//!
 //! Entry points: [`lint_config`] runs every analysis over one
 //! configuration and reports all findings; `heteronoc lint`, the sweep
 //! gate and CI run it over every shipped configuration, and
 //! [`LintOptions::baseline`] adds the iso-resource lint against the
-//! Fig. 3 baseline. [`verify_config`] is the first-error form of the
-//! structure and deadlock checks, which the benchmark's set-up calls.
+//! Fig. 3 baseline. [`verify_config`] runs the same validation, structure
+//! and deadlock passes and returns the first error, for callers that only
+//! need a configuration proven before they simulate it.
 //!
 //! The complementary *runtime* invariant checker (flit conservation, credit
 //! bounds, per-VC FIFO order) lives in `heteronoc-noc` behind its `verify`
@@ -30,13 +34,10 @@ pub mod credit;
 pub mod degraded;
 pub mod diag;
 pub mod engine;
-pub mod error;
 pub mod faultplan;
 pub mod lint;
 pub mod protocol;
 pub mod starvation;
-
-use heteronoc_noc::config::NetworkConfig;
 
 pub use cdg::{Cdg, EscapeModel};
 pub use credit::{analyze_credit, credit_ceiling, CREDIT_RTT};
@@ -45,67 +46,16 @@ pub use degraded::{
     PhaseStats, VerifiedDegradedRouting,
 };
 pub use diag::{Code, Diagnostic, Severity, Span};
-pub use engine::{lint_config, LintOptions, LintReport};
-pub use error::{CdgChannel, LintWarning, VerifyError};
+pub use engine::{lint_config, verify_config, LintOptions, LintReport};
 pub use faultplan::analyze_fault_plan;
 pub use protocol::{analyze_protocol, ProtocolModel};
 pub use starvation::{analyze_starvation, ArbiterModel};
-
-/// Summary of a successful verification.
-#[derive(Clone, Debug)]
-pub struct VerifyReport {
-    /// Human-readable name of the verified configuration.
-    pub name: String,
-    /// VC-level channels in the dependency graph.
-    pub channels: usize,
-    /// Distinct channel dependencies.
-    pub dependencies: usize,
-    /// Dependencies relieved by escape diversion (table routing only).
-    pub relieved: usize,
-    /// Σ VCs per port over all routers.
-    pub total_vcs: usize,
-    /// Horizontal-cut bisection width in bits.
-    pub bisection_bits: u64,
-    /// Non-fatal findings (documented deviations, see [`LintWarning`]).
-    pub warnings: Vec<LintWarning>,
-}
-
-/// Verifies one configuration: validity, structural lint and CDG
-/// acyclicity (with escape relief when the routing reserves escape VCs).
-///
-/// # Errors
-/// The first [`VerifyError`] found; deadlock cycles are named channel by
-/// channel.
-pub fn verify_config(name: &str, cfg: &NetworkConfig) -> Result<VerifyReport, VerifyError> {
-    let graph = cfg.build_graph();
-    cfg.validate(&graph)?;
-    let warnings = lint::lint_structure(cfg, &graph)?;
-
-    let vcs: Vec<usize> = cfg.routers.iter().map(|r| r.vcs_per_port).collect();
-    let escape = if cfg.routing.reserves_escape_vc() {
-        EscapeModel::ReservedTop
-    } else {
-        EscapeModel::None
-    };
-    let cdg = Cdg::build(&graph, &cfg.routing, &vcs, escape)?;
-    cdg.check_acyclic()?;
-
-    Ok(VerifyReport {
-        name: name.to_owned(),
-        channels: cdg.num_channels(),
-        dependencies: cdg.num_dependencies(),
-        relieved: cdg.num_relieved(),
-        total_vcs: vcs.iter().sum(),
-        bisection_bits: cfg.bisection_bits(&graph),
-        warnings,
-    })
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use heteronoc::{mesh_config, mesh_config_with_table, Layout};
-    use heteronoc_noc::config::RouterCfg;
+    use heteronoc_noc::config::{NetworkConfig, RouterCfg};
     use heteronoc_noc::topology::TopologyKind;
     use heteronoc_noc::types::{Bits, RouterId};
 
@@ -143,8 +93,11 @@ mod tests {
         };
         let report = lint_config("table", &cfg, &opts);
         assert!(report.diagnostics.is_empty(), "{}", report.render_human());
-        let report = verify_config("table", &cfg).unwrap();
-        assert!(report.relieved > 0, "table deps must be escape-relieved");
+        verify_config("table", &cfg).unwrap();
+        let graph = cfg.build_graph();
+        let vcs: Vec<usize> = cfg.routers.iter().map(|r| r.vcs_per_port).collect();
+        let cdg = Cdg::build(&graph, &cfg.routing, &vcs, EscapeModel::ReservedTop).unwrap();
+        assert!(cdg.num_relieved() > 0, "table deps must be escape-relieved");
     }
 
     #[test]
@@ -184,9 +137,7 @@ mod tests {
     fn invalid_config_is_rejected_before_analysis() {
         let mut cfg = NetworkConfig::paper_baseline();
         cfg.flit_width = Bits(0);
-        assert!(matches!(
-            verify_config("broken", &cfg),
-            Err(VerifyError::Config(_))
-        ));
+        let err = verify_config("broken", &cfg).unwrap_err();
+        assert_eq!(err.code, Code::InvalidConfig, "{err}");
     }
 }

@@ -1,4 +1,5 @@
-//! Configuration lint: the paper's iso-resource invariants.
+//! The two structural passes: a configuration's own structure, and its
+//! iso-resource budgets against a baseline.
 //!
 //! HeteroNoC's argument is *redistribution, not addition* (§2-§3): a
 //! heterogeneous layout must hold the total VC budget and the bisection
@@ -6,109 +7,132 @@
 //! width toward the big routers. These checks make that claim machine-
 //! verified instead of implicit:
 //!
-//! * **VC budget** — `Σ vcs_per_port` must equal the baseline's (hard
-//!   error; a violating layout breaks the iso-resource comparison).
-//! * **Bisection bandwidth** — the horizontal-cut width must not exceed
-//!   the baseline's. Exceeding it is reported as a [`LintWarning`] rather
-//!   than an error because the paper's own Row2_5+BL layout trades
-//!   bisection for hop distance (all eight cut channels touch row 4's big
-//!   routers); see `heteronoc::resources` and DESIGN.md.
-//! * **Flit combining** — at a big-to-small boundary the wide link must
-//!   carry a whole number of narrow-link flits (§3.2), and lane counts the
-//!   switch allocator cannot drive are flagged.
-//! * **Table coverage** — every table path must follow topology links and
-//!   have a reverse-direction entry (§7 hub routing is bidirectional).
+//! * **Flit combining** (the structure pass) — at a big-to-small
+//!   boundary the wide link must carry a whole number of narrow-link flits
+//!   (§3.2), and lane counts the switch allocator cannot drive are flagged.
+//! * **Table coverage** (the structure pass) — every table path must
+//!   follow topology links and have a reverse-direction entry (§7 hub
+//!   routing is bidirectional).
+//! * **VC budget** ([`lint_budget`]) — `Σ vcs_per_port` must equal the
+//!   baseline's (an error; a violating layout breaks the iso-resource
+//!   comparison, and the other budgets are not checked).
+//! * **Bisection bandwidth** ([`lint_budget`]) — the horizontal-cut width
+//!   must not exceed the baseline's. Exceeding it is a warning rather than
+//!   an error because the paper's own Row2_5+BL layout trades bisection
+//!   for hop distance (all eight cut channels touch row 4's big routers);
+//!   see `heteronoc::resources` and DESIGN.md.
 
 use heteronoc_noc::config::{lanes, LinkWidths, NetworkConfig};
 use heteronoc_noc::routing::RoutingKind;
 use heteronoc_noc::topology::TopologyGraph;
 use heteronoc_noc::types::LinkId;
 
-use crate::error::{LintWarning, VerifyError};
+use crate::diag::{Code, Diagnostic, Span};
 
 /// Structural lint of a single configuration (no baseline needed): link
-/// width compatibility and route-table coverage.
-///
-/// # Errors
-/// [`VerifyError::LinkWidthInversion`] / [`VerifyError::CombiningIncompatible`]
-/// for width assignments flit combining cannot serve,
-/// [`VerifyError::TablePathBrokenLink`] / [`VerifyError::TableCoverageGap`]
-/// for malformed route tables.
-pub fn lint_structure(
-    cfg: &NetworkConfig,
-    graph: &TopologyGraph,
-) -> Result<Vec<LintWarning>, VerifyError> {
-    let mut warnings = Vec::new();
+/// width compatibility (`HN-E007`, `HN-E008`, `HN-W001`) and route-table
+/// coverage (`HN-E009`, `HN-E011`). Reports every finding, in the order
+/// found; a table's findings follow `RouteTable::pairs()`, whose order is
+/// unspecified.
+pub(crate) fn structure_diagnostics(cfg: &NetworkConfig, graph: &TopologyGraph) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
 
     if let LinkWidths::ByBigRouters { narrow, wide, .. } = &cfg.link_widths {
         if wide.get() < narrow.get() {
-            return Err(VerifyError::LinkWidthInversion {
-                narrow: narrow.get(),
-                wide: wide.get(),
-            });
-        }
-        if narrow.get() > 0 && wide.get() % narrow.get() != 0 {
-            return Err(VerifyError::CombiningIncompatible {
-                narrow: narrow.get(),
-                wide: wide.get(),
-            });
+            out.push(Diagnostic::new(
+                Code::LinkWidthInversion,
+                Span::Config,
+                format!(
+                    "big-router links ({}b) are narrower than small-router \
+                     links ({}b)",
+                    wide.get(),
+                    narrow.get()
+                ),
+            ));
+        } else if narrow.get() > 0 && wide.get() % narrow.get() != 0 {
+            out.push(Diagnostic::new(
+                Code::CombiningIncompatible,
+                Span::Config,
+                format!(
+                    "wide links ({}b) are not a whole multiple of narrow \
+                     links ({}b); flit combining cannot pack them",
+                    wide.get(),
+                    narrow.get()
+                ),
+            ));
         }
     }
     for (i, w) in cfg.link_widths.resolve(graph).iter().enumerate() {
         let l = lanes(*w, cfg.flit_width);
         if l > 2 {
-            warnings.push(LintWarning::UnderusedLanes {
-                link: LinkId(i),
-                lanes: l,
-            });
+            out.push(Diagnostic::new(
+                Code::UnderusedLanes,
+                Span::Link(LinkId(i)),
+                format!(
+                    "link carries {l} flit lanes but the allocator drives at \
+                     most 2 per cycle"
+                ),
+            ));
         }
     }
-
     if let RoutingKind::TableXy(tbl) = &cfg.routing {
         for ((src, dst), path) in tbl.pairs() {
             for hop in path.windows(2) {
                 if graph.port_towards(hop[0], hop[1]).is_none() {
-                    return Err(VerifyError::TablePathBrokenLink {
-                        src,
-                        dst,
-                        at: hop[0],
-                    });
+                    out.push(Diagnostic::new(
+                        Code::TablePathBrokenLink,
+                        Span::Router(hop[0]),
+                        format!(
+                            "table path {src}->{dst} hops {}->{} which is \
+                             not a topology link",
+                            hop[0], hop[1]
+                        ),
+                    ));
                 }
             }
             if tbl.path(dst, src).is_none() {
-                return Err(VerifyError::TableCoverageGap { src, dst });
+                out.push(Diagnostic::new(
+                    Code::TableCoverageGap,
+                    Span::Config,
+                    format!(
+                        "table routes {src}->{dst} but has no reverse \
+                         {dst}->{src} entry (hub routing is bidirectional)"
+                    ),
+                ));
             }
         }
     }
-    Ok(warnings)
+    out
 }
 
 /// Iso-resource lint of `cfg` against `baseline` (both on `graph`):
-/// VC-budget conservation plus bisection and buffer-bit budgets.
-///
-/// # Errors
-/// [`VerifyError::VcBudgetMismatch`] when `Σ vcs_per_port` differs from
-/// the baseline's.
+/// VC-budget conservation (`HN-E006`), then the bisection (`HN-W002`) and
+/// buffer-bit (`HN-W003`) budgets. A VC-budget mismatch is the only
+/// finding: the other two budgets assume the same VC count.
 pub fn lint_budget(
     cfg: &NetworkConfig,
     graph: &TopologyGraph,
     baseline: &NetworkConfig,
-) -> Result<Vec<LintWarning>, VerifyError> {
-    let mut warnings = Vec::new();
-
+) -> Vec<Diagnostic> {
     let total: usize = cfg.routers.iter().map(|r| r.vcs_per_port).sum();
     let budget: usize = baseline.routers.iter().map(|r| r.vcs_per_port).sum();
     if total != budget {
-        return Err(VerifyError::VcBudgetMismatch { total, budget });
+        return vec![Diagnostic::new(
+            Code::VcBudgetMismatch,
+            Span::Config,
+            format!("total VC budget {total} differs from the baseline budget {budget}"),
+        )];
     }
 
+    let mut out = Vec::new();
     let bisection = cfg.bisection_bits(graph);
     let bisection_budget = baseline.bisection_bits(graph);
     if bisection > bisection_budget {
-        warnings.push(LintWarning::BisectionExceedsBudget {
-            bits: bisection,
-            budget: bisection_budget,
-        });
+        out.push(Diagnostic::new(
+            Code::BisectionExceedsBudget,
+            Span::Config,
+            format!("bisection {bisection}b exceeds the baseline budget {bisection_budget}b"),
+        ));
     }
 
     // Table 1 counts buffer storage per *port*, independent of the port
@@ -118,12 +142,13 @@ pub fn lint_budget(
     let buffers = per_port_buffer_bits(cfg);
     let buffer_budget = per_port_buffer_bits(baseline);
     if buffers > buffer_budget {
-        warnings.push(LintWarning::BufferBitsExceedBudget {
-            bits: buffers,
-            budget: buffer_budget,
-        });
+        out.push(Diagnostic::new(
+            Code::BufferBitsExceedBudget,
+            Span::Config,
+            format!("buffer storage {buffers}b exceeds the baseline budget {buffer_budget}b"),
+        ));
     }
-    Ok(warnings)
+    out
 }
 
 /// Per-port buffer storage `Σ vcs · depth · flit_width` over all routers —
@@ -142,18 +167,23 @@ mod tests {
     use heteronoc_noc::routing::RouteTable;
     use heteronoc_noc::types::{Bits, RouterId};
 
+    fn codes(diags: &[Diagnostic]) -> Vec<Code> {
+        diags.iter().map(|d| d.code).collect()
+    }
+
     #[test]
     fn homogeneous_mesh_lints_clean() {
         let cfg = NetworkConfig::paper_baseline();
         let g = cfg.build_graph();
-        assert!(lint_structure(&cfg, &g).unwrap().is_empty());
-        assert!(lint_budget(&cfg, &g, &cfg).unwrap().is_empty());
+        assert!(structure_diagnostics(&cfg, &g).is_empty());
+        assert!(lint_budget(&cfg, &g, &cfg).is_empty());
     }
 
     #[test]
     fn vc_budget_violation_is_rejected() {
         let baseline = NetworkConfig::paper_baseline();
-        // One extra VC on one router: 193 != 192.
+        // One extra VC on one router: 193 != 192. Its extra buffers would
+        // also exceed the buffer budget, but the mismatch is reported alone.
         let cfg = NetworkConfigBuilder::mesh(8, 8)
             .router(
                 0,
@@ -165,19 +195,18 @@ mod tests {
             .build()
             .expect("valid config");
         let g = cfg.build_graph();
-        let err = lint_budget(&cfg, &g, &baseline).unwrap_err();
         assert_eq!(
-            err,
-            VerifyError::VcBudgetMismatch {
-                total: 193,
-                budget: 192
-            }
+            lint_budget(&cfg, &g, &baseline),
+            vec![Diagnostic::new(
+                Code::VcBudgetMismatch,
+                Span::Config,
+                "total VC budget 193 differs from the baseline budget 192"
+            )]
         );
     }
 
     #[test]
     fn width_inversion_and_bad_combining_are_rejected() {
-        use heteronoc_noc::config::LinkWidths;
         let mut cfg = NetworkConfig::paper_baseline();
         cfg.flit_width = Bits(64);
         cfg.link_widths = LinkWidths::ByBigRouters {
@@ -186,19 +215,19 @@ mod tests {
             wide: Bits(128),
         };
         let g = cfg.build_graph();
-        assert!(matches!(
-            lint_structure(&cfg, &g).unwrap_err(),
-            VerifyError::LinkWidthInversion { .. }
-        ));
+        let diags = structure_diagnostics(&cfg, &g);
+        assert_eq!(diags[0].code, Code::LinkWidthInversion);
+        // The 256b narrow links carry four 64b lanes each.
+        assert!(diags[1..].iter().all(|d| d.code == Code::UnderusedLanes));
         cfg.link_widths = LinkWidths::ByBigRouters {
             big: vec![false; 64],
             narrow: Bits(128),
             wide: Bits(192),
         };
-        assert!(matches!(
-            lint_structure(&cfg, &g).unwrap_err(),
-            VerifyError::CombiningIncompatible { .. }
-        ));
+        assert_eq!(
+            codes(&structure_diagnostics(&cfg, &g)),
+            [Code::CombiningIncompatible]
+        );
     }
 
     #[test]
@@ -214,13 +243,9 @@ mod tests {
             .build()
             .expect("valid config");
         let g = cfg.build_graph();
-        assert_eq!(
-            lint_structure(&cfg, &g).unwrap_err(),
-            VerifyError::TableCoverageGap {
-                src: RouterId(0),
-                dst: RouterId(2)
-            }
-        );
+        let diags = structure_diagnostics(&cfg, &g);
+        assert_eq!(codes(&diags), [Code::TableCoverageGap]);
+        assert!(diags[0].message.contains("r0->r2"), "{}", diags[0]);
     }
 
     #[test]
@@ -234,18 +259,15 @@ mod tests {
             .build()
             .expect("valid config");
         let g = cfg.build_graph();
-        // `pairs()` iteration order is unspecified, so either direction of
-        // the broken pair may be reported first.
-        match lint_structure(&cfg, &g).unwrap_err() {
-            VerifyError::TablePathBrokenLink { src, dst, at } => {
-                assert_eq!(at, src);
-                assert!(
-                    (src, dst) == (RouterId(0), RouterId(9))
-                        || (src, dst) == (RouterId(9), RouterId(0)),
-                    "unexpected pair {src} -> {dst}"
-                );
-            }
-            other => panic!("expected TablePathBrokenLink, got {other:?}"),
-        }
+        // Both directions are broken, each anchored at its first router;
+        // `pairs()` iteration order is unspecified, so sort the spans.
+        let diags = structure_diagnostics(&cfg, &g);
+        assert!(diags.iter().all(|d| d.code == Code::TablePathBrokenLink));
+        let mut spans: Vec<Span> = diags.iter().map(|d| d.span).collect();
+        spans.sort_by_key(|s| format!("{s}"));
+        assert_eq!(
+            spans,
+            [Span::Router(RouterId(0)), Span::Router(RouterId(9))]
+        );
     }
 }

@@ -216,15 +216,16 @@ pub fn analyze_protocol(
         };
         let verdict =
             Cdg::build(graph, &cfg.routing, &vcs, escape).and_then(|cdg| cdg.check_acyclic());
-        if let Err(e) = verdict {
+        if let Err(d) = verdict {
             out.push(Diagnostic::new(
                 Code::ProtocolCycle,
                 Span::Config,
                 format!(
                     "virtual network of class {} ({} VC(s) per port at its \
-                     thinnest) is not deadlock-free on its own: {e}",
+                     thinnest) is not deadlock-free on its own: {}",
                     model.class_name(class),
                     vcs.iter().min().copied().unwrap_or(0),
+                    d.message,
                 ),
             ));
         }

@@ -7,13 +7,25 @@ mod common;
 use common::shipped_set;
 use heteronoc::noc::config::{NetworkConfig, RouterCfg};
 use heteronoc::noc::fault::{FaultKind, FaultPlan, HardFault};
-use heteronoc::noc::topology::TopologyKind;
+use heteronoc::noc::topology::{TopologyGraph, TopologyKind};
 use heteronoc::noc::types::{Bits, LinkId};
 use heteronoc::{mesh_config, Layout};
-use heteronoc_verify::{lint_config, ArbiterModel, Code, LintOptions, ProtocolModel, Severity};
+use heteronoc_verify::{
+    analyze_protocol, analyze_starvation, lint_config, ArbiterModel, Code, Diagnostic, LintOptions,
+    ProtocolModel, Severity,
+};
 
-fn codes(report: &heteronoc_verify::LintReport) -> Vec<Code> {
-    report.diagnostics.iter().map(|d| d.code).collect()
+fn codes(diags: &[Diagnostic]) -> Vec<Code> {
+    diags.iter().map(|d| d.code).collect()
+}
+
+/// A model pass's findings on one paper layout.
+fn analyze(
+    layout: Layout,
+    pass: impl Fn(&NetworkConfig, &TopologyGraph) -> Vec<Diagnostic>,
+) -> Vec<Diagnostic> {
+    let cfg = mesh_config(&layout);
+    pass(&cfg, &cfg.build_graph())
 }
 
 #[test]
@@ -33,15 +45,11 @@ fn all_shipped_configurations_lint_clean() {
 fn broken_fixture_protocol_cycle_is_caught() {
     // Seeding a Response -> Request blocking edge closes the class DAG
     // into a cycle no VC layout can break.
-    let opts = LintOptions {
-        protocol: Some(ProtocolModel::mesi_directory().with_edge(2, 0)),
-        ..LintOptions::default()
-    };
-    let report = lint_config("broken-protocol", &mesh_config(&Layout::Baseline), &opts);
+    let model = ProtocolModel::mesi_directory().with_edge(2, 0);
+    let diags = analyze(Layout::Baseline, |cfg, g| analyze_protocol(cfg, g, &model));
     assert!(
-        codes(&report).contains(&Code::ProtocolCycle),
-        "expected HN-E010:\n{}",
-        report.render_human()
+        codes(&diags).contains(&Code::ProtocolCycle),
+        "expected HN-E010: {diags:?}"
     );
 }
 
@@ -49,15 +57,11 @@ fn broken_fixture_protocol_cycle_is_caught() {
 fn broken_fixture_blocking_endpoints_need_class_separation() {
     // With blocking endpoints the 2-VC small routers of Center+B cannot
     // give each of the three message classes its own VC slice.
-    let opts = LintOptions {
-        protocol: Some(ProtocolModel::mesi_directory().with_blocking_endpoints()),
-        ..LintOptions::default()
-    };
-    let report = lint_config("broken-classes", &mesh_config(&Layout::CenterB), &opts);
+    let model = ProtocolModel::mesi_directory().with_blocking_endpoints();
+    let diags = analyze(Layout::CenterB, |cfg, g| analyze_protocol(cfg, g, &model));
     assert!(
-        codes(&report).contains(&Code::MissingClassSeparation),
-        "expected HN-W004:\n{}",
-        report.render_human()
+        codes(&diags).contains(&Code::MissingClassSeparation),
+        "expected HN-W004: {diags:?}"
     );
 }
 
@@ -79,7 +83,7 @@ fn broken_fixture_undersized_credit_loop_is_caught() {
         2.2,
     );
     let report = lint_config("broken-credit", &cfg, &LintOptions::default());
-    let diags = codes(&report);
+    let diags = codes(&report.diagnostics);
     assert!(
         diags.contains(&Code::CreditLimitedLink),
         "expected HN-W005:\n{}",
@@ -91,15 +95,12 @@ fn broken_fixture_undersized_credit_loop_is_caught() {
 
 #[test]
 fn broken_fixture_fixed_priority_arbiter_starves_an_input() {
-    let opts = LintOptions {
-        arbiter: ArbiterModel::FixedPriority,
-        ..LintOptions::default()
-    };
-    let report = lint_config("broken-arbiter", &mesh_config(&Layout::Baseline), &opts);
+    let diags = analyze(Layout::Baseline, |cfg, g| {
+        analyze_starvation(cfg, g, ArbiterModel::FixedPriority)
+    });
     assert!(
-        codes(&report).contains(&Code::StarvablePort),
-        "expected HN-E012:\n{}",
-        report.render_human()
+        codes(&diags).contains(&Code::StarvablePort),
+        "expected HN-E012: {diags:?}"
     );
     // The shipped rotating arbiter proves the same network fair.
     let clean = lint_config(
@@ -162,7 +163,7 @@ fn partition_plan_fixture_file_matches_in_tree_copy() {
     };
     let report = lint_config("fixture", &mesh_config(&Layout::Baseline), &opts);
     assert!(
-        codes(&report).contains(&Code::FaultPartition),
+        codes(&report.diagnostics).contains(&Code::FaultPartition),
         "fixture must trip HN-E013:\n{}",
         report.render_human()
     );
@@ -171,8 +172,6 @@ fn partition_plan_fixture_file_matches_in_tree_copy() {
 #[test]
 fn diagnostics_are_deterministic_and_sorted() {
     let opts = LintOptions {
-        protocol: Some(ProtocolModel::mesi_directory().with_edge(2, 0)),
-        arbiter: ArbiterModel::FixedPriority,
         fault_plan: Some(FaultPlan {
             hard: vec![
                 HardFault {
@@ -186,6 +185,8 @@ fn diagnostics_are_deterministic_and_sorted() {
             ],
             ..FaultPlan::default()
         }),
+        checkpoint_every: Some(250_000),
+        watchdog: Some(100_000),
         ..LintOptions::default()
     };
     let cfg = mesh_config(&Layout::CenterBL);
@@ -194,6 +195,11 @@ fn diagnostics_are_deterministic_and_sorted() {
     assert_eq!(a.to_json(), b.to_json(), "repeated runs must agree");
     // Errors strictly precede warnings.
     let sevs: Vec<Severity> = a.diagnostics.iter().map(|d| d.severity()).collect();
+    assert!(
+        sevs.contains(&Severity::Error) && sevs.contains(&Severity::Warning),
+        "{}",
+        a.render_human()
+    );
     let mut sorted = sevs.clone();
     sorted.sort_by_key(|s| std::cmp::Reverse(*s));
     assert_eq!(sevs, sorted, "errors must sort before warnings");

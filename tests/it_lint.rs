@@ -1,7 +1,7 @@
 //! Property-based tests for the static-analysis suite: for arbitrary
 //! router provisioning, layouts and fault plans the lint engine must be
-//! deterministic, emit registry-stable codes, produce parseable JSON, and
-//! agree with the first-error semantics of `verify_config`.
+//! deterministic, emit registry-stable codes and produce parseable JSON,
+//! and `verify_config` must return the first error of its report.
 
 use proptest::prelude::*;
 
@@ -11,7 +11,7 @@ use heteronoc::noc::topology::TopologyKind;
 use heteronoc::noc::types::{Bits, LinkId, RouterId};
 use heteronoc::{mesh_config, Layout};
 use heteronoc_bench::json;
-use heteronoc_verify::{lint_config, verify_config, Code, Diagnostic, LintOptions, Severity};
+use heteronoc_verify::{lint_config, verify_config, Code, LintOptions};
 
 /// A homogeneous 8x8 network with arbitrary (possibly degenerate) router
 /// provisioning on a mesh or torus.
@@ -38,11 +38,9 @@ fn random_cfg(vcs: usize, depth: usize, torus: bool) -> NetworkConfig {
     )
 }
 
-/// Structure-only options: same scope as `verify_config` (no protocol,
-/// credit, starvation or fault passes).
-fn structure_only() -> LintOptions {
+/// Default options without the credit-sizing pass.
+fn no_rates() -> LintOptions {
     LintOptions {
-        protocol: None,
         rates: Vec::new(),
         ..LintOptions::default()
     }
@@ -99,41 +97,18 @@ proptest! {
         }
     }
 
-    /// Parity with the pre-diagnostic API: `verify_config`'s first error
-    /// appears among the lint codes, and on success the lint warnings are
-    /// exactly the legacy structural warnings (de-duplicated).
+    /// `verify_config` runs `lint_config`'s validation, structure and CDG
+    /// passes, and the other passes add no errors here, so it fails with
+    /// exactly the report's first error, and passes when there is none.
     #[test]
-    fn lint_agrees_with_verify_config(
+    fn verify_config_returns_the_first_lint_error(
         vcs in 1usize..=6,
         depth in 1usize..=8,
         torus in any::<bool>(),
     ) {
         let cfg = random_cfg(vcs, depth, torus);
-        let report = lint_config("p", &cfg, &structure_only());
-        let codes: Vec<Code> = report.diagnostics.iter().map(|d| d.code).collect();
-        match verify_config("p", &cfg) {
-            Ok(ok) => {
-                prop_assert!(!report.has_errors(), "lint errors on verified config");
-                let mut legacy: Vec<Diagnostic> =
-                    ok.warnings.iter().map(Diagnostic::from_warning).collect();
-                legacy.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-                legacy.dedup();
-                let warnings: Vec<&Diagnostic> = report.warnings().collect();
-                prop_assert_eq!(warnings.len(), legacy.len());
-                for (new, old) in warnings.iter().zip(&legacy) {
-                    prop_assert_eq!(new.code, old.code);
-                }
-            }
-            Err(e) => {
-                let first = Diagnostic::from_error(&e);
-                prop_assert!(
-                    codes.contains(&first.code),
-                    "verify_config error {} missing from lint codes {:?}",
-                    first, codes
-                );
-                prop_assert_eq!(first.severity(), Severity::Error);
-            }
-        }
+        let report = lint_config("p", &cfg, &no_rates());
+        prop_assert_eq!(verify_config("p", &cfg).err(), report.errors().next().cloned());
     }
 
     /// Arbitrary in-range fault plans never panic the reachability pass,
@@ -161,7 +136,7 @@ proptest! {
                 hard,
                 ..FaultPlan::default()
             }),
-            ..structure_only()
+            ..no_rates()
         };
         let a = lint_config("f", &cfg, &opts);
         let b = lint_config("f", &cfg, &opts);
@@ -172,7 +147,7 @@ proptest! {
 
         let benign = LintOptions {
             fault_plan: Some(FaultPlan::default()),
-            ..structure_only()
+            ..no_rates()
         };
         let clean = lint_config("f", &cfg, &benign);
         prop_assert!(
