@@ -1493,32 +1493,197 @@ fn cmd_experiment(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// One subcommand: its entry point and what it takes on the command line.
+struct Command {
+    name: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+    /// `--key value` options.
+    options: &'static [&'static str],
+    /// Boolean `--flag`s.
+    flags: &'static [&'static str],
+    /// Positional arguments after the command, at most.
+    positionals: usize,
+}
+
+/// Every subcommand. A flag a command does not list here is an error
+/// before the command starts.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "run",
+        run: cmd_run,
+        options: &[
+            "layout",
+            "pattern",
+            "rate",
+            "packets",
+            "seed",
+            "checkpoint-dir",
+            "checkpoint-every",
+            "trace",
+            "progress",
+            "progress-every",
+        ],
+        flags: &["resume", "profile"],
+        positionals: 0,
+    },
+    Command {
+        name: "replay",
+        run: cmd_replay,
+        options: &[
+            "a",
+            "b",
+            "layout",
+            "pattern",
+            "rate",
+            "packets",
+            "seed",
+            "horizon",
+            "max-fields",
+        ],
+        flags: &[],
+        positionals: 0,
+    },
+    Command {
+        name: "sweep",
+        run: cmd_sweep,
+        options: &[
+            "layouts",
+            "layout",
+            "pattern",
+            "rates",
+            "seeds",
+            "seed",
+            "packets",
+            "jobs",
+            "name",
+            "epochs",
+            "checkpoint-every",
+            "progress",
+        ],
+        flags: &["no-cache", "profile"],
+        positionals: 0,
+    },
+    Command {
+        name: "heatmap",
+        run: cmd_heatmap,
+        options: &["rate", "packets", "seed"],
+        flags: &[],
+        positionals: 0,
+    },
+    Command {
+        name: "cmp",
+        run: cmd_cmp,
+        options: &["layout", "workload", "refs", "seed"],
+        flags: &[],
+        positionals: 0,
+    },
+    Command {
+        name: "trace",
+        run: cmd_trace,
+        options: &[
+            "layout", "rate", "packets", "seed", "out", "chrome", "epochs", "check", "rows",
+        ],
+        flags: &["profile", "overhead"],
+        positionals: 0,
+    },
+    Command {
+        name: "report",
+        run: cmd_report,
+        options: &["name", "rows", "compare"],
+        flags: &[],
+        // The second file of `--compare <a> <b>`.
+        positionals: 1,
+    },
+    Command {
+        name: "lint",
+        run: cmd_lint,
+        options: &[
+            "layout",
+            "hubs",
+            "rates",
+            "plan",
+            "checkpoint-every",
+            "watchdog",
+            "explain",
+        ],
+        flags: &["baseline", "json", "deny-warnings"],
+        positionals: 0,
+    },
+    Command {
+        name: "faults",
+        run: cmd_faults,
+        options: &[
+            "layout",
+            "plan",
+            "ber",
+            "fault-seed",
+            "kill-link",
+            "kill-router",
+            "bursts",
+            "spacing",
+            "stall-limit",
+        ],
+        flags: &[],
+        positionals: 0,
+    },
+    Command {
+        name: "campaign",
+        run: cmd_campaign,
+        options: &[
+            "layouts",
+            "layout",
+            "kills",
+            "plans",
+            "seed",
+            "bursts",
+            "spacing",
+            "stall-limit",
+            "recover",
+            "jobs",
+            "name",
+            "progress",
+        ],
+        flags: &["no-recover", "no-cache"],
+        positionals: 0,
+    },
+    Command {
+        name: "cache",
+        run: cmd_cache,
+        options: &[],
+        flags: &["verify", "gc"],
+        positionals: 0,
+    },
+    Command {
+        name: "top",
+        run: cmd_top,
+        options: &["file", "interval-ms"],
+        flags: &["once"],
+        positionals: 1,
+    },
+    Command {
+        name: "experiment",
+        run: cmd_experiment,
+        options: &[],
+        flags: &[],
+        positionals: 1,
+    },
+];
+
 fn run() -> Result<(), String> {
-    let a = Args::parse(std::env::args().skip(1))?;
-    if a.flag("help") || a.command.as_deref() == Some("help") {
-        print!("{USAGE}");
-        return Ok(());
-    }
-    match a.command.as_deref() {
-        Some("run") => cmd_run(&a),
-        Some("replay") => cmd_replay(&a),
-        Some("sweep") => cmd_sweep(&a),
-        Some("heatmap") => cmd_heatmap(&a),
-        Some("cmp") => cmd_cmp(&a),
-        Some("trace") => cmd_trace(&a),
-        Some("report") => cmd_report(&a),
-        Some("lint") => cmd_lint(&a),
-        Some("faults") => cmd_faults(&a),
-        Some("campaign") => cmd_campaign(&a),
-        Some("cache") => cmd_cache(&a),
-        Some("top") => cmd_top(&a),
-        Some("experiment") => cmd_experiment(&a),
-        Some(other) => Err(format!("unknown command '{other}'\n\n{USAGE}")),
-        None => {
+    let a = Args::parse(std::env::args().skip(1));
+    let name = match a.command.as_deref() {
+        Some(name) if name != "help" && !a.flag("help") => name,
+        _ => {
             print!("{USAGE}");
-            Ok(())
+            return Ok(());
         }
-    }
+    };
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command '{name}'\n\n{USAGE}"))?;
+    a.check(command.options, command.flags, command.positionals)?;
+    (command.run)(&a)
 }
 
 fn main() -> ExitCode {
@@ -1545,7 +1710,70 @@ mod tests {
     use super::*;
 
     fn args(line: &str) -> Args {
-        Args::parse(line.split_whitespace().map(String::from)).expect("parses")
+        Args::parse(line.split_whitespace().map(String::from))
+    }
+
+    /// What `run` checks before the command starts.
+    fn check(line: &str) -> Result<(), String> {
+        let a = args(line);
+        let name = a.command.as_deref().expect("a command");
+        let c = COMMANDS.iter().find(|c| c.name == name).expect("known");
+        a.check(c.options, c.flags, c.positionals)
+    }
+
+    #[test]
+    fn a_flag_the_command_does_not_take_is_named() {
+        for (line, flag) in [
+            ("lint --layot baseline", "--layot"),
+            ("sweep --rate 0.05", "--rate"),
+            ("run --rates 0.05", "--rates"),
+            ("cache --verbose", "--verbose"),
+        ] {
+            let e = check(line).unwrap_err();
+            assert!(e.contains(flag), "{line}: {e}");
+        }
+    }
+
+    #[test]
+    fn a_positional_is_rejected_where_the_command_takes_none() {
+        let e = check("lint baseline").unwrap_err();
+        assert!(e.contains("'baseline'"), "{e}");
+        assert!(check("sweep 0.05").is_err());
+        // The three commands that take one positional take no second.
+        assert!(check("report --compare a.json b.json").is_ok());
+        assert!(check("top progress.jsonl --once").is_ok());
+        assert!(check("experiment table1_router_costs").is_ok());
+        assert!(check("experiment table1_router_costs fig07_ur_traffic").is_err());
+        assert!(check("top a.jsonl b.jsonl").is_err());
+    }
+
+    /// Every `--flag` the usage text lists under a command is one that
+    /// command takes.
+    #[test]
+    fn every_flag_in_the_usage_is_taken_by_its_command() {
+        let body = &USAGE[USAGE.find("COMMANDS").unwrap()..USAGE.find("LAYOUTS").unwrap()];
+        let mut command: Option<&Command> = None;
+        for line in body.lines().skip(1) {
+            if let Some(name) = line.strip_prefix("  ").filter(|l| !l.starts_with(' ')) {
+                let name = name.split_whitespace().next().unwrap();
+                command = COMMANDS.iter().find(|c| c.name == name);
+                assert!(command.is_some(), "usage lists unknown command {name}");
+                continue;
+            }
+            if !line.trim_start().starts_with("--") {
+                continue;
+            }
+            let c = command.expect("options follow a command");
+            for word in line.split(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '-')) {
+                if let Some(key) = word.strip_prefix("--") {
+                    assert!(
+                        c.options.contains(&key) || c.flags.contains(&key),
+                        "usage lists --{key} under {}",
+                        c.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]
