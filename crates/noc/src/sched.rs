@@ -120,7 +120,7 @@ impl SchedReport {
     }
 
     /// `count` per flit committed (0 when no flit was committed).
-    pub fn per_flit(&self, count: u64) -> f64 {
+    fn per_flit(&self, count: u64) -> f64 {
         if self.flits_committed == 0 {
             0.0
         } else {
