@@ -1413,17 +1413,17 @@ mod tests {
 
     #[test]
     fn observability_run_produces_trace_epochs_and_profile() {
-        use crate::trace::SharedCounts;
-        let counts = SharedCounts::new();
+        use crate::trace::{check_jsonl, JsonlSink, SharedBuffer};
+        let buf = SharedBuffer::new();
         let net = Network::new(NetworkConfig::paper_baseline()).unwrap();
         let out = SimRun::new(net, quick_params(0.01))
-            .trace(Box::new(counts.clone()))
+            .trace(Box::new(JsonlSink::new(buf.clone())))
             .epochs(100)
             .profile(true)
             .run()
             .unwrap();
 
-        let snap = counts.snapshot();
+        let snap = check_jsonl(&buf.to_text()).expect("trace validates");
         // Every retired packet was injected and ejected exactly once, and
         // the ejects are visible whole (head..tail => eject >= inject).
         assert!(snap.count("inject") > 0);
@@ -1460,7 +1460,7 @@ mod tests {
             let mut run = SimRun::new(net, quick_params(0.02));
             if traced {
                 run = run
-                    .trace(Box::new(crate::trace::SharedCounts::new()))
+                    .trace(Box::new(crate::trace::JsonlSink::new(std::io::sink())))
                     .epochs(64)
                     .profile(true);
             }

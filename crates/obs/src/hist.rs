@@ -16,7 +16,7 @@
 //! `q ≤ bound ≤ 2·q − 1` for any non-empty histogram). The proptests in
 //! `tests/hist_props.rs` pin both the merge algebra and this error bound.
 
-use crate::jsonw::push_json_f64;
+use crate::json;
 
 /// Number of power-of-two buckets — enough for any `u64` sample.
 pub const BUCKETS: usize = 64;
@@ -186,7 +186,7 @@ impl LogHistogram {
         out.push_str(",\"sum\":");
         out.push_str(&self.sum.to_string());
         out.push_str(",\"mean\":");
-        push_json_f64(out, self.mean());
+        let _ = json::write_f64(out, self.mean());
         out.push_str(",\"p50\":");
         out.push_str(&self.quantile_upper_bound(0.50).to_string());
         out.push_str(",\"p95\":");

@@ -23,7 +23,10 @@
 //!    (`{:?}`), so identical states produce identical bytes.
 //!
 //! The crate is dependency-free (it sits *below* `heteronoc-noc` in the
-//! dependency graph) and carries its own tiny JSON writer.
+//! dependency graph) and holds the workspace's one JSON module, [`json`]:
+//! the registry, progress snapshots and histograms write through it, the
+//! trace checker in `heteronoc-noc` parses with it, and `heteronoc-bench`
+//! re-exports it for its result files, its cache and the benchmark.
 //!
 //! ## Quick start
 //!
@@ -44,9 +47,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod jsonw;
-
 pub mod hist;
+pub mod json;
 pub mod progress;
 pub mod registry;
 

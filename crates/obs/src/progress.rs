@@ -17,7 +17,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-use crate::jsonw::{push_json_f64, push_json_str};
+use crate::json;
 use crate::registry::Registry;
 
 /// Version of the progress snapshot line format. Bump on breaking changes
@@ -42,7 +42,7 @@ impl Snapshot {
         body.push_str("{\"schema\":");
         body.push_str(&PROGRESS_SCHEMA.to_string());
         body.push_str(",\"kind\":");
-        push_json_str(&mut body, kind);
+        let _ = json::write_str(&mut body, kind);
         body.push_str(",\"seq\":");
         body.push_str(&seq.to_string());
         Snapshot { body }
@@ -50,7 +50,7 @@ impl Snapshot {
 
     fn key(&mut self, key: &str) -> &mut String {
         self.body.push(',');
-        push_json_str(&mut self.body, key);
+        let _ = json::write_str(&mut self.body, key);
         self.body.push(':');
         &mut self.body
     }
@@ -63,15 +63,13 @@ impl Snapshot {
 
     /// Append a float field (`null` when non-finite).
     pub fn field_f64(&mut self, key: &str, v: f64) -> &mut Self {
-        let body = self.key(key);
-        push_json_f64(body, v);
+        let _ = json::write_f64(self.key(key), v);
         self
     }
 
     /// Append a string field.
     pub fn field_str(&mut self, key: &str, v: &str) -> &mut Self {
-        let body = self.key(key);
-        push_json_str(body, v);
+        let _ = json::write_str(self.key(key), v);
         self
     }
 
@@ -101,7 +99,7 @@ impl Snapshot {
             if i > 0 {
                 body.push(',');
             }
-            push_json_str(body, path);
+            let _ = json::write_str(body, path);
             body.push(':');
             body.push_str(&d.to_string());
         }

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::hist::LogHistogram;
-use crate::jsonw::{push_json_f64, push_json_str};
+use crate::json;
 
 /// A single metric value.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,11 +189,13 @@ impl Registry {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(out, path);
+            let _ = json::write_str(out, path);
             out.push(':');
             match m {
                 Metric::Counter(c) => out.push_str(&c.to_string()),
-                Metric::Gauge(g) => push_json_f64(out, *g),
+                Metric::Gauge(g) => {
+                    let _ = json::write_f64(out, *g);
+                }
                 Metric::Hist(h) => h.push_json(out),
             }
         }
