@@ -17,17 +17,19 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses an iterator of arguments (excluding the program name). A
-    /// `--key` followed by a word that is not itself a `--key` takes it as
-    /// its value; otherwise it is a boolean flag. [`Args::check`] then
-    /// holds both against what the command takes.
-    pub fn parse<I: IntoIterator<Item = String>>(items: I) -> Args {
+    /// Parses an iterator of arguments (excluding the program name). A key
+    /// in `flags`, the command's boolean flags, never takes a value, so the
+    /// word after it is a positional; any other `--key` followed by a word
+    /// that is not itself a `--key` takes it as its value, and is a flag
+    /// otherwise. [`Args::check`] then holds both against what the command
+    /// takes.
+    pub fn parse<I: IntoIterator<Item = String>>(items: I, flags: &[&str]) -> Args {
         let mut out = Args::default();
         let mut it = items.into_iter().peekable();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
                 match it.peek() {
-                    Some(v) if !v.starts_with("--") => {
+                    Some(v) if !v.starts_with("--") && !flags.contains(&key) => {
                         let v = it.next().expect("peeked");
                         out.opts.push((key.to_owned(), v));
                     }
@@ -47,9 +49,8 @@ impl Args {
     /// `positionals` positional arguments.
     ///
     /// # Errors
-    /// A message naming the first unknown `--key`, a value given to a
-    /// boolean flag, an option given without a value, or the first
-    /// positional beyond `positionals`.
+    /// A message naming the first unknown `--key`, an option given without
+    /// a value, or the first positional beyond `positionals`.
     pub fn check(
         &self,
         options: &[&str],
@@ -58,10 +59,7 @@ impl Args {
     ) -> Result<(), String> {
         let command = self.command.as_deref().unwrap_or_default();
         let unknown = |key: &str| format!("{command} does not take --{key} (see `heteronoc help`)");
-        for (key, value) in &self.opts {
-            if flags.contains(&key.as_str()) {
-                return Err(format!("--{key} takes no value, got '{value}'"));
-            }
+        for (key, _) in &self.opts {
             if !options.contains(&key.as_str()) {
                 return Err(unknown(key));
             }
@@ -143,8 +141,9 @@ impl Args {
 mod tests {
     use super::*;
 
+    /// Parses `s` as a command whose boolean flags are `json` and `once`.
     fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from))
+        Args::parse(s.split_whitespace().map(String::from), &["json", "once"])
     }
 
     #[test]
@@ -189,8 +188,9 @@ mod tests {
         assert!(e.contains("--layot") && e.contains("lint"), "{e}");
         let e = check("lint --verbose").unwrap_err();
         assert!(e.contains("--verbose"), "{e}");
+        // A boolean flag takes no value: the word after it is a positional.
         let e = check("lint --json yes").unwrap_err();
-        assert!(e.contains("--json") && e.contains("'yes'"), "{e}");
+        assert!(e.contains("unexpected positional argument 'yes'"), "{e}");
         let e = check("lint --rates --json").unwrap_err();
         assert!(e.contains("--rates needs a value"), "{e}");
         let e = check("lint baseline").unwrap_err();
@@ -198,5 +198,18 @@ mod tests {
         // A command that takes one positional rejects only the second.
         let a = parse("top a.jsonl b.jsonl");
         assert!(a.check(&[], &[], 1).unwrap_err().contains("'b.jsonl'"));
+    }
+
+    #[test]
+    fn a_boolean_flag_never_takes_the_next_word() {
+        for line in ["top --once p.jsonl", "top p.jsonl --once"] {
+            let a = parse(line);
+            assert!(a.flag("once"), "{line}");
+            assert_eq!(a.rest, ["p.jsonl"], "{line}");
+            assert!(a.check(&["file"], &["once"], 1).is_ok(), "{line}");
+        }
+        let a = parse("lint --json --layout baseline");
+        assert!(a.flag("json"));
+        assert_eq!(a.get("layout"), Some("baseline"));
     }
 }
