@@ -49,7 +49,9 @@ pub mod resources;
 pub mod router_class;
 
 pub use layout::{Layout, ParseLayoutError, Placement};
-pub use netgen::{mesh_config, mesh_config_with_table, network_config, packet_flits};
+pub use netgen::{
+    mesh_config, mesh_config_with_table, network_config, packet_flits, shipped_configs,
+};
 pub use resources::{audit_mesh_layout, ResourceAudit};
 pub use router_class::{heteronoc_frequency_ghz, RouterClass};
 

@@ -10,10 +10,10 @@
 //! All heterogeneous networks run at the worst-case (big-router) frequency
 //! of 2.07 GHz (§3.4).
 
-use heteronoc_noc::config::{LinkWidths, NetworkConfig};
+use heteronoc_noc::config::{LinkWidths, NetworkConfig, RouterCfg};
 use heteronoc_noc::routing::{RouteTable, RoutingKind};
 use heteronoc_noc::topology::TopologyKind;
-use heteronoc_noc::types::Bits;
+use heteronoc_noc::types::{Bits, RouterId};
 
 use crate::layout::Layout;
 use crate::router_class::{heteronoc_frequency_ghz, RouterClass};
@@ -95,14 +95,57 @@ pub fn mesh_config(layout: &Layout) -> NetworkConfig {
 /// between the given hub routers and everywhere else (§7's
 /// HeteroNoC-Table+XY). The top VC of every port becomes the reserved
 /// escape VC.
-pub fn mesh_config_with_table(
-    layout: &Layout,
-    hubs: &[heteronoc_noc::types::RouterId],
-) -> NetworkConfig {
+pub fn mesh_config_with_table(layout: &Layout, hubs: &[RouterId]) -> NetworkConfig {
     let mut cfg = mesh_config(layout);
     let graph = cfg.build_graph();
     cfg.routing = RoutingKind::TableXy(RouteTable::for_hubs(&graph, hubs));
     cfg
+}
+
+/// The configurations `heteronoc lint` checks by default: the paper's seven
+/// mesh layouts, Diagonal+BL with a route table over `hubs`, and three
+/// homogeneous networks of other topologies. The flag marks the paper mesh
+/// layouts, the ones `lint --baseline` holds to the baseline mesh's VC and
+/// bisection budget.
+pub fn shipped_configs(hubs: &[RouterId]) -> Vec<(String, NetworkConfig, bool)> {
+    let mut out: Vec<(String, NetworkConfig, bool)> = Layout::all_seven()
+        .into_iter()
+        .map(|l| (l.name().to_owned(), mesh_config(&l), true))
+        .collect();
+    out.push((
+        format!("{} (table)", Layout::DiagonalBL.name()),
+        mesh_config_with_table(&Layout::DiagonalBL, hubs),
+        true,
+    ));
+    for (name, kind) in [
+        (
+            "torus-8x8",
+            TopologyKind::Torus {
+                width: 8,
+                height: 8,
+            },
+        ),
+        (
+            "cmesh-4x4x4",
+            TopologyKind::CMesh {
+                width: 4,
+                height: 4,
+                concentration: 4,
+            },
+        ),
+        (
+            "fbfly-4x4x4",
+            TopologyKind::FlattenedButterfly {
+                width: 4,
+                height: 4,
+                concentration: 4,
+            },
+        ),
+    ] {
+        let cfg = NetworkConfig::homogeneous(kind, RouterCfg::BASELINE, Bits(192), 2.2);
+        out.push((name.to_owned(), cfg, false));
+    }
+    out
 }
 
 /// One flit per paper packet kind, in flits, for a given configuration:

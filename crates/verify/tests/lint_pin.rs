@@ -11,14 +11,11 @@
 //! rejects a table-routed router with one VC first, as `HN-E001`, so the
 //! `cdg` unit tests check its message.
 
-mod common;
-
-use common::shipped_set;
 use heteronoc::noc::config::{LinkWidths, NetworkConfig, RouterCfg};
 use heteronoc::noc::routing::{RouteTable, RoutingKind};
 use heteronoc::noc::topology::TopologyKind;
 use heteronoc::noc::types::{Bits, RouterId};
-use heteronoc::{mesh_config, Layout};
+use heteronoc::{mesh_config, shipped_configs, Layout};
 use heteronoc_verify::{lint_config, LintOptions};
 
 const FIXTURE: &str = include_str!("fixtures/lint_pin.txt");
@@ -176,15 +173,12 @@ fn render() -> String {
         baseline: Some(mesh_config(&Layout::Baseline)),
         ..LintOptions::default()
     };
-    let shipped = shipped_set().into_iter().map(|(name, cfg)| {
-        let mesh = matches!(cfg.topology, TopologyKind::Mesh { .. });
-        (name, cfg, mesh)
-    });
+    let shipped = shipped_configs(&[0, 7, 56, 63].map(RouterId));
     let seeded = seeded()
         .into_iter()
         .map(|(name, cfg, budget)| (name.to_owned(), cfg, budget));
     let mut out = String::new();
-    for (name, cfg, budget) in shipped.chain(seeded) {
+    for (name, cfg, budget) in shipped.into_iter().chain(seeded) {
         let opts = if budget {
             with_baseline.clone()
         } else {
