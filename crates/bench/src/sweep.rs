@@ -44,7 +44,7 @@ use heteronoc::noc::sim::{params_hash, SimParams, SimRun, Traffic, UniformRandom
 use heteronoc::noc::types::{Bits, Cycle, NodeId};
 use heteronoc::power::{NetworkPower, PowerBreakdown};
 use heteronoc::traffic::patterns::{
-    BitComplement, BitReverse, Hotspot, NearestNeighbor, Shuffle, Tornado, Transpose,
+    BitComplement, BitReverse, NearestNeighbor, Shuffle, Tornado, Transpose,
 };
 use heteronoc::traffic::trace::VecTrace;
 use heteronoc::traffic::workloads::{Benchmark, SyntheticWorkload};
@@ -88,13 +88,6 @@ pub enum TrafficSpec {
     },
     /// Perfect-shuffle permutation.
     Shuffle,
-    /// Hotspot: a fraction of packets targets the given nodes.
-    Hotspot {
-        /// Hot destinations (node ids).
-        hotspots: Vec<usize>,
-        /// Fraction of traffic aimed at a hotspot.
-        hot_fraction: f64,
-    },
 }
 
 impl TrafficSpec {
@@ -108,7 +101,6 @@ impl TrafficSpec {
             TrafficSpec::BitReverse => "bit-reverse",
             TrafficSpec::Tornado { .. } => "tornado",
             TrafficSpec::Shuffle => "shuffle",
-            TrafficSpec::Hotspot { .. } => "hotspot",
         }
     }
 
@@ -124,13 +116,6 @@ impl TrafficSpec {
             TrafficSpec::BitReverse => Box::new(BitReverse),
             TrafficSpec::Tornado { width, height } => Box::new(Tornado::new(*width, *height)),
             TrafficSpec::Shuffle => Box::new(Shuffle),
-            TrafficSpec::Hotspot {
-                hotspots,
-                hot_fraction,
-            } => Box::new(Hotspot::new(
-                hotspots.iter().map(|&n| NodeId(n)).collect(),
-                *hot_fraction,
-            )),
         }
     }
 }
@@ -1565,10 +1550,6 @@ mod tests {
                 height: 8,
             },
             TrafficSpec::Shuffle,
-            TrafficSpec::Hotspot {
-                hotspots: vec![0, 63],
-                hot_fraction: 0.2,
-            },
         ] {
             let _pattern = spec.instantiate();
             assert!(!spec.name().is_empty());

@@ -3,8 +3,9 @@
 //! Workload layer of the HeteroNoC reproduction:
 //!
 //! * [`patterns`] — the paper's synthetic traffic patterns (uniform random,
-//!   nearest neighbour, transpose, bit-complement; plus bit-reverse and
-//!   hotspot), all pluggable into the network simulator's open-loop driver;
+//!   nearest neighbour, transpose, bit-complement; plus bit-reverse, tornado
+//!   and shuffle), all pluggable into the network simulator's open-loop
+//!   driver;
 //! * [`trace`] — the load/store + instruction-gap trace format the paper's
 //!   CMP methodology replays;
 //! * [`workloads`] — deterministic synthetic trace generators for the ten
@@ -37,7 +38,7 @@ pub mod trace_io;
 pub mod workloads;
 
 pub use patterns::{
-    BitComplement, BitReverse, Hotspot, NearestNeighbor, Shuffle, Tornado, Transpose, UniformRandom,
+    BitComplement, BitReverse, NearestNeighbor, Shuffle, Tornado, Transpose, UniformRandom,
 };
 pub use trace::{MemOp, TraceRecord, TraceSource, VecTrace};
 pub use trace_io::{read_trace, write_trace};

@@ -1,6 +1,6 @@
 //! Synthetic traffic patterns (paper §4): uniform random, nearest
-//! neighbour, transpose, bit-complement, plus the classic bit-reverse and a
-//! hotspot pattern for wider coverage. All implement
+//! neighbour, transpose, bit-complement, plus the classic bit-reverse,
+//! tornado and shuffle permutations for wider coverage. All implement
 //! [`heteronoc_noc::sim::Traffic`] so they plug into the open-loop driver.
 
 use rand::rngs::StdRng;
@@ -161,49 +161,6 @@ impl Traffic for Shuffle {
     }
 }
 
-/// Hotspot traffic: with probability `hot_fraction` the packet targets a
-/// uniformly chosen hotspot node; otherwise any node (uniform random).
-#[derive(Clone, Debug)]
-pub struct Hotspot {
-    /// Hotspot destinations.
-    pub hotspots: Vec<NodeId>,
-    /// Probability of targeting a hotspot.
-    pub hot_fraction: f64,
-}
-
-impl Hotspot {
-    /// Pattern with the given hotspot set and bias.
-    ///
-    /// # Panics
-    /// Panics if `hotspots` is empty or `hot_fraction` is outside `[0, 1]`.
-    pub fn new(hotspots: Vec<NodeId>, hot_fraction: f64) -> Self {
-        assert!(!hotspots.is_empty(), "need at least one hotspot");
-        assert!(
-            (0.0..=1.0).contains(&hot_fraction),
-            "hot_fraction must be a probability"
-        );
-        Self {
-            hotspots,
-            hot_fraction,
-        }
-    }
-}
-
-impl Traffic for Hotspot {
-    fn destination(&mut self, src: NodeId, num_nodes: usize, rng: &mut StdRng) -> NodeId {
-        if rng.random::<f64>() < self.hot_fraction {
-            self.hotspots[rng.random_range(0..self.hotspots.len())]
-        } else {
-            loop {
-                let d = rng.random_range(0..num_nodes);
-                if d != src.index() {
-                    return NodeId(d);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,17 +214,6 @@ mod tests {
         assert_eq!(t.destination(NodeId(1), 64, &mut r), NodeId(32));
         assert_eq!(t.destination(NodeId(32), 64, &mut r), NodeId(1));
         assert_eq!(t.destination(NodeId(0), 64, &mut r), NodeId(0));
-    }
-
-    #[test]
-    fn hotspot_bias() {
-        let mut t = Hotspot::new(vec![NodeId(5)], 0.5);
-        let mut r = rng();
-        let hits = (0..2000)
-            .filter(|_| t.destination(NodeId(0), 64, &mut r) == NodeId(5))
-            .count();
-        // ~50% + 1/63 background; loose band.
-        assert!((800..1300).contains(&hits), "hits={hits}");
     }
 
     #[test]
