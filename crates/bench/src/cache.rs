@@ -23,7 +23,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use heteronoc_noc::checkpoint::{Checkpoint, CheckpointError};
+use heteronoc_noc::checkpoint::{fnv1a64_from, Checkpoint, CheckpointError, FNV_OFFSET};
 
 use crate::json::{self, Json};
 
@@ -37,28 +37,16 @@ use crate::json::{self, Json};
 /// sweep points.
 pub const SCHEMA_VERSION: u32 = 5;
 
-/// 64-bit FNV-1a over `bytes`, from `offset` (lets us derive two
-/// independent 64-bit streams for a 128-bit key).
-fn fnv1a64(bytes: &[u8], offset: u64) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = offset;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
 /// Content-address for a canonical point description: 32 hex chars
-/// (two independent FNV-1a-64 passes), prefixed with the schema version.
+/// (two FNV-1a-64 passes from independent bases), prefixed with the schema
+/// version.
 pub fn content_key(canonical: &str) -> String {
-    const OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325; // standard FNV offset basis
     const OFFSET_B: u64 = 0x6c62_272e_07bb_0142; // high half of the 128-bit basis
     let bytes = canonical.as_bytes();
     format!(
         "v{SCHEMA_VERSION}-{:016x}{:016x}",
-        fnv1a64(bytes, OFFSET_A),
-        fnv1a64(bytes, OFFSET_B)
+        fnv1a64_from(FNV_OFFSET, bytes),
+        fnv1a64_from(OFFSET_B, bytes)
     )
 }
 
@@ -489,6 +477,9 @@ mod tests {
         }
         assert!(a.starts_with(&format!("v{SCHEMA_VERSION}-")));
         assert_eq!(a.len(), format!("v{SCHEMA_VERSION}-").len() + 32);
+        // Pinned: a key must not move between processes or builds, or
+        // every cached point goes stale.
+        assert_eq!(a, "v5-93573cb6687c0e2c6cf9dbed550442cb");
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use std::path::{Path, PathBuf};
 
+use heteronoc::noc::checkpoint::{fnv1a64_from, FNV_OFFSET};
 use heteronoc::noc::config::NetworkConfig;
 use heteronoc::noc::fault::{FaultKind, FaultPlan, HardFault, RecoveryPolicy};
 use heteronoc::noc::types::{Cycle, LinkId};
@@ -153,14 +154,11 @@ fn injection_window(nodes: usize, bursts: u64, spacing: Cycle) -> Cycle {
 /// Derives a point's plan seed from the campaign coordinates (FNV-1a over
 /// the coordinate words, offset by the master seed).
 fn plan_seed(master: u64, layout: usize, kills: usize, sample: usize) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ master;
-    for v in [layout as u64, kills as u64, sample as u64] {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    let bytes: Vec<u8> = [layout, kills, sample]
+        .iter()
+        .flat_map(|&v| (v as u64).to_le_bytes())
+        .collect();
+    fnv1a64_from(FNV_OFFSET ^ master, &bytes)
 }
 
 /// Outcome of a campaign invocation: the sweep that ran its points and the
@@ -579,6 +577,8 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_ne!(plan(&a[1]).hard, plan(&a[2]).hard, "samples must differ");
         assert_eq!(plan(&a[1]).hard.len(), 1);
+        // Pinned: a campaign's plans must not move between builds.
+        assert_eq!(plan_seed(7, 0, 1, 2), 0x1ee3_cbd9_c534_e7e1);
     }
 
     #[test]

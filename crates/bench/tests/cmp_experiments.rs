@@ -10,6 +10,7 @@
 
 use std::path::PathBuf;
 
+use heteronoc::noc::checkpoint::fnv1a64;
 use heteronoc::noc::types::{NodeId, RouterId};
 use heteronoc::noc::NetworkConfig;
 use heteronoc::traffic::workloads::Benchmark;
@@ -112,15 +113,6 @@ fn asymmetric_point() -> PointSpec {
     )
 }
 
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Every metric a CMP or closed-loop point carries, floats in their
 /// shortest round-trip form (the per-core IPCs as a hash of that form).
 fn fingerprint(p: &PointMetrics) -> String {
@@ -146,7 +138,7 @@ fn fingerprint(p: &PointMetrics) -> String {
         p.power_w,
         [w.buffers, w.crossbar, w.arbiters, w.links],
         p.mean_ipc,
-        fnv(&format!("{:?}", s.ipcs)),
+        fnv1a64(format!("{:?}", s.ipcs).as_bytes()),
         s.mem_reads,
         s.round_trip_mean,
         s.round_trip_cov,

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::ConfigError;
 use crate::router::arbiter::MAX_REQUESTERS;
 use crate::routing::RoutingKind;
-use crate::topology::{PortKind, TopologyGraph, TopologyKind};
+use crate::topology::{TopologyGraph, TopologyKind};
 use crate::types::Bits;
 
 /// Most ports one router may have: switch allocation keeps a `u64` mask of
@@ -446,18 +446,6 @@ impl NetworkConfigBuilder {
 pub fn lanes(link_width: Bits, flit_width: Bits) -> usize {
     debug_assert_eq!(link_width.get() % flit_width.get(), 0);
     (link_width.get() / flit_width.get()) as usize
-}
-
-/// Returns true when `port` of router `r` in `graph` is a local port.
-pub fn is_local(
-    graph: &TopologyGraph,
-    r: crate::types::RouterId,
-    port: crate::types::PortId,
-) -> bool {
-    matches!(
-        graph.router(r).ports[port.index()].kind,
-        PortKind::Local { .. }
-    )
 }
 
 #[cfg(test)]

@@ -73,14 +73,13 @@ pub mod topology;
 pub mod trace;
 pub mod types;
 
-pub use checkpoint::{Checkpoint, CheckpointError};
+pub use checkpoint::{Checkpoint, CheckpointError, Divergence};
 pub use config::{NetworkConfig, NetworkConfigBuilder, RouterCfg};
 pub use fault::{
     DropReason, DroppedPacket, FaultCounters, FaultKind, FaultPlan, HardFault, RetryPolicy,
     UnrecoverableFault,
 };
 pub use metrics::EpochSample;
-pub use network::snapshot::Divergence;
 pub use network::{BlockedChannel, Delivered, Diagnostics, Network, StallReport, StuckPacket};
 pub use packet::{Flit, Packet, PacketClass};
 pub use profile::{ProfileReport, Stage, StageProfiler};

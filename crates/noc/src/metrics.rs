@@ -90,11 +90,6 @@ impl EpochSample {
         mean(&self.buffer_occ)
     }
 
-    /// Mean link utilization across all links (0.0–1.0).
-    pub fn mean_link_util(&self) -> f64 {
-        mean(&self.link_util)
-    }
-
     /// Highest per-link utilization (the hottest channel).
     pub fn max_link_util(&self) -> f64 {
         self.link_util.iter().copied().fold(0.0, f64::max)

@@ -715,12 +715,6 @@ impl Network {
         self.e2e().map(|e| e.counters).unwrap_or_default()
     }
 
-    /// Length of `node`'s source queue (packets not yet fully injected).
-    pub fn source_queue_len(&self, node: NodeId) -> usize {
-        let n = &self.nodes[node.index()];
-        n.queue.len() + usize::from(n.sending.is_some())
-    }
-
     /// Takes all completions since the previous call.
     pub fn drain_delivered(&mut self) -> Vec<Delivered> {
         std::mem::take(&mut self.delivered)

@@ -24,59 +24,38 @@
 //!
 //! [`Network::state_digest`] hashes the encoded state, giving replay
 //! tooling a cheap per-cycle trajectory fingerprint, and
-//! [`Network::divergences`] walks two networks field by field to explain
-//! *where* two supposedly identical states differ (router, VC, field,
-//! expected vs actual) — the payload of `heteronoc replay`'s report.
+//! [`Network::divergences`] walks two networks section by section to
+//! explain *where* two supposedly identical states differ — the payload of
+//! `heteronoc replay`'s report. The walk names only locations (a router
+//! VC, an output port, a node, a section); every field name in a report is
+//! a name from the declarations below, through [`Codec::diff`].
 
 use std::collections::BTreeMap;
 
 use heteronoc_obs::LogHistogram;
 
-use crate::checkpoint::{codec_enum, codec_struct, fnv1a64, CheckpointError, Codec, Dec, Enc};
+use crate::checkpoint::{
+    codec_enum, codec_struct, diff_entries, fnv1a64, CheckpointError, Codec, Dec, Divergence, Enc,
+};
 use crate::fault::{
     DropReason, DroppedPacket, FaultCounters, FaultPlan, RecoveryCounters, UnrecoverableFault,
 };
 use crate::metrics::{EpochSample, EpochSeries};
 use crate::packet::{Flit, FlitKind, Packet, PacketClass};
 use crate::router::arbiter::RrArbiter;
-use crate::router::{InputVc, OutputVc};
+use crate::router::{InputVc, OutputPort, OutputTarget, OutputVc, RouterState};
 use crate::routing::{RouteChoice, RouteTable, RoutingKind, VcClass};
 use crate::sched::WakeReason;
 use crate::stats::{
     Counters, LatencyAgg, LatencyDist, LatencyPctls, LinkEvents, NetStats, Pctls, RouterEvents,
 };
 use crate::trace::TraceSink;
-use crate::types::RouterId;
+use crate::types::{Cycle, NodeId, RouterId};
 
 use super::fault_state::{
     E2eState, FarEvent, FaultState, LinkTx, ReplayEntry, Retained, SourceE2e,
 };
 use super::{Delivered, Event, Network, NodeState, PacketMeta, Sending, Upstream};
-
-/// One field-level difference between two network states (see
-/// [`Network::divergences`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Divergence {
-    /// Where the difference sits, e.g. `"r3.p1.v0"`, `"n5"`, `"wheel[2]"`
-    /// or `"global"`.
-    pub location: String,
-    /// Name of the differing field, e.g. `"credits"` or `"fifo"`.
-    pub field: String,
-    /// Value in the reference (`self`) network.
-    pub expected: String,
-    /// Value in the compared (`other`) network.
-    pub actual: String,
-}
-
-impl std::fmt::Display for Divergence {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}.{}: expected {}, got {}",
-            self.location, self.field, self.expected, self.actual
-        )
-    }
-}
 
 // --------------------------------------------------------------------------
 // Section tags (checked on decode; a mismatch names the section)
@@ -96,7 +75,55 @@ const SEC_FAULTS: u8 = 9;
 // Wire layouts
 // --------------------------------------------------------------------------
 
+/// The `global` section: the clock and the next packet id.
+#[derive(Debug)]
+struct Globals {
+    now: Cycle,
+    next_packet: usize,
+}
+
+/// An input port's stage-1 switch arbiter, as a router writes one per
+/// port after its output ports.
+#[derive(Debug)]
+struct InputPort {
+    sa_stage1: RrArbiter,
+}
+
+/// A router's last two values, derived from its FIFOs: a restore checks
+/// them against the refilled buffers.
+#[derive(Debug, PartialEq)]
+struct RouterCounts {
+    occupancy: u32,
+    busy_vcs: u32,
+}
+
+fn stage1(a: &RrArbiter) -> InputPort {
+    InputPort {
+        sa_stage1: a.clone(),
+    }
+}
+
+fn counts(r: &RouterState) -> RouterCounts {
+    RouterCounts {
+        occupancy: r.occupancy(),
+        busy_vcs: r.busy_vcs(),
+    }
+}
+
+/// A decoded [`OutputPort`]'s placeholder target: a restore keeps the
+/// fresh port's own.
+impl Default for OutputTarget {
+    fn default() -> Self {
+        OutputTarget::Sink { node: NodeId(0) }
+    }
+}
+
 codec_struct! {
+    Globals { now, next_packet }
+    InputPort { sa_stage1 }
+    RouterCounts { occupancy, busy_vcs }
+    OutputPort { vcs, va_arb, sa_primary, sa_secondary; target, lanes }
+
     Flit { packet, kind, seq, total, src, dst, class, inject, buffered }
     Packet { id, src, dst, size, class, tag, birth }
     RouteChoice { port, class }
@@ -244,25 +271,21 @@ impl Network {
     /// [`Network::decode_state`] overwrites only what evolves.
     pub(crate) fn encode_state(&self, e: &mut Enc) {
         e.sec(SEC_GLOBALS);
-        (self.now, self.next_packet).enc(e);
+        self.globals().enc(e);
 
         e.sec(SEC_ROUTERS);
         e.usize(self.routers.len());
         for r in &self.routers {
             for vc in &r.inputs {
-                vc.fifo().enc(e);
                 vc.enc(e);
             }
             for out in &r.outputs {
-                out.vcs.enc(e);
-                for a in [&out.va_arb, &out.sa_primary, &out.sa_secondary] {
-                    a.enc(e);
-                }
+                out.enc(e);
             }
             for a in &r.sa_stage1 {
-                a.enc(e);
+                stage1(a).enc(e);
             }
-            (r.occupancy(), r.busy_vcs()).enc(e);
+            counts(r).enc(e);
         }
 
         e.sec(SEC_NODES);
@@ -299,7 +322,8 @@ impl Network {
         use CheckpointError::Malformed;
 
         d.sec(SEC_GLOBALS, "globals")?;
-        (self.now, self.next_packet) = Codec::dec(d)?;
+        let g = Globals::dec(d)?;
+        (self.now, self.next_packet) = (g.now, g.next_packet);
 
         d.sec(SEC_ROUTERS, "routers")?;
         if d.len(1)? != self.routers.len() {
@@ -309,34 +333,32 @@ impl Network {
             // Flits go in through `push`, so the occupancy counter and the
             // FIFO masks are derived from the decoded FIFOs, never read.
             for i in 0..r.inputs.len() {
-                let fifo: Vec<Flit> = Codec::dec(d)?;
-                if fifo.len() > rc.buffer_depth {
+                let vc = InputVc::dec(d)?;
+                if vc.fifo().len() > rc.buffer_depth {
                     return Err(Malformed("fifo depth"));
                 }
-                r.inputs[i] = InputVc::dec(d)?;
-                for f in fifo {
-                    r.push(i, f);
-                }
+                r.restore(i, vc);
             }
             for out in &mut r.outputs {
-                let vcs: Vec<OutputVc> = Codec::dec(d)?;
-                if vcs.len() != out.vcs.len() {
+                let port = OutputPort::dec(d)?;
+                if port.vcs.len() != out.vcs.len() {
                     return Err(Malformed("output vc count"));
                 }
-                out.vcs = vcs;
-                for a in [&mut out.va_arb, &mut out.sa_primary, &mut out.sa_secondary] {
-                    *a = Codec::dec(d)?;
-                }
+                *out = OutputPort {
+                    target: out.target,
+                    lanes: out.lanes,
+                    ..port
+                };
             }
             for a in &mut r.sa_stage1 {
-                *a = Codec::dec(d)?;
+                *a = InputPort::dec(d)?.sa_stage1;
             }
             // The ready mask follows from the decoded grants and credits.
             r.derive_ready();
             // The stored counters only cross-check the FIFOs: a restore that
             // trusted a stale occupancy could leave a router asleep over
             // its flits.
-            if <(u32, u32)>::dec(d)? != (r.occupancy(), r.busy_vcs()) {
+            if RouterCounts::dec(d)? != counts(r) {
                 return Err(Malformed("router occupancy"));
             }
         }
@@ -455,199 +477,55 @@ impl Network {
         self.tracer.as_deref().and_then(TraceSink::bytes_written)
     }
 
-    /// Walks two networks field by field and reports up to `limit` places
-    /// where their dynamic state differs. `self` is treated as the
-    /// reference ("expected"), `other` as the candidate ("actual").
+    /// The `global` section.
+    fn globals(&self) -> Globals {
+        Globals {
+            now: self.now,
+            next_packet: self.next_packet,
+        }
+    }
+
+    /// Walks two networks through [`Network::encode_state`]'s sections and
+    /// reports up to `limit` places where their encoded states differ.
+    /// `self` is treated as the reference ("expected"), `other` as the
+    /// candidate ("actual").
     ///
-    /// An empty result means the states are behaviourally identical (their
-    /// [`Network::state_digest`]s agree up to hash collisions).
+    /// The walk names locations only: `global`, each input VC
+    /// (`r3.p1.v0`), output port (`r3.out1`), input port's stage-1
+    /// arbiter (`r3.p1`) and router (`r3`), each node (`n5`), and the
+    /// sections `wheel`, `in_flight` (by packet id), `delivered`, `stats`,
+    /// `routing` and `faults`. The field names below them come from the
+    /// wire-layout declarations, so the report covers every byte
+    /// [`Network::state_digest`] hashes: an empty result means the
+    /// digests agree.
     pub(crate) fn divergences(&self, other: &Network, limit: usize) -> Vec<Divergence> {
         let mut out = Vec::new();
-        let mut push = |loc: String, field: &str, exp: String, act: String| {
-            if out.len() < limit && exp != act {
-                out.push(Divergence {
-                    location: loc,
-                    field: field.to_owned(),
-                    expected: exp,
-                    actual: act,
-                });
-            }
-        };
-
-        push(
-            "global".into(),
-            "now",
-            self.now.to_string(),
-            other.now.to_string(),
-        );
-        push(
-            "global".into(),
-            "next_packet",
-            self.next_packet.to_string(),
-            other.next_packet.to_string(),
-        );
-        push(
-            "global".into(),
-            "measuring",
-            self.stats.measuring().to_string(),
-            other.stats.measuring().to_string(),
-        );
-        push(
-            "global".into(),
-            "in_flight",
-            self.in_flight.len().to_string(),
-            other.in_flight.len().to_string(),
-        );
-
-        for (ri, (a, b)) in self.routers.iter().zip(&other.routers).enumerate() {
+        self.globals().diff(&other.globals(), "global", &mut out);
+        for (r, (a, b)) in self.routers.iter().zip(&other.routers).enumerate() {
             for (i, (va, vb)) in a.inputs.iter().zip(&b.inputs).enumerate() {
                 let (p, v) = a.port_vc(i);
-                let loc = format!("r{ri}.p{}.v{}", p.index(), v.index());
-                let fifo = |vc: &InputVc| {
-                    vc.fifo()
-                        .iter()
-                        .map(|f| format!("{}#{}", f.packet, f.seq))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                };
-                push(loc.clone(), "fifo", fifo(va), fifo(vb));
-                push(
-                    loc.clone(),
-                    "route",
-                    format!("{:?}", va.route()),
-                    format!("{:?}", vb.route()),
-                );
-                push(
-                    loc.clone(),
-                    "out_vc",
-                    format!("{:?}", va.out_vc()),
-                    format!("{:?}", vb.out_vc()),
-                );
-                push(
-                    loc.clone(),
-                    "holder",
-                    format!("{:?}", va.holder),
-                    format!("{:?}", vb.holder),
-                );
-                push(
-                    loc.clone(),
-                    "head_wait",
-                    va.head_wait.to_string(),
-                    vb.head_wait.to_string(),
-                );
-                push(
-                    loc,
-                    "sent_on_grant",
-                    va.sent_on_grant.to_string(),
-                    vb.sent_on_grant.to_string(),
-                );
+                va.diff(vb, &format!("r{r}.{p}.{v}"), &mut out);
             }
-            for (pi, (oa, ob)) in a.outputs.iter().zip(&b.outputs).enumerate() {
-                for (vi, (va, vb)) in oa.vcs.iter().zip(&ob.vcs).enumerate() {
-                    let loc = format!("r{ri}.out{pi}.v{vi}");
-                    push(
-                        loc.clone(),
-                        "owner",
-                        format!("{:?}", va.owner),
-                        format!("{:?}", vb.owner),
-                    );
-                    push(
-                        loc,
-                        "credits",
-                        va.credits.to_string(),
-                        vb.credits.to_string(),
-                    );
-                }
-                let loc = format!("r{ri}.out{pi}");
-                push(
-                    loc.clone(),
-                    "va_arb",
-                    oa.va_arb.pointer().to_string(),
-                    ob.va_arb.pointer().to_string(),
-                );
-                push(
-                    loc,
-                    "sa_arb",
-                    format!("{}/{}", oa.sa_primary.pointer(), oa.sa_secondary.pointer()),
-                    format!("{}/{}", ob.sa_primary.pointer(), ob.sa_secondary.pointer()),
-                );
+            for (o, (pa, pb)) in a.outputs.iter().zip(&b.outputs).enumerate() {
+                pa.diff(pb, &format!("r{r}.out{o}"), &mut out);
             }
-            push(
-                format!("r{ri}"),
-                "occupancy",
-                a.occupancy().to_string(),
-                b.occupancy().to_string(),
-            );
-        }
-
-        for (ni, (a, b)) in self.nodes.iter().zip(&other.nodes).enumerate() {
-            let loc = format!("n{ni}");
-            push(
-                loc.clone(),
-                "queue",
-                a.queue.len().to_string(),
-                b.queue.len().to_string(),
-            );
-            let send = |n: &NodeState| match &n.sending {
-                None => "idle".to_owned(),
-                Some(s) => format!("vc{} x{}", s.vc.index(), s.flits.len()),
-            };
-            push(loc.clone(), "sending", send(a), send(b));
-            let credits = |n: &NodeState| {
-                n.vcs
-                    .iter()
-                    .map(|v| v.credits.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            push(loc, "credits", credits(a), credits(b));
-        }
-
-        for (wi, (a, b)) in self.wheel.iter().zip(&other.wheel).enumerate() {
-            let digest = |slot: &[Event]| {
-                let mut e = Enc::new();
-                for ev in slot {
-                    ev.enc(&mut e);
-                }
-                format!("{} events ({:016x})", slot.len(), fnv1a64(&e.into_bytes()))
-            };
-            push(format!("wheel[{wi}]"), "events", digest(a), digest(b));
-        }
-
-        push(
-            "stats".into(),
-            "packets_retired",
-            self.stats.packets_retired.to_string(),
-            other.stats.packets_retired.to_string(),
-        );
-        push(
-            "stats".into(),
-            "flits_retired",
-            self.stats.flits_retired.to_string(),
-            other.stats.flits_retired.to_string(),
-        );
-        push(
-            "stats".into(),
-            "latency_total",
-            self.stats.latency.total.to_string(),
-            other.stats.latency.total.to_string(),
-        );
-
-        let fault_digest = |n: &Network| match &n.faults {
-            None => "none".to_owned(),
-            Some(fs) => {
-                let mut e = Enc::new();
-                fs.enc(&mut e);
-                format!("{:016x}", fnv1a64(&e.into_bytes()))
+            for (p, (sa, sb)) in a.sa_stage1.iter().zip(&b.sa_stage1).enumerate() {
+                stage1(sa).diff(&stage1(sb), &format!("r{r}.p{p}"), &mut out);
             }
-        };
-        push(
-            "faults".into(),
-            "state",
-            fault_digest(self),
-            fault_digest(other),
-        );
-
+            counts(a).diff(&counts(b), &format!("r{r}"), &mut out);
+        }
+        for (n, (a, b)) in self.nodes.iter().zip(&other.nodes).enumerate() {
+            a.diff(b, &format!("n{n}"), &mut out);
+        }
+        self.wheel.diff(&other.wheel, "wheel", &mut out);
+        diff_entries(&self.in_flight, &other.in_flight, "in_flight", &mut out);
+        self.delivered.diff(&other.delivered, "delivered", &mut out);
+        self.stats.diff(&other.stats, "stats", &mut out);
+        self.cfg
+            .routing
+            .diff(&other.cfg.routing, "routing", &mut out);
+        self.faults.diff(&other.faults, "faults", &mut out);
+        out.truncate(limit);
         out
     }
 }
@@ -658,7 +536,7 @@ mod tests {
     use crate::config::NetworkConfig;
     use crate::fault::{FaultKind, HardFault, RecoveryPolicy, RetryPolicy};
     use crate::topology::TopologyKind;
-    use crate::types::{Bits, LinkId, NodeId};
+    use crate::types::{Bits, LinkId, PacketId};
 
     fn mesh4() -> NetworkConfig {
         NetworkConfig::homogeneous(
@@ -843,6 +721,97 @@ mod tests {
             "credit perturbation must be named: {divs:?}"
         );
         assert_ne!(net.state_digest(), other.state_digest());
+    }
+
+    /// The (location, field) pairs the report names for `other` against
+    /// `net`, after checking that the perturbation moved the digest.
+    fn named(net: &Network, other: &Network) -> Vec<(String, String)> {
+        assert_ne!(net.state_digest(), other.state_digest());
+        let divs = net.divergences(other, 16);
+        divs.into_iter().map(|d| (d.location, d.field)).collect()
+    }
+
+    fn pair(location: &str, field: &str) -> Vec<(String, String)> {
+        vec![(location.to_owned(), field.to_owned())]
+    }
+
+    #[test]
+    fn replay_report_names_a_perturbed_field_in_every_section() {
+        let net = stepped(6);
+        let bump = |a: &mut RrArbiter| *a = RrArbiter::from_pointer(a.pointer() + 1);
+
+        let mut other = roundtrip(&net, mesh4());
+        bump(&mut other.nodes[5].rr_vc);
+        assert_eq!(named(&net, &other), pair("n5", "rr_vc"));
+
+        let mut other = roundtrip(&net, mesh4());
+        let id = *other.in_flight.keys().min().expect("packets in flight");
+        other.in_flight.get_mut(&id).unwrap().received += 1;
+        assert_eq!(
+            named(&net, &other),
+            pair(&format!("in_flight[{id:?}]"), "received")
+        );
+
+        let mut other = roundtrip(&net, mesh4());
+        other.stats.counts.packets_offered += 1;
+        assert_eq!(named(&net, &other), pair("stats.counts", "packets_offered"));
+
+        let mut other = roundtrip(&net, mesh4());
+        bump(&mut other.routers[3].sa_stage1[2]);
+        assert_eq!(named(&net, &other), pair("r3.p2", "sa_stage1"));
+
+        let mut other = roundtrip(&net, mesh4());
+        let (r, i) = (0..other.routers.len())
+            .flat_map(|r| (0..other.routers[r].inputs.len()).map(move |i| (r, i)))
+            .find(|&(r, i)| !other.routers[r].inputs[i].fifo().is_empty())
+            .expect("flits are buffered mid-flight");
+        let rt = &mut other.routers[r];
+        let mut flits: Vec<Flit> = std::iter::from_fn(|| rt.pop(i)).collect();
+        flits[0].buffered += 1;
+        for f in flits {
+            rt.push(i, f);
+        }
+        let (p, v) = rt.port_vc(i);
+        assert_eq!(
+            named(&net, &other),
+            pair(&format!("r{r}.{p}.{v}.fifo[0]"), "buffered")
+        );
+
+        let mut other = roundtrip(&net, mesh4());
+        other.routers[5].outputs[2].vcs[1].credits += 1;
+        assert_eq!(named(&net, &other), pair("r5.out2.vcs[1]", "credits"));
+    }
+
+    #[test]
+    fn replay_report_names_fault_state_fields_in_key_order() {
+        let cfg = mesh4();
+        let mut plan = FaultPlan::transient(1e-4, 99);
+        plan.hard.push(HardFault {
+            cycle: 6,
+            kind: FaultKind::Router(RouterId(15)),
+        });
+        plan.recovery = Some(RecoveryPolicy::default());
+        let mut net = Network::with_faults(cfg.clone(), plan).unwrap();
+        net.enqueue(NodeId(0), NodeId(15), Bits(1024), PacketClass::Data, 0);
+        net.enqueue(NodeId(3), NodeId(12), Bits(1024), PacketClass::Data, 1);
+        for _ in 0..12 {
+            net.step();
+        }
+
+        let mut other = roundtrip(&net, cfg.clone());
+        other.faults.as_mut().unwrap().links[4].tx_seq += 1;
+        assert_eq!(named(&net, &other), pair("faults.links[4]", "tx_seq"));
+
+        let mut other = roundtrip(&net, cfg);
+        let e2e = other.faults.as_mut().unwrap().e2e.as_mut().unwrap();
+        for id in [907, 90, 9_000] {
+            e2e.zombies.insert(PacketId(id));
+        }
+        assert_eq!(named(&net, &other), pair("faults.e2e", "zombies"));
+        assert_eq!(
+            net.divergences(&other, 1)[0].to_string(),
+            "faults.e2e.zombies: expected {}, got {PacketId(90), PacketId(907), PacketId(9000)}"
+        );
     }
 
     // The pinned digests below are schema 3's; a roundtrip test passes

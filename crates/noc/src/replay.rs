@@ -21,8 +21,7 @@
 //! Cost: `O(log T)` probe pairs, each a deterministic replay of at most
 //! `T` cycles — no stored digest trajectories, no giant traces.
 
-use crate::checkpoint::Checkpoint;
-use crate::network::snapshot::Divergence;
+use crate::checkpoint::{Checkpoint, Divergence};
 use crate::network::Network;
 use crate::sim::{SimError, SimParams, Stepper, Traffic};
 use crate::types::Cycle;

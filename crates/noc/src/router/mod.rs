@@ -53,11 +53,11 @@ pub struct InputVc {
     pub holder: Option<PacketId>,
 }
 
-// The checkpoint layout of an input VC. It leaves out the FIFO: a restore
-// refills that through `RouterState::push`, so the occupancy and VC masks
+// The checkpoint layout of an input VC. A restore moves the decoded FIFO
+// into place through `RouterState::restore`, so the occupancy and VC masks
 // follow from the flits.
 crate::checkpoint::codec_struct! {
-    InputVc { route, out_vc, in_escape_grant, sent_on_grant, head_wait, holder; fifo }
+    InputVc { fifo, route, out_vc, in_escape_grant, sent_on_grant, head_wait, holder }
 }
 
 impl InputVc {
@@ -333,6 +333,17 @@ impl RouterState {
     fn sync_ready(&mut self, i: usize) {
         let can = self.can_send(i);
         set_bit(&mut self.ready, 1u128 << i, can);
+    }
+
+    /// Installs the decoded input VC `vc` at `i` of a fresh router, moving
+    /// its flits in through `push` so the occupancy and FIFO masks follow
+    /// from them.
+    pub(crate) fn restore(&mut self, i: usize, mut vc: InputVc) {
+        let fifo = std::mem::take(&mut vc.fifo);
+        self.inputs[i] = vc;
+        for flit in fifo {
+            self.push(i, flit);
+        }
     }
 
     /// Re-derives the ready mask of every input VC: a restore writes the

@@ -7,7 +7,8 @@
 //! the per-router tables stay small; deadlock is resolved with a reserved
 //! X-Y-routed escape VC (see [`crate::routing::RoutingKind`]).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
@@ -18,9 +19,18 @@ use crate::types::{Coord, RouterId};
 ///
 /// A path is stored as the full router sequence `src..=dst`; lookup answers
 /// "at router R on the path from S to D, which router comes next?".
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct RouteTable {
     paths: HashMap<(RouterId, RouterId), Vec<RouterId>>,
+}
+
+/// Lists the paths in key order, so the text, and the configuration hash
+/// and cache key taken over it, do not depend on the process's hash seed.
+impl fmt::Debug for RouteTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let paths: BTreeMap<_, _> = self.paths.iter().collect();
+        f.debug_struct("RouteTable").field("paths", &paths).finish()
+    }
 }
 
 impl RouteTable {
@@ -190,6 +200,26 @@ mod tests {
         assert!(tbl.path(RouterId(0), RouterId(9)).is_some());
         assert!(tbl.path(RouterId(9), RouterId(0)).is_some());
         assert!(tbl.path(RouterId(1), RouterId(2)).is_none());
+    }
+
+    #[test]
+    fn debug_text_lists_paths_in_key_order() {
+        let paths = [(0, 1), (2, 0), (1, 2)].map(|(s, d)| (RouterId(s), RouterId(d)));
+        let table = |order: &mut dyn Iterator<Item = &(RouterId, RouterId)>| {
+            let mut t = RouteTable::new();
+            for &(s, d) in order {
+                t.insert(s, d, vec![s, d]);
+            }
+            format!("{t:?}")
+        };
+        let text = table(&mut paths.iter());
+        assert_eq!(text, table(&mut paths.iter().rev()));
+        assert_eq!(
+            text,
+            "RouteTable { paths: {(RouterId(0), RouterId(1)): [RouterId(0), RouterId(1)], \
+             (RouterId(1), RouterId(2)): [RouterId(1), RouterId(2)], \
+             (RouterId(2), RouterId(0)): [RouterId(2), RouterId(0)]} }"
+        );
     }
 
     #[test]

@@ -78,13 +78,6 @@ impl Registry {
         }
     }
 
-    /// Install a pre-built histogram at `path` (e.g. converted from an
-    /// engine-side latency distribution).
-    pub fn set_hist(&mut self, path: &str, h: LogHistogram) {
-        self.metrics
-            .insert(path.to_string(), Metric::Hist(Box::new(h)));
-    }
-
     /// Merge `h` into the histogram at `path`, creating it if absent.
     /// Replaces a non-histogram at the same path.
     pub fn merge_hist(&mut self, path: &str, h: &LogHistogram) {
